@@ -33,7 +33,7 @@ cargo test -q
 echo "==> serve integration tests"
 cargo test --release -q -p jouppi-serve --test integration
 
-echo "==> sweep-bench smoke: fused vs per-cell schedules must agree"
+echo "==> sweep-bench smoke: miss-log fan-out vs per-cell oracle must agree"
 ./target/release/sweep-bench --smoke
 
 echo "==> sweep-bench smoke: single-pass engines vs per-cell oracle"

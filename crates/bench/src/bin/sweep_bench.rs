@@ -1,7 +1,9 @@
-//! Times full experiment sweeps under the sweep-engine schedules —
-//! `per_cell` (one task per configuration cell), `fused` (one task per
-//! (benchmark, side) gang), and `single_pass` (one Mattson traversal
-//! answering every geometry at once) — and writes `BENCH_sweep.json`.
+//! Times full experiment sweeps under the sweep engines — `per_cell`
+//! (one task per configuration cell), `miss_log` (one L1 pass per
+//! (benchmark, side), every configuration answered from its miss log),
+//! `classify` (Figure 3-1's three-C classifier) and `single_pass` (one
+//! Mattson traversal answering every geometry at once) — and writes
+//! `BENCH_sweep.json`.
 //!
 //! Usage: `sweep-bench [--smoke] [--mode MODE] [SCALE] [OUT_PATH]`
 //!
@@ -18,12 +20,12 @@
 //! every timed run replays the memoized trace set — the numbers measure
 //! simulation throughput, not workload generation. Refs are counted as
 //! *work delivered*: configuration cells covered × trace references.
-//! Per-cell schedules replay exactly that many references; the fused
-//! gangs and the single-pass engine deliver the same cells from fewer
+//! Per-cell schedules replay exactly that many references; the miss-log
+//! fan-out and the single-pass engine deliver the same cells from fewer
 //! traversals, so their refs/s advantage is the point of the benchmark.
 //! `fig_3_1` is classification-only (its unit of work is already one
-//! (benchmark, side) cell), so its schedule is labeled `fused` and no
-//! per-cell row exists for it.
+//! (benchmark, side) cell), so its rows carry the serve engine name
+//! `classify` and no per-cell row exists for it.
 
 #![forbid(unsafe_code)]
 
@@ -82,21 +84,21 @@ fn smoke(single_pass_only: bool) -> ExitCode {
     };
     if !single_pass_only {
         check(
-            "miss_cache_4: fused == per_cell",
+            "miss_cache_4: miss_log == per_cell",
             conflict_sweep::run(&cfg, conflict_sweep::Mechanism::MissCache, 4)
                 == conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::MissCache, 4),
         );
         check(
-            "victim_cache_4: fused == per_cell",
+            "victim_cache_4: miss_log == per_cell",
             conflict_sweep::run(&cfg, conflict_sweep::Mechanism::VictimCache, 4)
                 == conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::VictimCache, 4),
         );
         check(
-            "stream_single_8: fused == per_cell",
+            "stream_single_8: miss_log == per_cell",
             stream_sweep::run(&cfg, 1, 8) == stream_sweep::run_per_cell(&cfg, 1, 8),
         );
         check(
-            "stream_four_8: fused == per_cell",
+            "stream_four_8: miss_log == per_cell",
             stream_sweep::run(&cfg, 4, 8) == stream_sweep::run_per_cell(&cfg, 4, 8),
         );
         check(
@@ -170,13 +172,13 @@ fn main() -> ExitCode {
     let fig31_single = || {
         fig_3_1::run_single_pass(&cfg);
     };
-    let victim_fused = || {
+    let victim_miss_log = || {
         conflict_sweep::run(&cfg, conflict_sweep::Mechanism::VictimCache, 4);
     };
     let victim_per_cell = || {
         conflict_sweep::run_per_cell(&cfg, conflict_sweep::Mechanism::VictimCache, 4);
     };
-    let stream_fused = || {
+    let stream_miss_log = || {
         stream_sweep::run(&cfg, 1, 8);
     };
     let stream_per_cell = || {
@@ -223,14 +225,14 @@ fn main() -> ExitCode {
     ];
     if !single_pass_only {
         // fig_3_1 has no per-cell schedule (see the module docs); the
-        // other sweeps get per-cell at one thread plus fused at one and
-        // two.
+        // other sweeps get per-cell at one thread plus miss_log at one
+        // and two.
         runs.extend([
-            time_sweep("fig_3_1", "fused", 1, 1, total, &fig31),
-            time_sweep("fig_3_1", "fused", 2, 1, total, &fig31),
+            time_sweep("fig_3_1", "classify", 1, 1, total, &fig31),
+            time_sweep("fig_3_1", "classify", 2, 1, total, &fig31),
             time_sweep("victim_cache_4", "per_cell", 1, 5, total, &victim_per_cell),
-            time_sweep("victim_cache_4", "fused", 1, 5, total, &victim_fused),
-            time_sweep("victim_cache_4", "fused", 2, 5, total, &victim_fused),
+            time_sweep("victim_cache_4", "miss_log", 1, 5, total, &victim_miss_log),
+            time_sweep("victim_cache_4", "miss_log", 2, 5, total, &victim_miss_log),
             time_sweep(
                 "stream_single_8",
                 "per_cell",
@@ -239,8 +241,22 @@ fn main() -> ExitCode {
                 total,
                 &stream_per_cell,
             ),
-            time_sweep("stream_single_8", "fused", 1, 10, total, &stream_fused),
-            time_sweep("stream_single_8", "fused", 2, 10, total, &stream_fused),
+            time_sweep(
+                "stream_single_8",
+                "miss_log",
+                1,
+                10,
+                total,
+                &stream_miss_log,
+            ),
+            time_sweep(
+                "stream_single_8",
+                "miss_log",
+                2,
+                10,
+                total,
+                &stream_miss_log,
+            ),
         ]);
     }
 

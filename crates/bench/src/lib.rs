@@ -3,11 +3,12 @@
 //! Two binaries:
 //!
 //! * `sweep-bench` (`src/bin/sweep_bench.rs`) times whole experiment
-//!   sweeps through the sweep engine under both schedules — `per_cell`
-//!   (one task per configuration cell) and `fused` (one gang task per
-//!   (benchmark, side)) — at one and two worker threads, and writes the
+//!   sweeps through the sweep engines — `per_cell` (one task per
+//!   configuration cell) against `miss_log` (one L1 pass per (benchmark,
+//!   side), every configuration answered from its miss log) or
+//!   `single_pass` — at one and two worker threads, and writes the
 //!   measurements to `BENCH_sweep.json`. Its `--smoke` flag instead
-//!   cross-checks that the two schedules produce identical results.
+//!   cross-checks that the engines produce identical results.
 //! * `loadgen` (`src/bin/loadgen.rs`) boots the `jouppi-serve` daemon on
 //!   a loopback port, hammers it from concurrent keep-alive connections,
 //!   and writes latency/throughput percentiles to `BENCH_serve.json`.
@@ -35,9 +36,10 @@ pub fn bench_config() -> ExperimentConfig {
 pub struct Measurement {
     /// Which sweep was timed (e.g. `"fig_3_1"`).
     pub sweep: &'static str,
-    /// Which sweep-engine schedule ran: `"per_cell"` (one task per
-    /// configuration cell) or `"fused"` (one gang task per
-    /// (benchmark, side), configurations stepped together).
+    /// Which sweep engine ran: `"per_cell"` (one task per configuration
+    /// cell), `"miss_log"` (one L1 pass per (benchmark, side), every
+    /// configuration answered from its miss log), `"classify"` or
+    /// `"single_pass"`.
     pub mode: &'static str,
     /// Worker threads the sweep engine actually used.
     pub threads: usize,
@@ -160,7 +162,7 @@ mod tests {
     fn sample() -> Measurement {
         Measurement {
             sweep: "fig_3_1",
-            mode: "fused",
+            mode: "classify",
             threads: 4,
             cells: 1,
             refs: 2_000,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use jouppi_cache::{Cache, CacheGeometry, ReplacementPolicy};
+use jouppi_cache::{AccessResult, Cache, CacheGeometry, ReplacementPolicy};
 use jouppi_trace::{Addr, LineAddr};
 
 use crate::stride::StridedMultiWayBuffer;
@@ -127,6 +127,11 @@ impl AugmentedConfig {
     pub fn victim_policy(mut self, policy: ReplacementPolicy) -> Self {
         self.aid_policy = policy;
         self
+    }
+
+    /// The victim cache's replacement policy.
+    pub(crate) fn aid_policy(&self) -> ReplacementPolicy {
+        self.aid_policy
     }
 
     /// The L1 geometry.
@@ -305,36 +310,67 @@ impl Streams {
     }
 }
 
-/// A direct-mapped first-level cache augmented with an optional
-/// victim/miss cache and optional stream buffers — the organizations of
-/// Figures 3-2, 3-4, 4-2, and 4-4, individually or combined (Figure 5-1).
+/// One first-level miss: everything the structures behind the L1 see.
 ///
-/// Probe order on an L1 miss follows the hardware: the fully-associative
-/// conflict aid is checked first (it is probed in parallel with L1 and can
-/// supply the line in the next cycle), then the stream-buffer heads, then
-/// the refill path. The L1 victim of every refill feeds the victim cache;
-/// the requested line of every off-chip refill feeds the miss cache.
-///
-/// The underlying L1 contents evolve exactly as a bare cache's would, so a
-/// single simulation yields both the baseline miss count
-/// ([`AugmentedStats::l1_misses`]) and the improved miss count
-/// ([`AugmentedStats::full_misses`]).
-pub struct AugmentedCache {
-    cfg: AugmentedConfig,
-    l1: Cache,
-    aid: Aid,
-    stream: Option<Streams>,
-    stats: AugmentedStats,
+/// The L1 is refilled on every miss whatever the augmentation does, so
+/// its contents, and therefore this miss stream, do not depend on the
+/// augmentation at all. A [`crate::MissLog`] records it once per L1
+/// geometry and answers every augmentation from it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct L1Miss {
+    /// Position of the missing reference in the stream (1-based). Stream
+    /// buffers time their prefetches in these ticks.
+    pub(crate) tick: u64,
+    /// The line that missed.
+    pub(crate) line: LineAddr,
+    /// The line the L1 refill displaced, if the set was full.
+    pub(crate) victim: Option<LineAddr>,
+}
+
+/// The first-level half of an augmented cache: the L1 and the reference
+/// clock. Each step refills the L1 on a miss and reports the miss.
+pub(crate) struct L1Filter {
+    cache: Cache,
     tick: u64,
 }
 
-impl AugmentedCache {
-    /// Builds the organization described by `cfg`.
-    ///
+impl L1Filter {
+    pub(crate) fn new(geom: CacheGeometry) -> Self {
+        L1Filter {
+            cache: Cache::new(geom),
+            tick: 0,
+        }
+    }
+
+    /// References `line`: `None` on an L1 hit, else the miss.
+    #[inline]
+    pub(crate) fn step(&mut self, line: LineAddr) -> Option<L1Miss> {
+        self.tick += 1;
+        match self.cache.access_line(line) {
+            AccessResult::Hit => None,
+            AccessResult::Miss { victim } => Some(L1Miss {
+                tick: self.tick,
+                line,
+                victim,
+            }),
+        }
+    }
+}
+
+/// The miss half of an augmented cache: the conflict aid and the stream
+/// buffers, which act only on L1 misses. The per-reference
+/// [`AugmentedCache`] and [`crate::MissLog::replay`] both drive this one
+/// handler.
+pub(crate) struct MissPath {
+    aid: Aid,
+    stream: Option<Streams>,
+}
+
+impl MissPath {
     /// # Panics
     ///
     /// Panics if a conflict aid is configured with zero entries.
-    pub fn new(cfg: AugmentedConfig) -> Self {
+    pub(crate) fn new(cfg: &AugmentedConfig) -> Self {
         let aid = match cfg.aid {
             ConflictAid::None => Aid::None,
             ConflictAid::MissCache(n) => Aid::Miss(MissCache::new(n)),
@@ -351,13 +387,110 @@ impl AugmentedCache {
                 Streams::Plain(MultiWayStreamBuffer::new(cfg.stream_ways, cfg.stream_cfg))
             }
         });
+        MissPath { aid, stream }
+    }
+
+    /// Services one L1 miss, whose refill has already displaced
+    /// `miss.victim`, and counts where it was satisfied.
+    pub(crate) fn handle(&mut self, miss: L1Miss, stats: &mut AugmentedStats) -> AccessOutcome {
+        let L1Miss { tick, line, victim } = miss;
+        // §5 orthogonality statistic: would both mechanisms have supplied
+        // the line?
+        let aid_holds = match &self.aid {
+            Aid::None => false,
+            Aid::Miss(mc) => mc.contains(line),
+            Aid::Victim(vc) => vc.contains(line),
+        };
+        let stream_holds = self
+            .stream
+            .as_ref()
+            .is_some_and(|sb| sb.probe(line, tick).is_hit());
+        if aid_holds && stream_holds {
+            stats.overlap_hits += 1;
+        }
+
+        // 1. Fully-associative conflict aid (one-cycle reload/swap).
+        match &mut self.aid {
+            Aid::Victim(vc) if aid_holds => {
+                vc.probe_swap(line, victim);
+                stats.victim_hits += 1;
+                return AccessOutcome::VictimHit;
+            }
+            Aid::Miss(mc) if aid_holds => {
+                mc.probe_and_touch(line);
+                stats.miss_cache_hits += 1;
+                return AccessOutcome::MissCacheHit;
+            }
+            // Any other refill hands the L1 victim to a victim cache.
+            Aid::Victim(vc) => {
+                if let Some(v) = victim {
+                    vc.insert_victim(v);
+                }
+            }
+            _ => {}
+        }
+
+        // 2. Stream-buffer heads (one-cycle reload once the line arrives).
+        if let Some(sb) = &mut self.stream {
+            match sb.probe_consume(line, tick) {
+                StreamProbe::HitReady => {
+                    stats.stream_hits += 1;
+                    return AccessOutcome::StreamHit { stall: 0 };
+                }
+                StreamProbe::HitPending { remaining } => {
+                    stats.stream_hits += 1;
+                    stats.stream_stall_ticks += remaining;
+                    return AccessOutcome::StreamHit { stall: remaining };
+                }
+                StreamProbe::Miss => {}
+            }
+        }
+
+        // 3. Full miss: refilled from the next level.
+        if let Aid::Miss(mc) = &mut self.aid {
+            mc.insert(line);
+        }
+        if let Some(sb) = &mut self.stream {
+            sb.handle_miss(line, tick);
+        }
+        stats.full_misses += 1;
+        AccessOutcome::Miss
+    }
+}
+
+/// A direct-mapped first-level cache augmented with an optional
+/// victim/miss cache and optional stream buffers — the organizations of
+/// Figures 3-2, 3-4, 4-2, and 4-4, individually or combined (Figure 5-1).
+///
+/// Probe order on an L1 miss follows the hardware: the fully-associative
+/// conflict aid is checked first (it is probed in parallel with L1 and can
+/// supply the line in the next cycle), then the stream-buffer heads, then
+/// the refill path. The L1 victim of every refill feeds the victim cache;
+/// the requested line of every off-chip refill feeds the miss cache.
+///
+/// The underlying L1 contents evolve exactly as a bare cache's would, so a
+/// single simulation yields both the baseline miss count
+/// ([`AugmentedStats::l1_misses`]) and the improved miss count
+/// ([`AugmentedStats::full_misses`]).
+pub struct AugmentedCache {
+    cfg: AugmentedConfig,
+    l1: L1Filter,
+    misses: MissPath,
+    stats: AugmentedStats,
+}
+
+impl AugmentedCache {
+    /// Builds the organization described by `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a conflict aid is configured with zero entries.
+    pub fn new(cfg: AugmentedConfig) -> Self {
         AugmentedCache {
             cfg,
-            l1: Cache::new(cfg.geom),
-            aid,
-            stream,
+            l1: L1Filter::new(cfg.geom),
+            misses: MissPath::new(&cfg),
             stats: AugmentedStats::default(),
-            tick: 0,
         }
     }
 
@@ -378,79 +511,13 @@ impl AugmentedCache {
 
     /// References a line address.
     pub fn access_line(&mut self, line: LineAddr) -> AccessOutcome {
-        self.tick += 1;
         self.stats.accesses += 1;
-        if self.l1.lookup(line) {
-            self.stats.l1_hits += 1;
-            return AccessOutcome::L1Hit;
-        }
-
-        // §5 orthogonality statistic: on an L1 miss, would both mechanisms
-        // have supplied the line?
-        let aid_holds = match &self.aid {
-            Aid::None => false,
-            Aid::Miss(mc) => mc.contains(line),
-            Aid::Victim(vc) => vc.contains(line),
-        };
-        let stream_holds = self
-            .stream
-            .as_ref()
-            .is_some_and(|sb| sb.probe(line, self.tick).is_hit());
-        if aid_holds && stream_holds {
-            self.stats.overlap_hits += 1;
-        }
-
-        // 1. Fully-associative conflict aid (one-cycle reload/swap).
-        match &mut self.aid {
-            Aid::Victim(vc) if aid_holds => {
-                let victim = self.l1.fill(line);
-                vc.probe_swap(line, victim);
-                self.stats.victim_hits += 1;
-                return AccessOutcome::VictimHit;
+        match self.l1.step(line) {
+            None => {
+                self.stats.l1_hits += 1;
+                AccessOutcome::L1Hit
             }
-            Aid::Miss(mc) if aid_holds => {
-                mc.probe_and_touch(line);
-                let _victim = self.l1.fill(line);
-                self.stats.miss_cache_hits += 1;
-                return AccessOutcome::MissCacheHit;
-            }
-            _ => {}
-        }
-
-        // 2. Stream-buffer heads (one-cycle reload once the line arrives).
-        if let Some(sb) = &mut self.stream {
-            match sb.probe_consume(line, self.tick) {
-                StreamProbe::HitReady => {
-                    self.fill_l1_capturing_victim(line);
-                    self.stats.stream_hits += 1;
-                    return AccessOutcome::StreamHit { stall: 0 };
-                }
-                StreamProbe::HitPending { remaining } => {
-                    self.fill_l1_capturing_victim(line);
-                    self.stats.stream_hits += 1;
-                    self.stats.stream_stall_ticks += remaining;
-                    return AccessOutcome::StreamHit { stall: remaining };
-                }
-                StreamProbe::Miss => {}
-            }
-        }
-
-        // 3. Full miss: refill from the next level.
-        self.fill_l1_capturing_victim(line);
-        if let Aid::Miss(mc) = &mut self.aid {
-            mc.insert(line);
-        }
-        if let Some(sb) = &mut self.stream {
-            sb.handle_miss(line, self.tick);
-        }
-        self.stats.full_misses += 1;
-        AccessOutcome::Miss
-    }
-
-    fn fill_l1_capturing_victim(&mut self, line: LineAddr) {
-        let victim = self.l1.fill(line);
-        if let (Aid::Victim(vc), Some(v)) = (&mut self.aid, victim) {
-            vc.insert_victim(v);
+            Some(miss) => self.misses.handle(miss, &mut self.stats),
         }
     }
 
@@ -459,8 +526,8 @@ impl AugmentedCache {
     /// returns `true` when the invariant holds (vacuously for non-victim
     /// configurations).
     pub fn exclusivity_holds(&self) -> bool {
-        match &self.aid {
-            Aid::Victim(vc) => self.l1.resident_lines().all(|l| !vc.contains(l)),
+        match &self.misses.aid {
+            Aid::Victim(vc) => self.l1.cache.resident_lines().all(|l| !vc.contains(l)),
             _ => true,
         }
     }

@@ -23,8 +23,8 @@
 //! * [`AugmentedCache`] — a direct-mapped L1 composed with any of the
 //!   above, producing the per-access outcomes and statistics every
 //!   experiment consumes.
-//! * [`Gang`] — many independent augmented organizations stepped in
-//!   lockstep, so one pass over a trace drives a whole sweep row.
+//! * [`MissLog`] — the misses of one L1 pass, from which every
+//!   augmentation of that L1 is answered without touching the hits.
 //!
 //! # Examples
 //!
@@ -56,8 +56,8 @@
 #![warn(missing_docs)]
 
 mod augmented;
-mod fused;
 mod miss_cache;
+mod miss_log;
 mod multi_way;
 pub mod prefetch;
 mod stream_buffer;
@@ -66,8 +66,8 @@ mod victim_cache;
 mod write_buffer;
 
 pub use augmented::{AccessOutcome, AugmentedCache, AugmentedConfig, AugmentedStats, ConflictAid};
-pub use fused::Gang;
 pub use miss_cache::MissCache;
+pub use miss_log::MissLog;
 pub use multi_way::MultiWayStreamBuffer;
 pub use stream_buffer::{StreamBuffer, StreamBufferConfig, StreamProbe};
 pub use victim_cache::VictimCache;

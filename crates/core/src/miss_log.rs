@@ -1,0 +1,281 @@
+//! Filter-then-fan-out: one L1 pass answers every augmentation.
+//!
+//! Miss caches, victim caches and stream buffers sit between the L1 and
+//! its refill path. An L1 hit never reaches them, and the L1 is refilled
+//! on every miss whatever they do, so the L1's miss stream is the same
+//! for every augmentation of one L1 geometry. A [`MissLog`] records that
+//! stream once — `(tick, line, victim)` per miss — and then answers each
+//! [`AugmentedConfig`] from the misses alone, a few percent of the
+//! references.
+//!
+//! Two size axes need no per-configuration replay at all (Mattson's
+//! stack inclusion, applied as in DEW-style sweeps):
+//!
+//! * **LRU victim caches.** A size-`V` victim cache holds the top `V`
+//!   entries of one stack of L1 victims in which a hit removes its entry.
+//!   So one pass that records each hit's depth answers every size. The
+//!   hit's L1 refill always has a victim to push in its place: the line
+//!   was evicted from its set once, so that set was full, and L1 sets
+//!   never empty again.
+//! * **Miss caches.** Without stream buffers a miss cache is plain LRU
+//!   over the miss sequence, so a [`StackDistanceProfile`] of the logged
+//!   lines gives every size's hits.
+//!
+//! # Examples
+//!
+//! ```
+//! use jouppi_cache::CacheGeometry;
+//! use jouppi_core::{AugmentedCache, AugmentedConfig, MissLog};
+//! use jouppi_trace::LineAddr;
+//!
+//! # fn main() -> Result<(), jouppi_cache::GeometryError> {
+//! let geom = CacheGeometry::direct_mapped(4096, 16)?;
+//! let stream: Vec<LineAddr> = (0..2000u64).map(|i| LineAddr::new(i * 37 % 600)).collect();
+//! let log = MissLog::record(geom, stream.iter().copied());
+//! let cfgs: Vec<AugmentedConfig> = (1..=4)
+//!     .map(|n| AugmentedConfig::new(geom).victim_cache(n))
+//!     .collect();
+//! for (cfg, stats) in cfgs.iter().zip(log.fan_out(&cfgs)) {
+//!     let mut cache = AugmentedCache::new(*cfg);
+//!     for &line in &stream {
+//!         cache.access_line(line);
+//!     }
+//!     assert_eq!(stats, *cache.stats());
+//! }
+//! # Ok(())
+//! # }
+//! ```
+
+use jouppi_cache::{CacheGeometry, ReplacementPolicy, StackDistanceProfile};
+use jouppi_trace::LineAddr;
+
+use crate::augmented::{L1Filter, L1Miss, MissPath};
+use crate::{AugmentedConfig, AugmentedStats, ConflictAid};
+
+/// The misses of one L1 pass over a reference stream.
+#[derive(Clone, Debug)]
+pub struct MissLog {
+    geom: CacheGeometry,
+    accesses: u64,
+    misses: Vec<L1Miss>,
+}
+
+impl MissLog {
+    /// Runs `lines` through a bare L1 of geometry `geom` and records its
+    /// misses.
+    pub fn record(geom: CacheGeometry, lines: impl IntoIterator<Item = LineAddr>) -> Self {
+        MissLog::record_observed(geom, lines, |_, _| {})
+    }
+
+    /// Like [`MissLog::record`], and also calls `observe(line, missed)` on
+    /// every reference, so a miss classifier can ride the same pass.
+    pub fn record_observed(
+        geom: CacheGeometry,
+        lines: impl IntoIterator<Item = LineAddr>,
+        mut observe: impl FnMut(LineAddr, bool),
+    ) -> Self {
+        let mut l1 = L1Filter::new(geom);
+        let mut accesses = 0;
+        let mut misses = Vec::new();
+        for line in lines {
+            accesses += 1;
+            let miss = l1.step(line);
+            observe(line, miss.is_some());
+            misses.extend(miss);
+        }
+        MissLog {
+            geom,
+            accesses,
+            misses,
+        }
+    }
+
+    /// References in the recorded stream.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
+    /// L1 misses in the recorded stream.
+    pub fn l1_misses(&self) -> u64 {
+        self.misses.len() as u64
+    }
+
+    /// Statistics with no miss serviced yet.
+    fn bare_stats(&self) -> AugmentedStats {
+        AugmentedStats {
+            accesses: self.accesses,
+            l1_hits: self.accesses - self.l1_misses(),
+            ..AugmentedStats::default()
+        }
+    }
+
+    fn check_geometry(&self, cfg: &AugmentedConfig) {
+        assert_eq!(
+            cfg.geometry(),
+            &self.geom,
+            "a miss log answers only configurations of its own L1 geometry"
+        );
+    }
+
+    /// Replays the log through `cfg`'s conflict aid and stream buffers.
+    /// The result equals an [`crate::AugmentedCache`] run over the
+    /// recorded stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has a different L1 geometry, or a conflict aid
+    /// with zero entries.
+    pub fn replay(&self, cfg: &AugmentedConfig) -> AugmentedStats {
+        self.check_geometry(cfg);
+        let mut path = MissPath::new(cfg);
+        let mut stats = self.bare_stats();
+        for &miss in &self.misses {
+            path.handle(miss, &mut stats);
+        }
+        stats
+    }
+
+    /// Statistics of LRU victim caches of `1..=max_entries` entries, with
+    /// no stream buffer, from one pass over the victim stack.
+    pub fn victim_cache_sweep(&self, max_entries: usize) -> Vec<AugmentedStats> {
+        if max_entries == 0 {
+            return Vec::new();
+        }
+        // stack[0] is the most recent victim; deeper entries cannot hit
+        // any swept size, so the stack keeps only `max_entries`.
+        let mut stack: Vec<LineAddr> = Vec::with_capacity(max_entries + 1);
+        let mut hits_at_depth = vec![0u64; max_entries];
+        for miss in &self.misses {
+            if let Some(depth) = stack.iter().position(|&l| l == miss.line) {
+                debug_assert!(miss.victim.is_some(), "a victim-cache hit displaces a line");
+                hits_at_depth[depth] += 1;
+                stack.remove(depth);
+            }
+            if let Some(victim) = miss.victim {
+                stack.insert(0, victim);
+                stack.truncate(max_entries);
+            }
+        }
+        let mut hits = 0;
+        hits_at_depth
+            .iter()
+            .map(|&h| {
+                hits += h;
+                AugmentedStats {
+                    victim_hits: hits,
+                    full_misses: self.l1_misses() - hits,
+                    ..self.bare_stats()
+                }
+            })
+            .collect()
+    }
+
+    /// Statistics of miss caches of `1..=max_entries` entries, with no
+    /// stream buffer, from one stack-distance profile of the missed lines.
+    pub fn miss_cache_sweep(&self, max_entries: usize) -> Vec<AugmentedStats> {
+        if max_entries == 0 {
+            return Vec::new();
+        }
+        let mut profile = StackDistanceProfile::with_capacity(self.misses.len());
+        for miss in &self.misses {
+            profile.observe(miss.line);
+        }
+        (1..=max_entries)
+            .map(|entries| {
+                let full_misses = profile.misses_for_capacity(entries);
+                AugmentedStats {
+                    miss_cache_hits: self.l1_misses() - full_misses,
+                    full_misses,
+                    ..self.bare_stats()
+                }
+            })
+            .collect()
+    }
+
+    /// Answers every configuration, in order. LRU victim caches and miss
+    /// caches without stream buffers share one stack pass per kind; every
+    /// other configuration replays the log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a configuration has a different L1 geometry, or a
+    /// conflict aid with zero entries.
+    pub fn fan_out(&self, cfgs: &[AugmentedConfig]) -> Vec<AugmentedStats> {
+        let plans: Vec<Plan> = cfgs.iter().map(Plan::of).collect();
+        let (mut victim_depth, mut miss_depth) = (0, 0);
+        for plan in &plans {
+            match *plan {
+                Plan::VictimStack(n) => victim_depth = victim_depth.max(n),
+                Plan::MissStack(n) => miss_depth = miss_depth.max(n),
+                Plan::Replay => {}
+            }
+        }
+        let victims = self.victim_cache_sweep(victim_depth);
+        let miss_caches = self.miss_cache_sweep(miss_depth);
+        cfgs.iter()
+            .zip(&plans)
+            .map(|(cfg, plan)| {
+                self.check_geometry(cfg);
+                match *plan {
+                    Plan::VictimStack(n) => victims[n - 1],
+                    Plan::MissStack(n) => miss_caches[n - 1],
+                    Plan::Replay => self.replay(cfg),
+                }
+            })
+            .collect()
+    }
+}
+
+/// How [`MissLog::fan_out`] answers one configuration.
+#[derive(Clone, Copy, Debug)]
+enum Plan {
+    /// From the LRU victim stack, at this many entries.
+    VictimStack(usize),
+    /// From the miss-line stack-distance profile, at this many entries.
+    MissStack(usize),
+    /// By replaying the log.
+    Replay,
+}
+
+impl Plan {
+    fn of(cfg: &AugmentedConfig) -> Plan {
+        if cfg.stream_ways() > 0 {
+            return Plan::Replay;
+        }
+        match cfg.conflict_aid() {
+            ConflictAid::VictimCache(n) if n > 0 && cfg.aid_policy() == ReplacementPolicy::Lru => {
+                Plan::VictimStack(n)
+            }
+            ConflictAid::MissCache(n) if n > 0 => Plan::MissStack(n),
+            _ => Plan::Replay,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn geom() -> CacheGeometry {
+        CacheGeometry::direct_mapped(1024, 16).unwrap()
+    }
+
+    #[test]
+    fn empty_sweeps_and_logs() {
+        let log = MissLog::record(geom(), std::iter::empty());
+        assert_eq!(log.accesses(), 0);
+        assert!(log.victim_cache_sweep(0).is_empty());
+        assert!(log.miss_cache_sweep(0).is_empty());
+        assert!(log.fan_out(&[]).is_empty());
+        let stats = log.fan_out(&[AugmentedConfig::new(geom()).victim_cache(3)]);
+        assert_eq!(stats, vec![AugmentedStats::default()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own L1 geometry")]
+    fn foreign_geometry_is_refused() {
+        let log = MissLog::record(geom(), std::iter::empty());
+        let other = CacheGeometry::direct_mapped(2048, 16).unwrap();
+        log.replay(&AugmentedConfig::new(other));
+    }
+}

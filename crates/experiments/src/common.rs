@@ -3,9 +3,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jouppi_cache::CacheGeometry;
-use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, Gang};
-use jouppi_trace::{AccessKind, MemRef, RecordedTrace, SideView};
+use jouppi_cache::{CacheGeometry, MissBreakdown, MissClassifier};
+use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, MissLog};
+use jouppi_trace::{AccessKind, LineAddr, MemRef, RecordedTrace, SideView};
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::sweep;
@@ -152,7 +152,8 @@ pub fn per_benchmark<T>(
 static REFS_SIMULATED: AtomicU64 = AtomicU64::new(0);
 
 /// Total memory references replayed through [`run_side`],
-/// [`classify_side`], and any caller of [`note_refs_simulated`] since
+/// [`classify_side`], [`fan_out`] (counted as the per-cell replays it
+/// stands in for), and any caller of [`note_refs_simulated`] since
 /// process start.
 pub fn refs_simulated() -> u64 {
     // jouppi-lint: allow(relaxed-ordering) — point-in-time sample of a
@@ -190,47 +191,61 @@ pub fn run_side(trace: &RecordedTrace, side: Side, cfg: AugmentedConfig) -> Augm
     *cache.stats()
 }
 
-/// Widest gang a fused sweep cell drives per trace pass.
-///
-/// Each member touches its own L1 slot array per reference, so very wide
-/// gangs thrash the host's caches; eight members keeps the working set
-/// modest while still amortizing one trace pass over a whole sweep row
-/// (the conflict sweeps need four configurations, the stream sweeps
-/// nine).
-pub const GANG_WIDTH: usize = 8;
+/// Runs one side of a trace through a bare L1 of geometry `geom` and
+/// records its misses: the filter half of filter-then-fan-out.
+pub fn log_side(trace: &RecordedTrace, side: Side, geom: CacheGeometry) -> MissLog {
+    record_side(trace, side, geom, |_, _| {})
+}
 
-/// Replays one side of a trace through a gang of augmented organizations
-/// in a single fused pass, returning per-configuration statistics in
-/// `cfgs` order.
-///
-/// Gang members are independent, so the result is bit-identical to
-/// calling [`run_side`] once per configuration; the trace is only
-/// streamed through host memory once. Callers with more than
-/// [`GANG_WIDTH`] configurations should chunk them.
-pub fn run_side_gang(
+/// Like [`log_side`], with a three-C classifier riding the same L1 pass.
+/// The breakdown equals [`classify_side`]'s.
+pub(crate) fn log_and_classify_side(
     trace: &RecordedTrace,
     side: Side,
-    cfgs: &[AugmentedConfig],
-) -> Vec<AugmentedStats> {
-    let mut gang = Gang::new(cfgs);
+    geom: CacheGeometry,
+) -> (MissLog, MissBreakdown) {
+    let mut classifier = MissClassifier::new(geom);
+    let log = record_side(trace, side, geom, |line, missed| {
+        classifier.observe(line, missed);
+    });
+    (log, classifier.breakdown())
+}
+
+fn record_side(
+    trace: &RecordedTrace,
+    side: Side,
+    geom: CacheGeometry,
+    observe: impl FnMut(LineAddr, bool),
+) -> MissLog {
     let view = side.view(trace);
-    note_refs_simulated(view.addrs().len() as u64 * cfgs.len() as u64);
-    match gang
-        .uniform_line_size()
-        .and_then(|size| view.lines_for(size))
-    {
-        Some(lines) => {
-            for &line in lines {
-                gang.step_line(line);
-            }
-        }
-        None => {
-            for &addr in view.addrs() {
-                gang.step_addr(addr);
-            }
-        }
+    match view.lines_for(geom.line_size()) {
+        Some(lines) => MissLog::record_observed(geom, lines.iter().copied(), observe),
+        None => MissLog::record_observed(
+            geom,
+            view.addrs().iter().map(|&addr| geom.line_of(addr)),
+            observe,
+        ),
     }
-    gang.into_stats()
+}
+
+/// Answers every configuration in `cfgs` from one side's miss log (see
+/// [`MissLog::fan_out`]); bit-identical to [`run_side`] per configuration.
+///
+/// Counts what the per-cell schedule replays toward [`refs_simulated`]:
+/// one classification pass plus one replay per configuration, each the
+/// side's length. So the throughput gauges read work delivered, whichever
+/// engine answers.
+pub fn fan_out(log: &MissLog, cfgs: &[AugmentedConfig]) -> Vec<AugmentedStats> {
+    note_refs_simulated(log.accesses() * (1 + cfgs.len() as u64));
+    log.fan_out(cfgs)
+}
+
+/// Mean references per (benchmark, side) cell: what one L1 pass over a
+/// side replays. [`sweep::map_jobs_sized`] prices filter-then-fan-out
+/// cells from it.
+pub(crate) fn refs_per_side(traces: &[(Benchmark, RecordedTrace)]) -> u64 {
+    let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
+    total / (2 * traces.len()).max(1) as u64
 }
 
 /// Replays one side through a classified direct-mapped cache, returning
@@ -327,6 +342,17 @@ mod tests {
         let out = per_benchmark(&cfg, |_, t| t.len());
         assert_eq!(out.len(), 6);
         assert!(out.iter().all(|(_, n)| *n >= 2_000));
+    }
+
+    #[test]
+    fn fan_out_cells_at_serve_scale_run_on_the_calling_thread() {
+        // Conflict-sweep cells are priced at one side pass and stream-sweep
+        // cells at two. At the serve daemon's default scale both must stay
+        // below the thread-pool threshold.
+        let traces = record_traces(&ExperimentConfig::with_scale(60_000));
+        let side = refs_per_side(&traces);
+        assert!(side > 20_000, "{side} refs per side");
+        assert!(2 * side < sweep::MIN_PARALLEL_REFS_PER_JOB, "{side}");
     }
 
     #[test]

@@ -7,8 +7,8 @@ use jouppi_report::{Chart, Series, Table};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{
-    average, baseline_l1, classify_side, pct_of_conflicts_removed, record_traces, run_side,
-    run_side_gang, ExperimentConfig, Side, GANG_WIDTH,
+    average, baseline_l1, classify_side, fan_out, log_and_classify_side, pct_of_conflicts_removed,
+    record_traces, refs_per_side, run_side, ExperimentConfig, Side,
 };
 use crate::sweep;
 
@@ -62,43 +62,32 @@ pub struct ConflictSweep {
     pub benchmarks: Vec<BenchSweep>,
 }
 
-/// Runs the sweep for entry counts `1..=max_entries` on the fused engine.
+/// Runs the sweep for entry counts `1..=max_entries`, filter-then-fan-out.
 ///
-/// The unit of scheduled work is one (benchmark × side) cell: it
-/// classifies that side's misses once (the conflict-miss denominator) and
-/// then replays the side through [`run_side_gang`] gangs of up to
-/// [`GANG_WIDTH`] entry-count configurations — one trace pass per gang
-/// instead of one per configuration. Results are bit-identical to
-/// [`run_per_cell`] (pinned by the `fused_per_cell_equivalence` test).
+/// The unit of scheduled work is one (benchmark × side) cell: one L1
+/// pass records that side's miss log and classifies its misses (the
+/// conflict-miss denominator), then every entry count is answered from
+/// the log by one stack pass ([`fan_out`]). Results are bit-identical to
+/// [`run_per_cell`] (pinned by the `miss_log_equivalence` test).
 pub fn run(cfg: &ExperimentConfig, mechanism: Mechanism, max_entries: usize) -> ConflictSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
     let cfgs: Vec<_> = (1..=max_entries).map(|n| mechanism.config(n)).collect();
-    let jobs = traces.len() * 2;
-    let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
-    // Each cell classifies once, then replays its side once per config.
-    let refs_per_job = total / jobs as u64 * (1 + cfgs.len() as u64);
-    let rows = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
+    // A cell costs its L1 pass; the stack pass over its misses is small.
+    let rows = sweep::map_jobs_sized(traces.len() * 2, refs_per_side(&traces), |cell| {
         let (_, trace) = &traces[cell / 2];
-        let side = Side::BOTH[cell % 2];
-        let (_, breakdown) = classify_side(trace, side, geom);
-        let mut removed = Vec::with_capacity(max_entries);
-        for chunk in cfgs.chunks(GANG_WIDTH) {
-            for stats in run_side_gang(trace, side, chunk) {
-                removed.push(pct_of_conflicts_removed(
-                    stats.removed_misses(),
-                    breakdown.conflict,
-                ));
-            }
-        }
-        removed
+        let (log, breakdown) = log_and_classify_side(trace, Side::BOTH[cell % 2], geom);
+        fan_out(&log, &cfgs)
+            .iter()
+            .map(|stats| pct_of_conflicts_removed(stats.removed_misses(), breakdown.conflict))
+            .collect::<Vec<_>>()
     });
     assemble(mechanism, max_entries, &traces, |cell| rows[cell].clone())
 }
 
 /// Runs the sweep with one scheduled cell per (benchmark × side ×
-/// entry-count) simulation — the pre-fusion engine, kept as the reference
-/// implementation the fused path is checked against.
+/// entry-count) simulation — the per-reference oracle [`run`] is
+/// checked against.
 pub fn run_per_cell(
     cfg: &ExperimentConfig,
     mechanism: Mechanism,

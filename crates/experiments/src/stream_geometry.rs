@@ -6,7 +6,7 @@ use jouppi_core::{AugmentedConfig, StreamBufferConfig};
 use jouppi_report::{Chart, Series, Table};
 
 use crate::common::{
-    average, classify_side, pct_of_misses_removed, per_benchmark, run_side, ExperimentConfig, Side,
+    average, fan_out, log_side, pct_of_misses_removed, per_benchmark, ExperimentConfig, Side,
 };
 use crate::victim_geometry::{axis_chart_coord, GeometryAxis};
 
@@ -37,31 +37,24 @@ fn geometry(axis: GeometryAxis, point: u64) -> CacheGeometry {
 }
 
 /// Runs the sweep. Stream buffers are 4 entries deep with unlimited run
-/// length (the paper's deployed configuration).
+/// length (the paper's deployed configuration). Each (benchmark, side,
+/// point) takes one L1 pass; both buffers replay its miss log.
 pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> StreamGeometrySweep {
-    let mut acc = vec![vec![Vec::new(); points.len()]; 4]; // [series][point][bench]
+    // [series][point][bench], series = 2 × (4-way?) + (data side?).
+    let mut acc = vec![vec![Vec::new(); points.len()]; 4];
     per_benchmark(cfg, |_, trace| {
         for (p, &point) in points.iter().enumerate() {
-            let geom = geometry(axis, point);
-            for (s_idx, (ways, side)) in [
-                (1usize, Side::Instruction),
-                (1, Side::Data),
-                (4, Side::Instruction),
-                (4, Side::Data),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let (misses, _) = classify_side(trace, side, geom);
-                let base = AugmentedConfig::new(geom);
-                let sb = StreamBufferConfig::new(4);
-                let aug = if ways == 1 {
-                    base.stream_buffer(sb)
-                } else {
-                    base.multi_way_stream_buffer(4, sb)
-                };
-                let stats = run_side(trace, side, aug);
-                acc[s_idx][p].push(pct_of_misses_removed(stats.removed_misses(), misses));
+            let base = AugmentedConfig::new(geometry(axis, point));
+            let sb = StreamBufferConfig::new(4);
+            let cfgs = [base.stream_buffer(sb), base.multi_way_stream_buffer(4, sb)];
+            for (s, side) in Side::BOTH.into_iter().enumerate() {
+                let log = log_side(trace, side, *base.geometry());
+                for (w, stats) in fan_out(&log, &cfgs).iter().enumerate() {
+                    acc[2 * w + s][p].push(pct_of_misses_removed(
+                        stats.removed_misses(),
+                        log.l1_misses(),
+                    ));
+                }
             }
         }
     });

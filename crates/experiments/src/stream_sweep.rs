@@ -6,8 +6,8 @@ use jouppi_report::{Chart, Series, Table};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{
-    average, baseline_l1, classify_side, pct_of_misses_removed, record_traces, run_side,
-    run_side_gang, ExperimentConfig, Side, GANG_WIDTH,
+    average, baseline_l1, classify_side, fan_out, log_side, pct_of_misses_removed, record_traces,
+    refs_per_side, run_side, ExperimentConfig, Side,
 };
 use crate::sweep;
 
@@ -44,40 +44,33 @@ fn config(ways: usize, run: usize) -> AugmentedConfig {
 }
 
 /// Runs the sweep for run lengths `0..=max_run` with `ways` parallel
-/// buffers on the fused engine.
+/// buffers, filter-then-fan-out.
 ///
-/// The unit of scheduled work is one (benchmark × side) cell: it
-/// classifies that side once (the total-miss denominator) and then
-/// replays the side through [`run_side_gang`] gangs of up to
-/// [`GANG_WIDTH`] run-length configurations. Results are bit-identical
-/// to [`run_per_cell`] (pinned by the `fused_per_cell_equivalence`
-/// test).
+/// The unit of scheduled work is one (benchmark × side) cell: one L1
+/// pass records that side's miss log, whose length is the total-miss
+/// denominator, then each run length replays the log ([`fan_out`]).
+/// Results are bit-identical to [`run_per_cell`] (pinned by the
+/// `miss_log_equivalence` test).
 pub fn run(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
     let cfgs: Vec<_> = (0..=max_run).map(|run| config(ways, run)).collect();
-    let jobs = traces.len() * 2;
-    let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
-    // Each cell classifies once, then replays its side once per config.
-    let refs_per_job = total / jobs as u64 * (1 + cfgs.len() as u64);
-    let rows = sweep::map_jobs_sized(jobs, refs_per_job, |cell| {
+    // A cell costs its L1 pass plus one log replay per run length; at the
+    // paper's miss rates those replays add up to about one more pass.
+    let rows = sweep::map_jobs_sized(traces.len() * 2, 2 * refs_per_side(&traces), |cell| {
         let (_, trace) = &traces[cell / 2];
-        let side = Side::BOTH[cell % 2];
-        let misses = classify_side(trace, side, geom).0;
-        let mut removed = Vec::with_capacity(max_run + 1);
-        for chunk in cfgs.chunks(GANG_WIDTH) {
-            for stats in run_side_gang(trace, side, chunk) {
-                removed.push(pct_of_misses_removed(stats.removed_misses(), misses));
-            }
-        }
-        removed
+        let log = log_side(trace, Side::BOTH[cell % 2], geom);
+        fan_out(&log, &cfgs)
+            .iter()
+            .map(|stats| pct_of_misses_removed(stats.removed_misses(), log.l1_misses()))
+            .collect::<Vec<_>>()
     });
     assemble(ways, max_run, &traces, |cell| rows[cell].clone())
 }
 
 /// Runs the sweep with one scheduled cell per (benchmark × side ×
-/// run-length) simulation — the pre-fusion engine, kept as the reference
-/// implementation the fused path is checked against.
+/// run-length) simulation — the per-reference oracle [`run`] is checked
+/// against.
 pub fn run_per_cell(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);

@@ -160,8 +160,9 @@ pub fn map_jobs<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
 
 /// Below this many references per job, thread spawn/channel overhead
 /// outweighs the parallel win and a sweep runs faster sequentially
-/// (BENCH_sweep.json showed the fig_3_1 fused schedule *losing* ~19% at
-/// 2 threads on a 60k-scale run whose jobs replay ~42k references each).
+/// (BENCH_sweep.json showed the fig_3_1 classify schedule *losing* ~19%
+/// at 2 threads on a 60k-scale run whose jobs replay ~42k references
+/// each).
 pub const MIN_PARALLEL_REFS_PER_JOB: u64 = 150_000;
 
 /// Like [`map_jobs`], but sized: `refs_per_job` is the approximate

@@ -6,8 +6,8 @@ use jouppi_core::AugmentedConfig;
 use jouppi_report::{Chart, Series, Table};
 
 use crate::common::{
-    average, classify_side, pct_of_conflicts_removed, per_benchmark, run_side, ExperimentConfig,
-    Side,
+    average, fan_out, log_and_classify_side, pct_of_conflicts_removed, per_benchmark,
+    ExperimentConfig, Side,
 };
 
 /// Which geometry dimension a sweep varies.
@@ -54,7 +54,9 @@ pub(crate) fn axis_chart_coord(axis: GeometryAxis, point: u64) -> f64 {
     }
 }
 
-/// Runs the sweep over the given axis points.
+/// Runs the sweep over the given axis points: one classified L1 pass per
+/// (benchmark, point), with every victim-cache size answered from its
+/// miss log by one stack pass.
 pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> VictimGeometrySweep {
     // Accumulate per-benchmark percentages, then average.
     let mut removed_acc = vec![vec![Vec::new(); points.len()]; VC_ENTRIES.len()];
@@ -62,18 +64,15 @@ pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> Victim
     per_benchmark(cfg, |_, trace| {
         for (p, &point) in points.iter().enumerate() {
             let geom = geometry(axis, point);
-            let (misses, breakdown) = classify_side(trace, Side::Data, geom);
+            let (log, breakdown) = log_and_classify_side(trace, Side::Data, geom);
+            let misses = log.l1_misses();
             conflict_acc[p].push(if misses == 0 {
                 0.0
             } else {
                 100.0 * breakdown.conflict as f64 / misses as f64
             });
-            for (e, &entries) in VC_ENTRIES.iter().enumerate() {
-                let stats = run_side(
-                    trace,
-                    Side::Data,
-                    AugmentedConfig::new(geom).victim_cache(entries),
-                );
+            let cfgs = VC_ENTRIES.map(|entries| AugmentedConfig::new(geom).victim_cache(entries));
+            for (e, stats) in fan_out(&log, &cfgs).iter().enumerate() {
                 removed_acc[e][p].push(pct_of_conflicts_removed(
                     stats.removed_misses(),
                     breakdown.conflict,

@@ -1,7 +1,7 @@
 //! `jouppi-lint` — std-only static analysis for the Jouppi workspace.
 //!
 //! The repo's headline guarantee is *exactness*: every paper claim is
-//! reproduced bit-for-bit, and the fused gang scheduler is bit-identical
+//! reproduced bit-for-bit, and the miss-log fan-out is bit-identical
 //! to per-cell scheduling. Those guarantees rest on conventions the
 //! compiler does not enforce — no ambient time or entropy in simulation
 //! crates, hasher-independent aggregation, no panic paths in the serve

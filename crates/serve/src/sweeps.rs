@@ -43,14 +43,14 @@ pub const NAMED_SWEEPS: [&str; 6] = [
 /// The execution engines a named sweep accepts (first = default).
 ///
 /// Pure size × associativity sweeps route to the single-pass Mattson
-/// engine; sweeps whose cells augment the L1 (victim caches, stream
-/// buffers) stay on the fused gang engine, which is the only one that
-/// can express them.
+/// engine; sweeps whose cells augment the L1 (miss caches, victim
+/// caches, stream buffers) run filter-then-fan-out: one L1 pass per
+/// (benchmark, side), every configuration answered from its miss log.
 pub fn engines_for(name: &str) -> &'static [&'static str] {
     match name {
         "fig_3_1" => &["classify", "single_pass"],
         "geometry_grid" => &["single_pass", "per_cell"],
-        _ => &["fused"],
+        _ => &["miss_log"],
     }
 }
 
@@ -90,18 +90,18 @@ pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Opt
     let body = match (name, engine) {
         ("fig_3_1", "classify") => fig31_json(&fig_3_1::run(cfg)),
         ("fig_3_1", "single_pass") => fig31_json(&fig_3_1::run_single_pass(cfg)),
-        ("miss_cache_4", "fused") => conflict_json(&conflict_sweep::run(
+        ("miss_cache_4", "miss_log") => conflict_json(&conflict_sweep::run(
             cfg,
             conflict_sweep::Mechanism::MissCache,
             4,
         )),
-        ("victim_cache_4", "fused") => conflict_json(&conflict_sweep::run(
+        ("victim_cache_4", "miss_log") => conflict_json(&conflict_sweep::run(
             cfg,
             conflict_sweep::Mechanism::VictimCache,
             4,
         )),
-        ("stream_single_8", "fused") => stream_json(&stream_sweep::run(cfg, 1, 8)),
-        ("stream_four_8", "fused") => stream_json(&stream_sweep::run(cfg, 4, 8)),
+        ("stream_single_8", "miss_log") => stream_json(&stream_sweep::run(cfg, 1, 8)),
+        ("stream_four_8", "miss_log") => stream_json(&stream_sweep::run(cfg, 4, 8)),
         ("geometry_grid", "single_pass") => geometry_json(&single_pass::run(cfg)),
         ("geometry_grid", "per_cell") => geometry_json(&single_pass::run_per_cell(cfg)),
         _ => return None,
@@ -310,13 +310,13 @@ mod tests {
         for name in NAMED_SWEEPS {
             let default = engines_for(name)[0];
             assert!(
-                ["classify", "single_pass", "fused", "per_cell"].contains(&default),
+                ["classify", "single_pass", "miss_log", "per_cell"].contains(&default),
                 "{name}: unexpected default {default}"
             );
         }
         let cfg = sweep_config(5_000, 42).unwrap();
         let v = run_named("victim_cache_4", &cfg).unwrap();
-        assert_eq!(v.get("engine").unwrap(), &Json::str("fused"));
+        assert_eq!(v.get("engine").unwrap(), &Json::str("miss_log"));
     }
 
     #[test]
@@ -346,7 +346,7 @@ mod tests {
         let single = run_named_engine("fig_3_1", &cfg, "single_pass").unwrap();
         assert_eq!(classify.get("rows"), single.get("rows"));
         // Engines a sweep does not accept are rejected.
-        assert!(run_named_engine("fig_3_1", &cfg, "fused").is_none());
+        assert!(run_named_engine("fig_3_1", &cfg, "miss_log").is_none());
         assert!(run_named_engine("victim_cache_4", &cfg, "single_pass").is_none());
     }
 }

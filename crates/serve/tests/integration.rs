@@ -272,10 +272,10 @@ fn malformed_requests_get_4xx_not_a_crash() {
             400,
         ),
         (
-            // "fused" exists, but not for this sweep.
+            // "miss_log" exists, but not for this sweep.
             "POST",
             "/v1/sweep",
-            Some(json(r#"{"sweep":"fig_3_1","engine":"fused"}"#)),
+            Some(json(r#"{"sweep":"fig_3_1","engine":"miss_log"}"#)),
             400,
         ),
         (
