@@ -7,18 +7,17 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy -D warnings"
+echo "==> cargo clippy -D warnings (workspace lints, clippy.toml, crate-root attributes)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "==> jouppi-lint: determinism/robustness invariants (ratcheted)"
+echo "==> jouppi-lint: call-graph, lock and ordering invariants"
 cargo build --release -p jouppi-lint
-# The baseline ratchet fails on any finding beyond lint-baseline.json's
-# grandfathered counts AND on stale entries the tree has outgrown;
-# --timings keeps the gate's per-analysis cost (including the workspace
-# call-graph build) visible, and --budget-ms fails the gate outright if
-# the whole analysis blows its wall-time budget.
-./target/release/jouppi-lint --root . --workspace --baseline lint-baseline.json --timings --budget-ms 15000
-./target/release/jouppi-lint --root . --workspace --json --baseline lint-baseline.json > /tmp/jouppi_lint_ci.json
+# Any finding fails the gate. --timings keeps the per-analysis cost
+# (including the workspace call-graph build) visible, and --budget-ms
+# fails the gate outright if the whole analysis blows its wall-time
+# budget.
+./target/release/jouppi-lint --root . --workspace --timings --budget-ms 15000
+./target/release/jouppi-lint --root . --workspace --json > /tmp/jouppi_lint_ci.json
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -27,18 +26,15 @@ echo "==> build examples and benchmark binaries"
 cargo build --release --examples
 cargo build --release -p jouppi-bench --bin loadgen --bin sweep-bench --bin json-check
 
-echo "==> tier-1: cargo test -q"
+echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
-
-echo "==> serve integration tests"
-cargo test --release -q -p jouppi-serve --test integration
 
 echo "==> sweep-bench smoke: miss-log fan-out vs per-cell oracle must agree"
 ./target/release/sweep-bench --smoke
 
 echo "==> sweep-bench smoke: single-pass engines vs per-cell oracle"
 ./target/release/sweep-bench --smoke --mode single_pass
-echo "    lint status: $(grep -q '"ok":true' /tmp/jouppi_lint_ci.json && echo "at baseline" || echo DIRTY) (jouppi-lint --workspace --json --baseline lint-baseline.json)"
+echo "    lint status: $(grep -q '"clean":true' /tmp/jouppi_lint_ci.json && echo clean || echo DIRTY) (jouppi-lint --workspace --json)"
 
 echo "==> refresh BENCH_sweep.json (timed sweep schedules)"
 ./target/release/sweep-bench 60000 BENCH_sweep.json

@@ -22,7 +22,11 @@
 //!   cache's observable behavior (miss → hit; bypass stays bypass) and
 //!   exit; nonzero on failure. CI's cache gate.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a load generator measures wall-clock latency; it produces no simulation results"
+)]
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -155,11 +159,13 @@ fn overflow_burst(addr: SocketAddr, submissions: usize) -> (u64, u64, bool) {
 /// (workload, seed) configuration, so distinct ranks never share a
 /// cache entry.
 fn zipf_body(rank: u64) -> Json {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the remainder is below WORKLOADS.len()"
+    )]
+    let workload = WORKLOADS[(rank % WORKLOADS.len() as u64) as usize];
     Json::obj([
-        (
-            "workload",
-            Json::str(WORKLOADS[rank as usize % WORKLOADS.len()]),
-        ),
+        ("workload", Json::str(workload)),
         ("scale", Json::Int(ZIPF_SCALE as i64)),
         ("seed", Json::Int(1_000 + rank as i64)),
         ("victim", Json::Int(4)),
@@ -363,6 +369,10 @@ fn cache_smoke() {
 }
 
 /// Pulls one counter out of the Prometheus exposition text.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Prometheus prints integer counters as floats; `as` saturates"
+)]
 fn scrape_counter(metrics: &str, name: &str) -> u64 {
     metrics
         .lines()

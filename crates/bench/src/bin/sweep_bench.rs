@@ -27,7 +27,11 @@
 //! (benchmark, side) cell), so its rows carry the serve engine name
 //! `classify` and no per-cell row exists for it.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark measures wall-clock throughput; it produces no simulation results"
+)]
 
 use std::process::ExitCode;
 use std::time::Instant;

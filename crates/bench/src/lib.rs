@@ -18,7 +18,8 @@
 //! output. This library hosts the measurement records and their JSON
 //! rendering so both can be unit-tested.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 use jouppi_experiments::common::ExperimentConfig;
@@ -129,6 +130,11 @@ impl LatencySummary {
         let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let pct = |p: f64| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "p is a percentile in [0, 1], so the rank is at most len; the clamp \
+                          bounds it anyway"
+            )]
             let idx = ((sorted.len() as f64 * p).ceil() as usize).clamp(1, sorted.len()) - 1;
             sorted[idx]
         };

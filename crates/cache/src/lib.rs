@@ -34,7 +34,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod classify;

@@ -73,9 +73,17 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed by the fast line-address hash.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned HashMap: a fixed, deterministic hasher replaces the random default"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed by the fast line-address hash.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned HashSet: a fixed, deterministic hasher replaces the random default"
+)]
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]
@@ -104,9 +112,9 @@ mod tests {
             h.write_u64(n);
             h.finish()
         };
-        let full: std::collections::HashSet<u64> = (0..128).map(hash).collect();
+        let full: std::collections::BTreeSet<u64> = (0..128).map(hash).collect();
         assert_eq!(full.len(), 128);
-        let low7: std::collections::HashSet<u8> =
+        let low7: std::collections::BTreeSet<u8> =
             (0..128).map(|n| (hash(n) & 0x7f) as u8).collect();
         assert!(low7.len() == 128, "only {} distinct low bytes", low7.len());
     }

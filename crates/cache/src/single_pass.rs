@@ -542,7 +542,6 @@ impl LruSweep {
 
     /// Index of `num_sets` in [`Self::set_counts`], if tracked.
     pub fn level_of(&self, num_sets: u64) -> Option<usize> {
-        // jouppi-lint: allow(swallowed-result) — Err here is just "not found", converted to the Option this accessor returns
         self.set_counts.binary_search(&num_sets).ok()
     }
 

@@ -1,7 +1,7 @@
 //! `jouppi-stat` — trace statistics, footprints, and miss-rate curves.
 //! See [`jouppi_cli::stat`] for the option reference.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use std::process::ExitCode;
 

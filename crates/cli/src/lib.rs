@@ -14,7 +14,8 @@
 //! Parsing lives in this library crate so it is unit-testable; `main` is
 //! a thin shell around [`parse_args`] and [`run`].
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod serve_cmd;
@@ -575,7 +576,7 @@ mod tests {
         let o2 = parse(&["--trace", &path]).unwrap();
         let out2 = run(&o2).unwrap();
         assert!(out2.contains("demand miss rate"));
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `jouppi-sim` — command-line cache simulator. See [`jouppi_cli`] for
 //! the option reference.
 
-#![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use std::process::ExitCode;
 

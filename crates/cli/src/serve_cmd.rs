@@ -141,15 +141,19 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
 /// Propagates bind failures.
 pub fn run_serve(opts: &ServeOptions) -> Result<String, Box<dyn std::error::Error>> {
     let handle = Server::start(opts.config.clone())?;
-    // jouppi-lint: allow(debug-print) — the listening banner must appear
-    // before the blocking serve loop; there is no caller to return it to
-    // until shutdown.
-    eprintln!(
-        "jouppi serve: listening on http://{} ({} workers, queue depth {})",
-        handle.addr(),
-        opts.config.workers,
-        opts.config.queue_depth
-    );
+    #[expect(
+        clippy::print_stderr,
+        reason = "the listening banner must appear before the blocking serve loop; \
+                  there is no caller to return it to until shutdown"
+    )]
+    {
+        eprintln!(
+            "jouppi serve: listening on http://{} ({} workers, queue depth {})",
+            handle.addr(),
+            opts.config.workers,
+            opts.config.queue_depth
+        );
+    }
     if opts.max_runtime_secs == 0 {
         // Serve until the process is killed.
         loop {

@@ -9,7 +9,7 @@
 //!             fig-4-7 | overlap | fig-5-1
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::cast_possible_truncation)]
 
 use std::process::ExitCode;
 
@@ -186,9 +186,11 @@ fn main() -> ExitCode {
         cfg.scale.instructions, cfg.seed
     );
     for name in &chosen {
-        // jouppi-lint: allow(ambient-time) — wall-clock progress stamp in
-        // the report footer; simulated results depend only on (trace,
-        // config, seed).
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock progress stamp in the report footer; simulated results \
+                      depend only on (trace, config, seed)"
+        )]
         let started = std::time::Instant::now();
         match run_one(name, &cfg) {
             Ok(text) => {

@@ -50,7 +50,7 @@ impl Fig41 {
         self.curves
             .iter()
             .find(|(x, _)| *x == tech)
-            .and_then(|(_, cdf)| cdf.get(t as usize))
+            .and_then(|(_, cdf)| cdf.get(usize::try_from(t).ok()?))
             .copied()
             .unwrap_or(0.0)
     }

@@ -48,7 +48,8 @@
 //! println!("average improvement: {:.0}%", result.avg_improvement_pct());
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod checks;

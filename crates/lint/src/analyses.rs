@@ -1,13 +1,16 @@
-//! The v2 structural analyses, built on [`crate::parser`]'s AST.
+//! The structural analyses, built on [`crate::parser`]'s AST.
 //!
-//! Five analyses run here; four produce findings directly, and
-//! **lock-order** produces *facts* ([`LockEdge`]s) that the workspace
-//! scan assembles into a per-crate acquisition graph before reporting
-//! cycles (see [`lock_order_findings`]). All five are scope-aware in a
-//! way the v1 token lints cannot be: they know which `let` binds a
-//! guard, when a block ends, and what a cast's operand is.
+//! Two analyses run here. **unbounded-growth** produces findings
+//! directly. The **guard-liveness scan** produces *facts*: nested
+//! acquisitions ([`LockEdge`]s), which the workspace scan assembles into
+//! a per-crate acquisition graph before reporting cycles (see
+//! [`lock_order_findings`]), and calls made under a live guard
+//! ([`GuardedCall`]s), which the workspace `lock-held-across-call` pass
+//! checks against the blocking catalog and the call graph. Both are
+//! scope-aware: they know which `let` binds a guard and when a block
+//! ends.
 //!
-//! ## Guard liveness model (lock-order, blocking-under-lock)
+//! ## Guard liveness model
 //!
 //! A *guard* comes into being at a 0-argument `.lock()` / `.read()` /
 //! `.write()` call. Its identity is the textual receiver chain before
@@ -28,26 +31,26 @@
 //!   another thread.
 //!
 //! While any guard is live, a further acquisition records a [`LockEdge`]
-//! (held → acquired), and a blocking call — `recv`, a 0-argument
-//! `join`/`wait`/`accept`, `read_to_end`, `thread::sleep`,
-//! `TcpStream::connect`, … — is a blocking-under-lock finding.
+//! (held → acquired), and every other call is captured as a
+//! [`GuardedCall`]. A captured call that is itself blocking — `recv`, a
+//! 0-argument `join`/`wait`/`accept`, `read_to_end`, `thread::sleep`,
+//! `TcpStream::connect`, … — is the depth-0 case of
+//! `lock-held-across-call`.
 //!
 //! Accepted imprecision, chosen to fail toward false *negatives*:
-//! rebinding a consumed guard (`inner = cv.wait(inner)…`) ends tracking;
-//! guards borrowed into called functions are not followed; a blocking
-//! call hidden behind a helper function is invisible.
+//! rebinding a consumed guard (`inner = cv.wait(inner)…`) ends tracking,
+//! and guards borrowed into called functions are not followed.
 
 use std::time::{Duration, Instant};
 
 use crate::callgraph::Callee;
 use crate::lint::{Finding, LintId};
 use crate::parser::{Ast, Block, Chain, Expr, FnItem, Item, LetStmt, Root, Step, Stmt};
-use crate::policy::FileContext;
 
 /// What the structural analyses produce for one file.
 #[derive(Clone, Debug, Default)]
 pub struct AnalysisOutput {
-    /// Findings from the four single-file analyses.
+    /// Findings from the single-file analysis (unbounded-growth).
     pub findings: Vec<Finding>,
     /// Nested-acquisition facts for the lock-order pass.
     pub lock_edges: Vec<LockEdge>,
@@ -108,54 +111,33 @@ pub struct LockEdge {
     pub line: u32,
 }
 
-/// Runs every active structural analysis over one parsed file.
-pub fn run(ctx: &FileContext, active: &[LintId], ast: &Ast) -> AnalysisOutput {
+/// Runs the guard-liveness scan, plus unbounded-growth when active,
+/// over one parsed file.
+pub fn run(active: &[LintId], ast: &Ast) -> AnalysisOutput {
     let mut out = AnalysisOutput::default();
-    let want_edges = active.contains(&LintId::LockOrder);
-    let want_blocking = active.contains(&LintId::BlockingUnderLock);
-    let want_calls = active.contains(&LintId::LockHeldAcrossCall);
-    if want_edges || want_blocking || want_calls {
-        let t0 = Instant::now();
-        let mut scan = GuardScan {
-            edges: Vec::new(),
-            findings: Vec::new(),
-            guarded_calls: Vec::new(),
-            live: Vec::new(),
-            next_serial: 0,
-            emit_blocking: want_blocking,
-            capture_calls: want_calls,
-            current_fn: (String::new(), 0),
-        };
-        for f in ast.functions() {
-            if let Some(body) = &f.body {
-                scan.live.clear();
-                scan.current_fn = (f.name.clone(), f.line);
-                scan.walk_block(body);
-            }
+    let t0 = Instant::now();
+    let mut scan = GuardScan {
+        edges: Vec::new(),
+        guarded_calls: Vec::new(),
+        live: Vec::new(),
+        next_serial: 0,
+        current_fn: (String::new(), 0),
+    };
+    for f in ast.functions() {
+        if let Some(body) = &f.body {
+            scan.live.clear();
+            scan.current_fn = (f.name.clone(), f.line);
+            scan.walk_block(body);
         }
-        if want_edges {
-            out.lock_edges = scan.edges;
-        }
-        out.guarded_calls = scan.guarded_calls;
-        out.findings.extend(scan.findings);
-        out.timings.push(("guard-scan", t0.elapsed()));
     }
-    if active.contains(&LintId::SwallowedResult) {
-        let t0 = Instant::now();
-        swallowed_result(ast, &mut out.findings);
-        out.timings.push(("swallowed-result", t0.elapsed()));
-    }
+    out.lock_edges = scan.edges;
+    out.guarded_calls = scan.guarded_calls;
+    out.timings.push(("guard-scan", t0.elapsed()));
     if active.contains(&LintId::UnboundedGrowth) {
         let t0 = Instant::now();
         unbounded_growth(ast, &mut out.findings);
         out.timings.push(("unbounded-growth", t0.elapsed()));
     }
-    if active.contains(&LintId::TruncatingCast) {
-        let t0 = Instant::now();
-        truncating_cast(ctx, ast, &mut out.findings);
-        out.timings.push(("truncating-cast", t0.elapsed()));
-    }
-    out.findings.sort_by_key(|f| (f.line, f.lint.name()));
     out
 }
 
@@ -214,7 +196,7 @@ fn reaches(edges: &[(String, LockEdge)], from: &str, to: &str) -> bool {
 }
 
 // -------------------------------------------------------------------
-// Guard-liveness scan (lock-order edges + blocking-under-lock)
+// Guard-liveness scan (lock-order edges + guarded calls)
 // -------------------------------------------------------------------
 
 /// A live lock guard.
@@ -231,12 +213,9 @@ struct Guard {
 
 struct GuardScan {
     edges: Vec<LockEdge>,
-    findings: Vec<Finding>,
     guarded_calls: Vec<GuardedCall>,
     live: Vec<Guard>,
     next_serial: u64,
-    emit_blocking: bool,
-    capture_calls: bool,
     /// Name and line of the function whose body is being walked.
     current_fn: (String, u32),
 }
@@ -400,10 +379,6 @@ impl GuardScan {
                 self.walk_expr(body);
                 None
             }
-            Expr::Cast { inner, .. } => {
-                self.walk_expr(inner);
-                None
-            }
             Expr::Macro { args, .. } => {
                 for a in args {
                     self.walk_expr(a);
@@ -474,9 +449,6 @@ impl GuardScan {
                     } else if guard_serial.is_some() && GUARD_TAIL.contains(&name.as_str()) {
                         // The chain's value is still the guard.
                     } else {
-                        if is_blocking_method(name, args.len()) {
-                            self.note_blocking(&format!(".{name}()"), *line);
-                        }
                         self.capture_call(
                             Callee::Method {
                                 receiver: if step_index == 0 {
@@ -497,7 +469,6 @@ impl GuardScan {
                     let mut callee = String::new();
                     if step_index == 0 {
                         if let Root::Path(path) = &chain.root {
-                            self.check_blocking_path(path, *line);
                             self.capture_call(Callee::Path(path.clone()), args.len(), *line);
                             callee = path.last().cloned().unwrap_or_default();
                         }
@@ -546,16 +517,10 @@ impl GuardScan {
         }
     }
 
-    fn check_blocking_path(&mut self, path: &[String], line: u32) {
-        if is_blocking_path(path) {
-            self.note_blocking(&path.join("::"), line);
-        }
-    }
-
     /// Records a call made under a live guard, for the workspace
     /// lock-held-across-call pass.
     fn capture_call(&mut self, callee: Callee, arity: usize, line: u32) {
-        if !self.capture_calls || self.live.is_empty() {
+        if self.live.is_empty() {
             return;
         }
         let held = self
@@ -573,26 +538,6 @@ impl GuardScan {
             held,
         });
     }
-
-    fn note_blocking(&mut self, what: &str, line: u32) {
-        if !self.emit_blocking || self.live.is_empty() {
-            return;
-        }
-        let held = self
-            .live
-            .iter()
-            .map(|g| g.lock_id.as_str())
-            .collect::<Vec<_>>()
-            .join("`, `");
-        self.findings.push(Finding {
-            line,
-            lint: LintId::BlockingUnderLock,
-            message: format!(
-                "blocking call `{what}` while guard of `{held}` is live — drop the \
-                 guard before blocking"
-            ),
-        });
-    }
 }
 
 /// The single identifier of a bare-path, step-free chain.
@@ -601,145 +546,6 @@ fn bare_name(chain: &Chain) -> Option<&str> {
         (Root::Path(path), []) if path.len() == 1 => Some(&path[0]),
         _ => None,
     }
-}
-
-// -------------------------------------------------------------------
-// swallowed-result
-// -------------------------------------------------------------------
-
-/// Flags `let _ = <call chain>;` and statement-level `<chain>.ok();`.
-fn swallowed_result(ast: &Ast, findings: &mut Vec<Finding>) {
-    for f in ast.functions() {
-        if let Some(body) = &f.body {
-            swallowed_in_block(body, findings);
-        }
-    }
-}
-
-fn swallowed_in_block(block: &Block, findings: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if l.underscore {
-                    if let Some(Expr::Chain(chain)) = &l.init {
-                        if chain_calls(chain) {
-                            findings.push(Finding {
-                                line: l.line,
-                                lint: LintId::SwallowedResult,
-                                message: "`let _ =` discards this call's Result — handle \
-                                          the error, or suppress with the reason the \
-                                          failure is benign"
-                                    .to_owned(),
-                            });
-                        }
-                    }
-                }
-                if let Some(init) = &l.init {
-                    swallowed_in_expr(init, findings);
-                }
-                if let Some(e) = &l.else_block {
-                    swallowed_in_block(e, findings);
-                }
-            }
-            Stmt::Expr(e) => {
-                if let Expr::Chain(chain) = e {
-                    if let Some(Step::Method { name, args, line }) = chain.steps.last() {
-                        let calls_before_ok = chain.steps[..chain.steps.len() - 1]
-                            .iter()
-                            .any(|s| matches!(s, Step::Method { .. } | Step::Call { .. }));
-                        if name == "ok" && args.is_empty() && calls_before_ok {
-                            findings.push(Finding {
-                                line: *line,
-                                lint: LintId::SwallowedResult,
-                                message: "bare trailing `.ok()` discards this Result — \
-                                          handle the error, or suppress with the reason \
-                                          the failure is benign"
-                                    .to_owned(),
-                            });
-                        }
-                    }
-                }
-                swallowed_in_expr(e, findings);
-            }
-            Stmt::Item(Item::Fn(FnItem {
-                body: Some(body), ..
-            })) => swallowed_in_block(body, findings),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-/// Recurses into nested blocks (closures, if/else, match arms) so a
-/// swallowed Result inside them is seen too.
-fn swallowed_in_expr(expr: &Expr, findings: &mut Vec<Finding>) {
-    match expr {
-        Expr::Block(b) => swallowed_in_block(b, findings),
-        Expr::If {
-            cond,
-            then_block,
-            else_branch,
-        } => {
-            swallowed_in_expr(cond, findings);
-            swallowed_in_block(then_block, findings);
-            if let Some(e) = else_branch {
-                swallowed_in_expr(e, findings);
-            }
-        }
-        Expr::While { cond, body } => {
-            swallowed_in_expr(cond, findings);
-            swallowed_in_block(body, findings);
-        }
-        Expr::Loop { body } => swallowed_in_block(body, findings),
-        Expr::For { iter, body } => {
-            swallowed_in_expr(iter, findings);
-            swallowed_in_block(body, findings);
-        }
-        Expr::Match {
-            scrutinee, arms, ..
-        } => {
-            swallowed_in_expr(scrutinee, findings);
-            for a in arms {
-                swallowed_in_expr(a, findings);
-            }
-        }
-        Expr::Closure { body, .. } => swallowed_in_expr(body, findings),
-        Expr::Cast { inner, .. } => swallowed_in_expr(inner, findings),
-        Expr::Macro { args, .. } => {
-            for a in args {
-                swallowed_in_expr(a, findings);
-            }
-        }
-        Expr::Group(children) => {
-            for c in children {
-                swallowed_in_expr(c, findings);
-            }
-        }
-        Expr::Chain(chain) => {
-            if let Root::Grouped(inner) = &chain.root {
-                swallowed_in_expr(inner, findings);
-            }
-            for step in &chain.steps {
-                match step {
-                    Step::Method { args, .. } | Step::Call { args, .. } => {
-                        for a in args {
-                            swallowed_in_expr(a, findings);
-                        }
-                    }
-                    Step::Index(i, _) => swallowed_in_expr(i, findings),
-                    _ => {}
-                }
-            }
-        }
-        Expr::Lit(_) | Expr::Unit(_) => {}
-    }
-}
-
-/// Whether the chain performs at least one call (method or path call).
-fn chain_calls(chain: &Chain) -> bool {
-    chain
-        .steps
-        .iter()
-        .any(|s| matches!(s, Step::Method { .. } | Step::Call { .. }))
 }
 
 // -------------------------------------------------------------------
@@ -934,7 +740,6 @@ fn growth_in_expr(
             }
         }
         Expr::Closure { body, .. } => growth_in_expr(body, tracked, aliases, grows, bounds),
-        Expr::Cast { inner, .. } => growth_in_expr(inner, tracked, aliases, grows, bounds),
         Expr::Macro { args, .. } => {
             for a in args {
                 growth_in_expr(a, tracked, aliases, grows, bounds);
@@ -1012,157 +817,33 @@ fn attribute_chain(
     }
 }
 
-// -------------------------------------------------------------------
-// truncating-cast
-// -------------------------------------------------------------------
-
-/// Targets always considered narrowing.
-const NARROW_TARGETS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Crates where `as usize` is also flagged (the wire/flag decode layers,
-/// where a u64 from JSON or argv narrows on 32-bit targets).
-const USIZE_STRICT_CRATES: [&str; 2] = ["serve", "cli"];
-
-fn truncating_cast(ctx: &FileContext, ast: &Ast, findings: &mut Vec<Finding>) {
-    let strict_usize = USIZE_STRICT_CRATES.contains(&ctx.crate_name.as_str());
-    for f in ast.functions() {
-        if let Some(body) = &f.body {
-            casts_in_block(body, strict_usize, findings);
-        }
-    }
-}
-
-fn casts_in_block(block: &Block, strict_usize: bool, findings: &mut Vec<Finding>) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(init) = &l.init {
-                    casts_in_expr(init, strict_usize, findings);
-                }
-                if let Some(e) = &l.else_block {
-                    casts_in_block(e, strict_usize, findings);
-                }
-            }
-            Stmt::Expr(e) => casts_in_expr(e, strict_usize, findings),
-            Stmt::Item(Item::Fn(FnItem {
-                body: Some(body), ..
-            })) => casts_in_block(body, strict_usize, findings),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn casts_in_expr(expr: &Expr, strict_usize: bool, findings: &mut Vec<Finding>) {
-    if let Expr::Cast { inner, ty, line } = expr {
-        let narrow = NARROW_TARGETS.contains(&ty.as_str()) || (strict_usize && ty == "usize");
-        if narrow && !is_literal(inner) {
-            findings.push(Finding {
-                line: *line,
-                lint: LintId::TruncatingCast,
-                message: format!(
-                    "`as {ty}` silently truncates out-of-range values — use \
-                     `{ty}::try_from` (or suppress with the reason the value cannot \
-                     overflow)"
-                ),
-            });
-        }
-    }
-    match expr {
-        Expr::Cast { inner, .. } => casts_in_expr(inner, strict_usize, findings),
-        Expr::Block(b) => casts_in_block(b, strict_usize, findings),
-        Expr::If {
-            cond,
-            then_block,
-            else_branch,
-        } => {
-            casts_in_expr(cond, strict_usize, findings);
-            casts_in_block(then_block, strict_usize, findings);
-            if let Some(e) = else_branch {
-                casts_in_expr(e, strict_usize, findings);
-            }
-        }
-        Expr::While { cond, body } => {
-            casts_in_expr(cond, strict_usize, findings);
-            casts_in_block(body, strict_usize, findings);
-        }
-        Expr::Loop { body } => casts_in_block(body, strict_usize, findings),
-        Expr::For { iter, body } => {
-            casts_in_expr(iter, strict_usize, findings);
-            casts_in_block(body, strict_usize, findings);
-        }
-        Expr::Match {
-            scrutinee, arms, ..
-        } => {
-            casts_in_expr(scrutinee, strict_usize, findings);
-            for a in arms {
-                casts_in_expr(a, strict_usize, findings);
-            }
-        }
-        Expr::Closure { body, .. } => casts_in_expr(body, strict_usize, findings),
-        Expr::Macro { args, .. } => {
-            for a in args {
-                casts_in_expr(a, strict_usize, findings);
-            }
-        }
-        Expr::Group(children) => {
-            for c in children {
-                casts_in_expr(c, strict_usize, findings);
-            }
-        }
-        Expr::Chain(chain) => {
-            if let Root::Grouped(inner) = &chain.root {
-                casts_in_expr(inner, strict_usize, findings);
-            }
-            for step in &chain.steps {
-                match step {
-                    Step::Method { args, .. } | Step::Call { args, .. } => {
-                        for a in args {
-                            casts_in_expr(a, strict_usize, findings);
-                        }
-                    }
-                    Step::Index(i, _) => casts_in_expr(i, strict_usize, findings),
-                    _ => {}
-                }
-            }
-        }
-        Expr::Lit(_) | Expr::Unit(_) => {}
-    }
-}
-
-/// Whether an expression is a literal, or a parenthesized/operator group
-/// of literals: `3 as u32` and `(1 << 20) as u32` are exact at compile
-/// time and not worth flagging.
-fn is_literal(expr: &Expr) -> bool {
-    match expr {
-        Expr::Lit(_) => true,
-        Expr::Group(children) => !children.is_empty() && children.iter().all(is_literal),
-        Expr::Chain(chain) => {
-            chain.steps.is_empty()
-                && matches!(&chain.root, Root::Grouped(inner) if is_literal(inner))
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::check_source;
     use crate::lexer::lex;
     use crate::parser::parse;
     use crate::policy::classify;
 
-    fn serve_ctx() -> FileContext {
-        classify("crates/serve/src/fixture.rs").expect("serve context")
-    }
-
-    fn run_on(ctx: &FileContext, active: &[LintId], src: &str) -> AnalysisOutput {
-        run(ctx, active, &parse(&lex(src)))
+    fn run_on(active: &[LintId], src: &str) -> AnalysisOutput {
+        run(active, &parse(&lex(src)))
     }
 
     fn lines_of(out: &AnalysisOutput, lint: LintId) -> Vec<u32> {
         out.findings
             .iter()
             .filter(|f| f.lint == lint)
+            .map(|f| f.line)
+            .collect()
+    }
+
+    /// Lines where the full one-file pipeline reports a blocking call
+    /// under a live guard — the depth-0 case of lock-held-across-call.
+    fn blocking_lines(src: &str) -> Vec<u32> {
+        let ctx = classify("crates/serve/src/fixture.rs").expect("serve context");
+        check_source(&ctx, src)
+            .iter()
+            .filter(|f| f.lint == LintId::LockHeldAcrossCall)
             .map(|f| f.line)
             .collect()
     }
@@ -1176,7 +857,7 @@ fn f(&self) {
     a.touch(b.len());
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::LockOrder], src);
+        let out = run_on(&[LintId::LockOrder], src);
         assert_eq!(
             out.lock_edges,
             vec![LockEdge {
@@ -1195,7 +876,7 @@ fn f(&self) {
     let b = self.beta.lock().unwrap();
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::LockOrder], src);
+        let out = run_on(&[LintId::LockOrder], src);
         assert!(out.lock_edges.is_empty(), "{:?}", out.lock_edges);
     }
 
@@ -1208,7 +889,7 @@ fn f(&self) {
     let b = self.beta.lock().unwrap();
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::LockOrder], src);
+        let out = run_on(&[LintId::LockOrder], src);
         assert!(out.lock_edges.is_empty(), "{:?}", out.lock_edges);
     }
 
@@ -1267,8 +948,7 @@ fn f(&self) {
     inner.apply(msg);
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
-        assert_eq!(lines_of(&out, LintId::BlockingUnderLock), vec![3]);
+        assert_eq!(blocking_lines(src), vec![3]);
     }
 
     #[test]
@@ -1282,10 +962,9 @@ fn f(&self) {
     thread::sleep(ONE);
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
         // `inner` is consumed at wait_timeout; the rebound `g` is not
         // tracked (accepted false negative) — so nothing is flagged.
-        assert!(lines_of(&out, LintId::BlockingUnderLock).is_empty());
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
@@ -1298,8 +977,7 @@ fn f(&self) {
     g.touch();
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
-        assert_eq!(lines_of(&out, LintId::BlockingUnderLock), vec![3, 4]);
+        assert_eq!(blocking_lines(src), vec![3, 4]);
     }
 
     #[test]
@@ -1311,8 +989,7 @@ fn f(&self) {
     g.set(s);
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
-        assert!(lines_of(&out, LintId::BlockingUnderLock).is_empty());
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
@@ -1324,8 +1001,7 @@ fn f(&self) {
     g.touch();
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
-        assert!(lines_of(&out, LintId::BlockingUnderLock).is_empty());
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
@@ -1339,24 +1015,9 @@ fn f(&self) {
     let y = self.rx.recv();
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::BlockingUnderLock], src);
         // recv inside the arm runs under the scrutinee's guard
         // temporary; the one after the match does not.
-        assert_eq!(lines_of(&out, LintId::BlockingUnderLock), vec![3]);
-    }
-
-    #[test]
-    fn swallowed_results_are_flagged() {
-        let src = "\
-fn f(stream: &TcpStream) {
-    let _ = stream.set_read_timeout(Some(TICK));
-    std::fs::remove_file(&path).ok();
-    let _ = existing_value;
-    let ok = stream.peer_addr().ok();
-}
-";
-        let out = run_on(&serve_ctx(), &[LintId::SwallowedResult], src);
-        assert_eq!(lines_of(&out, LintId::SwallowedResult), vec![2, 3]);
+        assert_eq!(blocking_lines(src), vec![3]);
     }
 
     #[test]
@@ -1373,7 +1034,7 @@ fn record(&mut self, e: Event) {
     if self.seen.len() > CAP { self.seen.remove(&oldest); }
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::UnboundedGrowth], src);
+        let out = run_on(&[LintId::UnboundedGrowth], src);
         // `log` only grows (line 2); `seen` has a pruning path; `count`
         // is not a collection.
         assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
@@ -1388,36 +1049,14 @@ fn put(t: TraceSet) {
     cache.push((cfg, t));
 }
 ";
-        let out = run_on(&serve_ctx(), &[LintId::UnboundedGrowth], src);
+        let out = run_on(&[LintId::UnboundedGrowth], src);
         assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![1]);
         // With an eviction path through the same alias it is clean.
         let bounded = format!(
             "{src}fn evict() {{ let mut cache = CACHE.lock().unwrap(); \
              if cache.len() > 3 {{ cache.remove(0); }} }}\n"
         );
-        let out = run_on(&serve_ctx(), &[LintId::UnboundedGrowth], &bounded);
+        let out = run_on(&[LintId::UnboundedGrowth], &bounded);
         assert!(lines_of(&out, LintId::UnboundedGrowth).is_empty());
-    }
-
-    #[test]
-    fn narrowing_casts_are_flagged_literals_are_not() {
-        let src = "\
-fn f(n: u64, c: char) -> u32 {
-    let a = n as u32;
-    let b = 3 as u32;
-    let d = (1 + 2) as u16;
-    let e = n as u64;
-    let g = n as usize;
-    a
-}
-";
-        let out = run_on(&serve_ctx(), &[LintId::TruncatingCast], src);
-        // Line 2 (computed → u32) and line 6 (serve is usize-strict);
-        // literals and widening casts pass.
-        assert_eq!(lines_of(&out, LintId::TruncatingCast), vec![2, 6]);
-        // In a non-strict crate, `as usize` is fine.
-        let bench = classify("crates/bench/src/fixture.rs").expect("bench context");
-        let out = run_on(&bench, &[LintId::TruncatingCast], src);
-        assert_eq!(lines_of(&out, LintId::TruncatingCast), vec![2]);
     }
 }

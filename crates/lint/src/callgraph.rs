@@ -25,7 +25,7 @@
 //! The reachability engine (`reach_forward`/`reaches_backward`) follows
 //! **resolved edges only**: ambiguous edges are surfaced as counts in
 //! the JSON report but never traversed, so the interprocedural analyses
-//! fail toward false negatives — same stance as the v2 analyses.
+//! fail toward false negatives — same stance as the structural analyses.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -304,7 +304,6 @@ fn walk_expr(expr: &Expr, out: &mut Vec<CallSite>) {
             }
         }
         Expr::Closure { body, .. } => walk_expr(body, out),
-        Expr::Cast { inner, .. } => walk_expr(inner, out),
         Expr::Macro { args, .. } => {
             for a in args {
                 walk_expr(a, out);

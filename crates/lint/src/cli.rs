@@ -2,14 +2,12 @@
 //! `jouppi lint` subcommand.
 //!
 //! The driver returns rendered output instead of printing so library
-//! code stays print-free (the `debug-print` lint applies to this crate
-//! too — binaries do the printing).
+//! code stays print-free (clippy's `print_stdout`/`print_stderr` apply
+//! to every library root — binaries do the printing).
 
-use std::fs;
 use std::path::PathBuf;
 
-use crate::baseline::{compare, Baseline};
-use crate::report::{self, BaselineStatus};
+use crate::report;
 use crate::workspace::{find_root, scan_files, scan_workspace};
 
 /// Usage text for `--help`.
@@ -18,19 +16,15 @@ usage: jouppi-lint [OPTIONS] [FILES...]
   --workspace        lint the whole workspace (default when no FILES given)
   --root DIR         workspace root (default: nearest [workspace] Cargo.toml)
   --json             machine-readable report on stdout
-  --baseline FILE    ratchet mode: findings beyond FILE's grandfathered
-                     counts fail, and entries the tree has outgrown fail
-                     as stale until the baseline is regenerated
-  --write-baseline   capture the current findings into --baseline FILE
   --timings          per-analysis wall-clock cost on stderr
   --budget-ms N      fail (exit 1) when the scan's total analysis time
                      exceeds N milliseconds — CI's cost ratchet
   --list             print the lint catalog and exit
   --help             show this message
 
-FILES are workspace-relative .rs paths; exit status is 0 when clean
-(or exactly at the baseline), 1 when findings exist (or the ratchet
-fails), 2 on usage or I/O errors.";
+FILES are workspace-relative .rs paths; exit status is 0 when clean,
+1 when findings exist (or the budget is exceeded), 2 on usage or I/O
+errors.";
 
 /// What a CLI invocation produced.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -57,8 +51,6 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
     let mut root_override: Option<PathBuf> = None;
     let mut files: Vec<String> = Vec::new();
     let mut workspace = false;
-    let mut baseline_path: Option<String> = None;
-    let mut write_baseline = false;
     let mut want_timings = false;
     let mut budget_ms: Option<u64> = None;
     let mut args = args.into_iter();
@@ -66,11 +58,6 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--baseline" => match args.next() {
-                Some(path) => baseline_path = Some(path),
-                None => return error("--baseline needs a file path"),
-            },
-            "--write-baseline" => write_baseline = true,
             "--timings" => want_timings = true,
             "--budget-ms" => match args.next().map(|n| n.parse::<u64>()) {
                 Some(Ok(ms)) => budget_ms = Some(ms),
@@ -103,9 +90,6 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
     }
     if workspace && !files.is_empty() {
         return error("--workspace and explicit FILES are mutually exclusive");
-    }
-    if write_baseline && baseline_path.is_none() {
-        return error("--write-baseline needs --baseline FILE for the destination");
     }
     let root = match root_override {
         Some(dir) => dir,
@@ -145,52 +129,10 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
         }
     }
 
-    if let Some(rel) = baseline_path {
-        let path = root.join(&rel);
-        if write_baseline {
-            let doc = Baseline::from_scan(&result).encode() + "\n";
-            return match fs::write(&path, doc) {
-                Ok(()) => CliResult {
-                    stdout: format!(
-                        "jouppi-lint: wrote baseline {rel} — {} findings grandfathered\n",
-                        result.total_findings()
-                    ),
-                    stderr,
-                    code: u8::from(over_budget),
-                },
-                Err(e) => error(format!("cannot write baseline {}: {e}", path.display())),
-            };
-        }
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => return error(format!("cannot read baseline {}: {e}", path.display())),
-        };
-        let base = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => return error(format!("{rel}: {e}")),
-        };
-        let ratchet = compare(&base, &result);
-        let status = BaselineStatus {
-            path: &rel,
-            grandfathered: base.entries.values().sum(),
-            ratchet: &ratchet,
-        };
-        let stdout = if json {
-            report::to_json(&result, Some(&status)).encode() + "\n"
-        } else {
-            report::human(&result, Some(&status))
-        };
-        return CliResult {
-            stdout,
-            stderr,
-            code: u8::from(!ratchet.is_ok() || over_budget),
-        };
-    }
-
     let stdout = if json {
-        report::to_json(&result, None).encode() + "\n"
+        report::to_json(&result).encode() + "\n"
     } else {
-        report::human(&result, None)
+        report::human(&result)
     };
     CliResult {
         stdout,
@@ -219,7 +161,7 @@ mod tests {
     fn list_and_help_exit_zero() {
         let r = run(args(&["--list"]));
         assert_eq!(r.code, 0);
-        assert!(r.stdout.contains("ambient-time"));
+        assert!(r.stdout.contains("lock-held-across-call"));
         let r = run(args(&["--help"]));
         assert_eq!(r.code, 0);
         assert!(r.stdout.contains("usage:"));

@@ -9,8 +9,8 @@
 //!   reachable from one may contain an undocumented panic site
 //!   (`panic!`/`todo!`/`unimplemented!`/`unreachable!` macro or a bare
 //!   `.unwrap()`). `.expect("message")` is a documented invariant and is
-//!   accepted — the serve-local `serve-panic` lint still bans it inside
-//!   the crate itself.
+//!   accepted — clippy's `expect_used`, set on serve's crate root, still
+//!   bans it inside the crate itself.
 //! * **transitive purity** — from the cache-keyed simulate path (serve
 //!   functions named `simulate` or `run_named_engine`), no reachable
 //!   function may touch ambient time, randomness, environment,
@@ -24,9 +24,9 @@
 //!   when the flow passes through calls, via per-function parameter
 //!   summaries folded to a fixpoint.
 //! * **lock-held-across-call** — a call made while a `MutexGuard` is
-//!   live, whose callee *transitively* reaches a blocking construct
-//!   (`recv`, 0-argument `join`/`wait`, `thread::sleep`, …), convoys
-//!   every thread behind the lock just like a direct blocking call.
+//!   live that is itself a blocking construct (`recv`, 0-argument
+//!   `join`/`wait`, `thread::sleep`, …), or whose callee *transitively*
+//!   reaches one, convoys every thread behind the lock.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -135,6 +135,8 @@ pub fn run(
     out.timings.push(("untrusted-size-taint", t0.elapsed()));
 
     // --- lock-held-across-call ----------------------------------------
+    // A guarded call that blocks itself is the depth-0 case; otherwise
+    // the uniquely resolved callee must not reach a blocking construct.
     let t0 = Instant::now();
     let seeds: Vec<bool> = facts.iter().map(|f| f.direct_blocking).collect();
     let blocking = reaches_backward(graph, &seeds);
@@ -142,15 +144,27 @@ pub fn run(
         if !wants(file, LintId::LockHeldAcrossCall) {
             continue;
         }
-        let mut seen: BTreeSet<(u32, usize)> = BTreeSet::new();
+        let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
         for gc in calls {
-            let Some(caller) = graph.node_at(file, gc.fn_line) else {
-                continue;
+            let (what, via) = if is_blocking(&gc.callee, gc.arity) {
+                let what = match &gc.callee {
+                    Callee::Method { name, .. } => format!(".{name}()"),
+                    Callee::Path(path) => path.join("::"),
+                };
+                (what, "blocks")
+            } else {
+                let Some(caller) = graph.node_at(file, gc.fn_line) else {
+                    continue;
+                };
+                let Some(target) = graph.resolve_unique(caller, &gc.callee, gc.arity) else {
+                    continue;
+                };
+                if !blocking[target] {
+                    continue;
+                }
+                (graph.label(target), "(transitively) blocks")
             };
-            let Some(target) = graph.resolve_unique(caller, &gc.callee, gc.arity) else {
-                continue;
-            };
-            if !blocking[target] || !seen.insert((gc.line, target)) {
+            if !seen.insert((gc.line, what.clone())) {
                 continue;
             }
             out.findings.push((
@@ -159,9 +173,8 @@ pub fn run(
                     line: gc.line,
                     lint: LintId::LockHeldAcrossCall,
                     message: format!(
-                        "call to `{}` while guard of `{}` is live — the callee \
-                         (transitively) blocks; drop the guard before the call",
-                        graph.label(target),
+                        "call to `{what}` while guard of `{}` is live — the callee {via}; \
+                         drop the guard before the call",
                         gc.held
                     ),
                 },
@@ -202,15 +215,9 @@ impl NodeFacts {
         let Some(body) = graph.nodes[n].body else {
             return facts;
         };
-        for site in call_sites(body) {
-            if facts.direct_blocking {
-                break;
-            }
-            facts.direct_blocking = match &site.callee {
-                Callee::Method { name, .. } => is_blocking_method(name, site.arity),
-                Callee::Path(path) => is_blocking_path(path),
-            };
-        }
+        facts.direct_blocking = call_sites(body)
+            .iter()
+            .any(|site| is_blocking(&site.callee, site.arity));
         for_each_expr(body, &mut |e| match e {
             Expr::Macro { name, line, .. }
                 if facts.panic_site.is_none()
@@ -243,8 +250,16 @@ impl NodeFacts {
     }
 }
 
+/// Whether a call site is itself in the blocking catalog.
+fn is_blocking(callee: &Callee, arity: usize) -> bool {
+    match callee {
+        Callee::Method { name, .. } => is_blocking_method(name, arity),
+        Callee::Path(path) => is_blocking_path(path),
+    }
+}
+
 /// Ambient type/function names whose mere mention in a call path is an
-/// impurity (mirrors the per-file determinism lints).
+/// impurity (mirrors the determinism bans in `clippy.toml`).
 const IMPURE_SEGMENTS: [&str; 10] = [
     "Instant",
     "SystemTime",
@@ -349,7 +364,6 @@ fn visit(expr: &Expr, f: &mut impl FnMut(&Expr)) {
             }
         }
         Expr::Closure { body, .. } => visit(body, f),
-        Expr::Cast { inner, .. } => visit(inner, f),
         Expr::Macro { args, .. } => {
             for a in args {
                 visit(a, f);
@@ -551,7 +565,6 @@ fn lets_in_expr<'a>(expr: &'a Expr, out: &mut Vec<&'a crate::parser::LetStmt>) {
             }
         }
         Expr::Closure { body, .. } => lets_in_expr(body, out),
-        Expr::Cast { inner, .. } => lets_in_expr(inner, out),
         Expr::Macro { args, .. } | Expr::Group(args) => {
             for a in args {
                 lets_in_expr(a, out);

@@ -1,11 +1,12 @@
 //! A hand-rolled Rust lexer, just deep enough for linting.
 //!
-//! The lints in this crate match *token* patterns (`Instant`, `.unwrap()`,
-//! `HashMap<…>`), so the lexer's one job is to produce an honest token
-//! stream: identifiers and punctuation with line numbers, with every kind
-//! of literal and comment recognized and set aside. That is what keeps
-//! the checker from being fooled by `"Instant::now()"` inside a string,
-//! `unwrap` in a doc example, or a `panic!` spelled out in a comment.
+//! The checker and parser match *token* patterns (`Ordering::Relaxed`,
+//! `.lock()`, `panic!`), so the lexer's one job is to produce an honest
+//! token stream: identifiers and punctuation with line numbers, with
+//! every kind of literal and comment recognized and set aside. That is
+//! what keeps the checker from being fooled by `"Ordering::Relaxed"`
+//! inside a string, `unwrap` in a doc example, or a `panic!` spelled out
+//! in a comment.
 //!
 //! Handled: line and (nested) block comments, doc comments, string
 //! literals with escapes, raw strings with any number of `#`s, byte and

@@ -1,43 +1,23 @@
-//! The lint catalog: every invariant `jouppi-lint` enforces.
+//! The lint catalog: the invariants `jouppi-lint` enforces. Per-file
+//! rules the toolchain can check (unsafe code, ambient time and entropy,
+//! default hashers, serve panics, printing, narrowing casts, discarded
+//! results) live in the workspace's `[workspace.lints]`, `clippy.toml`
+//! and crate-root attributes instead.
 
 use std::fmt;
 
 /// Identifies one lint in the catalog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintId {
-    /// Ambient time sources (`Instant`, `SystemTime`, `UNIX_EPOCH`) in
-    /// simulation crates.
-    AmbientTime,
-    /// Non-`jouppi` randomness (`rand::…`, `thread_rng`, `RandomState`,
-    /// …) in simulation crates.
-    AmbientRng,
-    /// Default-hasher `HashMap`/`HashSet` in simulation crates.
-    DefaultHasher,
-    /// `unwrap`/`expect`/`panic!`/`todo!`/… in `jouppi-serve` request
-    /// handling.
-    ServePanic,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    ForbidUnsafe,
-    /// `dbg!` anywhere, or `println!`-family macros in library code.
-    DebugPrint,
     /// `Ordering::Relaxed` in crates whose cross-thread counters feed
     /// reported results.
     RelaxedOrdering,
     /// A cycle in the per-crate graph of nested lock acquisitions
     /// (potential deadlock).
     LockOrder,
-    /// A blocking call (`recv`, `join`, `sleep`, socket I/O, …) while a
-    /// lock guard is live in scope.
-    BlockingUnderLock,
     /// Long-lived server/sweep collection state that only grows —
     /// no eviction, pruning, or capacity path anywhere in the file.
     UnboundedGrowth,
-    /// A `Result` discarded with `let _ =` or a bare trailing `.ok()` in
-    /// non-test code.
-    SwallowedResult,
-    /// An `as` cast to a narrower integer type on a computed value
-    /// feeding counters or JSON results.
-    TruncatingCast,
     /// An undocumented panic site (`panic!`-family macro or bare
     /// `.unwrap()`) transitively reachable from a serve request-handling
     /// entrypoint.
@@ -48,8 +28,8 @@ pub enum LintId {
     /// A request-derived integer flowing into `with_capacity`/`reserve`/
     /// `vec![_; n]` without a bounds check, across call edges.
     UntrustedSizeTaint,
-    /// A call made while a lock guard is live whose callee (transitively)
-    /// blocks.
+    /// A call made while a lock guard is live that blocks (`recv`,
+    /// `join`, `sleep`, …) directly or through its callees.
     LockHeldAcrossCall,
     /// A malformed suppression directive (unknown lint, missing reason).
     BadSuppression,
@@ -58,19 +38,10 @@ pub enum LintId {
 }
 
 /// Every catalog entry, in reporting order.
-pub const ALL_LINTS: [LintId; 18] = [
-    LintId::AmbientTime,
-    LintId::AmbientRng,
-    LintId::DefaultHasher,
-    LintId::ServePanic,
-    LintId::ForbidUnsafe,
-    LintId::DebugPrint,
+pub const ALL_LINTS: [LintId; 9] = [
     LintId::RelaxedOrdering,
     LintId::LockOrder,
-    LintId::BlockingUnderLock,
     LintId::UnboundedGrowth,
-    LintId::SwallowedResult,
-    LintId::TruncatingCast,
     LintId::PanicReachability,
     LintId::TransitivePurity,
     LintId::UntrustedSizeTaint,
@@ -83,18 +54,9 @@ impl LintId {
     /// The kebab-case name used in reports and suppression directives.
     pub fn name(self) -> &'static str {
         match self {
-            LintId::AmbientTime => "ambient-time",
-            LintId::AmbientRng => "ambient-rng",
-            LintId::DefaultHasher => "default-hasher",
-            LintId::ServePanic => "serve-panic",
-            LintId::ForbidUnsafe => "forbid-unsafe",
-            LintId::DebugPrint => "debug-print",
             LintId::RelaxedOrdering => "relaxed-ordering",
             LintId::LockOrder => "lock-order",
-            LintId::BlockingUnderLock => "blocking-under-lock",
             LintId::UnboundedGrowth => "unbounded-growth",
-            LintId::SwallowedResult => "swallowed-result",
-            LintId::TruncatingCast => "truncating-cast",
             LintId::PanicReachability => "panic-reachability",
             LintId::TransitivePurity => "transitive-purity",
             LintId::UntrustedSizeTaint => "untrusted-size-taint",
@@ -112,30 +74,6 @@ impl LintId {
     /// One-line description for `--list` and the docs.
     pub fn summary(self) -> &'static str {
         match self {
-            LintId::AmbientTime => {
-                "no ambient time sources (Instant/SystemTime/UNIX_EPOCH) in simulation crates \
-                 — results must be a pure function of (trace, config, seed)"
-            }
-            LintId::AmbientRng => {
-                "no ambient randomness (rand::, thread_rng, from_entropy, RandomState, …) in \
-                 simulation crates — all randomness flows from the seeded jouppi PRNG"
-            }
-            LintId::DefaultHasher => {
-                "no default-hasher HashMap/HashSet in simulation crates — use the FxHash types \
-                 from jouppi_cache::line_hash (deterministic, fast) or a BTree collection"
-            }
-            LintId::ServePanic => {
-                "no unwrap/expect/panic!/todo!/unreachable!/unimplemented! in jouppi-serve \
-                 — request handling returns 4xx/5xx documents, never panics"
-            }
-            LintId::ForbidUnsafe => {
-                "every crate root (lib.rs, main.rs, src/bin/*.rs) carries \
-                 #![forbid(unsafe_code)]"
-            }
-            LintId::DebugPrint => {
-                "no dbg! anywhere and no println!/print!/eprintln!/eprint! in library code \
-                 — libraries return strings; binaries do the printing"
-            }
             LintId::RelaxedOrdering => {
                 "Ordering::Relaxed on counters that feed reported results needs a written \
                  justification (fetch_add totals are exact, cross-variable ordering is not)"
@@ -144,23 +82,9 @@ impl LintId {
                 "nested lock acquisitions must form a cycle-free order per crate — a cycle \
                  (A held while taking B, B held while taking A) is a potential deadlock"
             }
-            LintId::BlockingUnderLock => {
-                "no blocking call (recv/join/sleep/accept/connect/read/write) while a lock \
-                 guard is live — drop the guard first, or the lock convoys every thread"
-            }
             LintId::UnboundedGrowth => {
                 "long-lived collection state in serve/experiments must have an eviction, \
                  pruning, or capacity path — push/insert with no shrink leaks under load"
-            }
-            LintId::SwallowedResult => {
-                "no `let _ = …` or bare trailing `.ok()` discarding a call's Result in \
-                 non-test code — handle the error, propagate it, or suppress with the reason \
-                 the failure is benign"
-            }
-            LintId::TruncatingCast => {
-                "no `as` cast to a narrower integer on computed values that feed /metrics \
-                 counters or JSON results — use try_from so overflow is an error, not a \
-                 silent wrap"
             }
             LintId::PanicReachability => {
                 "no undocumented panic site — panic!-family macro or bare .unwrap() — \
@@ -178,8 +102,9 @@ impl LintId {
                  allocation-size DoS, across call edges too"
             }
             LintId::LockHeldAcrossCall => {
-                "no call to a (transitively) blocking function while a lock guard is live \
-                 — the callee's recv/join/sleep convoys every thread behind the lock"
+                "no blocking call (recv/join/sleep/accept/connect/read) while a lock guard \
+                 is live, directly or through any callee — drop the guard first, or the \
+                 lock convoys every thread"
             }
             LintId::BadSuppression => {
                 "suppression directives must name a known lint and carry a non-empty reason"
@@ -232,6 +157,6 @@ mod tests {
     fn hygiene_lints_are_not_suppressible() {
         assert!(!LintId::BadSuppression.suppressible());
         assert!(!LintId::UnusedSuppression.suppressible());
-        assert!(LintId::AmbientTime.suppressible());
+        assert!(LintId::RelaxedOrdering.suppressible());
     }
 }

@@ -1,8 +1,6 @@
 //! `jouppi-lint` — see [`jouppi_lint`] for the lint catalog and
 //! suppression syntax.
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

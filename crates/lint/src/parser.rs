@@ -1,14 +1,13 @@
 //! A tolerant recursive-descent parser, just deep enough for the
 //! structural analyses.
 //!
-//! The v1 lints match flat token patterns; the v2 analyses (lock-order,
-//! blocking-under-lock, unbounded-growth, swallowed-result,
-//! truncating-cast) need *structure*: which `let` binds what, where a
-//! block ends, what a method-call chain's receiver is, what a cast's
-//! target type is. This parser recovers exactly that much shape from the
-//! lexer's token stream — items, blocks, statements, and expressions —
-//! and deliberately nothing more: no types are resolved, no names
-//! checked, no macro expanded.
+//! The structural analyses (lock-order, unbounded-growth, the call graph
+//! and the lints riding it) need *structure*: which `let` binds what,
+//! where a block ends, what a method-call chain's receiver is. This
+//! parser recovers exactly that much shape from the lexer's token
+//! stream — items, blocks, statements, and expressions — and
+//! deliberately nothing more: no types are resolved, no names checked,
+//! no macro expanded.
 //!
 //! Design rules, in order:
 //!
@@ -27,9 +26,11 @@
 //! sub-pattern guard is invisible; turbofish and generic argument lists
 //! are skipped, not parsed.
 
-// The scanning loops peek, then mutate `self` (bump/recover) mid-body;
-// `while let` would hold the peek borrow across those calls.
-#![allow(clippy::while_let_loop)]
+#![expect(
+    clippy::while_let_loop,
+    reason = "the scanning loops peek, then mutate `self` (bump/recover) mid-body; \
+              `while let` would hold the peek borrow across those calls"
+)]
 
 use crate::lexer::{Lexed, TokKind, Token};
 
@@ -228,8 +229,6 @@ pub struct LetStmt {
     /// Lower-case identifiers bound by the pattern (constructor path
     /// segments and keywords excluded).
     pub names: Vec<String>,
-    /// Whether the pattern is exactly the wildcard `_`.
-    pub underscore: bool,
     /// The initializer, when present.
     pub init: Option<Expr>,
     /// The `else { … }` block of a let-else, when present.
@@ -292,15 +291,6 @@ pub enum Expr {
         /// Line of the opening `|`.
         line: u32,
     },
-    /// `expr as Ty`.
-    Cast {
-        /// The cast operand.
-        inner: Box<Expr>,
-        /// Last segment of the target type path (`u32`, `usize`, …).
-        ty: String,
-        /// Line of the `as` keyword.
-        line: u32,
-    },
     /// A macro invocation with best-effort re-parsed arguments.
     Macro {
         /// The macro name (last path segment, without `!`).
@@ -332,7 +322,6 @@ impl Expr {
             Expr::For { iter, .. } => iter.line(),
             Expr::Match { scrutinee, .. } => scrutinee.line(),
             Expr::Closure { line, .. }
-            | Expr::Cast { line, .. }
             | Expr::Macro { line, .. }
             | Expr::Lit(line)
             | Expr::Unit(line) => *line,
@@ -1164,7 +1153,7 @@ impl<'a> P<'a> {
     fn let_stmt(&mut self) -> LetStmt {
         let line = self.line();
         self.eat_ident("let");
-        let (names, underscore) = self.pattern_names(&['=', ':', ';']);
+        let names = self.pattern_names(&['=', ':', ';']);
         if self.eat_punct(':') {
             self.type_words_until(&['=', ';']);
         }
@@ -1186,7 +1175,6 @@ impl<'a> P<'a> {
         self.eat_punct(';');
         LetStmt {
             names,
-            underscore,
             init,
             else_block,
             line,
@@ -1195,15 +1183,12 @@ impl<'a> P<'a> {
 
     /// Collects the names a pattern binds, consuming tokens until one of
     /// `stops` at bracket depth 0 (the stop is left unconsumed). Returns
-    /// the bound lower-case names and whether the pattern was exactly
-    /// `_`.
-    fn pattern_names(&mut self, stops: &[char]) -> (Vec<String>, bool) {
+    /// the bound lower-case names.
+    fn pattern_names(&mut self, stops: &[char]) -> Vec<String> {
         let mut names = Vec::new();
         let mut round = 0i32;
         let mut square = 0i32;
         let mut curly = 0i32;
-        let mut token_count = 0usize;
-        let mut lone_underscore = false;
         while let Some(tok) = self.peek() {
             if round == 0 && square == 0 && curly == 0 {
                 if let TokKind::Punct(c) = tok.kind {
@@ -1229,24 +1214,15 @@ impl<'a> P<'a> {
                     // path/constructor, not a binding.
                     let next = self.peek_at(1);
                     let path_like = next.is_some_and(|n| n.is_punct(':') || n.is_punct('('));
-                    if word == "_" && token_count == 0 {
-                        lone_underscore = true;
-                    }
                     if lower_start && !keyword && !path_like {
                         names.push(word.clone());
                     }
                 }
                 _ => {}
             }
-            if !tok.is_punct('_') {
-                // (never a punct — `_` lexes as an ident; counter is for
-                // the lone-underscore check)
-            }
-            token_count += 1;
             self.bump();
         }
-        let underscore = lone_underscore && token_count == 1;
-        (names, underscore)
+        names
     }
 
     // ---------------------------------------------------------------
@@ -1343,26 +1319,19 @@ impl<'a> P<'a> {
                 _ => break,
             }
         }
-        let mut expr = self.postfix(no_struct);
+        let expr = self.postfix(no_struct);
+        // `as Ty` changes nothing the analyses track: keep the operand.
         while self.at_ident("as") {
-            let line = self.line();
             self.bump();
-            let ty = self.cast_type();
-            expr = Expr::Cast {
-                inner: Box::new(expr),
-                ty,
-                line,
-            };
+            self.skip_cast_type();
         }
         expr
     }
 
-    /// The target type of an `as` cast: consumes a path (with optional
-    /// generics) and returns its last segment.
-    fn cast_type(&mut self) -> String {
-        let mut last = String::new();
-        while let Some(word) = self.peek().and_then(Token::ident) {
-            last = word.to_owned();
+    /// Consumes the target type of an `as` cast: a path with optional
+    /// generics.
+    fn skip_cast_type(&mut self) {
+        while self.peek().and_then(Token::ident).is_some() {
             self.bump();
             if self.at_punct('<') {
                 self.skip_generics();
@@ -1374,7 +1343,6 @@ impl<'a> P<'a> {
                 break;
             }
         }
-        last
     }
 
     fn postfix(&mut self, no_struct: bool) -> Expr {
@@ -1628,7 +1596,7 @@ impl<'a> P<'a> {
                     // `let` in expression position (inside `if let`
                     // chains handled by condition(); this is recovery).
                     self.bump();
-                    let (_, _) = self.pattern_names(&['=', ';', ')', '{']);
+                    self.pattern_names(&['=', ';', ')', '{']);
                     if self.eat_punct('=') {
                         self.expr(true)
                     } else {
@@ -1705,7 +1673,7 @@ impl<'a> P<'a> {
     fn condition(&mut self) -> Expr {
         if self.at_ident("let") {
             self.bump();
-            let (_, _) = self.pattern_names(&['=']);
+            self.pattern_names(&['=']);
             self.eat_punct('=');
         }
         self.expr(true)
@@ -2046,7 +2014,6 @@ mod tests {
                 }
             }
             Expr::Closure { body, .. } => walk_expr(body, out),
-            Expr::Cast { inner, .. } => walk_expr(inner, out),
             Expr::Macro { args, .. } => {
                 for a in args {
                     walk_expr(a, out);
@@ -2092,8 +2059,7 @@ mod tests {
         assert_eq!(lets[1].names, vec!["tx", "rx"]);
         assert_eq!(lets[2].names, vec!["id", "job"]);
         assert!(lets[2].else_block.is_some());
-        assert!(lets[3].underscore);
-        assert!(!lets[0].underscore);
+        assert!(lets[3].names.is_empty());
     }
 
     #[test]
@@ -2131,50 +2097,11 @@ mod tests {
     }
 
     #[test]
-    fn casts_capture_target_type() {
-        let src = "fn f(n: u64) -> u32 { (n + 1) as u32 }";
-        let ast = parse_src(src);
-        let mut casts = Vec::new();
-        fn find_casts(e: &Expr, out: &mut Vec<String>) {
-            if let Expr::Cast { ty, inner, .. } = e {
-                out.push(ty.clone());
-                find_casts(inner, out);
-            }
-            match e {
-                Expr::Chain(c) => {
-                    if let Root::Grouped(g) = &c.root {
-                        find_casts(g, out);
-                    }
-                    for s in &c.steps {
-                        match s {
-                            Step::Method { args, .. } | Step::Call { args, .. } => {
-                                for a in args {
-                                    find_casts(a, out);
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                Expr::Group(children) => {
-                    for c in children {
-                        find_casts(c, out);
-                    }
-                }
-                Expr::Cast { inner, .. } => find_casts(inner, out),
-                _ => {}
-            }
-        }
-        for f in ast.functions() {
-            if let Some(b) = &f.body {
-                for s in &b.stmts {
-                    if let Stmt::Expr(e) = s {
-                        find_casts(e, &mut casts);
-                    }
-                }
-            }
-        }
-        assert_eq!(casts, vec!["u32"]);
+    fn casts_keep_their_operand() {
+        let src = "fn f() -> u32 { q.lock().len() as u32 + (n as usize) as u32 }";
+        let c = chains(&parse_src(src));
+        assert!(c.contains(&"q.lock(0).len(0)".to_owned()), "{c:?}");
+        assert!(c.contains(&"n".to_owned()), "{c:?}");
     }
 
     #[test]

@@ -1,30 +1,21 @@
 //! The per-crate policy table: which lints apply where.
 //!
-//! Policy is keyed on a file's *workspace-relative path*. Each file gets
-//! a [`FileContext`] describing the crate it belongs to and its role
-//! (library module, binary, crate root, test), and [`lints_for`] maps
-//! that context to the set of active lints:
+//! Policy is keyed on a file's *workspace-relative path*. Only library
+//! and binary sources (`src/` of the root package and of each
+//! `crates/<name>`) are linted; integration tests, examples and
+//! benches carry no jouppi-lint invariant, and `#[cfg(test)]` regions
+//! inside linted files are skipped as well.
 //!
-//! | crate | determinism (time/rng/hasher) | serve-panic | relaxed-ordering | unbounded-growth | truncating-cast |
-//! |---|---|---|---|---|---|
-//! | trace, cache, core, workloads, system, jouppi (root) | ✔ | | | | |
-//! | experiments | ✔ | | ✔ | ✔ | ✔ |
-//! | serve | | ✔ | ✔ | ✔ | ✔ |
-//! | cli, bench, report | | | | | ✔ |
-//! | lint | | | | | |
+//! | crate | relaxed-ordering | unbounded-growth |
+//! |---|---|---|
+//! | experiments, serve | ✔ | ✔ |
+//! | every other crate | | |
 //!
-//! `forbid-unsafe` applies to every crate root; `debug-print`,
-//! `lock-order`, `blocking-under-lock`, and `swallowed-result` apply to
-//! all non-test code everywhere, and the four interprocedural lints
-//! (`panic-reachability`, `transitive-purity`, `untrusted-size-taint`,
-//! `lock-held-across-call`) to every non-test file — their findings
-//! land wherever the offending function is declared.
-//!
-//! Files under `tests/` and `examples/` directories (and `#[cfg(test)]`
-//! regions) run under a **relaxed policy**: they may unwrap, print, and
-//! block freely, but in simulation crates the determinism lints
-//! (ambient-time/rng/default-hasher) still apply — a test that asserts
-//! on wall-clock time or unseeded randomness is flaky by construction.
+//! `lock-order` and the four call-graph lints (`panic-reachability`,
+//! `transitive-purity`, `untrusted-size-taint`,
+//! `lock-held-across-call`) apply to every linted file — reachability
+//! is decided by the workspace call graph, so their findings land
+//! wherever the offending function is declared.
 
 use crate::lint::LintId;
 
@@ -36,109 +27,36 @@ pub struct FileContext {
     /// Crate directory name (`trace`, `serve`, …); `"jouppi"` for the
     /// umbrella crate at the workspace root.
     pub crate_name: String,
-    /// Whether the file lives under a `tests/` directory (integration
-    /// tests: relaxed policy).
-    pub is_test_file: bool,
-    /// Whether the file lives under an `examples/` directory (relaxed
-    /// policy, bin-like).
-    pub is_example: bool,
-    /// Whether the file is part of a binary target (`main.rs`, under
-    /// `src/bin/`, or an example).
-    pub is_bin: bool,
-    /// Whether the file is a crate root (`lib.rs`, `main.rs`, or a
-    /// direct child of `src/bin/`).
-    pub is_crate_root: bool,
 }
 
-/// Crates whose outputs are simulation results, and must therefore be
-/// bit-reproducible from (trace, config, seed) alone.
-const SIM_CRATES: [&str; 7] = [
-    "trace",
-    "cache",
-    "core",
-    "workloads",
-    "system",
-    "experiments",
-    "jouppi",
-];
-
 /// Classifies a workspace-relative path. Returns `None` for paths the
-/// linter does not cover (benches, non-Rust files, build output).
+/// linter does not cover (tests, examples, benches, non-Rust files,
+/// build output).
 pub fn classify(rel_path: &str) -> Option<FileContext> {
     if !rel_path.ends_with(".rs") {
         return None;
     }
-    let parts: Vec<&str> = rel_path.split('/').collect();
-    let (crate_name, rest): (String, &[&str]) = match parts.as_slice() {
-        ["crates", name, rest @ ..] => ((*name).to_owned(), rest),
-        ["src" | "tests" | "examples", ..] => ("jouppi".to_owned(), &parts[..]),
+    let crate_name = match rel_path.split('/').collect::<Vec<_>>().as_slice() {
+        ["crates", name, "src", ..] => (*name).to_owned(),
+        ["src", ..] => "jouppi".to_owned(),
         _ => return None,
     };
-    let (is_test_file, is_example, in_src, tail): (bool, bool, bool, &[&str]) = match rest {
-        ["src", tail @ ..] => (false, false, true, tail),
-        ["tests", tail @ ..] => (true, false, false, tail),
-        ["examples", tail @ ..] => (false, true, false, tail),
-        _ => return None,
-    };
-    let is_bin = is_example || (in_src && (tail == ["main.rs"] || tail.first() == Some(&"bin")));
-    let is_crate_root = in_src
-        && (tail == ["lib.rs"] || tail == ["main.rs"] || (tail.len() == 2 && tail[0] == "bin"));
     Some(FileContext {
         rel_path: rel_path.to_owned(),
         crate_name,
-        is_test_file,
-        is_example,
-        is_bin,
-        is_crate_root,
     })
 }
 
-/// The lints active for a file. Test and example files run the relaxed
-/// policy (determinism lints only, in simulation crates); the caller
-/// also skips `#[cfg(test)]` regions within non-test files.
+/// The lints active for a file.
 pub fn lints_for(ctx: &FileContext) -> Vec<LintId> {
     let mut lints = Vec::new();
-    if SIM_CRATES.contains(&ctx.crate_name.as_str()) {
-        lints.push(LintId::AmbientTime);
-        lints.push(LintId::AmbientRng);
-        lints.push(LintId::DefaultHasher);
-    }
-    if ctx.is_test_file || ctx.is_example {
-        // Relaxed policy: panics, printing, and blocking are fine in
-        // tests and examples; flaky-by-construction ambient inputs in
-        // simulation crates are not.
-        return lints;
-    }
-    if ctx.crate_name == "serve" {
-        lints.push(LintId::ServePanic);
-    }
+    // The long-lived daemon (serve) and the sweep engine (experiments)
+    // own the cross-thread counters and the long-lived collections.
     if ctx.crate_name == "experiments" || ctx.crate_name == "serve" {
         lints.push(LintId::RelaxedOrdering);
-    }
-    if ctx.is_crate_root {
-        lints.push(LintId::ForbidUnsafe);
-    }
-    lints.push(LintId::DebugPrint);
-    // v2 structural analyses. The concurrency and Result-discipline
-    // lints apply everywhere; growth tracking targets the long-lived
-    // daemons (serve) and sweep state (experiments); cast tracking
-    // targets the layers that decode wire/flag values and encode
-    // counters.
-    lints.push(LintId::LockOrder);
-    lints.push(LintId::BlockingUnderLock);
-    lints.push(LintId::SwallowedResult);
-    if ctx.crate_name == "serve" || ctx.crate_name == "experiments" {
         lints.push(LintId::UnboundedGrowth);
     }
-    if matches!(
-        ctx.crate_name.as_str(),
-        "serve" | "cli" | "bench" | "report" | "experiments"
-    ) {
-        lints.push(LintId::TruncatingCast);
-    }
-    // v3 interprocedural analyses: active everywhere — reachability is
-    // decided by the workspace call graph, so findings land wherever
-    // the offending function is declared, in any crate.
+    lints.push(LintId::LockOrder);
     lints.push(LintId::PanicReachability);
     lints.push(LintId::TransitivePurity);
     lints.push(LintId::UntrustedSizeTaint);
@@ -151,132 +69,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_covers_the_workspace_shapes() {
+    fn classification_covers_sources_only() {
         let lib = classify("crates/cache/src/lru.rs").expect("lib module");
         assert_eq!(lib.crate_name, "cache");
-        assert!(!lib.is_bin && !lib.is_crate_root && !lib.is_test_file);
-
-        let root = classify("crates/serve/src/lib.rs").expect("crate root");
-        assert!(root.is_crate_root && !root.is_bin);
-
         let bin = classify("crates/cli/src/bin/jouppi.rs").expect("bin root");
-        assert!(bin.is_bin && bin.is_crate_root);
-
-        let main = classify("crates/cli/src/main.rs").expect("main");
-        assert!(main.is_bin && main.is_crate_root);
-
-        let t = classify("crates/serve/tests/integration.rs").expect("test");
-        assert!(t.is_test_file);
-
+        assert_eq!(bin.crate_name, "cli");
         let umbrella = classify("src/lib.rs").expect("umbrella root");
         assert_eq!(umbrella.crate_name, "jouppi");
-        assert!(umbrella.is_crate_root);
 
-        let root_test = classify("tests/paper_claims.rs").expect("root test");
-        assert!(root_test.is_test_file);
-
-        let root_example = classify("examples/quickstart.rs").expect("root example");
-        assert_eq!(root_example.crate_name, "jouppi");
-        assert!(root_example.is_example && root_example.is_bin);
-
-        let crate_example =
-            classify("crates/workloads/examples/calibrate.rs").expect("crate example");
-        assert_eq!(crate_example.crate_name, "workloads");
-        assert!(crate_example.is_example && !crate_example.is_test_file);
-
+        assert!(classify("tests/paper_claims.rs").is_none());
+        assert!(classify("examples/quickstart.rs").is_none());
+        assert!(classify("crates/serve/tests/integration.rs").is_none());
+        assert!(classify("crates/lint/tests/fixtures/lock-order/bad.rs").is_none());
+        assert!(classify("crates/workloads/examples/calibrate.rs").is_none());
         assert!(classify("crates/cache/benches/x.rs").is_none());
         assert!(classify("README.md").is_none());
     }
 
     #[test]
     fn policy_matches_the_table() {
-        let sim = classify("crates/core/src/victim_cache.rs").expect("sim module");
-        let lints = lints_for(&sim);
-        assert!(lints.contains(&LintId::AmbientTime));
-        assert!(lints.contains(&LintId::DefaultHasher));
-        assert!(!lints.contains(&LintId::ServePanic));
-
-        let serve = classify("crates/serve/src/routes.rs").expect("serve module");
-        let lints = lints_for(&serve);
-        assert!(lints.contains(&LintId::ServePanic));
-        assert!(lints.contains(&LintId::RelaxedOrdering));
-        assert!(!lints.contains(&LintId::AmbientTime));
-
-        let exp = classify("crates/experiments/src/sweep.rs").expect("experiments");
-        assert!(lints_for(&exp).contains(&LintId::RelaxedOrdering));
-
-        let report = classify("crates/report/src/table.rs").expect("report");
-        let lints = lints_for(&report);
-        assert_eq!(
-            lints,
-            vec![
-                LintId::DebugPrint,
-                LintId::LockOrder,
-                LintId::BlockingUnderLock,
-                LintId::SwallowedResult,
-                LintId::TruncatingCast,
-                LintId::PanicReachability,
-                LintId::TransitivePurity,
-                LintId::UntrustedSizeTaint,
-                LintId::LockHeldAcrossCall,
-            ]
-        );
-    }
-
-    #[test]
-    fn relaxed_policy_for_tests_and_examples() {
-        // Sim-crate tests/examples: determinism lints only — no panic,
-        // print, blocking, or interprocedural lints.
-        let sim_test = classify("crates/cache/tests/lru_backends.rs").expect("test");
-        assert_eq!(
-            lints_for(&sim_test),
-            vec![
-                LintId::AmbientTime,
-                LintId::AmbientRng,
-                LintId::DefaultHasher,
-            ]
-        );
-        let sim_example = classify("crates/workloads/examples/calibrate.rs").expect("example");
-        assert_eq!(
-            lints_for(&sim_example),
-            vec![
-                LintId::AmbientTime,
-                LintId::AmbientRng,
-                LintId::DefaultHasher,
-            ]
-        );
-        // Non-sim tests (serve, the lint crate's own fixtures): nothing
-        // applies — intentionally-bad fixture files must not lint.
-        let serve_test = classify("crates/serve/tests/integration.rs").expect("test");
-        assert!(lints_for(&serve_test).is_empty());
-        let fixture = classify("crates/lint/tests/fixtures/bad/ambient_time.rs").expect("fixture");
-        assert!(fixture.is_test_file);
-        assert!(lints_for(&fixture).is_empty());
-    }
-
-    #[test]
-    fn v2_analyses_follow_the_table() {
-        let serve = classify("crates/serve/src/queue.rs").expect("serve");
-        let lints = lints_for(&serve);
-        for lint in [
+        let everywhere = [
             LintId::LockOrder,
-            LintId::BlockingUnderLock,
-            LintId::SwallowedResult,
-            LintId::UnboundedGrowth,
-            LintId::TruncatingCast,
+            LintId::PanicReachability,
+            LintId::TransitivePurity,
+            LintId::UntrustedSizeTaint,
+            LintId::LockHeldAcrossCall,
+        ];
+        let report = classify("crates/report/src/table.rs").expect("report");
+        assert_eq!(lints_for(&report), everywhere);
+
+        for path in [
+            "crates/serve/src/queue.rs",
+            "crates/experiments/src/sweep.rs",
         ] {
-            assert!(lints.contains(&lint), "serve should run {lint}");
+            let ctx = classify(path).expect("classifiable");
+            let lints = lints_for(&ctx);
+            assert_eq!(
+                lints[..2],
+                [LintId::RelaxedOrdering, LintId::UnboundedGrowth]
+            );
+            assert_eq!(lints[2..], everywhere);
         }
-
-        let sim = classify("crates/cache/src/lru.rs").expect("sim");
-        let lints = lints_for(&sim);
-        assert!(lints.contains(&LintId::LockOrder));
-        assert!(!lints.contains(&LintId::UnboundedGrowth));
-        assert!(!lints.contains(&LintId::TruncatingCast));
-
-        let exp = classify("crates/experiments/src/sweep.rs").expect("experiments");
-        let lints = lints_for(&exp);
-        assert!(lints.contains(&LintId::UnboundedGrowth));
-        assert!(lints.contains(&LintId::TruncatingCast));
     }
 }

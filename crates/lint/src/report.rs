@@ -3,26 +3,12 @@
 
 use jouppi_serve::json::Json;
 
-use crate::baseline::Ratchet;
 use crate::lint::ALL_LINTS;
 use crate::workspace::ScanResult;
 
-/// Baseline-ratchet status rendered into reports when `--baseline` is
-/// in effect.
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineStatus<'a> {
-    /// The baseline file, as given on the command line.
-    pub path: &'a str,
-    /// Total grandfathered finding count in the baseline.
-    pub grandfathered: u64,
-    /// The scan-vs-baseline verdict.
-    pub ratchet: &'a Ratchet,
-}
-
 /// Human-readable report: one `file:line: [lint] message` line per
-/// finding plus summary lines (and the ratchet verdict, with a
-/// baseline).
-pub fn human(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> String {
+/// finding plus a summary line.
+pub fn human(result: &ScanResult) -> String {
     let mut out = String::new();
     for (path, finding) in result.findings() {
         out.push_str(&format!(
@@ -45,35 +31,13 @@ pub fn human(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Stri
             s = if n == 1 { "" } else { "s" }
         ));
     }
-    if let Some(b) = baseline {
-        for (file, lint, base, now) in &b.ratchet.new {
-            out.push_str(&format!(
-                "baseline: NEW {file} [{lint}] — {now} findings, baseline allows {base}; \
-                 fix them or suppress with a reasoned directive\n"
-            ));
-        }
-        for (file, lint, base, now) in &b.ratchet.stale {
-            out.push_str(&format!(
-                "baseline: STALE {file} [{lint}] — baseline grandfathers {base}, only {now} \
-                 remain; regenerate with --write-baseline to lock in the progress\n"
-            ));
-        }
-        out.push_str(&format!(
-            "jouppi-lint: baseline {path} — {g} grandfathered, {new} new, {stale} stale: {verdict}\n",
-            path = b.path,
-            g = b.grandfathered,
-            new = b.ratchet.new.len(),
-            stale = b.ratchet.stale.len(),
-            verdict = if b.ratchet.is_ok() { "ok" } else { "FAIL" },
-        ));
-    }
     out
 }
 
 /// Machine-readable report document (version 3: adds the `callgraph`
 /// section sizing the workspace call graph behind the interprocedural
 /// analyses).
-pub fn to_json(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Json {
+pub fn to_json(result: &ScanResult) -> Json {
     let findings: Vec<Json> = result
         .findings()
         .map(|(path, f)| {
@@ -106,29 +70,6 @@ pub fn to_json(result: &ScanResult, baseline: Option<&BaselineStatus<'_>>) -> Js
             ]),
         ));
     }
-    if let Some(b) = baseline {
-        let entry = |(file, lint, base, now): &(String, String, u64, u64)| {
-            Json::obj([
-                ("file", Json::str(file.clone())),
-                ("lint", Json::str(lint.clone())),
-                ("baseline", Json::Int(*base as i64)),
-                ("current", Json::Int(*now as i64)),
-            ])
-        };
-        fields.push((
-            "baseline".to_owned(),
-            Json::obj([
-                ("path", Json::str(b.path)),
-                ("grandfathered", Json::Int(b.grandfathered as i64)),
-                ("new", Json::Arr(b.ratchet.new.iter().map(entry).collect())),
-                (
-                    "stale",
-                    Json::Arr(b.ratchet.stale.iter().map(entry).collect()),
-                ),
-                ("ok", Json::Bool(b.ratchet.is_ok())),
-            ]),
-        ));
-    }
     Json::Obj(fields)
 }
 
@@ -137,10 +78,10 @@ pub fn timings(result: &ScanResult) -> String {
     let mut out = String::from("jouppi-lint timings:\n");
     let total: std::time::Duration = result.timings.iter().map(|(_, d)| *d).sum();
     for (stage, d) in &result.timings {
-        out.push_str(&format!("  {stage:<20} {:>9.3}ms\n", d.as_secs_f64() * 1e3));
+        out.push_str(&format!("  {stage:<22} {:>9.3}ms\n", d.as_secs_f64() * 1e3));
     }
     out.push_str(&format!(
-        "  {:<20} {:>9.3}ms\n",
+        "  {:<22} {:>9.3}ms\n",
         "total",
         total.as_secs_f64() * 1e3
     ));
@@ -151,11 +92,14 @@ pub fn timings(result: &ScanResult) -> String {
 pub fn catalog() -> String {
     let mut out = String::from("jouppi-lint catalog:\n");
     for lint in ALL_LINTS {
-        out.push_str(&format!("  {:<20} {}\n", lint.name(), lint.summary()));
+        out.push_str(&format!("  {:<22} {}\n", lint.name(), lint.summary()));
     }
     out.push_str(
         "\nsuppression: // jouppi-lint: allow(<lint>) — <reason>\n\
-         file scope:  // jouppi-lint: allow-file(<lint>) — <reason>\n",
+         file scope:  // jouppi-lint: allow-file(<lint>) — <reason>\n\
+         \nPer-file rules (unsafe code, ambient time and entropy, default hashers,\n\
+         serve panics, printing, narrowing casts, discarded results) are clippy\n\
+         configuration: see [workspace.lints] in Cargo.toml and clippy.toml.\n",
     );
     out
 }
@@ -173,8 +117,8 @@ mod tests {
                     rel_path: "crates/core/src/x.rs".to_owned(),
                     findings: vec![Finding {
                         line: 7,
-                        lint: LintId::AmbientTime,
-                        message: "ambient time source `Instant`".to_owned(),
+                        lint: LintId::RelaxedOrdering,
+                        message: "`Ordering::Relaxed` on a cross-thread counter".to_owned(),
                     }],
                 },
                 FileReport {
@@ -194,8 +138,8 @@ mod tests {
 
     #[test]
     fn human_report_lists_findings_and_summary() {
-        let text = human(&sample(), None);
-        assert!(text.contains("crates/core/src/x.rs:7: [ambient-time]"));
+        let text = human(&sample());
+        assert!(text.contains("crates/core/src/x.rs:7: [relaxed-ordering]"));
         assert!(text.contains("1 finding in 2 files"));
         let clean = ScanResult {
             files: vec![FileReport {
@@ -205,12 +149,12 @@ mod tests {
             timings: Vec::new(),
             callgraph: None,
         };
-        assert!(human(&clean, None).contains("clean — 1 files, 0 findings"));
+        assert!(human(&clean).contains("clean — 1 files, 0 findings"));
     }
 
     #[test]
     fn json_report_round_trips() {
-        let doc = to_json(&sample(), None);
+        let doc = to_json(&sample());
         let parsed = Json::parse(&doc.encode()).expect("valid JSON");
         assert_eq!(parsed.get("clean"), Some(&Json::Bool(false)));
         assert_eq!(parsed.get("version"), Some(&Json::Int(3)));
@@ -222,52 +166,15 @@ mod tests {
             .expect("findings array");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].get("line"), Some(&Json::Int(7)));
-        assert_eq!(findings[0].get("lint"), Some(&Json::str("ambient-time")));
+        assert_eq!(
+            findings[0].get("lint"),
+            Some(&Json::str("relaxed-ordering"))
+        );
         let g = parsed.get("callgraph").expect("callgraph section");
         assert_eq!(g.get("nodes"), Some(&Json::Int(12)));
         assert_eq!(g.get("resolved_edges"), Some(&Json::Int(30)));
         assert_eq!(g.get("ambiguous_edges"), Some(&Json::Int(2)));
         assert_eq!(g.get("external_calls"), Some(&Json::Int(9)));
-    }
-
-    #[test]
-    fn baseline_status_renders_in_both_formats() {
-        let ratchet = Ratchet {
-            new: vec![("a.rs".to_owned(), "swallowed-result".to_owned(), 1, 2)],
-            stale: vec![("b.rs".to_owned(), "truncating-cast".to_owned(), 2, 1)],
-        };
-        let status = BaselineStatus {
-            path: "lint-baseline.json",
-            grandfathered: 3,
-            ratchet: &ratchet,
-        };
-        let text = human(&sample(), Some(&status));
-        assert!(text.contains("baseline: NEW a.rs [swallowed-result]"));
-        assert!(text.contains("baseline: STALE b.rs [truncating-cast]"));
-        assert!(text.contains("1 new, 1 stale: FAIL"));
-
-        let doc = to_json(&sample(), Some(&status));
-        let parsed = Json::parse(&doc.encode()).expect("valid JSON");
-        let b = parsed.get("baseline").expect("baseline section");
-        assert_eq!(b.get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(b.get("grandfathered"), Some(&Json::Int(3)));
-        assert_eq!(
-            b.get("new").and_then(Json::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-        assert_eq!(
-            b.get("stale").and_then(Json::as_arr).map(|a| a.len()),
-            Some(1)
-        );
-
-        // A clean ratchet reports ok even with grandfathered findings.
-        let ok = Ratchet::default();
-        let status = BaselineStatus {
-            path: "lint-baseline.json",
-            grandfathered: 3,
-            ratchet: &ok,
-        };
-        assert!(human(&sample(), Some(&status)).contains("0 new, 0 stale: ok"));
     }
 
     #[test]

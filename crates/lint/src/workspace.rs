@@ -1,6 +1,7 @@
 //! Workspace discovery and the full-tree scan.
 //!
-//! The scan runs in three phases. Phase one checks each file
+//! Only `src/` trees are linted (see [`crate::policy::classify`]). The
+//! scan runs in three phases. Phase one checks each file
 //! independently ([`crate::check::check_source_facts`]), collecting
 //! findings plus each file's cross-file facts: lock-acquisition edges,
 //! calls captured under live guards, the parsed AST, and pending
@@ -20,17 +21,16 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::analyses::{lock_order_findings, GuardedCall, LockEdge};
+use crate::analyses::{lock_order_findings, LockEdge};
 use crate::callgraph::{self, GraphFile};
 use crate::check::{check_source_facts, suppress_pending, unused_pending};
 use crate::interproc;
 use crate::lint::{Finding, LintId};
-use crate::policy::{classify, lints_for};
+use crate::policy::{classify, lints_for, FileContext};
 
-/// Directories never descended into. `examples/` and `tests/` are
-/// scanned (under the relaxed policy); build output and VCS state are
-/// not.
-const PRUNED_DIRS: [&str; 3] = ["target", ".git", "node_modules"];
+/// Directories never descended into: build output, VCS state, and the
+/// test and example trees no jouppi-lint invariant covers.
+const PRUNED_DIRS: [&str; 5] = ["target", ".git", "node_modules", "tests", "examples"];
 
 /// Size counters of the workspace call graph, surfaced in the JSON
 /// report's `callgraph` section.
@@ -64,8 +64,7 @@ pub struct ScanResult {
     /// Aggregate wall-clock cost per analysis stage across all files,
     /// sorted by stage name (for `--timings`).
     pub timings: Vec<(&'static str, Duration)>,
-    /// Call-graph size counters (`None` when no file kept an AST — e.g.
-    /// a scan of nothing but test files).
+    /// Call-graph size counters (`None` when no file was scanned).
     pub callgraph: Option<CallGraphStats>,
 }
 
@@ -121,30 +120,38 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     scan_files(root, &rel_paths)
 }
 
-/// Scans an explicit list of workspace-relative files.
+/// Scans an explicit list of workspace-relative files; paths the policy
+/// does not cover are skipped.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures reading the files.
 pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
+    let mut sources = Vec::new();
+    for rel in rel_paths {
+        if let Some(ctx) = classify(rel) {
+            let src = fs::read_to_string(root.join(rel))?;
+            sources.push((ctx, src));
+        }
+    }
+    Ok(scan_sources(&sources))
+}
+
+/// Scans in-memory sources as one workspace.
+pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
     let mut result = ScanResult::default();
     let mut timings: BTreeMap<&'static str, Duration> = BTreeMap::new();
     // Phase one: per-file checks; park each file's cross-file facts.
-    // `pendings`, `contexts`, `asts`, `test_ranges`, and `guarded` are
-    // parallel to `result.files`; `crate_edges` tags every edge with the
-    // index of the file that produced it.
+    // `pendings`, `asts`, `test_ranges`, and `guarded` are parallel to
+    // `sources` and `result.files`; `crate_edges` tags every edge with
+    // the index of the file that produced it.
     let mut pendings = Vec::new();
-    let mut contexts = Vec::new();
     let mut asts = Vec::new();
     let mut test_ranges = Vec::new();
     let mut guarded = Vec::new();
     let mut crate_edges: BTreeMap<String, Vec<(usize, LockEdge)>> = BTreeMap::new();
-    for rel in rel_paths {
-        let Some(ctx) = classify(rel) else {
-            continue;
-        };
-        let src = fs::read_to_string(root.join(rel))?;
-        let facts = check_source_facts(&ctx, &src);
+    for (ctx, src) in sources {
+        let facts = check_source_facts(ctx, src.as_ref());
         let file_index = result.files.len();
         for (stage, d) in facts.timings {
             *timings.entry(stage).or_default() += d;
@@ -154,12 +161,11 @@ pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
             .or_default()
             .extend(facts.lock_edges.into_iter().map(|e| (file_index, e)));
         pendings.push(facts.pending);
-        contexts.push(ctx);
         asts.push(facts.ast);
         test_ranges.push(facts.test_ranges);
         guarded.push(facts.guarded_calls);
         result.files.push(FileReport {
-            rel_path: rel.clone(),
+            rel_path: ctx.rel_path.clone(),
             findings: facts.findings,
         });
     }
@@ -179,22 +185,20 @@ pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
     }
     *timings.entry("lock-order-resolve").or_default() += t0.elapsed();
     // Phase three: the workspace call graph and the interprocedural
-    // analyses, over the ASTs retained in phase one. `to_file` maps a
-    // graph-file index back to its `result.files` index.
+    // analyses, over the ASTs retained in phase one (graph-file indexes
+    // are `result.files` indexes).
     let t0 = Instant::now();
-    let mut inputs: Vec<GraphFile<'_>> = Vec::new();
-    let mut to_file: Vec<usize> = Vec::new();
-    for (i, ast) in asts.iter().enumerate() {
-        if let Some(ast) = ast {
-            inputs.push(GraphFile {
-                ctx: &contexts[i],
+    if !asts.is_empty() {
+        let inputs: Vec<GraphFile<'_>> = sources
+            .iter()
+            .zip(&asts)
+            .zip(&test_ranges)
+            .map(|(((ctx, _), ast), ranges)| GraphFile {
+                ctx,
                 ast,
-                test_ranges: &test_ranges[i],
-            });
-            to_file.push(i);
-        }
-    }
-    if !inputs.is_empty() {
+                test_ranges: ranges,
+            })
+            .collect();
         let graph = callgraph::build(&inputs);
         result.callgraph = Some(CallGraphStats {
             nodes: graph.nodes.len(),
@@ -203,23 +207,16 @@ pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
             external_calls: graph.external_calls,
         });
         *timings.entry("callgraph-build").or_default() += t0.elapsed();
-        let actives: Vec<Vec<LintId>> = to_file.iter().map(|&i| lints_for(&contexts[i])).collect();
-        let guarded_g: Vec<Vec<GuardedCall>> = to_file
-            .iter()
-            .map(|&i| std::mem::take(&mut guarded[i]))
-            .collect();
-        let interproc_out = interproc::run(&graph, &actives, &guarded_g);
+        let actives: Vec<Vec<LintId>> = sources.iter().map(|(ctx, _)| lints_for(ctx)).collect();
+        let interproc_out = interproc::run(&graph, &actives, &guarded);
         for (stage, d) in interproc_out.timings {
             *timings.entry(stage).or_default() += d;
         }
-        for (gf, finding) in interproc_out.findings {
-            let file_index = to_file[gf];
+        for (file_index, finding) in interproc_out.findings {
             if !suppress_pending(&mut pendings[file_index], finding.lint, finding.line) {
                 result.files[file_index].findings.push(finding);
             }
         }
-    } else {
-        *timings.entry("callgraph-build").or_default() += t0.elapsed();
     }
     // Settle the pending suppressions: anything still unused is itself a
     // finding.
@@ -234,7 +231,7 @@ pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
             .sort_by_key(|f| (f.line, f.lint.name()));
     }
     result.timings = timings.into_iter().collect();
-    Ok(result)
+    result
 }
 
 /// Recursively collects `.rs` files, pruning build output; entries are
@@ -295,9 +292,13 @@ mod tests {
         };
         assert_eq!(paths(&a), paths(&b));
         assert!(paths(&a).contains(&"crates/lint/src/lexer.rs".to_owned()));
-        // examples/ are scanned (relaxed policy); target/ is pruned.
-        assert!(paths(&a).iter().any(|p| p.starts_with("examples/")));
-        assert!(!paths(&a).iter().any(|p| p.starts_with("target/")));
+        // Only src/ trees are linted: tests, examples and build output
+        // are not.
+        assert!(
+            paths(&a).iter().all(|p| p.contains("src/")),
+            "{:?}",
+            paths(&a)
+        );
         // The call graph covers every workspace crate.
         let stats = a.callgraph.expect("call graph built");
         assert!(stats.nodes > 100, "nodes: {}", stats.nodes);

@@ -1,6 +1,9 @@
-//! Fixture: ambient entropy in a simulation crate.
+//! Fixture: ambient entropy in a simulation crate — `RandomState` seeds
+//! every hasher it builds from the operating system.
 
-pub fn roll() -> u32 {
-    let mut r = rand::thread_rng();
-    r.gen_range(0..6)
+use std::hash::{BuildHasher, RandomState};
+
+/// A die roll drawn from per-process entropy.
+pub fn roll() -> u64 {
+    RandomState::new().hash_one(0u8) % 6
 }

@@ -1,8 +1,11 @@
 //! Fixture: the same probe, justified as progress reporting.
 
-pub fn elapsed_nanos() -> u64 {
-    // jouppi-lint: allow(ambient-time) — progress telemetry only; the value
-    // never feeds a simulated result
+/// Nanoseconds a probe took.
+pub fn elapsed_nanos() -> u128 {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "progress telemetry only; the value never feeds a simulated result"
+    )]
     let t = std::time::Instant::now();
-    t.elapsed().as_nanos() as u64
+    t.elapsed().as_nanos()
 }

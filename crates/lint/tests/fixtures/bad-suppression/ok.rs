@@ -1,7 +1,10 @@
 //! Fixture: the fix — the reason makes the directive well-formed.
 
-pub fn stamp_nanos() -> u64 {
-    // jouppi-lint: allow(ambient-time) — fixture of a justified suppression
-    let t = std::time::Instant::now();
-    t.elapsed().as_nanos() as u64
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub static HITS: AtomicU64 = AtomicU64::new(0);
+
+pub fn bump() {
+    // jouppi-lint: allow(relaxed-ordering) — monotone fetch_add counter
+    HITS.fetch_add(1, Ordering::Relaxed);
 }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+/// Occurrence count per value.
 pub fn tally(xs: &[u64]) -> HashMap<u64, u64> {
     let mut m = HashMap::new();
     for &x in xs {

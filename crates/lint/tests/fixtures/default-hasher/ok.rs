@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+/// Occurrence count per value.
 pub fn tally(xs: &[u64]) -> BTreeMap<u64, u64> {
     let mut m = BTreeMap::new();
     for &x in xs {

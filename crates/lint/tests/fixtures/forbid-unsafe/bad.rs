@@ -1,5 +1,6 @@
-//! Fixture: a crate root without the unsafe ban.
+//! Fixture: unsafe code in a workspace crate.
 
-pub fn answer() -> u32 {
-    42
+/// The first byte, read without a bounds check.
+pub fn first(bytes: &[u8]) -> u8 {
+    unsafe { *bytes.get_unchecked(0) }
 }

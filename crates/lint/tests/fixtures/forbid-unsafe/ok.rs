@@ -1,7 +1,6 @@
-//! Fixture: the fix — the crate root bans unsafe code.
+//! Fixture: the fix — the checked read.
 
-#![forbid(unsafe_code)]
-
-pub fn answer() -> u32 {
-    42
+/// The first byte, if any.
+pub fn first(bytes: &[u8]) -> Option<u8> {
+    bytes.first().copied()
 }

@@ -54,7 +54,7 @@ const FRAGMENTS: [&str; 6] = [
     "fn sweep() {\n\
          let results: Vec<u64> = (0..16).map(|i| i * 2).collect();\n\
          for r in &results { assert!(r % 2 == 0, \"odd {r}\"); }\n\
-         // jouppi-lint: allow(ambient-time) — fixture directive\n\
+         // jouppi-lint: allow(relaxed-ordering) — fixture directive\n\
      }\n",
     "static COUNTER: AtomicU64 = AtomicU64::new(0);\n\
      pub fn bump() -> u64 { COUNTER.fetch_add(1, Ordering::SeqCst) }\n\

@@ -1,10 +1,8 @@
-//! The workspace must pass its own linter modulo the checked-in
-//! baseline — the test form of the `jouppi-lint --workspace --baseline
-//! lint-baseline.json` gate ci.sh enforces.
+//! The workspace must pass its own linter — the test form of the
+//! `jouppi-lint --workspace` gate ci.sh enforces.
 
 use std::path::Path;
 
-use jouppi_lint::baseline::Baseline;
 use jouppi_lint::find_root;
 use jouppi_serve::json::Json;
 
@@ -20,60 +18,26 @@ fn root_args(extra: &[&str]) -> Vec<String> {
 }
 
 #[test]
-fn workspace_is_clean_modulo_baseline() {
-    let r = jouppi_lint::cli::run(root_args(&["--baseline", "lint-baseline.json"]));
+fn workspace_is_clean() {
+    let r = jouppi_lint::cli::run(root_args(&[]));
     assert_eq!(
         r.code, 0,
-        "jouppi-lint found regressions against lint-baseline.json:\n{}{}",
+        "jouppi-lint found findings in the workspace:\n{}{}",
         r.stdout, r.stderr
     );
-    assert!(r.stdout.contains("0 new, 0 stale: ok"), "{}", r.stdout);
+    assert!(r.stdout.contains("clean"), "{}", r.stdout);
 }
 
 #[test]
-fn workspace_json_report_is_at_baseline_and_covers_the_tree() {
-    let r = jouppi_lint::cli::run(root_args(&["--json", "--baseline", "lint-baseline.json"]));
+fn workspace_json_report_is_clean_and_covers_the_tree() {
+    let r = jouppi_lint::cli::run(root_args(&["--json"]));
     assert_eq!(r.code, 0, "{}{}", r.stdout, r.stderr);
     let doc = Json::parse(r.stdout.trim()).expect("valid JSON");
-    let baseline = doc.get("baseline").expect("baseline section");
-    assert_eq!(baseline.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(doc.get("clean"), Some(&Json::Bool(true)));
     match doc.get("files_scanned") {
         Some(Json::Int(n)) => {
             assert!(*n > 50, "only {n} files scanned — walker regression?");
         }
         other => panic!("files_scanned missing or mistyped: {other:?}"),
-    }
-}
-
-/// Every finding the unbaselined scan reveals must be grandfathered in
-/// `lint-baseline.json` — in particular, `crates/serve` carries no
-/// unreviewed debt at all: its true positives were fixed or suppressed
-/// with reasons, not baselined away.
-#[test]
-fn unbaselined_findings_are_exactly_the_grandfathered_set() {
-    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let text =
-        std::fs::read_to_string(root.join("lint-baseline.json")).expect("read lint-baseline.json");
-    let grandfathered = Baseline::parse(&text).expect("parse lint-baseline.json");
-
-    let r = jouppi_lint::cli::run(root_args(&["--json"]));
-    let doc = Json::parse(r.stdout.trim()).expect("valid JSON");
-    let findings = doc
-        .get("findings")
-        .and_then(Json::as_arr)
-        .expect("findings array");
-    for f in findings {
-        let file = f.get("file").and_then(Json::as_str).expect("file");
-        let lint = f.get("lint").and_then(Json::as_str).expect("lint");
-        assert!(
-            grandfathered
-                .entries
-                .contains_key(&(file.to_owned(), lint.to_owned())),
-            "unreviewed finding outside the baseline: {file} [{lint}]"
-        );
-        assert!(
-            !file.starts_with("crates/serve/"),
-            "crates/serve must carry no grandfathered debt, found {file} [{lint}]"
-        );
     }
 }

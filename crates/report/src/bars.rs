@@ -92,6 +92,10 @@ impl BarChart {
             let mut row = String::new();
             let mut used = 0usize;
             for &(frac, glyph) in &b.segments {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "frac is clamped to [0, 1], so the cell count lies in [0, width]"
+                )]
                 let cells = ((frac.clamp(0.0, 1.0)) * self.width as f64).round() as usize;
                 let cells = cells.min(self.width - used);
                 row.push_str(&glyph.to_string().repeat(cells));

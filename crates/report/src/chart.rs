@@ -127,6 +127,11 @@ impl Chart {
                 let cx = ((x - x0) / (x1 - x0) * (self.width - 1) as f64).round();
                 let cy = ((y - y0) / (y1 - y0) * (self.height - 1) as f64).round();
                 if cx >= 0.0 && cy >= 0.0 {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "non-negative grid coordinates; `as` saturates, and the \
+                                  bounds check below rejects anything off the grid"
+                    )]
                     let (cx, cy) = (cx as usize, cy as usize);
                     if cx < self.width && cy < self.height {
                         grid[self.height - 1 - cy][cx] = s.marker;

@@ -25,7 +25,8 @@
 //! assert!(text.contains("ccom"));
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 mod bars;

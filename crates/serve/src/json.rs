@@ -72,6 +72,10 @@ impl Json {
     }
 
     /// The integer payload (also accepts integral floats).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the float arm is integral and below 9e15 in magnitude, exact in i64"
+    )]
     pub fn as_i64(&self) -> Option<i64> {
         match *self {
             Json::Int(n) => Some(n),

@@ -39,7 +39,20 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(clippy::cast_possible_truncation)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unreachable,
+    clippy::unimplemented
+)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the daemon measures request latency and deadlines on the wall clock; cached result documents never carry timing"
+)]
 #![warn(missing_docs)]
 
 pub mod client;

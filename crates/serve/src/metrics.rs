@@ -28,6 +28,11 @@ struct Histogram {
 }
 
 impl Histogram {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a latency in whole microseconds; `as` saturates, and u64 microseconds \
+                  span 584,000 years"
+    )]
     fn observe(&self, seconds: f64) {
         let idx = LATENCY_BUCKETS
             .iter()

@@ -185,7 +185,11 @@ fn handle_conn_with_tick(stream: TcpStream, ctx: &Arc<Ctx>, tick: Duration) {
         return;
     }
     ctx.connections.fetch_add(1, Ordering::SeqCst);
-    let _ = stream.set_nodelay(true); // jouppi-lint: allow(swallowed-result) — latency hint only; serving without TCP_NODELAY is still correct
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "latency hint only; serving without TCP_NODELAY is still correct"
+    )]
+    let _ = stream.set_nodelay(true);
     let mut conn = HttpConn::new(stream, ctx.cfg.limits);
     let mut idle_since = Instant::now();
     let mut request_deadline: Option<Instant> = None;
@@ -248,7 +252,11 @@ fn fail(
     status: u16,
     msg: &str,
 ) {
-    let _ = Response::error(status, msg).write_to(conn.inner_mut(), false); // jouppi-lint: allow(swallowed-result) — best-effort farewell on a connection already being torn down
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort farewell on a connection already being torn down"
+    )]
+    let _ = Response::error(status, msg).write_to(conn.inner_mut(), false);
     ctx.metrics.observe(endpoint, status, 0.0);
 }
 
@@ -278,15 +286,31 @@ impl ServerHandle {
     pub fn shutdown(self) -> ShutdownStats {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr); // jouppi-lint: allow(swallowed-result) — the connect only nudges accept() awake; a failure means the listener is already gone
-        let _ = self.accept.join(); // jouppi-lint: allow(swallowed-result) — Err means the thread panicked; shutdown must still drain the rest
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the connect only nudges accept() awake; a failure means the listener is already gone"
+        )]
+        let _ = TcpStream::connect(self.addr);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "Err means the thread panicked; shutdown must still drain the rest"
+        )]
+        let _ = self.accept.join();
         let handles = std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
         for handle in handles {
-            let _ = handle.join(); // jouppi-lint: allow(swallowed-result) — Err means the thread panicked; shutdown must still drain the rest
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means the thread panicked; shutdown must still drain the rest"
+            )]
+            let _ = handle.join();
         }
         self.ctx.queue.shutdown();
         for worker in self.workers {
-            let _ = worker.join(); // jouppi-lint: allow(swallowed-result) — Err means the thread panicked; shutdown must still drain the rest
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Err means the thread panicked; shutdown must still drain the rest"
+            )]
+            let _ = worker.join();
         }
         ShutdownStats {
             jobs_completed: self.ctx.queue.stats().completed,

@@ -111,9 +111,14 @@ pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Opt
     // count via refs_simulated, one-pass traversals via single_pass_refs.
     let refs = (refs_simulated() + single_pass_refs()).saturating_sub(refs_before);
     if seconds > 0.0 && refs > 0 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a refs/s gauge; `as` saturates, far above any reachable rate"
+        )]
+        let rate = (refs as f64 / seconds) as u64;
         // jouppi-lint: allow(relaxed-ordering) — single-word gauge store;
         // no other memory is published alongside it.
-        LAST_SWEEP_REFS_PER_SECOND.store((refs as f64 / seconds) as u64, Ordering::Relaxed);
+        LAST_SWEEP_REFS_PER_SECOND.store(rate, Ordering::Relaxed);
     }
     let mut doc = vec![
         ("sweep".to_owned(), Json::str(name)),

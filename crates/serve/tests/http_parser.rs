@@ -3,6 +3,11 @@
 //! timeout/resume behavior — everything a hostile or flaky client can
 //! throw at a `TcpStream`, reproduced over a scripted in-memory reader.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the parser's read deadlines are wall-clock `Instant`s"
+)]
+
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::time::Instant;

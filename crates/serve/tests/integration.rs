@@ -3,6 +3,11 @@
 //! agreement with the in-process sweep, backpressure, malformed input,
 //! metrics, and draining shutdown.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "job polling is bounded by a wall-clock deadline"
+)]
+
 use std::time::Duration;
 
 use jouppi_experiments::common::ExperimentConfig;

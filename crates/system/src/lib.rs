@@ -26,7 +26,7 @@
 //! assert!(i.performance_fraction() > b.performance_fraction());
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod config;

@@ -1,8 +1,12 @@
 //! Memory-footprint accounting: how much distinct memory a trace touches.
 
-// jouppi-lint: allow-file(default-hasher) — only `len()` is ever read from
-// these sets (iteration order is unobservable), and jouppi-trace sits below
-// jouppi-cache in the dependency graph, so the Fx aliases are unreachable.
+#![expect(
+    clippy::disallowed_types,
+    reason = "only `len()` is ever read from these sets (iteration order is unobservable), \
+              and jouppi-trace sits below jouppi-cache in the dependency graph, so the Fx \
+              aliases are unreachable"
+)]
+
 use std::collections::HashSet;
 
 use crate::{AccessKind, MemRef};

@@ -28,7 +28,7 @@
 //! assert_eq!(refs[1].addr.line(16), jouppi_trace::LineAddr::new(0x800));
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod access;

@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn paper_rows_are_complete() {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for b in Benchmark::ALL {
             let row = b.paper_row();
             assert!(row.dynamic_instr_m > 0.0);
@@ -557,7 +557,7 @@ mod tests {
         use jouppi_trace::AccessKind;
         for b in [Benchmark::Linpack, Benchmark::Liver] {
             let src = b.source(Scale::new(50_000), 3);
-            let distinct: std::collections::HashSet<u64> = src
+            let distinct: std::collections::BTreeSet<u64> = src
                 .refs()
                 .filter(|r| r.kind == AccessKind::InstrFetch)
                 .map(|r| r.addr.get() / 16)

@@ -843,7 +843,7 @@ mod tests {
     fn pointer_chase_visits_every_node() {
         let mut r = rng();
         let mut p = PointerChase::new(0, 64, 100, &mut r);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             seen.insert(p.next_addr(&mut r).get());
         }
@@ -931,7 +931,7 @@ mod tests {
     fn gather_targets_are_spread() {
         let mut r = rng();
         let mut g = GatherScatter::new(0, 1 << 30, 4096, 8);
-        let mut targets = std::collections::HashSet::new();
+        let mut targets = std::collections::BTreeSet::new();
         for _ in 0..2000 {
             let a = g.next_addr(&mut r).get();
             if a >= 1 << 30 {
@@ -976,6 +976,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "weights must be positive")]
     fn bad_weight_panics() {
-        let _ = Mixture::new().with(0.0, StridedSweep::new(0, 4, 16));
+        let _mixture = Mixture::new().with(0.0, StridedSweep::new(0, 4, 16));
     }
 }

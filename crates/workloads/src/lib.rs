@@ -40,7 +40,7 @@
 //! assert_eq!(stats, again);
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 mod benchmarks;

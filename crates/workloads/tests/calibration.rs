@@ -128,7 +128,7 @@ fn data_working_sets_exceed_the_l1_but_fit_the_l2() {
     // "little L2 activity" claim can hold at scale).
     for b in Benchmark::ALL {
         let src = b.source(Scale::new(100_000), 3);
-        let distinct: std::collections::HashSet<u64> = src
+        let distinct: std::collections::BTreeSet<u64> = src
             .refs()
             .filter(|r| r.kind.is_data())
             .map(|r| r.addr.get() / 128)

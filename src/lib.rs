@@ -37,7 +37,7 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![warn(missing_docs)]
 
 pub use jouppi_cache as cache;

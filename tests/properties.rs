@@ -85,7 +85,7 @@ proptest! {
         }
         let b = cls.breakdown();
         prop_assert_eq!(b.total(), misses);
-        let distinct: std::collections::HashSet<_> = stream.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = stream.iter().collect();
         prop_assert_eq!(b.compulsory as usize, distinct.len());
     }
 
@@ -200,7 +200,7 @@ proptest! {
             prop_assert_eq!(profile.misses_for_capacity(lines as usize), misses);
         }
         // Compulsory count equals distinct lines.
-        let distinct: std::collections::HashSet<_> = stream.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = stream.iter().collect();
         prop_assert_eq!(profile.cold_refs() as usize, distinct.len());
     }
 
