@@ -29,6 +29,9 @@ cargo build --release -p jouppi-bench --bin loadgen --bin sweep-bench --bin json
 echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
 
+echo "==> jouppi-bench --quick: build the committed benchmark, run all four workloads, check every result"
+CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin jouppi-bench -- --quick
+
 echo "==> sweep-bench smoke: miss-log fan-out vs per-cell oracle must agree"
 ./target/release/sweep-bench --smoke
 
@@ -36,16 +39,21 @@ echo "==> sweep-bench smoke: single-pass engines vs per-cell oracle"
 ./target/release/sweep-bench --smoke --mode single_pass
 echo "    lint status: $(grep -q '"clean":true' /tmp/jouppi_lint_ci.json && echo clean || echo DIRTY) (jouppi-lint --workspace --json)"
 
-echo "==> refresh BENCH_sweep.json (timed sweep schedules)"
-./target/release/sweep-bench 60000 BENCH_sweep.json
+# The timed runs below write to a temp dir: refreshing the committed
+# BENCH_*.json files is a deliberate act, not a side effect of CI.
+bench_out=$(mktemp -d)
+trap 'rm -rf "$bench_out"' EXIT
+
+echo "==> sweep-bench: timed sweep schedules"
+./target/release/sweep-bench 60000 "$bench_out/BENCH_sweep.json"
 
 echo "==> result-cache smoke: repeat request hits, bypass does not"
 ./target/release/loadgen --cache-smoke
 
-echo "==> refresh BENCH_serve.json (loadgen smoke run)"
-./target/release/loadgen 120 4 BENCH_serve.json
+echo "==> loadgen smoke run"
+./target/release/loadgen 120 4 "$bench_out/BENCH_serve.json"
 
-echo "==> validate benchmark reports and the lint report against the shared JSON model"
-./target/release/json-check BENCH_sweep.json BENCH_serve.json --lint /tmp/jouppi_lint_ci.json
+echo "==> validate the fresh benchmark reports and the lint report against the shared JSON model"
+./target/release/json-check "$bench_out/BENCH_sweep.json" "$bench_out/BENCH_serve.json" --lint /tmp/jouppi_lint_ci.json
 
 echo "CI OK"

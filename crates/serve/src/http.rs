@@ -295,6 +295,17 @@ impl Response {
         }
     }
 
+    /// A JSON response whose body is already encoded: `body` must be
+    /// the body [`Response::json`] produced for the document.
+    pub fn json_encoded(status: u16, body: &[u8]) -> Self {
+        Response {
+            status,
+            headers: Vec::new(),
+            body: body.to_vec(),
+            content_type: "application/json",
+        }
+    }
+
     /// A JSON error response: `{"error": msg}`.
     pub fn error(status: u16, msg: impl Into<String>) -> Self {
         Response::json(status, &Json::obj([("error", Json::Str(msg.into()))]))
@@ -307,29 +318,30 @@ impl Response {
         self
     }
 
-    /// Serializes the response to `w`.
+    /// Serializes the response to `w` in one `write_all`: on a
+    /// `TCP_NODELAY` socket a separate head write would leave as a
+    /// packet of its own.
     ///
     /// # Errors
     ///
     /// Propagates write failures.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
-        let mut head = format!(
+        let mut wire = Vec::with_capacity(256 + self.body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             if keep_alive { "keep-alive" } else { "close" },
-        );
+        )?;
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -380,6 +392,36 @@ mod tests {
         assert!(text.contains("Content-Type: application/json\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("{\"job\":1}\n"));
+    }
+
+    /// A sink that records each `write` call it receives.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        let resp = Response::json(200, &Json::obj([("hits", Json::Int(7))]))
+            .header("x-jouppi-cache", "hit");
+        for keep_alive in [true, false] {
+            let mut whole = Vec::new();
+            resp.write_to(&mut whole, keep_alive).unwrap();
+            let mut log = WriteLog::default();
+            resp.write_to(&mut log, keep_alive).unwrap();
+            assert_eq!(log.0.len(), 1, "keep_alive={keep_alive}");
+            assert_eq!(log.0[0], whole, "one call carries head and body");
+            assert!(log.0[0].ends_with(b"\r\n\r\n{\"hits\":7}\n"));
+        }
     }
 
     #[test]

@@ -242,8 +242,10 @@ fn write_seq(
 fn write_float(out: &mut String, f: f64) {
     if !f.is_finite() {
         out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e15 {
+    } else if f == f.trunc() {
         // Force a decimal point so the value re-parses as a Float.
+        // `{:.1}` prints an integral float's exact value at any
+        // magnitude; `{}` would print a bare integer.
         out.push_str(&format!("{f:.1}"));
     } else {
         out.push_str(&format!("{f}"));
@@ -549,6 +551,13 @@ mod tests {
         assert_eq!(Json::Float(0.125).encode(), "0.125");
         assert_eq!(Json::Int(29).encode(), "29");
         assert_eq!(Json::Float(f64::NAN).encode(), "null");
+        // Every finite integral float survives encode -> parse as a
+        // Float, however large.
+        for f in [29.0, 1e15, -4e15, 1.2345678901234568e17, f64::MAX] {
+            let text = Json::Float(f).encode();
+            assert!(text.ends_with(".0"), "{f}: {text}");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Float(f), "{text}");
+        }
     }
 
     #[test]

@@ -17,8 +17,13 @@
 //!   endpoint.
 //! * **Memoization** — completed result documents live in a bounded
 //!   [`LruMap`] (the capacity-switched design of
-//!   `crates/cache/src/lru.rs`), shared behind one mutex. Entries are
-//!   `Arc<Json>`, so a hit clones a pointer, never the document.
+//!   `crates/cache/src/lru.rs`), shared behind one mutex. Each entry
+//!   keeps the document as an `Arc<Json>` and its served encoding — the
+//!   body [`Response::json`] would produce — as an `Arc<[u8]>`, encoded
+//!   once at insert. A synchronous hit probes with
+//!   [`ResultCache::cached_body`] and sends those bytes, so it costs one
+//!   lookup and no encoding; async tickets, job polls and coalesced
+//!   waiters take the document.
 //! * **Singleflight** — the first requester for a missing key becomes
 //!   the *leader* and computes; concurrent requesters for the same key
 //!   block on a shared [`Flight`] slot (`Mutex` + `Condvar`, std-only)
@@ -37,6 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use jouppi_cache::{Displaced, FxHashMap, FxHasher, LruMap};
 
+use crate::http::Response;
 use crate::json::Json;
 
 /// How the server-wide cache behaves (`cache: {mode}` in the config).
@@ -172,10 +178,11 @@ impl Flight {
     }
 }
 
-/// A memoized result document plus its served-encoding size.
+/// A memoized result document plus its served encoding.
 struct Entry {
     doc: Arc<Json>,
-    bytes: usize,
+    /// `Response::json(200, &doc)`'s body, encoded once at insert.
+    body: Arc<[u8]>,
 }
 
 struct Inner {
@@ -197,7 +204,7 @@ pub struct CacheCounters {
     /// Requests that rode another request's computation
     /// (`jouppi_result_cache_coalesced_total`).
     pub coalesced: u64,
-    /// Encoded bytes of all memoized documents
+    /// Stored response-body bytes of all memoized documents
     /// (`jouppi_result_cache_bytes_resident`).
     pub bytes_resident: u64,
     /// Memoized documents currently resident.
@@ -298,6 +305,25 @@ impl ResultCache {
         }
     }
 
+    /// The memoized response body for `key`: the bytes
+    /// `Response::json(200, &doc)` produced for the stored document when
+    /// it was stored. A hit counts like one from [`begin`](Self::begin);
+    /// a miss counts nothing and elects no leader, so the caller goes on
+    /// to `begin` or `try_begin`. `None` under [`CacheMode::Off`] or
+    /// [`CacheMode::Bypass`], or with `bypass` set.
+    pub fn cached_body(&self, key: Key, bypass: bool) -> Option<Arc<[u8]>> {
+        if self.gate(bypass).is_some() {
+            return None;
+        }
+        let body = self
+            .lock()
+            .lru
+            .get(&key)
+            .map(|entry| Arc::clone(&entry.body))?;
+        self.hits.fetch_add(1, Ordering::SeqCst);
+        Some(body)
+    }
+
     /// Looks `key` up without ever blocking. Used by the queued sweep
     /// path: an in-flight duplicate coalesces onto the leader's job
     /// ticket instead of parking the connection thread.
@@ -371,26 +397,22 @@ impl ResultCache {
 
     /// Stores (or abandons) the leader's outcome and wakes waiters.
     fn finish(&self, key: Key, outcome: Option<Arc<Json>>) {
+        // Encode outside the lock; hits then serve these bytes verbatim.
+        let entry = outcome.as_ref().map(|doc| Entry {
+            doc: Arc::clone(doc),
+            body: Response::json(200, doc).body.into(),
+        });
         let flight = {
             let mut inner = self.lock();
-            if let Some(doc) = &outcome {
-                // +1 for the newline `Response::json` appends when
-                // serving; the gauge then matches served bytes.
-                let bytes = doc.encode().len() + 1;
-                inner.bytes_resident += bytes as u64;
-                match inner.lru.insert(
-                    key,
-                    Entry {
-                        doc: Arc::clone(doc),
-                        bytes,
-                    },
-                ) {
+            if let Some(entry) = entry {
+                inner.bytes_resident += entry.body.len() as u64;
+                match inner.lru.insert(key, entry) {
                     Displaced::None => {}
                     Displaced::Replaced(old) => {
-                        inner.bytes_resident -= old.bytes as u64;
+                        inner.bytes_resident -= old.body.len() as u64;
                     }
                     Displaced::Evicted(_, old) => {
-                        inner.bytes_resident -= old.bytes as u64;
+                        inner.bytes_resident -= old.body.len() as u64;
                         self.evictions.fetch_add(1, Ordering::SeqCst);
                     }
                 }
@@ -509,6 +531,37 @@ mod tests {
         assert_eq!(counters.hits, 1);
         assert_eq!(counters.entries, 1);
         assert!(counters.bytes_resident > 0);
+    }
+
+    #[test]
+    fn cached_body_serves_the_bytes_encoded_at_insert() {
+        let c = cache(4);
+        assert!(c.cached_body(key(1), false).is_none(), "empty memo");
+        assert_eq!(
+            c.counters(),
+            CacheCounters::default(),
+            "a miss counts nothing"
+        );
+        lead(&c, key(1)).complete(&doc(10));
+        let body = c.cached_body(key(1), false).expect("memoized");
+        assert_eq!(&body[..], Response::json(200, &doc(10)).body.as_slice());
+        assert!(c.cached_body(key(2), false).is_none(), "other key");
+        assert!(c.cached_body(key(1), true).is_none(), "bypass knob");
+        let counters = c.counters();
+        assert_eq!((counters.hits, counters.misses), (1, 1));
+        assert_eq!(counters.bytes_resident, body.len() as u64);
+
+        for mode in [CacheMode::Off, CacheMode::Bypass] {
+            let c = ResultCache::new(CacheConfig { mode, capacity: 4 });
+            // Store through the lower layer so only the gate can hide it.
+            let leader = match c.lookup_or_lead(key(1)) {
+                Ok(Lookup::Miss(leader)) => leader,
+                _ => panic!("expected to lead"),
+            };
+            leader.complete(&doc(10));
+            assert!(c.cached_body(key(1), false).is_none(), "{mode:?}");
+            assert_eq!(c.counters().hits, 0, "{mode:?}");
+        }
     }
 
     #[test]

@@ -111,12 +111,17 @@ fn simulate(ctx: &Ctx, req: &Request) -> Response {
         Ok(body) => body,
         Err(resp) => return resp,
     };
+    let key = content_key("simulate", &body);
+    let bypass = wants_bypass(req);
+    // A memo hit sends the body encoded when it was stored.
+    if let Some(bytes) = ctx.result_cache.cached_body(key, bypass) {
+        return Response::json_encoded(200, &bytes).header(CACHE_HEADER, "hit");
+    }
     // Simulations are bounded (`MAX_SIMULATE_SCALE`) and sub-second, so
     // the synchronous path can afford the *blocking* singleflight: a
     // thundering herd of identical POSTs parks here and costs exactly
     // one simulation.
-    let key = content_key("simulate", &body);
-    match ctx.result_cache.begin(key, wants_bypass(req)) {
+    match ctx.result_cache.begin(key, bypass) {
         Lookup::Disabled => match sim::simulate(&body) {
             Ok(result) => Response::json(200, &result),
             Err(msg) => Response::error(400, msg),
@@ -209,10 +214,16 @@ fn sweep(ctx: &Ctx, req: &Request) -> Response {
             ("seed", Json::Int(seed as i64)),
         ]),
     );
+    let bypass = wants_bypass(req);
+    if wait {
+        if let Some(bytes) = ctx.result_cache.cached_body(key, bypass) {
+            return Response::json_encoded(200, &bytes).header(CACHE_HEADER, "hit");
+        }
+    }
     // The queued path must never park a connection thread behind an
     // in-flight leader, so it uses the non-blocking lookup: duplicates
     // coalesce onto the leader's job id instead of waiting on a slot.
-    let (leader, cache_note) = match ctx.result_cache.try_begin(key, wants_bypass(req)) {
+    let (leader, cache_note) = match ctx.result_cache.try_begin(key, bypass) {
         TryLookup::Disabled => (None, None),
         TryLookup::Bypass => (None, Some("bypass")),
         TryLookup::Hit(doc) => {

@@ -1,9 +1,11 @@
 //! `POST /v1/simulate`: one cache organization over one workload.
 //!
-//! Decodes a JSON request body into a cache configuration, replays the
-//! named synthetic benchmark through it synchronously (these are cheap
-//! at service scales — the scale cap keeps them so), and returns the
-//! miss/removal statistics. All validation failures are `Err(String)`
+//! Decodes a JSON request body into a cache configuration, streams the
+//! named synthetic benchmark's generator through it synchronously
+//! (these are cheap at service scales — the scale cap keeps them so),
+//! and returns the miss/removal statistics. The trace is never
+//! recorded: each reference goes from the generator straight into the
+//! cache. All validation failures are `Err(String)`
 //! (surfaced as HTTP 400), never panics.
 //!
 //! Request shape (everything but `workload` optional):
@@ -21,7 +23,7 @@
 use jouppi_cache::{CacheGeometry, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
 use jouppi_experiments::common::note_refs_simulated;
-use jouppi_trace::{RecordedTrace, TraceSource};
+use jouppi_trace::TraceSource;
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::json::Json;
@@ -56,7 +58,8 @@ fn get_usize(body: &Json, key: &str, default: usize) -> Result<usize, String> {
 }
 
 /// Parses the request body into `(config, workload, scale, seed, side,
-/// classify)`, then runs the replay and encodes the stats.
+/// classify)`, then streams the workload through the cache and encodes
+/// the stats.
 ///
 /// # Errors
 ///
@@ -137,11 +140,11 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
         Some(v) => v.as_bool().ok_or("'classify' must be a boolean")?,
     };
 
-    let trace = RecordedTrace::record(&bench.source(Scale::new(scale), seed));
+    let source = bench.source(Scale::new(scale), seed);
     let mut cache = AugmentedCache::new(cfg);
     let mut classifier = classify.then(|| MissClassifier::new(geometry));
     let mut replayed = 0u64;
-    for r in trace.refs() {
+    for r in source.refs() {
         let wanted = match side {
             "i" => r.kind.is_instr(),
             "d" => r.kind.is_data(),
@@ -202,9 +205,91 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jouppi_cache::MissBreakdown;
+    use jouppi_core::AugmentedStats;
+    use jouppi_trace::RecordedTrace;
 
     fn req(text: &str) -> Result<Json, String> {
         simulate(&Json::parse(text).expect("test request is valid JSON"))
+    }
+
+    /// The oracle: record the whole trace first, then replay the
+    /// requested side through the cache and classifier. Streaming the
+    /// generator must give exactly the same counts.
+    fn recorded_replay(
+        bench: Benchmark,
+        cfg: AugmentedConfig,
+        side: &str,
+    ) -> (AugmentedStats, MissBreakdown) {
+        let geometry = *cfg.geometry();
+        let trace = RecordedTrace::record(&bench.source(Scale::new(5_000), 42));
+        let mut cache = AugmentedCache::new(cfg);
+        let mut classifier = MissClassifier::new(geometry);
+        for r in trace.refs() {
+            let wanted = match side {
+                "i" => r.kind.is_instr(),
+                "d" => r.kind.is_data(),
+                _ => true,
+            };
+            if !wanted {
+                continue;
+            }
+            let outcome = cache.access(r.addr);
+            classifier.observe(geometry.line_of(r.addr), !outcome.is_l1_hit());
+        }
+        (*cache.stats(), classifier.breakdown())
+    }
+
+    #[test]
+    fn streamed_simulate_matches_the_recorded_replay() {
+        let geometry = CacheGeometry::direct_mapped(4096, 16).unwrap();
+        let aids = [
+            (
+                r#""victim":4"#,
+                AugmentedConfig::new(geometry).victim_cache(4),
+            ),
+            (
+                r#""miss_cache":2"#,
+                AugmentedConfig::new(geometry).miss_cache(2),
+            ),
+            (
+                r#""stream":{"ways":4,"depth":4}"#,
+                AugmentedConfig::new(geometry)
+                    .multi_way_stream_buffer(4, StreamBufferConfig::new(4)),
+            ),
+        ];
+        for bench in Benchmark::ALL {
+            for side in ["i", "d", "all"] {
+                for (aid, cfg) in aids {
+                    let body = format!(
+                        r#"{{"workload":"{}","scale":5000,"side":"{side}","classify":true,{aid}}}"#,
+                        bench.name()
+                    );
+                    let out = req(&body).unwrap();
+                    let (s, b) = recorded_replay(bench, cfg, side);
+                    for (field, want) in [
+                        ("accesses", s.accesses),
+                        ("l1_hits", s.l1_hits),
+                        ("victim_hits", s.victim_hits),
+                        ("miss_cache_hits", s.miss_cache_hits),
+                        ("stream_hits", s.stream_hits),
+                        ("full_misses", s.full_misses),
+                    ] {
+                        assert_eq!(
+                            out.get(field),
+                            Some(&Json::Int(want as i64)),
+                            "{body}: {field}"
+                        );
+                    }
+                    let classes = Json::obj([
+                        ("compulsory", Json::Int(b.compulsory as i64)),
+                        ("capacity", Json::Int(b.capacity as i64)),
+                        ("conflict", Json::Int(b.conflict as i64)),
+                    ]);
+                    assert_eq!(out.get("classification"), Some(&classes), "{body}");
+                }
+            }
+        }
     }
 
     #[test]

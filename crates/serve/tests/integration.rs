@@ -428,3 +428,44 @@ fn thundering_herd_costs_exactly_one_simulation() {
 
     handle.shutdown();
 }
+
+#[test]
+fn sync_hits_serve_the_memoized_bytes() {
+    let handle = start(ServerConfig::default());
+    let mut c = client(&handle);
+    let mut served = 0;
+    for (path, body) in [
+        (
+            "/v1/sweep",
+            r#"{"sweep":"fig_3_1","scale":20000,"wait":true}"#,
+        ),
+        (
+            "/v1/simulate",
+            r#"{"workload":"met","scale":20000,"victim":4,"classify":true}"#,
+        ),
+    ] {
+        let miss = c.request("POST", path, Some(&json(body))).unwrap();
+        assert_eq!(miss.status, 200, "{}", miss.text());
+        assert_eq!(miss.header("x-jouppi-cache"), Some("miss"), "{path}");
+        // The repeat is answered from the bytes stored at insert.
+        let hit = c.request("POST", path, Some(&json(body))).unwrap();
+        assert_eq!(hit.status, 200, "{}", hit.text());
+        assert_eq!(hit.header("x-jouppi-cache"), Some("hit"), "{path}");
+        assert_eq!(hit.header("content-type"), Some("application/json"));
+        assert_eq!(hit.body, miss.body, "{path}: hit bytes differ from miss");
+        served += miss.body.len();
+    }
+
+    let text = c.request("GET", "/metrics", None).unwrap().text();
+    for (line, want) in [
+        ("jouppi_result_cache_misses_total", 2),
+        ("jouppi_result_cache_hits_total", 2),
+        ("jouppi_result_cache_bytes_resident", served),
+    ] {
+        assert!(
+            text.contains(&format!("{line} {want}\n")),
+            "{line}:\n{text}"
+        );
+    }
+    handle.shutdown();
+}
