@@ -1,14 +1,13 @@
-//! Property tests pitting `Cache` against a naive reference
+//! Seeded rounds pitting `Cache` against a naive reference
 //! implementation: a per-set vector with explicit recency bookkeeping.
-
-//
-// Gated: requires the `proptest` feature (and re-adding the `proptest`
-// dev-dependency, which the offline build environment cannot download).
-#![cfg(feature = "proptest")]
+//!
+//! Randomness comes from the workspace's seeded `jouppi_trace::SmallRng`.
+//! Each round seeds its own generator, and a failure prints that seed.
 
 use jouppi_cache::{AccessResult, Cache, CacheGeometry, ReplacementPolicy};
-use jouppi_trace::LineAddr;
-use proptest::prelude::*;
+use jouppi_trace::{LineAddr, SmallRng};
+
+const ROUNDS: u64 = 256;
 
 /// A deliberately simple model of a set-associative LRU cache.
 struct NaiveLru {
@@ -40,49 +39,51 @@ impl NaiveLru {
     }
 }
 
-fn line_stream(max_line: u64, len: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0..max_line, 1..len)
+/// Between 1 and `max_len - 1` line numbers, each below `max_line`.
+fn line_stream(rng: &mut SmallRng, max_line: u64, max_len: usize) -> Vec<u64> {
+    let len = 1 + rng.below(max_len - 1);
+    (0..len).map(|_| rng.gen_range(0..max_line)).collect()
 }
 
-proptest! {
-    #[test]
-    fn set_associative_lru_matches_naive_model(
-        stream in line_stream(256, 500),
-        assoc_log in 0u32..4,
-        sets_log in 0u32..4,
-    ) {
-        let assoc = 1u64 << assoc_log;
-        let sets = 1u64 << sets_log;
+#[test]
+fn set_associative_lru_matches_naive_model() {
+    for round in 0..ROUNDS {
+        let seed = 0x726d_0000 + round;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Every (ways, sets) pair in {1, 2, 4, 8}², 16 rounds each.
+        let assoc = 1u64 << (round % 4);
+        let sets = 1u64 << (round / 4 % 4);
+        let stream = line_stream(&mut rng, 256, 500);
         let line_size = 16u64;
         let geom = CacheGeometry::new(sets * assoc * line_size, line_size, assoc).unwrap();
         let mut cache = Cache::new(geom);
         let mut model = NaiveLru::new(sets, assoc as usize);
+        let at = format!("seed {seed:#x}, {assoc} ways x {sets} sets");
         for &n in &stream {
             let line = LineAddr::new(n);
             let (model_hit, model_victim) = model.access(line);
             match cache.access_line(line) {
-                AccessResult::Hit => prop_assert!(model_hit, "cache hit, model missed"),
+                AccessResult::Hit => assert!(model_hit, "{at}: cache hit, model missed"),
                 AccessResult::Miss { victim } => {
-                    prop_assert!(!model_hit, "cache missed, model hit");
-                    prop_assert_eq!(victim, model_victim, "victim mismatch");
+                    assert!(!model_hit, "{at}: cache missed, model hit");
+                    assert_eq!(victim, model_victim, "{at}: victim mismatch");
                 }
             }
         }
         // Residency agrees exactly.
         let mut ours: Vec<u64> = cache.resident_lines().map(|l| l.get()).collect();
-        let mut theirs: Vec<u64> = model
-            .sets
-            .iter()
-            .flatten()
-            .map(|l| l.get())
-            .collect();
+        let mut theirs: Vec<u64> = model.sets.iter().flatten().map(|l| l.get()).collect();
         ours.sort_unstable();
         theirs.sort_unstable();
-        prop_assert_eq!(ours, theirs);
+        assert_eq!(ours, theirs, "{at}");
     }
+}
 
-    #[test]
-    fn stats_count_exactly_the_observed_outcomes(stream in line_stream(64, 300)) {
+#[test]
+fn stats_count_exactly_the_observed_outcomes() {
+    for round in 0..ROUNDS {
+        let seed = 0x726d_1000 + round;
+        let stream = line_stream(&mut SmallRng::seed_from_u64(seed), 64, 300);
         let geom = CacheGeometry::direct_mapped(16 * 16, 16).unwrap();
         let mut cache = Cache::new(geom);
         let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
@@ -98,17 +99,22 @@ proptest! {
             }
         }
         let s = cache.stats();
-        prop_assert_eq!(s.hits, hits);
-        prop_assert_eq!(s.misses, misses);
-        prop_assert_eq!(s.evictions, evictions);
-        prop_assert_eq!(s.accesses, hits + misses);
+        let at = format!("seed {seed:#x}");
+        assert_eq!(s.hits, hits, "{at}");
+        assert_eq!(s.misses, misses, "{at}");
+        assert_eq!(s.evictions, evictions, "{at}");
+        assert_eq!(s.accesses, hits + misses, "{at}");
     }
+}
 
-    #[test]
-    fn fifo_eviction_order_is_insertion_order(stream in line_stream(64, 300)) {
-        // In a 1-set FIFO cache, victims must come out in exactly the
-        // order their lines were first inserted (reinsertions after
-        // eviction count anew).
+#[test]
+fn fifo_eviction_order_is_insertion_order() {
+    // In a 1-set FIFO cache, victims must come out in exactly the order
+    // their lines were first inserted (reinsertions after eviction count
+    // anew).
+    for round in 0..ROUNDS {
+        let seed = 0x726d_2000 + round;
+        let stream = line_stream(&mut SmallRng::seed_from_u64(seed), 64, 300);
         let geom = CacheGeometry::new(4 * 16, 16, 4).unwrap(); // 1 set, 4-way
         let mut cache = Cache::with_policy(geom, ReplacementPolicy::Fifo);
         let mut inserted: Vec<u64> = Vec::new(); // queue of resident lines
@@ -118,24 +124,31 @@ proptest! {
                 AccessResult::Miss { victim } => {
                     if let Some(v) = victim {
                         let expected = inserted.remove(0);
-                        prop_assert_eq!(v.get(), expected);
+                        assert_eq!(v.get(), expected, "seed {seed:#x}");
                     }
                     inserted.push(n);
                 }
             }
         }
     }
+}
 
-    #[test]
-    fn invalidate_then_access_always_misses(stream in line_stream(32, 100)) {
+#[test]
+fn invalidate_then_access_always_misses() {
+    for round in 0..ROUNDS {
+        let seed = 0x726d_3000 + round;
+        let stream = line_stream(&mut SmallRng::seed_from_u64(seed), 32, 100);
         let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
         let mut cache = Cache::new(geom);
         for &n in &stream {
             let line = LineAddr::new(n);
             cache.access_line(line);
             cache.invalidate(line);
-            prop_assert!(!cache.probe(line));
-            prop_assert!(cache.access_line(line).is_miss());
+            assert!(!cache.probe(line), "seed {seed:#x}: line {n} still present");
+            assert!(
+                cache.access_line(line).is_miss(),
+                "seed {seed:#x}: line {n} hit after invalidate"
+            );
         }
     }
 }

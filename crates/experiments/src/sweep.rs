@@ -73,7 +73,7 @@ pub fn set_thread_count(n: usize) {
 /// The number of worker threads a sweep will use:
 /// [`set_thread_count`] override if set, else `JOUPPI_THREADS` if parsable,
 /// else all available cores.
-pub fn thread_count() -> usize {
+fn thread_count() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
@@ -90,11 +90,11 @@ pub fn thread_count() -> usize {
 }
 
 /// The machine's available parallelism (1 if it cannot be determined).
-pub fn available_cores() -> usize {
+fn available_cores() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Runs jobs `0..n` through `f`, fanning them over [`thread_count`]
+/// Runs jobs `0..n` through `f`, fanning them over `thread_count()`
 /// scoped worker threads, and returns the results in job-index order.
 ///
 /// With one worker (or one job) this degenerates to a plain sequential
@@ -160,8 +160,8 @@ pub fn map_jobs<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
 
 /// Below this many references per job, thread spawn/channel overhead
 /// outweighs the parallel win and a sweep runs faster sequentially
-/// (BENCH_sweep.json showed the fig_3_1 classify schedule *losing* ~19%
-/// at 2 threads on a 60k-scale run whose jobs replay ~42k references
+/// (a timed run showed the fig_3_1 classify schedule *losing* ~19% at
+/// 2 threads on a 60k-scale run whose jobs replay ~42k references
 /// each).
 pub const MIN_PARALLEL_REFS_PER_JOB: u64 = 150_000;
 

@@ -1,8 +1,8 @@
 //! A minimal blocking HTTP/1.1 client for loopback use.
 //!
-//! Shared by the integration tests and the `loadgen` benchmark so both
-//! talk to the daemon the way a real client would — over a `TcpStream`,
-//! one connection, many keep-alive requests.
+//! Shared by the integration tests and the `jouppi-bench` benchmark
+//! (`perfbench/`) so both talk to the daemon the way a real client
+//! would — over a `TcpStream`, one connection, many keep-alive requests.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};

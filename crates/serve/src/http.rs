@@ -157,7 +157,14 @@ impl<R: Read> HttpConn<R> {
         deadline: Option<Instant>,
     ) -> Result<Option<Request>, HttpError> {
         loop {
-            if let Some(head_end) = find_head_end(&self.buf) {
+            let head_end = find_head_end(&self.buf);
+            // Until the terminator arrives the buffer is all head. Checking
+            // the complete head too keeps the verdict independent of how
+            // the reads were chunked.
+            if head_end.unwrap_or(self.buf.len()) > self.limits.max_head_bytes {
+                return Err(HttpError::HeadTooLarge);
+            }
+            if let Some(head_end) = head_end {
                 let (request, body_len) = parse_head(&self.buf[..head_end])?;
                 if body_len > self.limits.max_body_bytes {
                     return Err(HttpError::BodyTooLarge);
@@ -169,8 +176,6 @@ impl<R: Read> HttpConn<R> {
                     self.buf.drain(..total);
                     return Ok(Some(request));
                 }
-            } else if self.buf.len() > self.limits.max_head_bytes {
-                return Err(HttpError::HeadTooLarge);
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(HttpError::Timeout);
@@ -246,13 +251,27 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
     if request.header("transfer-encoding").is_some() {
         return Err(bad("transfer-encoding is not supported"));
     }
-    let body_len = match request.header("content-length") {
-        None => 0,
-        Some(raw) => raw
-            .parse::<usize>()
-            .map_err(|_| bad("invalid content-length"))?,
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(k, _)| k.eq_ignore_ascii_case("content-length"));
+    let body_len = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        // RFC 9112 §6.3: differing lengths must be rejected; a repeat
+        // gains nothing, so any repeat is.
+        (Some(_), Some(_)) => return Err(bad("repeated content-length")),
+        (Some((_, raw)), None) => content_length(raw)?,
     };
     Ok((request, body_len))
+}
+
+/// Parses a `Content-Length` value: ASCII digits only
+/// (`usize::from_str` alone would also accept a leading `+`).
+fn content_length(raw: &str) -> Result<usize, HttpError> {
+    match raw.parse() {
+        Ok(n) if raw.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+        _ => Err(bad("invalid content-length")),
+    }
 }
 
 fn bad(msg: &str) -> HttpError {

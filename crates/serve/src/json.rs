@@ -449,15 +449,20 @@ impl<'a> Parser<'a> {
     }
 
     fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        // Exactly four hex digits: `from_str_radix` would also take a sign.
         let hex4 = |p: &mut Self| -> Result<u32, JsonError> {
-            let end = p.pos + 4;
-            if end > p.bytes.len() {
-                return Err(p.err("truncated \\u escape"));
+            let digits = p
+                .bytes
+                .get(p.pos..p.pos + 4)
+                .ok_or_else(|| p.err("truncated \\u escape"))?;
+            let mut v = 0;
+            for &b in digits {
+                let d = char::from(b)
+                    .to_digit(16)
+                    .ok_or_else(|| p.err("bad \\u escape"))?;
+                v = v * 16 + d;
             }
-            let s =
-                std::str::from_utf8(&p.bytes[p.pos..end]).map_err(|_| p.err("bad \\u escape"))?;
-            let v = u32::from_str_radix(s, 16).map_err(|_| p.err("bad \\u escape"))?;
-            p.pos = end;
+            p.pos += 4;
             Ok(v)
         };
         let hi = hex4(self)?;
@@ -476,21 +481,38 @@ impl<'a> Parser<'a> {
         char::from_u32(hi).ok_or_else(|| self.err("bad \\u escape"))
     }
 
+    /// Scans RFC 8259's number grammar,
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, then
+    /// converts the scanned text.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut fractional = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
             }
+            _ => return Err(self.err("expected a digit")),
+        }
+        let mut fractional = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after '.'"));
+            }
+            fractional = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit in the exponent"));
+            }
+            fractional = true;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("non-ASCII bytes in number".to_string()))?;
@@ -503,6 +525,15 @@ impl<'a> Parser<'a> {
             Ok(f) if f.is_finite() => Ok(Json::Float(f)),
             _ => Err(self.err(format!("invalid number '{text}'"))),
         }
+    }
+
+    /// Consumes a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -616,12 +647,26 @@ mod tests {
             "tru",
             "nul",
             "01x",
+            "01",
+            "-01",
+            "00",
+            "2.",
+            "1.e5",
+            "-.5",
+            "-",
+            "1e",
+            "1e+",
             "1.2.3",
             "\"unterminated",
             "[1 2]",
             "{\"a\":1,}",
             "\"\\q\"",
             "\"\\ud800\"",
+            "\"\\u+041\"",
+            "\"\\u+0041\"",
+            "\"\\u-041\"",
+            "\"\\u004\"",
+            "\"\\ud83d\\u+e00\"",
             "1e999",
             "{\"a\":1} extra",
         ] {

@@ -150,6 +150,10 @@ fn rejects_malformed_and_oversized_requests() {
     }
     use Want::*;
     let giant_header = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(64 * 1024));
+    // 17,987 bytes against the 16 KiB limit: `Script` hands it over in
+    // 4 KiB reads, so the terminator arrives before the buffer is seen
+    // to overflow.
+    let just_over = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(17_960));
     let cases: Vec<(&str, String, Want)> = vec![
         ("missing version", "GET /\r\n\r\n".into(), Bad),
         ("blank request", "\r\n\r\n".into(), Bad),
@@ -175,11 +179,31 @@ fn rejects_malformed_and_oversized_requests() {
             Bad,
         ),
         (
+            "signed content-length",
+            "POST / HTTP/1.1\r\nContent-Length: +2\r\n\r\nok".into(),
+            Bad,
+        ),
+        (
+            "differing repeated content-length",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\nok".into(),
+            Bad,
+        ),
+        (
+            "equal repeated content-length",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok".into(),
+            Bad,
+        ),
+        (
             "chunked transfer-encoding",
             "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".into(),
             Bad,
         ),
         ("oversized head", giant_header, HeadTooLarge),
+        (
+            "head just over the limit, read in chunks",
+            just_over,
+            HeadTooLarge,
+        ),
         (
             "oversized declared body",
             "POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n".into(),
