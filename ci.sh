@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings (workspace lints, clippy.toml, crate-root attributes)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> cargo doc -D warnings: every intra-doc link resolves"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> jouppi-lint: call-graph, lock and ordering invariants"
 cargo build --release -p jouppi-lint
 # Any finding fails the gate. --timings keeps the per-analysis cost

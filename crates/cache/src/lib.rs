@@ -5,7 +5,8 @@
 //! fully-associative), replacement policies, an exact O(1) LRU structure,
 //! and the three-C miss classifier (compulsory / capacity / conflict, after
 //! Hill) that Sections 3 and 4 of the paper rely on to separate the misses
-//! each mechanism targets.
+//! each mechanism targets. [`DirectMappedSweep`] and [`BandedShadow`]
+//! simulate and classify every size of a cache-size sweep in one pass.
 //!
 //! Caches here are *functional* simulators: they track which line addresses
 //! are resident, not data bytes, because every metric in the paper is a miss
@@ -45,6 +46,7 @@ mod lru_map;
 mod replacement;
 mod set_assoc;
 mod single_pass;
+mod size_axis;
 mod stack_distance;
 mod stats;
 
@@ -56,5 +58,6 @@ pub use lru_map::{Displaced, LruMap};
 pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, Cache};
 pub use single_pass::{FifoSweep, LruSweep, SinglePassError};
+pub use size_axis::{BandedShadow, DirectMappedSweep};
 pub use stack_distance::StackDistanceProfile;
 pub use stats::{CacheStats, MissBreakdown};

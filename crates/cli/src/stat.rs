@@ -4,7 +4,7 @@
 use std::fs::File;
 use std::io::BufReader;
 
-use jouppi_cache::{CacheGeometry, ClassifiedCache, StackDistanceProfile};
+use jouppi_cache::{BandedShadow, CacheGeometry, DirectMappedSweep};
 use jouppi_report::Table;
 use jouppi_trace::{io as trace_io, Footprint, RecordedTrace, TraceSource};
 use jouppi_workloads::{Benchmark, Scale};
@@ -115,12 +115,8 @@ pub fn run_stat(opts: &StatOptions) -> Result<String, Box<dyn std::error::Error>
 
     let stats = trace.stats();
     let mut fp = Footprint::new(opts.line_size);
-    let mut profile = StackDistanceProfile::new();
     for r in trace.refs() {
         fp.observe(r);
-        if r.kind.is_data() {
-            profile.observe(r.addr.line(opts.line_size));
-        }
     }
 
     let mut out = String::new();
@@ -146,36 +142,53 @@ pub fn run_stat(opts: &StatOptions) -> Result<String, Box<dyn std::error::Error>
     ]);
     out.push_str(&t.render());
 
-    // Data-side miss-rate curve: FA-LRU (stack distances) vs direct-mapped.
     out.push_str("\ndata-side miss rates by cache size:\n");
+    out.push_str(&data_curve(&trace, opts.line_size)?.render());
+    Ok(out)
+}
+
+/// The data-side miss-rate curve: at every size from 1KB to 128KB that
+/// holds at least two lines, the direct-mapped and fully-associative LRU
+/// miss rates and the direct-mapped cache's 3-C conflict share. One pass
+/// answers every size: a [`DirectMappedSweep`] with a [`BandedShadow`]
+/// riding it.
+fn data_curve(trace: &RecordedTrace, line_size: u64) -> Result<Table, UsageError> {
+    let geoms = (0..8u32)
+        .map(|exp| 1024u64 << exp)
+        .filter(|&size| size / 2 >= line_size)
+        .map(|size| {
+            CacheGeometry::direct_mapped(size, line_size)
+                .map_err(|e| UsageError(format!("geometry: {e}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut curve = Table::new(["size", "direct-mapped", "FA-LRU", "3-C conflict %"]);
-    for exp in 0..8u32 {
-        let size = 1024u64 << exp;
-        if size < opts.line_size * 2 {
-            continue;
+    if geoms.is_empty() {
+        return Ok(curve);
+    }
+    let mut l1s = DirectMappedSweep::new(&geoms);
+    let mut shadow = BandedShadow::new(&geoms);
+    for r in trace.refs().filter(|r| r.kind.is_data()) {
+        let line = r.addr.line(line_size);
+        shadow.observe(line, l1s.access_line(line, |_, _| {}));
+    }
+    let refs = shadow.accesses();
+    let rate = |misses: u64| {
+        if refs == 0 {
+            0.0
+        } else {
+            misses as f64 / refs as f64
         }
-        let geom = CacheGeometry::direct_mapped(size, opts.line_size)
-            .map_err(|e| UsageError(format!("geometry: {e}")))?;
-        let mut dm = ClassifiedCache::new(geom);
-        for r in trace.refs().filter(|r| r.kind.is_data()) {
-            dm.access(r.addr);
-        }
+    };
+    for (i, geom) in geoms.iter().enumerate() {
+        let breakdown = shadow.breakdown(i);
         curve.row([
-            format!("{}KB", size / 1024),
-            format!("{:.4}", dm.stats().miss_rate()),
-            format!(
-                "{:.4}",
-                // The sweep tops out at 128KB, so the line count always
-                // fits; saturating keeps the expression infallible.
-                profile.miss_rate_for_capacity(
-                    usize::try_from(size / opts.line_size).unwrap_or(usize::MAX)
-                )
-            ),
-            format!("{:.0}%", 100.0 * dm.breakdown().conflict_fraction()),
+            format!("{}KB", geom.size() / 1024),
+            format!("{:.4}", rate(breakdown.total())),
+            format!("{:.4}", rate(shadow.fa_misses(i))),
+            format!("{:.0}%", 100.0 * breakdown.conflict_fraction()),
         ]);
     }
-    out.push_str(&curve.render());
-    Ok(out)
+    Ok(curve)
 }
 
 #[cfg(test)]
@@ -224,6 +237,63 @@ mod tests {
         assert!(out.contains("FA-LRU"));
         assert!(out.contains("1KB"));
         assert!(out.contains("met"));
+    }
+
+    /// The per-size computation the one-pass curve replaced: a
+    /// [`jouppi_cache::ClassifiedCache`] per size and one
+    /// [`jouppi_cache::StackDistanceProfile`].
+    fn data_curve_per_size(trace: &RecordedTrace, line_size: u64) -> Table {
+        let mut profile = jouppi_cache::StackDistanceProfile::new();
+        for r in trace.refs().filter(|r| r.kind.is_data()) {
+            profile.observe(r.addr.line(line_size));
+        }
+        let mut curve = Table::new(["size", "direct-mapped", "FA-LRU", "3-C conflict %"]);
+        for exp in 0..8u32 {
+            let size = 1024u64 << exp;
+            if size < line_size * 2 {
+                continue;
+            }
+            let geom = CacheGeometry::direct_mapped(size, line_size).unwrap();
+            let mut dm = jouppi_cache::ClassifiedCache::new(geom);
+            for r in trace.refs().filter(|r| r.kind.is_data()) {
+                dm.access(r.addr);
+            }
+            curve.row([
+                format!("{}KB", size / 1024),
+                format!("{:.4}", dm.stats().miss_rate()),
+                format!(
+                    "{:.4}",
+                    profile.miss_rate_for_capacity(usize::try_from(size / line_size).unwrap())
+                ),
+                format!("{:.0}%", 100.0 * dm.breakdown().conflict_fraction()),
+            ]);
+        }
+        curve
+    }
+
+    #[test]
+    fn data_curve_equals_per_size_classified_caches() {
+        for (bench, line) in [
+            (Benchmark::Met, 16),
+            (Benchmark::Liver, 64),
+            (Benchmark::Ccom, 512),
+        ] {
+            let trace = RecordedTrace::record(&bench.source(Scale::new(20_000), 3));
+            assert_eq!(
+                data_curve(&trace, line).unwrap().render(),
+                data_curve_per_size(&trace, line).render(),
+                "{bench} at {line}B lines"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_line_sizes_leave_the_curve_empty_without_panicking() {
+        let mut o = parse(&["--workload", "met", "--line", "9223372036854775808"]).unwrap();
+        o.scale = 2_000;
+        let out = run_stat(&o).unwrap();
+        let curve = &out[out.find("data-side miss rates").unwrap()..];
+        assert!(!curve.contains("KB"), "{curve}");
     }
 
     #[test]

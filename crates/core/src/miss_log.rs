@@ -8,9 +8,19 @@
 //! [`AugmentedConfig`] from the misses alone, a few percent of the
 //! references.
 //!
-//! Two size axes need no per-configuration replay at all (Mattson's
-//! stack inclusion, applied as in DEW-style sweeps):
+//! Three size axes need no per-configuration or per-size pass at all
+//! (Mattson's stack inclusion, applied as in DEW-style sweeps):
 //!
+//! * **Direct-mapped L1 sizes.** At one line size, a hit in a
+//!   direct-mapped cache of `2^k` sets is a hit in every larger one: the
+//!   larger cache's set for a line sees a subsequence of the smaller
+//!   cache's set stream, so if nothing displaced the line from the
+//!   smaller set since its last reference, nothing displaced it from the
+//!   larger one either. [`MissLog::record_sizes`] walks the sizes
+//!   smallest-first over one flat tag array, stops at the first hit, and
+//!   appends each size that missed to that size's log — DEW's early
+//!   termination (arXiv:1506.03181) applied across set counts (see
+//!   [`DirectMappedSweep`]).
 //! * **LRU victim caches.** A size-`V` victim cache holds the top `V`
 //!   entries of one stack of L1 victims in which a hit removes its entry.
 //!   So one pass that records each hit's depth answers every size. The
@@ -46,14 +56,14 @@
 //! # }
 //! ```
 
-use jouppi_cache::{CacheGeometry, ReplacementPolicy, StackDistanceProfile};
+use jouppi_cache::{CacheGeometry, DirectMappedSweep, ReplacementPolicy, StackDistanceProfile};
 use jouppi_trace::LineAddr;
 
 use crate::augmented::{L1Filter, L1Miss, MissPath};
 use crate::{AugmentedConfig, AugmentedStats, ConflictAid};
 
 /// The misses of one L1 pass over a reference stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MissLog {
     geom: CacheGeometry,
     accesses: u64,
@@ -69,11 +79,21 @@ impl MissLog {
 
     /// Like [`MissLog::record`], and also calls `observe(line, missed)` on
     /// every reference, so a miss classifier can ride the same pass.
+    ///
+    /// A direct-mapped L1 runs on the tag array of
+    /// [`MissLog::record_sizes`], with one size; any other geometry on a
+    /// generic [`jouppi_cache::Cache`].
     pub fn record_observed(
         geom: CacheGeometry,
         lines: impl IntoIterator<Item = LineAddr>,
         mut observe: impl FnMut(LineAddr, bool),
     ) -> Self {
+        if geom.is_direct_mapped() {
+            let mut logs = MissLog::record_sizes(&[geom], lines, |line, missed| {
+                observe(line, missed > 0);
+            });
+            return logs.pop().expect("one log per geometry");
+        }
         let mut l1 = L1Filter::new(geom);
         let mut accesses = 0;
         let mut misses = Vec::new();
@@ -88,6 +108,53 @@ impl MissLog {
             accesses,
             misses,
         }
+    }
+
+    /// Runs `lines` once through direct-mapped L1s of every geometry in
+    /// `geoms` and records one log per geometry, in order. Each log equals
+    /// [`MissLog::record`] at its geometry.
+    ///
+    /// The sizes share one line size and ascend, so a hit at one size is
+    /// a hit at every larger one (see the module docs): a
+    /// [`DirectMappedSweep`] walks each reference through the sizes
+    /// smallest-first over one flat tag array and stops at its first hit.
+    /// The pass calls `observe(line, missed)` on every reference, where
+    /// the `missed` smallest sizes missed it, so a classifier of every
+    /// size can ride it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a geometry is not direct-mapped, if the line sizes
+    /// differ, or if the sizes do not strictly ascend.
+    pub fn record_sizes(
+        geoms: &[CacheGeometry],
+        lines: impl IntoIterator<Item = LineAddr>,
+        mut observe: impl FnMut(LineAddr, usize),
+    ) -> Vec<MissLog> {
+        let mut l1s = DirectMappedSweep::new(geoms);
+        let mut misses: Vec<Vec<L1Miss>> = vec![Vec::new(); geoms.len()];
+        let mut tick = 0;
+        for line in lines {
+            tick += 1;
+            let missed = l1s.access_line(line, |size, victim| {
+                misses[size].push(L1Miss::new(tick, line, victim));
+            });
+            observe(line, missed);
+        }
+        geoms
+            .iter()
+            .zip(misses)
+            .map(|(&geom, misses)| MissLog {
+                geom,
+                accesses: tick,
+                misses,
+            })
+            .collect()
+    }
+
+    /// The L1 geometry the log was recorded at.
+    pub fn geometry(&self) -> &CacheGeometry {
+        &self.geom
     }
 
     /// References in the recorded stream.
@@ -147,11 +214,14 @@ impl MissLog {
         let mut hits_at_depth = vec![0u64; max_entries];
         for miss in &self.misses {
             if let Some(depth) = stack.iter().position(|&l| l == miss.line) {
-                debug_assert!(miss.victim.is_some(), "a victim-cache hit displaces a line");
+                debug_assert!(
+                    miss.victim().is_some(),
+                    "a victim-cache hit displaces a line"
+                );
                 hits_at_depth[depth] += 1;
                 stack.remove(depth);
             }
-            if let Some(victim) = miss.victim {
+            if let Some(victim) = miss.victim() {
                 stack.insert(0, victim);
                 stack.truncate(max_entries);
             }
@@ -269,6 +339,39 @@ mod tests {
         assert!(log.fan_out(&[]).is_empty());
         let stats = log.fan_out(&[AugmentedConfig::new(geom()).victim_cache(3)]);
         assert_eq!(stats, vec![AugmentedStats::default()]);
+    }
+
+    /// What a generic [`jouppi_cache::Cache`] logs.
+    fn cache_log(geom: CacheGeometry, lines: &[LineAddr]) -> MissLog {
+        let mut l1 = L1Filter::new(geom);
+        MissLog {
+            geom,
+            accesses: lines.len() as u64,
+            misses: lines.iter().filter_map(|&line| l1.step(line)).collect(),
+        }
+    }
+
+    #[test]
+    fn direct_mapped_logs_equal_a_generic_cache_even_for_the_all_ones_line() {
+        // Lines crowd the top of the address space, so the all-ones line,
+        // whose tag equals the sweep's empty-set tag, keeps evicting and
+        // being evicted.
+        const SEED: u64 = 0x6c6f_6773_3136_6c31;
+        let mut rng = jouppi_trace::SmallRng::seed_from_u64(SEED);
+        for round in 0..16 {
+            let geoms: Vec<CacheGeometry> = (0..4)
+                .map(|e| CacheGeometry::direct_mapped(16 << (2 * e), 16).unwrap())
+                .collect();
+            let lines: Vec<LineAddr> = (0..300 + rng.below(300))
+                .map(|_| LineAddr::new(u64::MAX - ((rng.below(6) as u64) << rng.below(8))))
+                .collect();
+            let logs = MissLog::record_sizes(&geoms, lines.iter().copied(), |_, _| {});
+            for (geom, log) in geoms.iter().zip(&logs) {
+                let oracle = cache_log(*geom, &lines);
+                assert_eq!(*log, oracle, "seed {SEED:#x} round {round}: {geom}");
+                assert_eq!(MissLog::record(*geom, lines.iter().copied()), oracle);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use jouppi_cache::{CacheGeometry, MissBreakdown, MissClassifier};
+use jouppi_cache::{BandedShadow, CacheGeometry, MissBreakdown, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, MissLog};
 use jouppi_trace::{AccessKind, LineAddr, MemRef, RecordedTrace, SideView};
 use jouppi_workloads::{Benchmark, Scale};
@@ -222,6 +222,53 @@ fn record_side(
         Some(lines) => MissLog::record_observed(geom, lines.iter().copied(), observe),
         None => MissLog::record_observed(
             geom,
+            view.addrs().iter().map(|&addr| geom.line_of(addr)),
+            observe,
+        ),
+    }
+}
+
+/// One side's miss logs at every direct-mapped geometry in `geoms`,
+/// which share a line size and ascend, from one L1 pass (see
+/// [`MissLog::record_sizes`]). Each log equals [`log_side`]'s.
+pub(crate) fn log_sizes(
+    trace: &RecordedTrace,
+    side: Side,
+    geoms: &[CacheGeometry],
+) -> Vec<MissLog> {
+    record_side_sizes(trace, side, geoms, |_, _| {})
+}
+
+/// Like [`log_sizes`], with a banded shadow riding the same pass: size
+/// `i`'s [`BandedShadow::breakdown`] equals [`classify_side`]'s at
+/// `geoms[i]`, and its [`BandedShadow::fa_misses`] are a
+/// fully-associative LRU cache's of the same capacity.
+pub(crate) fn log_and_classify_sizes(
+    trace: &RecordedTrace,
+    side: Side,
+    geoms: &[CacheGeometry],
+) -> (Vec<MissLog>, BandedShadow) {
+    let mut shadow = BandedShadow::new(geoms);
+    let logs = record_side_sizes(trace, side, geoms, |line, missed| {
+        shadow.observe(line, missed);
+    });
+    (logs, shadow)
+}
+
+fn record_side_sizes(
+    trace: &RecordedTrace,
+    side: Side,
+    geoms: &[CacheGeometry],
+    observe: impl FnMut(LineAddr, usize),
+) -> Vec<MissLog> {
+    let Some(&geom) = geoms.first() else {
+        return Vec::new();
+    };
+    let view = side.view(trace);
+    match view.lines_for(geom.line_size()) {
+        Some(lines) => MissLog::record_sizes(geoms, lines.iter().copied(), observe),
+        None => MissLog::record_sizes(
+            geoms,
             view.addrs().iter().map(|&addr| geom.line_of(addr)),
             observe,
         ),

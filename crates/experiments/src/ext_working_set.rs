@@ -1,16 +1,18 @@
-//! Analysis: working-set curves via exact stack distances.
+//! Analysis: working-set curves from one pass per benchmark.
 //!
-//! One pass per benchmark computes the fully-associative LRU miss-rate
-//! curve for *every* cache size (Mattson), and the direct-mapped
-//! simulation at each size supplies the real curve. The gap between the
-//! two *is* the conflict-miss rate of Figure 3-1, now resolved across
-//! the whole size axis — the analytical backbone under §3's discussion
-//! of where conflicts live. (The gap can be negative at tiny sizes:
-//! FA-LRU thrashes on cyclic working sets that a direct-mapped cache
-//! partially pins — the render clamps the conflict column at zero, as
-//! the per-miss classifier of Figure 3-1 effectively does.)
+//! One pass per benchmark yields both curves for *every* cache size. A
+//! [`DirectMappedSweep`] runs the direct-mapped caches of every size
+//! together, and a [`BandedShadow`] riding it (Mattson's stack inclusion,
+//! with a marker at each size) gives the fully-associative LRU misses and
+//! counts the direct-mapped ones. The gap between the two curves *is* the
+//! conflict-miss rate of Figure 3-1, now resolved across the whole size
+//! axis — the analytical backbone under §3's discussion of where
+//! conflicts live. (The gap can be negative at tiny sizes: FA-LRU
+//! thrashes on cyclic working sets that a direct-mapped cache partially
+//! pins — the render clamps the conflict column at zero, as the per-miss
+//! classifier of Figure 3-1 effectively does.)
 
-use jouppi_cache::{LruSweep, StackDistanceProfile};
+use jouppi_cache::{BandedShadow, CacheGeometry, DirectMappedSweep};
 use jouppi_report::{rate, Table};
 use jouppi_workloads::Benchmark;
 
@@ -36,41 +38,35 @@ pub struct ExtWorkingSet {
     pub rows: Vec<WorkingSetRow>,
 }
 
-/// Runs the analysis.
-///
-/// Two single passes per benchmark: a [`StackDistanceProfile`]
-/// (preallocated from the memoized trace's known length) yields the
-/// FA-LRU miss rate of every size, and one set-refined [`LruSweep`] over
-/// all six direct-mapped set counts replaces the former
-/// one-simulation-per-size loop — bit-identical rates (same integer miss
-/// counts over the same denominator), 6x fewer trace traversals.
+/// Runs the analysis: one pass per benchmark over its data side, in which
+/// a [`BandedShadow`] classifies the misses of every direct-mapped size
+/// and counts every size's fully-associative LRU misses.
 pub fn run(cfg: &ExperimentConfig) -> ExtWorkingSet {
-    let set_counts: Vec<u64> = SIZES.iter().map(|&s| s / 16).collect();
+    let geoms = SIZES.map(|size| CacheGeometry::direct_mapped(size, 16).expect("valid size"));
     let rows = per_benchmark(cfg, |b, trace| {
         let lines = Side::Data
             .view(trace)
             .lines_for(16)
             .expect("16B lines are pre-derived for the baseline line size");
-        let mut profile = StackDistanceProfile::with_capacity(lines.len());
-        // Every query is direct-mapped, so a depth bound of 1 suffices:
-        // each set tracks only its most recent line.
-        let dm_cells: Vec<(u64, u64)> = set_counts.iter().map(|&c| (c, 1)).collect();
-        let mut dm_sweep = LruSweep::bounded(&dm_cells).expect("sizes are powers of two");
+        let mut l1s = DirectMappedSweep::new(&geoms);
+        let mut shadow = BandedShadow::new(&geoms);
         for &line in lines {
-            profile.observe(line);
-            dm_sweep.observe(line);
+            shadow.observe(line, l1s.access_line(line, |_, _| {}));
         }
         sweep::note_single_pass_refs(lines.len() as u64);
+        let rate = |misses: u64| {
+            if lines.is_empty() {
+                0.0
+            } else {
+                misses as f64 / lines.len() as f64
+            }
+        };
         let curve = SIZES
             .iter()
-            .map(|&size| {
-                (
-                    size,
-                    profile.miss_rate_for_capacity((size / 16) as usize),
-                    dm_sweep
-                        .miss_rate(size / 16, 1)
-                        .expect("every size's set count is tracked"),
-                )
+            .enumerate()
+            .map(|(i, &size)| {
+                let dm_misses = shadow.breakdown(i).total();
+                (size, rate(shadow.fa_misses(i)), rate(dm_misses))
             })
             .collect();
         WorkingSetRow {
@@ -115,7 +111,62 @@ impl ExtWorkingSet {
 
 #[cfg(test)]
 mod tests {
+    use jouppi_cache::{LruSweep, StackDistanceProfile};
+
     use super::*;
+
+    /// The two-engine computation the banded shadow replaced: a
+    /// [`StackDistanceProfile`] for the fully-associative curve and one
+    /// set-refined [`LruSweep`] over every direct-mapped set count.
+    fn run_oracle(cfg: &ExperimentConfig) -> ExtWorkingSet {
+        let set_counts: Vec<u64> = SIZES.iter().map(|&s| s / 16).collect();
+        let rows = per_benchmark(cfg, |b, trace| {
+            let lines = Side::Data
+                .view(trace)
+                .lines_for(16)
+                .expect("16B lines are pre-derived for the baseline line size");
+            let mut profile = StackDistanceProfile::with_capacity(lines.len());
+            // Every query is direct-mapped, so a depth bound of 1 suffices:
+            // each set tracks only its most recent line.
+            let dm_cells: Vec<(u64, u64)> = set_counts.iter().map(|&c| (c, 1)).collect();
+            let mut dm_sweep = LruSweep::bounded(&dm_cells).expect("sizes are powers of two");
+            for &line in lines {
+                profile.observe(line);
+                dm_sweep.observe(line);
+            }
+            let curve = SIZES
+                .iter()
+                .map(|&size| {
+                    (
+                        size,
+                        profile.miss_rate_for_capacity((size / 16) as usize),
+                        dm_sweep
+                            .miss_rate(size / 16, 1)
+                            .expect("every size's set count is tracked"),
+                    )
+                })
+                .collect();
+            WorkingSetRow {
+                benchmark: b,
+                curve,
+            }
+        })
+        .into_iter()
+        .map(|(_, r)| r)
+        .collect();
+        ExtWorkingSet { rows }
+    }
+
+    #[test]
+    fn one_pass_curves_equal_the_stack_distance_and_lru_sweep_oracle() {
+        for (scale, seed) in [(30_000, 42), (60_000, 7)] {
+            let cfg = ExperimentConfig {
+                seed,
+                ..ExperimentConfig::with_scale(scale)
+            };
+            assert_eq!(run(&cfg), run_oracle(&cfg), "scale {scale} seed {seed}");
+        }
+    }
 
     #[test]
     fn fa_curve_matches_the_three_c_shadow_cache() {

@@ -26,7 +26,7 @@
 //! | [`ext_latency`] | stream-buffer benefit under prefetch latency |
 //! | [`ext_replacement`] | victim-cache replacement-policy ablation |
 //! | [`ext_penalty`] | mechanism value vs miss penalty (Table 1-1's range) |
-//! | [`ext_working_set`] | working-set curves via exact stack distances |
+//! | [`ext_working_set`] | working-set curves: FA-LRU vs direct-mapped at every size, one pass |
 //! | [`ext_pollution`] | prefetch-into-cache pollution vs stream buffers |
 //! | [`single_pass`] | full size × associativity × policy grid in one pass per side |
 //! | [`ext_seed`] | seed-sensitivity of the Figure 5-1 headline |

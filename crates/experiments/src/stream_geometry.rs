@@ -1,14 +1,20 @@
 //! Figures 4-6 and 4-7: stream-buffer effectiveness as the cache's size
 //! or line size varies.
+//!
+//! Both stream buffers replay each point's [`MissLog`]. On the cache-size
+//! axis one L1 pass per (benchmark, side) logs every size at once (see
+//! [`MissLog::record_sizes`]); the sweep holds one side's logs at a time.
+//! The line-size axis has no such inclusion, so each of its points takes
+//! an L1 pass of its own.
 
-use jouppi_cache::CacheGeometry;
-use jouppi_core::{AugmentedConfig, StreamBufferConfig};
+use jouppi_core::{AugmentedConfig, MissLog, StreamBufferConfig};
 use jouppi_report::{Chart, Series, Table};
 
 use crate::common::{
-    average, fan_out, log_side, pct_of_misses_removed, per_benchmark, ExperimentConfig, Side,
+    average, fan_out, log_side, log_sizes, pct_of_misses_removed, per_benchmark, ExperimentConfig,
+    Side,
 };
-use crate::victim_geometry::{axis_chart_coord, GeometryAxis};
+use crate::victim_geometry::{axis_chart_coord, geometry, size_ladder, GeometryAxis};
 
 /// A stream-buffer geometry sweep: four curves (single/4-way × I/D),
 /// averaged over the six benchmarks.
@@ -28,32 +34,40 @@ pub struct StreamGeometrySweep {
     pub multi_data: Vec<f64>,
 }
 
-fn geometry(axis: GeometryAxis, point: u64) -> CacheGeometry {
-    let (size, line) = match axis {
-        GeometryAxis::CacheSize => (point, 16),
-        GeometryAxis::LineSize => (4096, point),
-    };
-    CacheGeometry::direct_mapped(size, line).expect("sweep geometry is valid")
-}
-
-/// Runs the sweep. Stream buffers are 4 entries deep with unlimited run
-/// length (the paper's deployed configuration). Each (benchmark, side,
-/// point) takes one L1 pass; both buffers replay its miss log.
+/// Runs the sweep over the given axis points, in any order. Stream
+/// buffers are 4 entries deep with unlimited run length (the paper's
+/// deployed configuration). Each (benchmark, side) takes one L1 pass on
+/// the cache-size axis and one per point on the line-size axis; both
+/// buffers replay every point's miss log.
 pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> StreamGeometrySweep {
     // [series][point][bench], series = 2 × (4-way?) + (data side?).
     let mut acc = vec![vec![Vec::new(); points.len()]; 4];
+    let sb = StreamBufferConfig::new(4);
     per_benchmark(cfg, |_, trace| {
-        for (p, &point) in points.iter().enumerate() {
-            let base = AugmentedConfig::new(geometry(axis, point));
-            let sb = StreamBufferConfig::new(4);
-            let cfgs = [base.stream_buffer(sb), base.multi_way_stream_buffer(4, sb)];
-            for (s, side) in Side::BOTH.into_iter().enumerate() {
-                let log = log_side(trace, side, *base.geometry());
-                for (w, stats) in fan_out(&log, &cfgs).iter().enumerate() {
+        for (s, side) in Side::BOTH.into_iter().enumerate() {
+            let mut cell = |p: usize, log: &MissLog| {
+                let base = AugmentedConfig::new(*log.geometry());
+                let cfgs = [base.stream_buffer(sb), base.multi_way_stream_buffer(4, sb)];
+                for (w, stats) in fan_out(log, &cfgs).iter().enumerate() {
                     acc[2 * w + s][p].push(pct_of_misses_removed(
                         stats.removed_misses(),
                         log.l1_misses(),
                     ));
+                }
+            };
+            match axis {
+                GeometryAxis::CacheSize => {
+                    let (sizes, geoms) = size_ladder(points);
+                    let logs = log_sizes(trace, side, &geoms);
+                    for (p, point) in points.iter().enumerate() {
+                        let i = sizes.binary_search(point).expect("every point is a size");
+                        cell(p, &logs[i]);
+                    }
+                }
+                GeometryAxis::LineSize => {
+                    for (p, &point) in points.iter().enumerate() {
+                        cell(p, &log_side(trace, side, geometry(axis, point)));
+                    }
                 }
             }
         }

@@ -1,13 +1,20 @@
 //! Figures 3-6 and 3-7: victim-cache effectiveness as the data cache's
 //! size or line size varies.
+//!
+//! Every point takes its L1 misses from a [`MissLog`] and answers all
+//! four victim-cache sizes from it by one stack pass. On the cache-size
+//! axis one L1 pass per benchmark logs every size at once, and a
+//! [`jouppi_cache::BandedShadow`] riding it classifies every size's
+//! misses (see [`MissLog::record_sizes`]). The line-size axis has no such
+//! inclusion, so each of its points takes a classified pass of its own.
 
-use jouppi_cache::CacheGeometry;
-use jouppi_core::AugmentedConfig;
+use jouppi_cache::{CacheGeometry, MissBreakdown};
+use jouppi_core::{AugmentedConfig, MissLog};
 use jouppi_report::{Chart, Series, Table};
 
 use crate::common::{
-    average, fan_out, log_and_classify_side, pct_of_conflicts_removed, per_benchmark,
-    ExperimentConfig, Side,
+    average, fan_out, log_and_classify_side, log_and_classify_sizes, pct_of_conflicts_removed,
+    per_benchmark, ExperimentConfig, Side,
 };
 
 /// Which geometry dimension a sweep varies.
@@ -37,12 +44,27 @@ pub struct VictimGeometrySweep {
     pub conflict_pct: Vec<f64>,
 }
 
-fn geometry(axis: GeometryAxis, point: u64) -> CacheGeometry {
+/// The direct-mapped L1 at one axis point.
+pub(crate) fn geometry(axis: GeometryAxis, point: u64) -> CacheGeometry {
     let (size, line) = match axis {
         GeometryAxis::CacheSize => (point, 16),
         GeometryAxis::LineSize => (4096, point),
     };
     CacheGeometry::direct_mapped(size, line).expect("sweep geometry is valid")
+}
+
+/// The distinct cache sizes among `points`, ascending, as one size-axis
+/// pass walks them, and their geometries. Each point's log is at index
+/// `sizes.binary_search(&point)`.
+pub(crate) fn size_ladder(points: &[u64]) -> (Vec<u64>, Vec<CacheGeometry>) {
+    let mut sizes = points.to_vec();
+    sizes.sort_unstable();
+    sizes.dedup();
+    let geoms = sizes
+        .iter()
+        .map(|&size| geometry(GeometryAxis::CacheSize, size))
+        .collect();
+    (sizes, geoms)
 }
 
 /// Chart x-coordinate for an axis point: log2 of KB for cache sizes
@@ -54,29 +76,49 @@ pub(crate) fn axis_chart_coord(axis: GeometryAxis, point: u64) -> f64 {
     }
 }
 
-/// Runs the sweep over the given axis points: one classified L1 pass per
-/// (benchmark, point), with every victim-cache size answered from its
-/// miss log by one stack pass.
+/// Runs the sweep over the given axis points, in any order: one
+/// classified L1 pass per benchmark on the cache-size axis, one per
+/// (benchmark, point) on the line-size axis, with every victim-cache size
+/// answered from each point's miss log by one stack pass.
 pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> VictimGeometrySweep {
     // Accumulate per-benchmark percentages, then average.
     let mut removed_acc = vec![vec![Vec::new(); points.len()]; VC_ENTRIES.len()];
     let mut conflict_acc = vec![Vec::new(); points.len()];
     per_benchmark(cfg, |_, trace| {
-        for (p, &point) in points.iter().enumerate() {
-            let geom = geometry(axis, point);
-            let (log, breakdown) = log_and_classify_side(trace, Side::Data, geom);
+        let mut cell = |p: usize, log: &MissLog, breakdown: MissBreakdown| {
             let misses = log.l1_misses();
             conflict_acc[p].push(if misses == 0 {
                 0.0
             } else {
                 100.0 * breakdown.conflict as f64 / misses as f64
             });
-            let cfgs = VC_ENTRIES.map(|entries| AugmentedConfig::new(geom).victim_cache(entries));
-            for (e, stats) in fan_out(&log, &cfgs).iter().enumerate() {
+            let base = AugmentedConfig::new(*log.geometry());
+            let cfgs = VC_ENTRIES.map(|entries| base.victim_cache(entries));
+            for (e, stats) in fan_out(log, &cfgs).iter().enumerate() {
                 removed_acc[e][p].push(pct_of_conflicts_removed(
                     stats.removed_misses(),
                     breakdown.conflict,
                 ));
+            }
+        };
+        match axis {
+            GeometryAxis::CacheSize => {
+                if points.is_empty() {
+                    return;
+                }
+                let (sizes, geoms) = size_ladder(points);
+                let (logs, shadow) = log_and_classify_sizes(trace, Side::Data, &geoms);
+                for (p, point) in points.iter().enumerate() {
+                    let i = sizes.binary_search(point).expect("every point is a size");
+                    cell(p, &logs[i], shadow.breakdown(i));
+                }
+            }
+            GeometryAxis::LineSize => {
+                for (p, &point) in points.iter().enumerate() {
+                    let (log, breakdown) =
+                        log_and_classify_side(trace, Side::Data, geometry(axis, point));
+                    cell(p, &log, breakdown);
+                }
             }
         }
     });

@@ -1,9 +1,10 @@
 //! Filter-then-fan-out must be bit-identical to per-reference simulation.
 //!
 //! The augmented sweeps run the L1 once per (benchmark, side, geometry),
-//! log its misses, and answer every configuration from that log: by a
-//! stack pass for LRU victim caches and for miss caches, by a replay for
-//! everything else. These tests pin both levels to the per-reference
+//! or once per (benchmark, side) for every size on the cache-size axis.
+//! They log its misses and answer every configuration from that log: by
+//! a stack pass for LRU victim caches and for miss caches, by a replay
+//! for everything else. These tests pin both levels to the per-reference
 //! oracle, `run_side`:
 //!
 //! * every `AugmentedStats` field, for every configuration class the
@@ -11,7 +12,8 @@
 //!   (derived from byte addresses) and a 2-way L1;
 //! * the result structs of all eight paper sweeps built on the log —
 //!   Figures 3-3, 3-5, 4-3 and 4-5 against their `run_per_cell`, and
-//!   Figures 3-6, 3-7, 4-6 and 4-7 against a per-cell recomputation here.
+//!   Figures 3-6, 3-7, 4-6 and 4-7 against a per-cell recomputation here,
+//!   with Figures 3-6 and 4-6 also on cache sizes out of order.
 
 use jouppi_cache::{CacheGeometry, ReplacementPolicy};
 use jouppi_core::{AugmentedConfig, StreamBufferConfig};
@@ -129,6 +131,10 @@ fn axis_points(axis: GeometryAxis) -> Vec<u64> {
     }
 }
 
+/// Cache sizes out of order and repeated: the one-pass engine walks them
+/// sorted and deduplicated, and must still answer each point in place.
+const UNSORTED_SIZES: [u64; 5] = [16 << 10, 1024, 128 << 10, 4096, 1024];
+
 /// Figures 3-6/3-7, one classification and one replay per cell.
 fn victim_geometry_per_cell(
     cfg: &ExperimentConfig,
@@ -212,6 +218,12 @@ fn victim_geometry_sweeps_equal_per_cell_recomputation() {
             "{axis:?}"
         );
     }
+    let axis = GeometryAxis::CacheSize;
+    assert_eq!(
+        victim_geometry::run(&cfg, axis, &UNSORTED_SIZES),
+        victim_geometry_per_cell(&cfg, axis, &UNSORTED_SIZES),
+        "unsorted sizes"
+    );
 }
 
 #[test]
@@ -225,6 +237,12 @@ fn stream_geometry_sweeps_equal_per_cell_recomputation() {
             "{axis:?}"
         );
     }
+    let axis = GeometryAxis::CacheSize;
+    assert_eq!(
+        stream_geometry::run(&cfg, axis, &UNSORTED_SIZES),
+        stream_geometry_per_cell(&cfg, axis, &UNSORTED_SIZES),
+        "unsorted sizes"
+    );
 }
 
 #[test]

@@ -9,9 +9,10 @@
 //!
 //! The counter is process-wide, so this binary holds a single test.
 
-use jouppi_experiments::common::{record_traces, refs_simulated, ExperimentConfig};
+use jouppi_experiments::common::{record_traces, refs_simulated, ExperimentConfig, Side};
 use jouppi_experiments::conflict_sweep::{self, Mechanism};
-use jouppi_experiments::stream_sweep;
+use jouppi_experiments::victim_geometry::{self, cache_size_points, GeometryAxis, VC_ENTRIES};
+use jouppi_experiments::{stream_geometry, stream_sweep};
 
 fn counted(run: impl FnOnce()) -> u64 {
     let before = refs_simulated();
@@ -22,9 +23,11 @@ fn counted(run: impl FnOnce()) -> u64 {
 #[test]
 fn fan_out_counts_what_the_per_cell_oracle_replays() {
     let cfg = ExperimentConfig::with_scale(8_000);
-    let refs: u64 = record_traces(&cfg)
+    let traces = record_traces(&cfg);
+    let refs: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
+    let data: u64 = traces
         .iter()
-        .map(|(_, t)| t.len() as u64)
+        .map(|(_, t)| Side::Data.view(t).len() as u64)
         .sum();
     for mechanism in [Mechanism::MissCache, Mechanism::VictimCache] {
         let fast = counted(|| {
@@ -46,4 +49,17 @@ fn fan_out_counts_what_the_per_cell_oracle_replays() {
         assert_eq!(fast, (1 + 9) * refs, "{ways}-way");
         assert_eq!(fast, oracle, "{ways}-way");
     }
+    // Figures 3-6 and 4-6 log every size in one pass, yet count one
+    // classification pass plus one replay per configuration at each size,
+    // as the one-pass-per-size schedule did.
+    let points = cache_size_points();
+    let sizes = points.len() as u64;
+    let fig_3_6 = counted(|| {
+        victim_geometry::run(&cfg, GeometryAxis::CacheSize, &points);
+    });
+    assert_eq!(fig_3_6, sizes * (1 + VC_ENTRIES.len() as u64) * data);
+    let fig_4_6 = counted(|| {
+        stream_geometry::run(&cfg, GeometryAxis::CacheSize, &points);
+    });
+    assert_eq!(fig_4_6, sizes * (1 + 2) * refs);
 }

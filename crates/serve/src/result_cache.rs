@@ -26,7 +26,7 @@
 //!   waiters take the document.
 //! * **Singleflight** — the first requester for a missing key becomes
 //!   the *leader* and computes; concurrent requesters for the same key
-//!   block on a shared [`Flight`] slot (`Mutex` + `Condvar`, std-only)
+//!   block on a shared `Flight` slot (`Mutex` + `Condvar`, std-only)
 //!   and receive the leader's document. The handoff is panic-safe: the
 //!   leader holds an RAII [`LeaderGuard`] whose `Drop` marks the flight
 //!   abandoned and wakes every waiter, and woken waiters loop back into
