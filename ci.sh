@@ -30,6 +30,9 @@ cargo build --release --examples
 echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
 
+echo "==> cargo test --release: trace, cache and core with debug assertions compiled out, as the benchmark builds them"
+cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core
+
 echo "==> jouppi-bench --quick: build the committed benchmark, run all four workloads, check every result"
 CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin jouppi-bench -- --quick
 

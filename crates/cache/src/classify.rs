@@ -6,11 +6,12 @@
 //! **capacity misses** as the remainder. This module implements that
 //! definition directly: a shadow fully-associative LRU cache of the same
 //! capacity runs alongside the real cache, plus a seen-lines set for
-//! compulsory detection.
+//! compulsory detection. Both are indexed by dense line ids
+//! ([`jouppi_trace::LineInterner`]), so a reference costs no hashing
+//! when its id is memoized with the trace.
 
-use jouppi_trace::{Addr, LineAddr};
+use jouppi_trace::{Addr, LineAddr, LineInterner};
 
-use crate::line_hash::FxHashMap;
 use crate::{AccessResult, Cache, CacheGeometry, CacheStats, MissBreakdown};
 
 /// The class of a single miss under the three-C model.
@@ -29,7 +30,8 @@ pub enum MissClass {
 ///
 /// Feed **every** reference to [`MissClassifier::observe`], passing whether
 /// the real cache missed; the classifier keeps its shadow state in sync and
-/// returns the class for misses.
+/// returns the class for misses. [`MissClassifier::observe_id`] takes the
+/// line's id instead and hashes nothing.
 ///
 /// # Examples
 ///
@@ -62,6 +64,8 @@ pub enum MissClass {
 pub struct MissClassifier {
     shadow: ShadowLru,
     breakdown: MissBreakdown,
+    /// Ids for lines fed through [`Self::observe`].
+    interner: LineInterner,
 }
 
 impl MissClassifier {
@@ -71,6 +75,7 @@ impl MissClassifier {
         MissClassifier {
             shadow: ShadowLru::new(geom.num_lines() as usize),
             breakdown: MissBreakdown::new(),
+            interner: LineInterner::new(),
         }
     }
 
@@ -80,8 +85,24 @@ impl MissClassifier {
     /// reference. Returns the miss class when `real_miss` is `true`, `None`
     /// otherwise. Must be called for *every* reference, hits included, so
     /// the shadow cache sees the same stream.
+    ///
+    /// Feed a classifier either lines, here, or ids, in
+    /// [`Self::observe_id`]: not both.
     pub fn observe(&mut self, line: LineAddr, real_miss: bool) -> Option<MissClass> {
-        let probe = self.shadow.access(line);
+        let id = self.interner.intern(line);
+        self.observe_id(id, real_miss)
+    }
+
+    /// Observes one reference by its line id, with no hashing: `id` is
+    /// the line's id from one [`LineInterner`] fed the classifier's whole
+    /// stream in order, as [`jouppi_trace::SideView::ids`] are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` skips past the next new id: ids must arrive in
+    /// first-touch order.
+    pub fn observe_id(&mut self, id: u32, real_miss: bool) -> Option<MissClass> {
+        let probe = self.shadow.access(id);
         if !real_miss {
             return None;
         }
@@ -122,29 +143,29 @@ enum ShadowProbe {
     Resident,
 }
 
-/// Sentinel map value marking a line that was seen but is no longer
-/// resident in the shadow cache.
+/// Sentinel state of a line that was seen but is no longer resident in
+/// the shadow cache.
 const EVICTED: u32 = u32::MAX;
 const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct ShadowNode {
-    line: LineAddr,
+    id: u32,
     prev: u32,
     next: u32,
 }
 
 /// The classifier's shadow state: a fully-associative LRU cache *and* the
-/// first-touch set, folded into a single hash map so the per-reference hot
-/// path costs exactly one map probe (the classic three-C loop needs both
-/// facts for every reference — keeping them in separate structures, as a
-/// generic [`crate::LruSet`] plus a seen-set would, doubles the hashing).
+/// first-touch set, folded into one array indexed by line id, so the
+/// per-reference hot path costs one indexed load (the classic three-C
+/// loop needs both facts for every reference).
 ///
-/// Map value: slot index while resident, [`EVICTED`] once evicted. Entries
-/// are never removed, so `map.len()` is the distinct-line count.
+/// `state[id]`: the line's slot while resident, [`EVICTED`] once
+/// evicted. Ids arrive in first-touch order, so an id past the end is a
+/// first touch and `state.len()` is the distinct-line count.
 #[derive(Clone, Debug)]
 struct ShadowLru {
-    map: FxHashMap<LineAddr, u32>,
+    state: Vec<u32>,
     slots: Vec<ShadowNode>,
     head: u32,
     tail: u32,
@@ -160,7 +181,7 @@ impl ShadowLru {
             "shadow capacity exceeds slot index range"
         );
         ShadowLru {
-            map: FxHashMap::default(),
+            state: Vec::new(),
             slots: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -170,29 +191,40 @@ impl ShadowLru {
     }
 
     fn distinct_lines(&self) -> usize {
-        self.map.len()
+        self.state.len()
     }
 
-    /// Accesses `line`: reports its prior state and leaves it resident MRU
-    /// (evicting the LRU line to make room if needed).
-    fn access(&mut self, line: LineAddr) -> ShadowProbe {
-        let prior = match self.map.get(&line).copied() {
+    /// Accesses line `id`: reports its prior state and leaves it resident
+    /// MRU (evicting the LRU line to make room if needed).
+    fn access(&mut self, id: u32) -> ShadowProbe {
+        let prior = match self.state.get(id as usize).copied() {
             Some(slot) if slot != EVICTED => {
-                // Hot path (shadow hit): one hash probe, list relink.
-                self.unlink(slot);
-                self.push_front(slot);
+                // Hot path (shadow hit): one load, and a list relink
+                // unless the line is already the most recent.
+                if slot != self.head {
+                    self.unlink(slot);
+                    self.push_front(slot);
+                }
                 return ShadowProbe::Resident;
             }
             Some(_) => ShadowProbe::SeenButEvicted,
-            None => ShadowProbe::FirstTouch,
+            None => {
+                assert_eq!(
+                    id as usize,
+                    self.state.len(),
+                    "line ids must arrive in first-touch order"
+                );
+                self.state.push(EVICTED);
+                ShadowProbe::FirstTouch
+            }
         };
         let idx = self.make_room();
         self.slots[idx as usize] = ShadowNode {
-            line,
+            id,
             prev: NIL,
             next: NIL,
         };
-        self.map.insert(line, idx);
+        self.state[id as usize] = idx;
         self.push_front(idx);
         self.resident += 1;
         prior
@@ -204,14 +236,14 @@ impl ShadowLru {
     fn make_room(&mut self) -> u32 {
         if self.resident == self.capacity {
             let lru = self.tail;
-            let victim = self.slots[lru as usize].line;
+            let victim = self.slots[lru as usize].id;
             self.unlink(lru);
-            *self.map.get_mut(&victim).expect("resident line is mapped") = EVICTED;
+            self.state[victim as usize] = EVICTED;
             self.resident -= 1;
             return lru;
         }
         self.slots.push(ShadowNode {
-            line: LineAddr::new(0),
+            id: NIL,
             prev: NIL,
             next: NIL,
         });

@@ -40,7 +40,6 @@
 
 mod classify;
 mod geometry;
-mod line_hash;
 mod lru;
 mod lru_map;
 mod replacement;
@@ -52,7 +51,7 @@ mod stats;
 
 pub use classify::{ClassifiedCache, MissClass, MissClassifier};
 pub use geometry::{CacheGeometry, GeometryError};
-pub use line_hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use jouppi_trace::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lru::{LruSet, TouchOutcome, SMALL_CAPACITY_MAX};
 pub use lru_map::{Displaced, LruMap};
 pub use replacement::ReplacementPolicy;

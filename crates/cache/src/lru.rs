@@ -21,9 +21,7 @@
 //! change results — pinned by the randomized equivalence test in
 //! `tests/lru_backends.rs`.
 
-use jouppi_trace::LineAddr;
-
-use crate::line_hash::FxHashMap;
+use jouppi_trace::{FxHashMap, LineAddr};
 
 /// Largest capacity served by the linear small-vector backend. Above this
 /// the hash-map backend's O(1) operations win over an O(n) scan.

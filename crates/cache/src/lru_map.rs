@@ -17,7 +17,8 @@
 
 use std::hash::Hash;
 
-use crate::line_hash::FxHashMap;
+use jouppi_trace::FxHashMap;
+
 use crate::lru::SMALL_CAPACITY_MAX;
 
 const NIL: usize = usize::MAX;

@@ -30,6 +30,12 @@
 //!   cells miss. Work per reference is O(1 + #cells-that-miss) instead
 //!   of O(#cells).
 //!
+//! Both engines keep per-line state in `Vec`s indexed by dense line ids
+//! ([`jouppi_trace::LineInterner`]), and read a line's address only to
+//! pick its set. `observe_id` takes ids memoized with the trace
+//! ([`jouppi_trace::SideView::ids`]); `observe` interns each line as it
+//! arrives, one map probe per reference.
+//!
 //! Both engines are exact — equal to the [`crate::Cache`] oracle miss
 //! for miss, which the unit tests here and the cross-crate equivalence
 //! suites pin on random, cyclic, and Belady-anomaly streams.
@@ -37,10 +43,13 @@
 use std::error::Error;
 use std::fmt;
 
-use jouppi_trace::LineAddr;
+use jouppi_trace::{LineAddr, LineInterner};
 
-use crate::line_hash::{FxHashMap, FxHashSet};
 use crate::CacheGeometry;
+
+/// Free-slot marker in the engines' id arrays. No line id equals it
+/// (see [`LineInterner`]), so no line can be mistaken for a free slot.
+const FREE: u32 = u32::MAX;
 
 /// Why a single-pass engine could not be constructed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -173,11 +182,6 @@ struct Level {
     sets: Vec<SetTracker>,
 }
 
-/// Free-slot sentinel for bounded MRU arrays; line addresses must not
-/// collide with it (real line addresses are byte addresses shifted
-/// down, so they cannot).
-const EMPTY_LINE: u64 = u64::MAX;
-
 /// One tracked set count under the bounded backend: flattened per-set
 /// MRU arrays truncated at the level's associativity bound.
 ///
@@ -204,10 +208,10 @@ struct BoundedLevel {
     deep: u64,
     /// Resident entries per set (each ≤ `bound`).
     lens: Vec<u32>,
-    /// `entries[set * bound..][..lens[set]]`: the set's LRU stack, most
-    /// recent first, truncated at `bound` (whatever falls off the end
-    /// is exactly the set's least-recent tracked line).
-    entries: Vec<u64>,
+    /// `entries[set * bound..][..lens[set]]`: the ids of the set's LRU
+    /// stack, most recent first, truncated at `bound` (whatever falls
+    /// off the end is exactly the set's least-recent tracked line).
+    entries: Vec<u32>,
 }
 
 /// How a [`LruSweep`] tracks within-set stack distances.
@@ -217,19 +221,13 @@ enum Backend {
     /// exactly, any associativity answerable.
     Exact {
         levels: Vec<Level>,
-        /// Line → dense row index into `ts`.
-        rows: FxHashMap<LineAddr, u32>,
-        /// `ts[row * levels + k]` = the row's current local timestamp
+        /// `ts[id * levels + k]` = line `id`'s current local timestamp
         /// at level `k` (0 = not resident in that level's tracking).
         ts: Vec<u32>,
     },
     /// Capped per-set MRU arrays: exact for associativities up to each
     /// level's bound, `None` beyond it.
-    Bounded {
-        levels: Vec<BoundedLevel>,
-        /// Lines ever observed (first-touch detection).
-        seen: FxHashSet<LineAddr>,
-    },
+    Bounded { levels: Vec<BoundedLevel> },
 }
 
 /// A single-pass LRU sweep: one trace traversal, exact miss counts for
@@ -261,7 +259,12 @@ pub struct LruSweep {
     /// Scratch: within-set depth per level for the last `observe_depths`.
     depths: Vec<u32>,
     total: u64,
+    /// First touches, which is also the number of distinct lines: ids
+    /// arrive in first-touch order, so a line is new iff its id equals
+    /// this count.
     cold: u64,
+    /// Ids for lines fed through [`Self::observe`].
+    interner: LineInterner,
 }
 
 impl LruSweep {
@@ -286,12 +289,12 @@ impl LruSweep {
             set_counts: counts,
             backend: Backend::Exact {
                 levels,
-                rows: FxHashMap::default(),
                 ts: Vec::new(),
             },
             depths: vec![0; n],
             total: 0,
             cold: 0,
+            interner: LineInterner::new(),
         })
     }
 
@@ -351,19 +354,17 @@ impl LruSweep {
                 hist: vec![0; bound as usize + 1],
                 deep: 0,
                 lens: vec![0; c as usize],
-                entries: vec![EMPTY_LINE; c as usize * bound as usize],
+                entries: vec![FREE; c as usize * bound as usize],
             })
             .collect();
         let n = counts.len();
         Ok(LruSweep {
             set_counts: counts,
-            backend: Backend::Bounded {
-                levels,
-                seen: FxHashSet::default(),
-            },
+            backend: Backend::Bounded { levels },
             depths: vec![0; n],
             total: 0,
             cold: 0,
+            interner: LineInterner::new(),
         })
     }
 
@@ -397,9 +398,25 @@ impl LruSweep {
         LruSweep::for_set_counts(&counts)
     }
 
-    /// Observes one reference.
+    /// Observes one reference, interning its line.
+    ///
+    /// Feed a sweep either lines, here and in [`Self::observe_depths`],
+    /// or ids, in [`Self::observe_id`]: not both.
     pub fn observe(&mut self, line: LineAddr) {
         self.observe_depths(line);
+    }
+
+    /// Observes one reference by its line id, with no hashing: `id` is
+    /// the line's id from one [`LineInterner`] fed this sweep's whole
+    /// stream in order, as [`jouppi_trace::SideView::ids`] are, and
+    /// `line` its address, which picks the set at each level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` skips past the next new id: ids must arrive in
+    /// first-touch order.
+    pub fn observe_id(&mut self, id: u32, line: LineAddr) {
+        self.step::<false>(id, line);
     }
 
     /// Observes one reference and returns `(first touch, depths)`, where
@@ -412,19 +429,31 @@ impl LruSweep {
     /// bound are reported as `bound + 1` — the prediction stays correct
     /// for every associativity the level can answer.
     pub fn observe_depths(&mut self, line: LineAddr) -> (bool, &[u32]) {
+        let id = self.interner.intern(line);
+        let cold = self.step::<true>(id, line);
+        (cold, &self.depths)
+    }
+
+    /// Observes line `id` at address `line` and returns whether it was a
+    /// first touch. Fills `depths` when `DEPTHS` asks for them.
+    #[inline]
+    fn step<const DEPTHS: bool>(&mut self, id: u32, line: LineAddr) -> bool {
         self.total += 1;
+        assert!(
+            u64::from(id) <= self.cold,
+            "line ids must arrive in first-touch order"
+        );
+        let cold = u64::from(id) == self.cold;
         let nlevels = self.set_counts.len();
-        let cold = match &mut self.backend {
-            Backend::Exact { levels, rows, ts } => {
-                let next = rows.len() as u32;
-                let row = *rows.entry(line).or_insert(next);
-                let cold = row == next;
+        let raw = line.get();
+        match &mut self.backend {
+            Backend::Exact { levels, ts } => {
                 if cold {
                     ts.resize(ts.len() + nlevels, 0);
                 }
-                let base = row as usize * nlevels;
+                let base = id as usize * nlevels;
                 for (k, level) in levels.iter_mut().enumerate() {
-                    let set = (line.get() & level.mask) as usize;
+                    let set = (raw & level.mask) as usize;
                     let tracker = &mut level.sets[set];
                     let prev = ts[base + k];
                     let mut depth = 0u32;
@@ -448,45 +477,34 @@ impl LruSweep {
                         tracker.compact(ts, k, nlevels);
                     }
                     let t = tracker.now + 1;
-                    tracker.owner[(t - 1) as usize] = row;
+                    tracker.owner[(t - 1) as usize] = id;
                     tracker.add(t, 1);
                     tracker.live += 1;
                     tracker.now = t;
                     ts[base + k] = t;
-                    self.depths[k] = depth;
-                }
-                cold
-            }
-            Backend::Bounded { levels, seen } => {
-                let raw = line.get();
-                debug_assert_ne!(raw, EMPTY_LINE, "line collides with the free sentinel");
-                // Fast path: the most recent line of its set at the
-                // *coarsest* level is at depth 1 at every level (set
-                // refinement: finer substreams are subsequences, so
-                // depth is non-increasing in set count). A depth-1 hit
-                // changes nothing — the line already fronts every MRU
-                // array, it cannot be cold, and depth 1 is a hit at
-                // every answerable associativity — so the whole
-                // reference is one compare.
-                {
-                    let coarsest = &levels[0];
-                    let set = (raw & coarsest.mask) as usize;
-                    if coarsest.entries[set * coarsest.bound as usize] == raw {
-                        self.depths.fill(1);
-                        return (false, &self.depths);
+                    if DEPTHS {
+                        self.depths[k] = depth;
                     }
                 }
-                let cold = seen.insert(line);
+            }
+            Backend::Bounded { levels } => {
                 for (k, level) in levels.iter_mut().enumerate() {
                     let bound = level.bound as usize;
                     let set = (raw & level.mask) as usize;
                     let base = set * bound;
-                    // Depth-1 hit at this level: nothing to shift, and
-                    // nothing to count — `misses` never reads depths a
-                    // 1-way set already hits (`hist[1]` stays 0).
-                    if level.entries[base] == raw {
-                        self.depths[k] = 1;
-                        continue;
+                    // Depth 1 here is depth 1 at every finer level too
+                    // (set refinement: finer substreams are subsequences,
+                    // so depth is non-increasing in set count). A depth-1
+                    // hit changes nothing — the line already fronts those
+                    // MRU arrays, and depth 1 is a hit at every
+                    // answerable associativity, so `misses` never reads
+                    // it (`hist[1]` stays 0) — and the walk ends. At the
+                    // coarsest level this is the whole reference.
+                    if level.entries[base] == id {
+                        if DEPTHS {
+                            self.depths[k..].fill(1);
+                        }
+                        break;
                     }
                     // Search-and-shift from slot 1: the line moves to
                     // the front and each walked entry slides one slot
@@ -494,13 +512,13 @@ impl LruSweep {
                     // has already rotated the prefix.
                     let len = level.lens[set] as usize;
                     let mut carry = level.entries[base];
-                    level.entries[base] = raw;
+                    level.entries[base] = id;
                     let mut depth = 0u32;
                     let slots = level.entries[base + 1..base + len.max(1)].iter_mut();
                     for (slot, d) in slots.zip(2u32..) {
                         let cur = *slot;
                         *slot = carry;
-                        if cur == raw {
+                        if cur == id {
                             depth = d;
                             break;
                         }
@@ -524,15 +542,16 @@ impl LruSweep {
                         }
                         depth = level.bound + 1;
                     }
-                    self.depths[k] = if cold { 0 } else { depth };
+                    if DEPTHS {
+                        self.depths[k] = if cold { 0 } else { depth };
+                    }
                 }
-                cold
             }
-        };
+        }
         if cold {
             self.cold += 1;
         }
-        (cold, &self.depths)
+        cold
     }
 
     /// The tracked set counts, ascending.
@@ -604,21 +623,18 @@ impl LruSweep {
 
     /// Number of distinct lines observed.
     pub fn distinct_lines(&self) -> usize {
-        match &self.backend {
-            Backend::Exact { rows, .. } => rows.len(),
-            Backend::Bounded { seen, .. } => seen.len(),
-        }
+        self.cold as usize
     }
 }
 
-/// One FIFO geometry cell: set-major rings of resident lines.
+/// One FIFO geometry cell: set-major rings of resident line ids.
 #[derive(Clone, Debug)]
 struct FifoCell {
     /// `num_sets - 1`.
     set_mask: u64,
     assoc: u32,
-    /// `slots[set * assoc + way]`; [`FifoSweep::EMPTY`] = free.
-    slots: Vec<u64>,
+    /// `slots[set * assoc + way]`: a line id, or [`FREE`].
+    slots: Vec<u32>,
     /// Next way to fill/evict per set (= insertion count mod assoc, so
     /// it always points at the oldest resident — exactly the
     /// [`crate::Cache`] FIFO fill order: free ways in index order, then
@@ -651,11 +667,13 @@ pub struct FifoSweep {
     /// `(num_sets, associativity)` per cell, in construction order.
     keys: Vec<(u64, u64)>,
     cells: Vec<FifoCell>,
-    /// Line → bitmask of cells the line is currently resident in.
-    present: FxHashMap<LineAddr, u128>,
+    /// `present[id]`: bitmask of the cells line `id` is resident in.
+    present: Vec<u128>,
     /// Mask with one bit per cell.
     all: u128,
     total: u64,
+    /// Ids for lines fed through [`Self::observe`].
+    interner: LineInterner,
 }
 
 impl FifoSweep {
@@ -663,17 +681,14 @@ impl FifoSweep {
     /// presence bitmask).
     pub const MAX_CELLS: usize = 128;
 
-    /// Free-slot sentinel; line addresses must not collide with it (real
-    /// line addresses are byte addresses shifted down, so they cannot).
-    const EMPTY: u64 = u64::MAX;
-
     /// Creates a sweep over `(num_sets, associativity)` cells
     /// (duplicates removed, order preserved).
     ///
     /// # Errors
     ///
     /// [`SinglePassError`] when the list is empty or oversized, a set
-    /// count is not a nonzero power of two, or an associativity is 0.
+    /// count is not a nonzero power of two, or an associativity is zero
+    /// (or does not fit the `u32` a cell stores it in).
     pub fn new(cells: &[(u64, u64)]) -> Result<Self, SinglePassError> {
         let mut keys: Vec<(u64, u64)> = Vec::with_capacity(cells.len());
         for &cell in cells {
@@ -696,13 +711,14 @@ impl FifoSweep {
                 if sets == 0 || !sets.is_power_of_two() {
                     return Err(SinglePassError::BadSetCount(sets));
                 }
-                if assoc == 0 {
-                    return Err(SinglePassError::BadAssociativity(assoc));
-                }
+                let ways = match u32::try_from(assoc) {
+                    Ok(w) if w > 0 => w,
+                    _ => return Err(SinglePassError::BadAssociativity(assoc)),
+                };
                 Ok(FifoCell {
                     set_mask: sets - 1,
-                    assoc: assoc as u32,
-                    slots: vec![FifoSweep::EMPTY; (sets * assoc) as usize],
+                    assoc: ways,
+                    slots: vec![FREE; (sets * assoc) as usize],
                     cursors: vec![0; sets as usize],
                     misses: 0,
                 })
@@ -716,54 +732,61 @@ impl FifoSweep {
         Ok(FifoSweep {
             keys,
             cells,
-            present: FxHashMap::default(),
+            present: Vec::new(),
             all,
             total: 0,
+            interner: LineInterner::new(),
         })
     }
 
-    /// Observes one reference, returning the bitmask of cells (by
-    /// construction order) that missed.
+    /// Observes one reference, interning its line, and returns the
+    /// bitmask of cells (by construction order) that missed.
+    ///
+    /// Feed a sweep either lines, here, or ids, in [`Self::observe_id`]:
+    /// not both.
     pub fn observe(&mut self, line: LineAddr) -> u128 {
+        let id = self.interner.intern(line);
+        self.observe_id(id, line)
+    }
+
+    /// Observes one reference by its line id, with no hashing, and
+    /// returns the bitmask of cells that missed. `id` is the line's id
+    /// from one [`LineInterner`] fed this sweep's stream, as
+    /// [`jouppi_trace::SideView::ids`] are, and `line` its address,
+    /// which picks the set in each cell.
+    pub fn observe_id(&mut self, id: u32, line: LineAddr) -> u128 {
         self.total += 1;
-        let raw = line.get();
-        debug_assert_ne!(
-            raw,
-            FifoSweep::EMPTY,
-            "line collides with the free sentinel"
-        );
-        let bits = self.present.get(&line).copied().unwrap_or(0);
-        let missing = !bits & self.all;
+        let idx = id as usize;
+        if idx >= self.present.len() {
+            self.present.resize(idx + 1, 0);
+        }
+        let missing = !self.present[idx] & self.all;
         if missing == 0 {
             return 0;
         }
+        let raw = line.get();
         let mut m = missing;
         while m != 0 {
-            let idx = m.trailing_zeros() as usize;
+            let c = m.trailing_zeros() as usize;
             m &= m - 1;
-            let cell = &mut self.cells[idx];
+            let cell = &mut self.cells[c];
             cell.misses += 1;
             let set = (raw & cell.set_mask) as usize;
             let cursor = cell.cursors[set];
             let pos = set * cell.assoc as usize + cursor as usize;
-            let evicted = cell.slots[pos];
-            if evicted != FifoSweep::EMPTY {
-                // The victim is resident in this cell, so its presence
-                // entry exists; it cannot be `line` (we are missing here).
-                let e = self
-                    .present
-                    .get_mut(&LineAddr::new(evicted))
-                    .expect("evicted line was resident");
-                *e &= !(1u128 << idx);
+            let evicted = std::mem::replace(&mut cell.slots[pos], id);
+            if evicted != FREE {
+                // The victim is resident in this cell; it cannot be
+                // `id` (we are missing here).
+                self.present[evicted as usize] &= !(1u128 << c);
             }
-            cell.slots[pos] = raw;
             cell.cursors[set] = if cursor + 1 == cell.assoc {
                 0
             } else {
                 cursor + 1
             };
         }
-        *self.present.entry(line).or_insert(0) |= missing;
+        self.present[idx] |= missing;
         missing
     }
 
@@ -1145,6 +1168,100 @@ mod tests {
             LruSweep::bounded(&[(4, u64::from(u32::MAX) + 1)]).unwrap_err(),
             SinglePassError::BadAssociativity(u64::from(u32::MAX) + 1)
         );
+    }
+
+    #[test]
+    fn engines_count_the_all_ones_line_like_any_other() {
+        // The all-ones line is an ordinary line to both engines: their
+        // free slots hold ids, which never collide with it.
+        let max = u64::MAX;
+        let stream = [max, 0, max, 0, max];
+        let mut lru = LruSweep::bounded(&[(1, 1)]).unwrap();
+        let mut fifo = FifoSweep::new(&[(1, 1)]).unwrap();
+        for &n in &stream {
+            lru.observe(l(n));
+            fifo.observe(l(n));
+        }
+        assert_eq!(lru.misses(1, 1), Some(5));
+        assert_eq!(fifo.misses(1, 1), Some(5));
+        // Lines crowding the top of the address space, on every grid cell.
+        const SEED: u64 = 0x616c_6c5f_6f6e_6573;
+        let mut rng = jouppi_trace::SmallRng::seed_from_u64(SEED);
+        for round in 0..16 {
+            let stream: Vec<u64> = (0..200 + rng.below(200))
+                .map(|_| max - ((rng.below(6) as u64) << rng.below(8)))
+                .collect();
+            let mut lru = LruSweep::bounded(&GRID).unwrap();
+            let mut fifo = FifoSweep::new(&GRID).unwrap();
+            for &n in &stream {
+                lru.observe(l(n));
+                fifo.observe(l(n));
+            }
+            for &(sets, assoc) in &GRID {
+                let at = format!("seed {SEED:#x} round {round}: {sets}x{assoc}");
+                let lru_oracle = oracle(&stream, sets, assoc, ReplacementPolicy::Lru);
+                let fifo_oracle = oracle(&stream, sets, assoc, ReplacementPolicy::Fifo);
+                assert_eq!(lru.misses(sets, assoc), Some(lru_oracle), "LRU {at}");
+                assert_eq!(fifo.misses(sets, assoc), Some(fifo_oracle), "FIFO {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_constructor_rejects_associativity_beyond_u32() {
+        // 2^32 ways must not truncate to 0 ways over 2^32 slots.
+        let ways = 1u64 << 32;
+        assert_eq!(
+            FifoSweep::new(&[(1, ways)]).unwrap_err(),
+            SinglePassError::BadAssociativity(ways)
+        );
+    }
+
+    #[test]
+    fn observing_ids_equals_observing_lines() {
+        // Ids from one interner over the stream, against engines that
+        // intern the lines themselves; lines are spread so their bits and
+        // their ids pick different sets.
+        let stream: Vec<u64> = mixed_stream().iter().map(|&n| n * 0x1_0001 + 3).collect();
+        let counts: Vec<u64> = GRID.iter().map(|&(s, _)| s).collect();
+        let mut interner = jouppi_trace::LineInterner::new();
+        let mut by_id = (
+            LruSweep::for_set_counts(&counts).unwrap(),
+            LruSweep::bounded(&GRID).unwrap(),
+            FifoSweep::new(&GRID).unwrap(),
+        );
+        let mut by_line = by_id.clone();
+        for &n in &stream {
+            let id = interner.intern(l(n));
+            by_id.0.observe_id(id, l(n));
+            by_id.1.observe_id(id, l(n));
+            let missed = by_id.2.observe_id(id, l(n));
+            by_line.0.observe(l(n));
+            by_line.1.observe(l(n));
+            assert_eq!(by_line.2.observe(l(n)), missed);
+        }
+        for &(sets, assoc) in &GRID {
+            let lru = oracle(&stream, sets, assoc, ReplacementPolicy::Lru);
+            assert_eq!(by_id.0.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
+            assert_eq!(by_id.1.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
+            assert_eq!(by_line.0.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
+            assert_eq!(by_line.1.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
+            assert_eq!(
+                by_id.2.misses(sets, assoc),
+                by_line.2.misses(sets, assoc),
+                "{sets}x{assoc}"
+            );
+        }
+        assert_eq!(by_id.1.distinct_lines(), interner.len());
+        assert_eq!(by_id.0.distinct_lines(), interner.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "first-touch order")]
+    fn ids_out_of_first_touch_order_are_rejected() {
+        let mut sweep = LruSweep::bounded(&[(1, 2)]).unwrap();
+        sweep.observe_id(0, l(5));
+        sweep.observe_id(2, l(6));
     }
 
     #[test]

@@ -17,14 +17,13 @@
 //!   with a marker at each capacity: the group-marker stack of Kim, Hill
 //!   & Wood, *Implementing Stack Simulation for Highly-Associative
 //!   Memories* (SIGMETRICS 1991). Each resident line records its *band*,
-//!   the smallest capacity it fits in. A reference costs one map probe,
-//!   which gives the line's band and so its shadow outcome at every
-//!   capacity, plus one step per marker above that band, because each of
-//!   those bands passes its last line down to the next.
+//!   the smallest capacity it fits in. A reference costs one load indexed
+//!   by its line id, which gives the line's band and so its shadow
+//!   outcome at every capacity, plus one step per marker above that band,
+//!   because each of those bands passes its last line down to the next.
 
-use jouppi_trace::LineAddr;
+use jouppi_trace::{LineAddr, LineInterner};
 
-use crate::line_hash::FxHashMap;
 use crate::{CacheGeometry, MissBreakdown};
 
 /// The tag of a set no line has filled yet. The all-ones line, the one
@@ -150,13 +149,13 @@ impl DirectMappedSweep {
     }
 }
 
-/// Map value of a line seen before but deeper than the largest capacity.
+/// State of a line seen before but deeper than the largest capacity.
 const BEYOND: u32 = u32::MAX;
 const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
 struct Node {
-    line: LineAddr,
+    id: u32,
     prev: u32,
     next: u32,
     /// Index of the smallest capacity the line fits in.
@@ -167,7 +166,8 @@ struct Node {
 /// the misses of one real cache per capacity under the three-C model and
 /// counts the shadow's own misses.
 ///
-/// Feed **every** reference to [`BandedShadow::observe`], with how many of
+/// Feed **every** reference to [`BandedShadow::observe`] (or, by line id
+/// and with no hashing, [`BandedShadow::observe_id`]), with how many of
 /// the smallest capacities' real caches missed it. The real caches must
 /// nest: a reference that misses one size misses every smaller size too,
 /// as direct-mapped caches of one line size do. Size `i`'s breakdown then
@@ -203,9 +203,10 @@ struct Node {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BandedShadow {
-    /// Slot of every resident line; [`BEYOND`] for a line seen before but
-    /// no longer resident at any capacity.
-    map: FxHashMap<LineAddr, u32>,
+    /// `state[id]`: the slot of resident line `id`, or [`BEYOND`] for a
+    /// line seen before but no longer resident at any capacity. Ids
+    /// arrive in first-touch order, so an id past the end is new.
+    state: Vec<u32>,
     nodes: Vec<Node>,
     head: u32,
     tail: u32,
@@ -219,6 +220,8 @@ pub struct BandedShadow {
     /// band; `bands` means seen but beyond every capacity; `bands + 1`
     /// means first touch.
     counts: Vec<u64>,
+    /// Ids for lines fed through [`Self::observe`].
+    interner: LineInterner,
 }
 
 impl BandedShadow {
@@ -247,29 +250,46 @@ impl BandedShadow {
             "shadow capacities must strictly ascend: {capacities:?}"
         );
         BandedShadow {
-            map: FxHashMap::default(),
+            state: Vec::new(),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
             capacities,
             markers: vec![NIL; bands],
             counts: vec![0; (bands + 2) * (bands + 1)],
+            interner: LineInterner::new(),
         }
     }
 
-    /// Observes one reference, which the real caches of the `missed`
-    /// smallest capacities missed.
+    /// Observes one reference, interning its line, which the real caches
+    /// of the `missed` smallest capacities missed.
+    ///
+    /// Feed a shadow either lines, here, or ids, in [`Self::observe_id`]:
+    /// not both.
     ///
     /// # Panics
     ///
     /// Panics if `missed` exceeds the number of capacities.
     pub fn observe(&mut self, line: LineAddr, missed: usize) {
+        let id = self.interner.intern(line);
+        self.observe_id(id, missed);
+    }
+
+    /// Observes one reference by its line id, with no hashing: `id` is
+    /// the line's id from one [`LineInterner`] fed the shadow's whole
+    /// stream in order, as [`jouppi_trace::SideView::ids`] are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `missed` exceeds the number of capacities, or if `id`
+    /// skips past the next new id: ids must arrive in first-touch order.
+    pub fn observe_id(&mut self, id: u32, missed: usize) {
         let bands = self.capacities.len();
         assert!(missed <= bands, "{missed} of {bands} real caches missed");
-        match self.map.get(&line).copied() {
+        match self.state.get(id as usize).copied() {
             Some(BEYOND) => {
                 self.counts[bands * (bands + 1) + missed] += 1;
-                self.insert(line);
+                self.insert(id);
             }
             Some(slot) => {
                 let band = self.nodes[slot as usize].band as usize;
@@ -277,8 +297,14 @@ impl BandedShadow {
                 self.touch(slot, band);
             }
             None => {
+                assert_eq!(
+                    id as usize,
+                    self.state.len(),
+                    "line ids must arrive in first-touch order"
+                );
+                self.state.push(BEYOND);
                 self.counts[(bands + 1) * (bands + 1) + missed] += 1;
-                self.insert(line);
+                self.insert(id);
             }
         }
     }
@@ -348,9 +374,9 @@ impl BandedShadow {
         self.push_front(slot);
     }
 
-    /// Pushes a line that no capacity holds onto the top. Every band
+    /// Pushes line `id`, which no capacity holds, onto the top. Every band
     /// passes its last line down; the largest band's falls out.
-    fn insert(&mut self, line: LineAddr) {
+    fn insert(&mut self, id: u32) {
         let bands = self.capacities.len();
         let full = self.nodes.len() == self.capacities[bands - 1];
         let slot = if full {
@@ -373,20 +399,20 @@ impl BandedShadow {
             self.markers[b] = if node.prev == NIL { slot } else { node.prev };
         }
         let fresh = Node {
-            line,
+            id,
             prev: NIL,
             next: NIL,
             band: 0,
         };
         if full {
-            let evicted = self.nodes[slot as usize].line;
+            let evicted = self.nodes[slot as usize].id;
             self.unlink(slot);
-            *self.map.get_mut(&evicted).expect("resident line is mapped") = BEYOND;
+            self.state[evicted as usize] = BEYOND;
             self.nodes[slot as usize] = fresh;
         } else {
             self.nodes.push(fresh);
         }
-        self.map.insert(line, slot);
+        self.state[id as usize] = slot;
         self.push_front(slot);
     }
 
@@ -473,6 +499,33 @@ mod tests {
             CacheGeometry::new(64, 16, 2).unwrap(),
         ];
         BandedShadow::new(&geoms);
+    }
+
+    #[test]
+    fn banded_shadow_fed_ids_equals_banded_shadow_fed_lines() {
+        const SEED: u64 = 0x6261_6e64_6564_6964;
+        let mut rng = jouppi_trace::SmallRng::seed_from_u64(SEED);
+        let geoms: Vec<CacheGeometry> = [64, 256, 1024]
+            .iter()
+            .map(|&size| CacheGeometry::direct_mapped(size, 16).unwrap())
+            .collect();
+        for round in 0..16 {
+            let mut l1s = DirectMappedSweep::new(&geoms);
+            let mut interner = jouppi_trace::LineInterner::new();
+            let mut by_id = BandedShadow::new(&geoms);
+            let mut by_line = BandedShadow::new(&geoms);
+            for _ in 0..2_000 {
+                let line = LineAddr::new(rng.below(200) as u64 * 37);
+                let missed = l1s.access_line(line, |_, _| {});
+                by_id.observe_id(interner.intern(line), missed);
+                by_line.observe(line, missed);
+            }
+            for size in 0..geoms.len() {
+                let at = format!("seed {SEED:#x} round {round} size {size}");
+                assert_eq!(by_id.breakdown(size), by_line.breakdown(size), "{at}");
+                assert_eq!(by_id.fa_misses(size), by_line.fa_misses(size), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! The implementation is the standard O(n log n) Fenwick-tree algorithm
 //! over access timestamps.
 
-use jouppi_trace::LineAddr;
-
-use crate::line_hash::FxHashMap;
+use jouppi_trace::{FxHashMap, LineAddr};
 
 /// A Fenwick (binary indexed) tree over timestamps, counting 0/1 marks.
 ///

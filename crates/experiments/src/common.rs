@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 
 use jouppi_cache::{BandedShadow, CacheGeometry, MissBreakdown, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, MissLog};
-use jouppi_trace::{AccessKind, LineAddr, MemRef, RecordedTrace, SideView};
+use jouppi_trace::{AccessKind, LineAddr, MemRef, RecordedTrace, SideView, BASE_LINE_SIZE};
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::sweep;
@@ -173,20 +173,13 @@ pub fn note_refs_simulated(n: u64) {
 /// Replays one side of a trace through an augmented cache organization.
 ///
 /// Iterates the trace's dense side view — no per-reference kind branch —
-/// and feeds pre-derived line addresses straight to the cache when the
-/// configuration uses the baseline line size.
+/// and feeds its line addresses straight to the cache.
 pub fn run_side(trace: &RecordedTrace, side: Side, cfg: AugmentedConfig) -> AugmentedStats {
     let mut cache = AugmentedCache::new(cfg);
     let view = side.view(trace);
-    note_refs_simulated(view.addrs().len() as u64);
-    if let Some(lines) = view.lines_for(cfg.geometry().line_size()) {
-        for &line in lines {
-            cache.access_line(line);
-        }
-    } else {
-        for &addr in view.addrs() {
-            cache.access(addr);
-        }
+    note_refs_simulated(view.len() as u64);
+    for line in view.lines(cfg.geometry().line_size()) {
+        cache.access_line(line);
     }
     *cache.stats()
 }
@@ -198,16 +191,26 @@ pub fn log_side(trace: &RecordedTrace, side: Side, geom: CacheGeometry) -> MissL
 }
 
 /// Like [`log_side`], with a three-C classifier riding the same L1 pass.
-/// The breakdown equals [`classify_side`]'s.
+/// The breakdown equals [`classify_side`]'s. At the base line size the
+/// classifier reads the side's memoized line ids instead of hashing
+/// lines.
 pub(crate) fn log_and_classify_side(
     trace: &RecordedTrace,
     side: Side,
     geom: CacheGeometry,
 ) -> (MissLog, MissBreakdown) {
     let mut classifier = MissClassifier::new(geom);
-    let log = record_side(trace, side, geom, |line, missed| {
-        classifier.observe(line, missed);
-    });
+    let log = if geom.line_size() == BASE_LINE_SIZE {
+        // The pass visits the side's references in order, once each.
+        let mut ids = side.view(trace).ids().iter();
+        record_side(trace, side, geom, |_, missed| {
+            classifier.observe_id(*ids.next().expect("one id per reference"), missed);
+        })
+    } else {
+        record_side(trace, side, geom, |line, missed| {
+            classifier.observe(line, missed);
+        })
+    };
     (log, classifier.breakdown())
 }
 
@@ -217,15 +220,7 @@ fn record_side(
     geom: CacheGeometry,
     observe: impl FnMut(LineAddr, bool),
 ) -> MissLog {
-    let view = side.view(trace);
-    match view.lines_for(geom.line_size()) {
-        Some(lines) => MissLog::record_observed(geom, lines.iter().copied(), observe),
-        None => MissLog::record_observed(
-            geom,
-            view.addrs().iter().map(|&addr| geom.line_of(addr)),
-            observe,
-        ),
-    }
+    MissLog::record_observed(geom, side.view(trace).lines(geom.line_size()), observe)
 }
 
 /// One side's miss logs at every direct-mapped geometry in `geoms`,
@@ -242,16 +237,24 @@ pub(crate) fn log_sizes(
 /// Like [`log_sizes`], with a banded shadow riding the same pass: size
 /// `i`'s [`BandedShadow::breakdown`] equals [`classify_side`]'s at
 /// `geoms[i]`, and its [`BandedShadow::fa_misses`] are a
-/// fully-associative LRU cache's of the same capacity.
+/// fully-associative LRU cache's of the same capacity. At the base line
+/// size the shadow reads the side's memoized line ids.
 pub(crate) fn log_and_classify_sizes(
     trace: &RecordedTrace,
     side: Side,
     geoms: &[CacheGeometry],
 ) -> (Vec<MissLog>, BandedShadow) {
     let mut shadow = BandedShadow::new(geoms);
-    let logs = record_side_sizes(trace, side, geoms, |line, missed| {
-        shadow.observe(line, missed);
-    });
+    let logs = if geoms.first().map(CacheGeometry::line_size) == Some(BASE_LINE_SIZE) {
+        let mut ids = side.view(trace).ids().iter();
+        record_side_sizes(trace, side, geoms, |_, missed| {
+            shadow.observe_id(*ids.next().expect("one id per reference"), missed);
+        })
+    } else {
+        record_side_sizes(trace, side, geoms, |line, missed| {
+            shadow.observe(line, missed);
+        })
+    };
     (logs, shadow)
 }
 
@@ -264,15 +267,7 @@ fn record_side_sizes(
     let Some(&geom) = geoms.first() else {
         return Vec::new();
     };
-    let view = side.view(trace);
-    match view.lines_for(geom.line_size()) {
-        Some(lines) => MissLog::record_sizes(geoms, lines.iter().copied(), observe),
-        None => MissLog::record_sizes(
-            geoms,
-            view.addrs().iter().map(|&addr| geom.line_of(addr)),
-            observe,
-        ),
-    }
+    MissLog::record_sizes(geoms, side.view(trace).lines(geom.line_size()), observe)
 }
 
 /// Answers every configuration in `cfgs` from one side's miss log (see
@@ -304,15 +299,9 @@ pub fn classify_side(
 ) -> (u64, jouppi_cache::MissBreakdown) {
     let mut cache = jouppi_cache::ClassifiedCache::new(geom);
     let view = side.view(trace);
-    note_refs_simulated(view.addrs().len() as u64);
-    if let Some(lines) = view.lines_for(geom.line_size()) {
-        for &line in lines {
-            cache.access_line(line);
-        }
-    } else {
-        for &addr in view.addrs() {
-            cache.access(addr);
-        }
+    note_refs_simulated(view.len() as u64);
+    for line in view.lines(geom.line_size()) {
+        cache.access_line(line);
     }
     (cache.stats().misses, cache.breakdown())
 }

@@ -39,19 +39,20 @@ pub struct ExtWorkingSet {
 }
 
 /// Runs the analysis: one pass per benchmark over its data side, in which
-/// a [`BandedShadow`] classifies the misses of every direct-mapped size
-/// and counts every size's fully-associative LRU misses.
+/// a [`BandedShadow`] indexed by the side's memoized line ids classifies
+/// the misses of every direct-mapped size and counts every size's
+/// fully-associative LRU misses.
 pub fn run(cfg: &ExperimentConfig) -> ExtWorkingSet {
     let geoms = SIZES.map(|size| CacheGeometry::direct_mapped(size, 16).expect("valid size"));
     let rows = per_benchmark(cfg, |b, trace| {
-        let lines = Side::Data
-            .view(trace)
+        let view = Side::Data.view(trace);
+        let lines = view
             .lines_for(16)
             .expect("16B lines are pre-derived for the baseline line size");
         let mut l1s = DirectMappedSweep::new(&geoms);
         let mut shadow = BandedShadow::new(&geoms);
-        for &line in lines {
-            shadow.observe(line, l1s.access_line(line, |_, _| {}));
+        for (&id, &line) in view.ids().iter().zip(lines) {
+            shadow.observe_id(id, l1s.access_line(line, |_, _| {}));
         }
         sweep::note_single_pass_refs(lines.len() as u64);
         let rate = |misses: u64| {

@@ -1,10 +1,13 @@
 //! Figure 3-1: percentage of direct-mapped cache misses due to conflicts.
 
-use jouppi_cache::MissBreakdown;
+use jouppi_cache::{CacheGeometry, DirectMappedSweep, MissBreakdown, MissClassifier};
 use jouppi_report::{percent, Table};
+use jouppi_trace::SideView;
 use jouppi_workloads::Benchmark;
 
-use crate::common::{average, baseline_l1, classify_side, record_traces, ExperimentConfig, Side};
+use crate::common::{
+    average, baseline_l1, note_refs_simulated, record_traces, ExperimentConfig, Side,
+};
 use crate::sweep;
 
 /// Per-benchmark conflict-miss fractions for 4KB I and D caches.
@@ -18,7 +21,8 @@ pub struct Fig31 {
 ///
 /// The 12 (benchmark × side) cells fan over the sweep engine (small
 /// traces run sequentially — see [`sweep::map_jobs_sized`]); rows are
-/// assembled in benchmark order regardless of completion order.
+/// assembled in benchmark order regardless of completion order. Each
+/// cell equals [`crate::common::classify_side`], the per-cell oracle.
 pub fn run(cfg: &ExperimentConfig) -> Fig31 {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
@@ -26,9 +30,7 @@ pub fn run(cfg: &ExperimentConfig) -> Fig31 {
     let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
     let cells = sweep::map_jobs_sized(jobs, total / jobs as u64, |job| {
         let (_, trace) = &traces[job / 2];
-        let side = Side::BOTH[job % 2];
-        let (_, breakdown) = classify_side(trace, side, geom);
-        breakdown
+        classify_by_id(Side::BOTH[job % 2].view(trace), geom)
     });
     let rows = traces
         .iter()
@@ -36,6 +38,23 @@ pub fn run(cfg: &ExperimentConfig) -> Fig31 {
         .map(|(i, (b, _))| (*b, cells[2 * i], cells[2 * i + 1]))
         .collect();
     Fig31 { rows }
+}
+
+/// One side's three-C breakdown at a direct-mapped geometry of the base
+/// line size: the L1 runs on the tag array ([`DirectMappedSweep`] with
+/// one size), and the classifier indexes its shadow by the side's
+/// memoized line ids, so no reference is hashed.
+fn classify_by_id(view: &SideView, geom: CacheGeometry) -> MissBreakdown {
+    let lines = view
+        .lines_for(geom.line_size())
+        .expect("line ids are memoized at the base line size");
+    let mut l1 = DirectMappedSweep::new(&[geom]);
+    let mut classifier = MissClassifier::new(geom);
+    for (&id, &line) in view.ids().iter().zip(lines) {
+        classifier.observe_id(id, l1.access_line(line, |_, _| {}) > 0);
+    }
+    note_refs_simulated(lines.len() as u64);
+    classifier.breakdown()
 }
 
 /// [`run`] by the single-pass engine: one [`jouppi_cache::LruSweep`] over
@@ -72,7 +91,6 @@ fn classify_side_single_pass(
     side: Side,
     geom: jouppi_cache::CacheGeometry,
 ) -> MissBreakdown {
-    let view = side.view(trace);
     let mut sweep_engine = jouppi_cache::LruSweep::for_set_counts(&[1, geom.num_sets()])
         .expect("baseline set counts are powers of two");
     let num_lines = geom.num_lines();
@@ -91,16 +109,11 @@ fn classify_side_single_pass(
             }
         }
     };
-    if let Some(lines) = view.lines_for(geom.line_size()) {
-        for &line in lines {
-            observe(line);
-        }
-    } else {
-        for &addr in view.addrs() {
-            observe(addr.line(geom.line_size()));
-        }
+    let view = side.view(trace);
+    for line in view.lines(geom.line_size()) {
+        observe(line);
     }
-    sweep::note_single_pass_refs(view.addrs().len() as u64);
+    sweep::note_single_pass_refs(view.len() as u64);
     breakdown
 }
 
@@ -182,9 +195,17 @@ mod tests {
     #[test]
     fn single_pass_engine_matches_classifier() {
         // Exact equality, not approximation: the Mattson-engine rework
-        // must reproduce the classifier's breakdowns bit for bit.
+        // and the id-indexed classifier on the tag array must reproduce
+        // the classifying simulator's breakdowns bit for bit.
         let cfg = ExperimentConfig::with_scale(30_000);
-        assert_eq!(run(&cfg), run_single_pass(&cfg));
+        let f = run(&cfg);
+        assert_eq!(f, run_single_pass(&cfg));
+        let traces = record_traces(&cfg);
+        for ((b, i, d), (_, trace)) in f.rows.iter().zip(traces.iter()) {
+            let oracle = |side| crate::common::classify_side(trace, side, baseline_l1()).1;
+            assert_eq!(*i, oracle(Side::Instruction), "{b} instruction side");
+            assert_eq!(*d, oracle(Side::Data), "{b} data side");
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ pub struct Fig41 {
 
 /// Runs `ccom`'s instruction stream through each prefetch technique.
 ///
-/// The trace is recorded once; the three techniques replay its dense
-/// instruction-side view as independent sweep-engine cells.
+/// The trace is recorded once; the three techniques replay its
+/// instruction fetches as independent sweep-engine cells.
 pub fn run(cfg: &ExperimentConfig) -> Fig41 {
     let trace = RecordedTrace::record(&Benchmark::Ccom.source(cfg.scale, cfg.seed));
     let techniques = [
@@ -35,8 +35,9 @@ pub fn run(cfg: &ExperimentConfig) -> Fig41 {
     let curves = sweep::map_jobs(techniques.len(), |t| {
         let tech = techniques[t];
         let mut sim = PrefetchSimulator::new(baseline_l1(), tech);
-        for (i, &addr) in trace.instr_side().addrs().iter().enumerate() {
-            sim.access(addr, i as u64 + 1);
+        let fetches = trace.as_slice().iter().filter(|r| r.kind.is_instr());
+        for (i, r) in fetches.enumerate() {
+            sim.access(r.addr, i as u64 + 1);
         }
         (tech, sim.lead_time_cdf(MAX_LEAD))
     });

@@ -7,13 +7,15 @@
 //! traversals per (benchmark, side) — one [`jouppi_cache::LruSweep`]
 //! (whose cost is independent of the number of cells) and one
 //! [`jouppi_cache::FifoSweep`] (whose cost scales with misses, not
-//! cells). [`run_per_cell`] is the demoted per-cell simulator, kept as
+//! cells). Both index their per-line state by the side's memoized line
+//! ids. [`run_per_cell`] is the demoted per-cell simulator, kept as
 //! the cross-check oracle: one [`jouppi_cache::Cache`] replay per
 //! (cell × policy), exactly equal by the
 //! `single_pass_equivalence` test suite.
 
 use jouppi_cache::{Cache, CacheGeometry, FifoSweep, LruSweep, ReplacementPolicy};
 use jouppi_report::{rate, Table};
+use jouppi_trace::{LineAddr, SideView};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{record_traces, ExperimentConfig, Side};
@@ -91,7 +93,7 @@ pub fn cells_per_side() -> u64 {
     (SIZES.len() * ASSOCS.len() * 2) as u64
 }
 
-fn side_cells_single_pass(lines: &[jouppi_trace::LineAddr]) -> Vec<GeometryCell> {
+fn side_cells_single_pass(view: &SideView) -> Vec<GeometryCell> {
     let cells = grid();
     let keys: Vec<(u64, u64)> = cells
         .iter()
@@ -102,11 +104,11 @@ fn side_cells_single_pass(lines: &[jouppi_trace::LineAddr]) -> Vec<GeometryCell>
     // way-count sharing that set count.
     let mut lru = LruSweep::bounded(&keys).expect("grid cells are valid");
     let mut fifo = FifoSweep::new(&keys).expect("grid cells are valid");
-    for &line in lines {
-        lru.observe(line);
-        fifo.observe(line);
+    for (&id, &line) in view.ids().iter().zip(base_lines(view)) {
+        lru.observe_id(id, line);
+        fifo.observe_id(id, line);
     }
-    sweep::note_single_pass_refs(2 * lines.len() as u64);
+    sweep::note_single_pass_refs(2 * view.len() as u64);
     cells
         .iter()
         .map(|g| GeometryCell {
@@ -118,7 +120,8 @@ fn side_cells_single_pass(lines: &[jouppi_trace::LineAddr]) -> Vec<GeometryCell>
         .collect()
 }
 
-fn side_cells_per_cell(lines: &[jouppi_trace::LineAddr]) -> Vec<GeometryCell> {
+fn side_cells_per_cell(view: &SideView) -> Vec<GeometryCell> {
+    let lines = base_lines(view);
     let cells = grid();
     crate::common::note_refs_simulated(2 * (cells.len() * lines.len()) as u64);
     cells
@@ -144,9 +147,14 @@ fn side_cells_per_cell(lines: &[jouppi_trace::LineAddr]) -> Vec<GeometryCell> {
         .collect()
 }
 
+fn base_lines(view: &SideView) -> &[LineAddr] {
+    view.lines_for(LINE_SIZE)
+        .expect("16B lines are pre-derived for the baseline line size")
+}
+
 fn run_with(
     cfg: &ExperimentConfig,
-    side_cells: impl Fn(&[jouppi_trace::LineAddr]) -> Vec<GeometryCell> + Sync,
+    side_cells: impl Fn(&SideView) -> Vec<GeometryCell> + Sync,
     refs_factor: u64,
 ) -> GeometrySweep {
     let traces = record_traces(cfg);
@@ -154,12 +162,7 @@ fn run_with(
     let total: u64 = traces.iter().map(|(_, t)| t.len() as u64).sum();
     let per_side = sweep::map_jobs_sized(jobs, total / jobs as u64 * refs_factor, |job| {
         let (_, trace) = &traces[job / 2];
-        let side = Side::BOTH[job % 2];
-        let lines = side
-            .view(trace)
-            .lines_for(LINE_SIZE)
-            .expect("16B lines are pre-derived for the baseline line size");
-        side_cells(lines)
+        side_cells(Side::BOTH[job % 2].view(trace))
     });
     let rows = traces
         .iter()

@@ -1,9 +1,10 @@
-//! A fast, deterministic hasher for line-address keys.
+//! A fast, deterministic hasher for line-address keys, and the line
+//! interner built on it.
 //!
 //! `std`'s default `SipHash` is DoS-resistant but costs tens of cycles per
 //! key — far too much for simulation loops that perform a hash-map probe
-//! per memory reference (the three-C shadow cache, the large-capacity
-//! [`LruSet`](crate::LruSet) backend, stack-distance profiles). Keys here
+//! per memory reference (the large-capacity `LruSet` backend and
+//! stack-distance profiles in `jouppi-cache`, and [`LineInterner`]). Keys here
 //! are line addresses produced by our own trace generators, so hash-flood
 //! resistance buys nothing; what matters is a single multiply instead of a
 //! full SipHash round.
@@ -14,6 +15,8 @@
 //! reproducible run to run.
 
 use std::hash::{BuildHasherDefault, Hasher};
+
+use crate::LineAddr;
 
 /// Multiplicative constant from rustc's `FxHasher` (derived from the
 /// golden ratio; odd, so multiplication is a bijection on `u64`).
@@ -86,10 +89,81 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 )]
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// Dense ids for line addresses, in first-touch order.
+///
+/// The first line interned gets id 0, the next new line 1, and so on, so
+/// a reference is a first touch exactly when its id equals the number of
+/// lines interned before it. Engines that index `Vec`s by id instead of
+/// hashing every reference take ids from here, either memoized with a
+/// trace ([`SideView::ids`](crate::SideView::ids)) or interned as lines
+/// arrive. No id equals `u32::MAX`, so engines can use it as a free-slot
+/// marker.
+///
+/// # Examples
+///
+/// ```
+/// use jouppi_trace::{LineAddr, LineInterner};
+///
+/// let mut interner = LineInterner::new();
+/// let ids: Vec<u32> = [7u64, 3, 7, 9, 3]
+///     .iter()
+///     .map(|&n| interner.intern(LineAddr::new(n)))
+///     .collect();
+/// assert_eq!(ids, [0, 1, 0, 2, 1]);
+/// assert_eq!(interner.len(), 3);
+/// assert_eq!(
+///     interner.into_lines(),
+///     [LineAddr::new(7), LineAddr::new(3), LineAddr::new(9)]
+/// );
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct LineInterner {
+    ids: FxHashMap<LineAddr, u32>,
+    lines: Vec<LineAddr>,
+}
+
+impl LineInterner {
+    /// Creates an interner that has seen no lines.
+    pub fn new() -> Self {
+        LineInterner::default()
+    }
+
+    /// The id of `line`: its existing one, or the next free id if the
+    /// line is new. One map probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is new and `u32::MAX` lines are already interned.
+    #[inline]
+    pub fn intern(&mut self, line: LineAddr) -> u32 {
+        let next = self.lines.len() as u32;
+        let id = *self.ids.entry(line).or_insert(next);
+        if id == next {
+            assert!(next < u32::MAX, "line ids exhausted");
+            self.lines.push(line);
+        }
+        id
+    }
+
+    /// Number of distinct lines interned.
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// Returns `true` if no line has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    /// The id → line table, consuming the interner.
+    pub fn into_lines(self) -> Vec<LineAddr> {
+        self.lines
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jouppi_trace::LineAddr;
 
     #[test]
     fn is_deterministic() {

@@ -2,10 +2,10 @@
 
 use std::sync::OnceLock;
 
-use crate::{Addr, LineAddr, MemRef, TraceStats};
+use crate::{Addr, LineAddr, LineInterner, MemRef, TraceStats};
 
 /// The baseline line size (bytes) for which [`SideView`] pre-derives
-/// line addresses. Matches the paper's 16-byte baseline L1 lines.
+/// line addresses and ids. Matches the paper's 16-byte baseline L1 lines.
 pub const BASE_LINE_SIZE: u64 = 16;
 
 /// A producer of a memory-reference stream.
@@ -44,53 +44,54 @@ pub trait TraceSource {
 
 /// A dense, single-side slice of a recorded trace.
 ///
-/// Holds the byte addresses of every reference on one cache side
-/// (instruction or data), in trace order, together with their line
-/// addresses pre-derived for [`BASE_LINE_SIZE`]-byte lines. Simulation
-/// hot loops iterate these flat vectors instead of re-filtering the
-/// mixed I/D trace and re-deriving lines per configuration.
+/// Holds the line address of every reference on one cache side
+/// (instruction or data) at [`BASE_LINE_SIZE`]-byte lines, in trace
+/// order, together with a dense id per reference: the side's distinct
+/// lines numbered in first-touch order ([`SideView::ids`],
+/// [`SideView::lines_by_id`]). Simulation hot loops iterate these flat
+/// vectors instead of re-filtering the mixed I/D trace and re-deriving
+/// lines per configuration, and engines index `Vec`s by id instead of
+/// hashing each line. The view stores no byte addresses: each reference
+/// keeps its byte offset within its base line, one byte, from which
+/// [`SideView::lines`] derives any other line size.
 ///
 /// # Examples
 ///
 /// ```
-/// use jouppi_trace::{Addr, MemRef, RecordedTrace};
+/// use jouppi_trace::{Addr, LineAddr, MemRef, RecordedTrace};
 ///
 /// let trace = RecordedTrace::from_iter(vec![
 ///     MemRef::instr(Addr::new(0x1000)),
 ///     MemRef::load(Addr::new(0x8000)),
 ///     MemRef::store(Addr::new(0x8010)),
+///     MemRef::load(Addr::new(0x8004)),
 /// ]);
+/// let data = trace.data_side();
 /// assert_eq!(trace.instr_side().len(), 1);
-/// assert_eq!(trace.data_side().addrs(), &[Addr::new(0x8000), Addr::new(0x8010)]);
 /// // Line addresses for the baseline 16-byte line are precomputed...
-/// assert!(trace.data_side().lines_for(16).is_some());
-/// // ...other line sizes fall back to deriving from `addrs()`.
-/// assert!(trace.data_side().lines_for(32).is_none());
+/// let lines = [LineAddr::new(0x800), LineAddr::new(0x801), LineAddr::new(0x800)];
+/// assert_eq!(data.lines_for(16), Some(&lines[..]));
+/// // ...with an id per reference, numbering lines in first-touch order.
+/// assert_eq!(data.ids(), &[0, 1, 0]);
+/// assert_eq!(data.lines_by_id(), &lines[..2]);
+/// // Other line sizes are derived on demand.
+/// assert!(data.lines_for(32).is_none());
+/// assert!(data.lines(32).eq([LineAddr::new(0x400); 3]));
+/// assert!(data.lines(8).eq([0x1000, 0x1002, 0x1000].map(LineAddr::new)));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SideView {
-    addrs: Vec<Addr>,
     base_lines: Vec<LineAddr>,
+    /// Each reference's byte offset within its base line: with the base
+    /// line, its whole address.
+    offsets: Vec<u8>,
+    ids: Vec<u32>,
+    lines_by_id: Vec<LineAddr>,
 }
 
 impl SideView {
-    fn build(refs: &[MemRef], instr: bool) -> SideView {
-        let addrs: Vec<Addr> = refs
-            .iter()
-            .filter(|r| r.kind.is_instr() == instr)
-            .map(|r| r.addr)
-            .collect();
-        let base_lines = addrs.iter().map(|a| a.line(BASE_LINE_SIZE)).collect();
-        SideView { addrs, base_lines }
-    }
-
-    /// Byte addresses of this side's references, in trace order.
-    pub fn addrs(&self) -> &[Addr] {
-        &self.addrs
-    }
-
-    /// Line addresses pre-derived for [`BASE_LINE_SIZE`]-byte lines,
-    /// parallel to [`SideView::addrs`].
+    /// Line addresses pre-derived for [`BASE_LINE_SIZE`]-byte lines, in
+    /// trace order.
     pub fn base_lines(&self) -> &[LineAddr] {
         &self.base_lines
     }
@@ -98,19 +99,91 @@ impl SideView {
     /// The pre-derived line addresses, if they match `line_size`.
     ///
     /// Returns `None` for any line size other than [`BASE_LINE_SIZE`];
-    /// callers then derive lines from [`SideView::addrs`] themselves.
+    /// callers then derive lines with [`SideView::lines`].
     pub fn lines_for(&self, line_size: u64) -> Option<&[LineAddr]> {
         (line_size == BASE_LINE_SIZE).then_some(&self.base_lines[..])
     }
 
+    /// Line addresses at `line_size`, in trace order, each derived from
+    /// the reference's base line and offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line_size` is not a power of two.
+    pub fn lines(&self, line_size: u64) -> impl Iterator<Item = LineAddr> + '_ {
+        assert!(
+            line_size.is_power_of_two(),
+            "line size {line_size} must be a power of two"
+        );
+        let base_shift = BASE_LINE_SIZE.trailing_zeros();
+        self.base_lines
+            .iter()
+            .zip(&self.offsets)
+            .map(move |(line, &offset)| {
+                Addr::new(line.get() << base_shift | u64::from(offset)).line(line_size)
+            })
+    }
+
+    /// Each reference's line id, parallel to [`SideView::base_lines`]:
+    /// the side's distinct base-size lines numbered 0, 1, 2, … in
+    /// first-touch order, as a [`LineInterner`] fed this side would
+    /// number them.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The id → line table: `lines_by_id()[ids()[i]] == base_lines()[i]`.
+    /// Its length is the side's distinct-line count.
+    pub fn lines_by_id(&self) -> &[LineAddr] {
+        &self.lines_by_id
+    }
+
     /// Number of references on this side.
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.base_lines.len()
     }
 
     /// Returns `true` if this side has no references.
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.base_lines.is_empty()
+    }
+}
+
+/// One side's view under construction: lines, offsets and ids appended
+/// as the partition pass meets the side's references.
+struct SideBuilder {
+    view: SideView,
+    interner: LineInterner,
+}
+
+impl SideBuilder {
+    fn with_capacity(refs: usize) -> Self {
+        SideBuilder {
+            view: SideView {
+                base_lines: Vec::with_capacity(refs),
+                offsets: Vec::with_capacity(refs),
+                ids: Vec::with_capacity(refs),
+                lines_by_id: Vec::new(),
+            },
+            interner: LineInterner::new(),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, addr: Addr) {
+        let line = addr.line(BASE_LINE_SIZE);
+        self.view.base_lines.push(line);
+        self.view
+            .offsets
+            .push(addr.line_offset(BASE_LINE_SIZE) as u8);
+        self.view.ids.push(self.interner.intern(line));
+    }
+
+    fn finish(self) -> SideView {
+        SideView {
+            lines_by_id: self.interner.into_lines(),
+            ..self.view
+        }
     }
 }
 
@@ -180,10 +253,25 @@ impl RecordedTrace {
         TraceStats::from_refs(self.refs.iter().copied())
     }
 
+    /// Partitions the trace in one pass: each reference's base line goes
+    /// to its side, which interns it on arrival.
     fn sides(&self) -> &SidePartitions {
-        self.sides.get_or_init(|| SidePartitions {
-            instr: SideView::build(&self.refs, true),
-            data: SideView::build(&self.refs, false),
+        self.sides.get_or_init(|| {
+            let instr_refs = self.refs.iter().filter(|r| r.kind.is_instr()).count();
+            let mut instr = SideBuilder::with_capacity(instr_refs);
+            let mut data = SideBuilder::with_capacity(self.refs.len() - instr_refs);
+            for r in &self.refs {
+                let side = if r.kind.is_instr() {
+                    &mut instr
+                } else {
+                    &mut data
+                };
+                side.push(r.addr);
+            }
+            SidePartitions {
+                instr: instr.finish(),
+                data: data.finish(),
+            }
         })
     }
 
@@ -197,9 +285,9 @@ impl RecordedTrace {
         &self.sides().data
     }
 
-    /// Eagerly builds both side views. Call this where the partition
-    /// cost should be paid (e.g. on a recording worker) instead of
-    /// lazily inside the first simulation that touches a side.
+    /// Eagerly builds both side views, line ids included. Call this where
+    /// the partition cost should be paid (e.g. on a recording worker)
+    /// instead of lazily inside the first simulation that touches a side.
     pub fn materialize_sides(&self) {
         self.sides();
     }
@@ -258,7 +346,6 @@ impl Extend<MemRef> for RecordedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Addr;
 
     fn sample() -> Vec<MemRef> {
         vec![
@@ -317,8 +404,8 @@ mod tests {
         let t = RecordedTrace::from_refs("t", sample());
         let instr = t.instr_side();
         let data = t.data_side();
-        assert_eq!(instr.addrs(), &[Addr::new(0), Addr::new(4)]);
-        assert_eq!(data.addrs(), &[Addr::new(1024), Addr::new(1032)]);
+        assert_eq!(instr.base_lines(), &[LineAddr::new(0), LineAddr::new(0)]);
+        assert_eq!(data.base_lines(), &[LineAddr::new(64), LineAddr::new(64)]);
         assert_eq!(instr.len() + data.len(), t.len());
     }
 
@@ -326,10 +413,8 @@ mod tests {
     fn side_views_prederive_baseline_lines() {
         let t = RecordedTrace::from_refs("t", sample());
         let data = t.data_side();
-        let expected: Vec<LineAddr> = data
-            .addrs()
-            .iter()
-            .map(|a| a.line(BASE_LINE_SIZE))
+        let expected: Vec<LineAddr> = side_refs(&t, false)
+            .map(|r| r.addr.line(BASE_LINE_SIZE))
             .collect();
         assert_eq!(data.base_lines(), &expected[..]);
         assert_eq!(data.lines_for(BASE_LINE_SIZE), Some(&expected[..]));
@@ -344,6 +429,97 @@ mod tests {
         t.extend([MemRef::instr(Addr::new(8))]);
         assert_eq!(t.instr_side().len(), 3);
         assert_eq!(t.data_side().len(), 2);
+    }
+
+    /// The references of one side, in trace order.
+    fn side_refs(t: &RecordedTrace, instr: bool) -> impl Iterator<Item = &MemRef> {
+        t.as_slice()
+            .iter()
+            .filter(move |r| r.kind.is_instr() == instr)
+    }
+
+    /// A random trace whose lines repeat: instruction fetches walk and
+    /// jump over a small footprint, data references land on a few hundred
+    /// lines at every byte offset, stores at the top of the address space.
+    fn random_trace(seed: u64) -> RecordedTrace {
+        let mut rng = crate::SmallRng::seed_from_u64(seed);
+        let mut pc = 0x1000u64;
+        let refs = (0..4_000)
+            .map(|_| match rng.below(4) {
+                0 | 1 => {
+                    pc = if rng.below(8) == 0 {
+                        0x1000 + 4 * rng.below(512) as u64
+                    } else {
+                        pc + 4
+                    };
+                    MemRef::instr(Addr::new(pc))
+                }
+                2 => MemRef::load(Addr::new(0x8_0000 + rng.below(6_000) as u64)),
+                _ => MemRef::store(Addr::new(u64::MAX - rng.below(6_000) as u64)),
+            })
+            .collect();
+        RecordedTrace::from_refs("random", refs)
+    }
+
+    #[test]
+    fn line_ids_number_distinct_lines_in_first_touch_order() {
+        for seed in [1u64, 2, 3] {
+            let t = random_trace(seed);
+            for (instr, view) in [(true, t.instr_side()), (false, t.data_side())] {
+                let lines = view.base_lines();
+                let (ids, table) = (view.ids(), view.lines_by_id());
+                assert_eq!(ids.len(), lines.len(), "seed {seed}");
+                let mut next = 0u32;
+                for (i, (&id, &line)) in ids.iter().zip(lines).enumerate() {
+                    assert_eq!(table[id as usize], line, "seed {seed} ref {i}");
+                    // A new id is always the next one: first-touch order.
+                    assert!(id <= next, "seed {seed} ref {i}: id {id} before {next}");
+                    if id == next {
+                        next += 1;
+                    }
+                }
+                let distinct: std::collections::BTreeSet<_> = lines.iter().collect();
+                assert_eq!(table.len(), distinct.len(), "seed {seed} instr {instr}");
+                assert_eq!(next as usize, table.len(), "seed {seed} instr {instr}");
+            }
+        }
+    }
+
+    #[test]
+    fn extend_invalidates_line_ids() {
+        let mut t = RecordedTrace::from_refs("t", sample());
+        assert_eq!(t.data_side().ids(), &[0, 0]);
+        t.extend([
+            MemRef::load(Addr::new(0x2000)),
+            MemRef::load(Addr::new(1024)),
+        ]);
+        assert_eq!(t.data_side().ids(), &[0, 0, 1, 0]);
+        assert_eq!(
+            t.data_side().lines_by_id(),
+            &[LineAddr::new(64), LineAddr::new(0x200)]
+        );
+    }
+
+    #[test]
+    fn derived_lines_equal_the_references_lines_at_every_size() {
+        let t = random_trace(4);
+        for instr in [true, false] {
+            for line_size in [1u64, 4, 8, 16, 32, 64, 256, 4096] {
+                let expected: Vec<LineAddr> = side_refs(&t, instr)
+                    .map(|r| r.addr.line(line_size))
+                    .collect();
+                let view = if instr { t.instr_side() } else { t.data_side() };
+                let derived: Vec<LineAddr> = view.lines(line_size).collect();
+                assert_eq!(derived, expected, "{line_size}B lines, instr {instr}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn derived_lines_need_a_power_of_two() {
+        let t = RecordedTrace::from_refs("t", sample());
+        t.data_side().lines(48).for_each(drop);
     }
 
     #[test]
