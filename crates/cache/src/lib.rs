@@ -2,8 +2,9 @@
 //!
 //! This crate provides the conventional caching machinery the paper builds
 //! on: tag-only set-associative cache models (direct-mapped through
-//! fully-associative), replacement policies, an exact O(1) LRU structure,
-//! and the three-C miss classifier (compulsory / capacity / conflict, after
+//! fully-associative), replacement policies, exact LRU structures (a
+//! scanned [`LruSet`] for the small buffers, an O(1) [`LruMap`]), and the
+//! three-C miss classifier (compulsory / capacity / conflict, after
 //! Hill) that Sections 3 and 4 of the paper rely on to separate the misses
 //! each mechanism targets. [`DirectMappedSweep`] and [`BandedShadow`]
 //! simulate and classify every size of a cache-size sweep in one pass.
@@ -36,6 +37,13 @@
 //! ```
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod classify;
@@ -52,7 +60,7 @@ mod stats;
 pub use classify::{ClassifiedCache, MissClass, MissClassifier};
 pub use geometry::{CacheGeometry, GeometryError};
 pub use jouppi_trace::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use lru::{LruSet, TouchOutcome, SMALL_CAPACITY_MAX};
+pub use lru::{LruSet, TouchOutcome};
 pub use lru_map::{Displaced, LruMap};
 pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, Cache};

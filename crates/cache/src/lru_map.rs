@@ -2,24 +2,15 @@
 //!
 //! [`LruMap`] generalizes the line-address [`LruSet`](crate::LruSet) to
 //! arbitrary keys and values; it backs memoization layers like the
-//! serve daemon's content-addressed result cache. The same two backends
-//! sit behind one API, switched on capacity at construction:
-//!
-//! * **Small** (capacity ≤ [`SMALL_CAPACITY_MAX`](crate::SMALL_CAPACITY_MAX))
-//!   — a single `Vec` of `(key, value)` pairs kept in MRU-first order and
-//!   scanned linearly; at a few dozen entries the scan beats hashing.
-//! * **Hashed** (larger capacities) — an [`FxHashMap`] from key to slot
-//!   index plus an intrusive doubly-linked list threaded through a slab
-//!   of slots, giving O(1) get, insert, evict, and remove.
-//!
-//! Both backends implement exact LRU, so which one is selected can never
-//! change behavior — pinned by the equivalence test below.
+//! serve daemon's content-addressed result cache. It is an
+//! [`FxHashMap`] from key to slot index plus an intrusive doubly-linked
+//! list threaded through a slab of slots, giving O(1) get, insert,
+//! evict, and remove at any capacity. The tests below pin it to a naive
+//! MRU-ordered `Vec` model on random operation sequences.
 
 use std::hash::Hash;
 
 use jouppi_trace::FxHashMap;
-
-use crate::lru::SMALL_CAPACITY_MAX;
 
 const NIL: usize = usize::MAX;
 
@@ -51,15 +42,12 @@ pub enum Displaced<K, V> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LruMap<K, V> {
-    backend: Backend<K, V>,
+    map: FxHashMap<K, usize>,
+    slots: Vec<Node<K, V>>,
+    free: Vec<usize>,
+    head: usize, // MRU
+    tail: usize, // LRU
     capacity: usize,
-}
-
-#[derive(Clone, Debug)]
-enum Backend<K, V> {
-    /// Resident entries in MRU-first order.
-    Small(Vec<(K, V)>),
-    Hashed(Hashed<K, V>),
 }
 
 /// A slab slot. `value` is `Some` while the slot is resident and taken
@@ -73,52 +61,20 @@ struct Node<K, V> {
     next: usize,
 }
 
-#[derive(Clone, Debug)]
-struct Hashed<K, V> {
-    map: FxHashMap<K, usize>,
-    slots: Vec<Node<K, V>>,
-    free: Vec<usize>,
-    head: usize, // MRU
-    tail: usize, // LRU
-}
-
 impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
-    /// Creates an empty map holding at most `capacity` entries, picking
-    /// the backend (linear scan vs hash map) that fits the capacity.
+    /// Creates an empty map holding at most `capacity` entries.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LruMap capacity must be nonzero");
-        if capacity <= SMALL_CAPACITY_MAX {
-            LruMap {
-                backend: Backend::Small(Vec::with_capacity(capacity)),
-                capacity,
-            }
-        } else {
-            LruMap::new_hashed(capacity)
-        }
-    }
-
-    /// Creates an empty map that always uses the hash-map backend, even
-    /// at small capacities where [`LruMap::new`] would pick the linear
-    /// scan. Exists so equivalence tests can drive both implementations
-    /// at the same capacity; results are identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new_hashed(capacity: usize) -> Self {
-        assert!(capacity > 0, "LruMap capacity must be nonzero");
         LruMap {
-            backend: Backend::Hashed(Hashed {
-                map: FxHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
-                slots: Vec::with_capacity(capacity.min(1 << 20)),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            }),
+            map: FxHashMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
+            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity,
         }
     }
@@ -132,10 +88,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Current number of resident entries.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Small(v) => v.len(),
-            Backend::Hashed(h) => h.map.len(),
-        }
+        self.map.len()
     }
 
     /// Returns `true` if no entries are resident.
@@ -146,150 +99,93 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 
     /// The value for `key`, marking the entry most-recently used.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        match &mut self.backend {
-            Backend::Small(v) => match v.iter().position(|(k, _)| k == key) {
-                Some(pos) => {
-                    v[..=pos].rotate_right(1);
-                    v.first().map(|(_, value)| value)
-                }
-                None => None,
-            },
-            Backend::Hashed(h) => {
-                let idx = *h.map.get(key)?;
-                h.unlink(idx);
-                h.push_front(idx);
-                h.slots[idx].value.as_ref()
-            }
-        }
+        let idx = *self.map.get(key)?;
+        self.unlink(idx);
+        self.push_front(idx);
+        self.slots[idx].value.as_ref()
     }
 
     /// The value for `key` without affecting recency.
     pub fn peek(&self, key: &K) -> Option<&V> {
-        match &self.backend {
-            Backend::Small(v) => v.iter().find(|(k, _)| k == key).map(|(_, value)| value),
-            Backend::Hashed(h) => h.map.get(key).and_then(|&idx| h.slots[idx].value.as_ref()),
-        }
+        self.map
+            .get(key)
+            .and_then(|&idx| self.slots[idx].value.as_ref())
     }
 
     /// Inserts `key` → `value` as MRU, reporting what was displaced:
     /// the previous value when the key was already present, or the LRU
     /// entry when the map was full.
     pub fn insert(&mut self, key: K, value: V) -> Displaced<K, V> {
-        let capacity = self.capacity;
-        match &mut self.backend {
-            Backend::Small(v) => {
-                if let Some(pos) = v.iter().position(|(k, _)| k == &key) {
-                    v[..=pos].rotate_right(1);
-                    let old = std::mem::replace(&mut v[0].1, value);
-                    return Displaced::Replaced(old);
-                }
-                let evicted = (v.len() == capacity).then(|| v.pop()).flatten();
-                v.insert(0, (key, value));
-                match evicted {
-                    Some((k, val)) => Displaced::Evicted(k, val),
-                    None => Displaced::None,
-                }
+        if let Some(&idx) = self.map.get(&key) {
+            self.unlink(idx);
+            self.push_front(idx);
+            return match self.slots[idx].value.replace(value) {
+                Some(old) => Displaced::Replaced(old),
+                None => Displaced::None, // resident slots hold Some
+            };
+        }
+        let evicted = if self.map.len() == self.capacity {
+            let lru = self.tail;
+            self.unlink(lru);
+            self.free.push(lru);
+            let victim_key = self.slots[lru].key.clone();
+            self.map.remove(&victim_key);
+            self.slots[lru].value.take().map(|v| (victim_key, v))
+        } else {
+            None
+        };
+        let node = Node {
+            key: key.clone(),
+            value: Some(value),
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx] = node;
+                idx
             }
-            Backend::Hashed(h) => {
-                if let Some(&idx) = h.map.get(&key) {
-                    h.unlink(idx);
-                    h.push_front(idx);
-                    match h.slots[idx].value.replace(value) {
-                        Some(old) => return Displaced::Replaced(old),
-                        None => return Displaced::None, // unreachable: resident slots hold Some
-                    }
-                }
-                let evicted = if h.map.len() == capacity {
-                    let lru = h.tail;
-                    h.unlink(lru);
-                    h.free.push(lru);
-                    let victim_key = h.slots[lru].key.clone();
-                    h.map.remove(&victim_key);
-                    h.slots[lru].value.take().map(|v| (victim_key, v))
-                } else {
-                    None
-                };
-                let node = Node {
-                    key: key.clone(),
-                    value: Some(value),
-                    prev: NIL,
-                    next: NIL,
-                };
-                let idx = match h.free.pop() {
-                    Some(idx) => {
-                        h.slots[idx] = node;
-                        idx
-                    }
-                    None => {
-                        h.slots.push(node);
-                        h.slots.len() - 1
-                    }
-                };
-                h.map.insert(key, idx);
-                h.push_front(idx);
-                match evicted {
-                    Some((k, v)) => Displaced::Evicted(k, v),
-                    None => Displaced::None,
-                }
+            None => {
+                self.slots.push(node);
+                self.slots.len() - 1
             }
+        };
+        self.map.insert(key, idx);
+        self.push_front(idx);
+        match evicted {
+            Some((k, v)) => Displaced::Evicted(k, v),
+            None => Displaced::None,
         }
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        match &mut self.backend {
-            Backend::Small(v) => v
-                .iter()
-                .position(|(k, _)| k == key)
-                .map(|pos| v.remove(pos).1),
-            Backend::Hashed(h) => {
-                let idx = h.map.remove(key)?;
-                h.unlink(idx);
-                h.free.push(idx);
-                h.slots[idx].value.take()
-            }
-        }
+        let idx = self.map.remove(key)?;
+        self.unlink(idx);
+        self.free.push(idx);
+        self.slots[idx].value.take()
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Small(v) => v.clear(),
-            Backend::Hashed(h) => {
-                h.map.clear();
-                h.slots.clear();
-                h.free.clear();
-                h.head = NIL;
-                h.tail = NIL;
-            }
-        }
+        self.map.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Keys from MRU to LRU (cloned; for tests and introspection).
     pub fn keys_mru_to_lru(&self) -> Vec<K> {
-        match &self.backend {
-            Backend::Small(v) => v.iter().map(|(k, _)| k.clone()).collect(),
-            Backend::Hashed(h) => {
-                let mut out = Vec::with_capacity(h.map.len());
-                let mut cursor = h.head;
-                while cursor != NIL {
-                    out.push(h.slots[cursor].key.clone());
-                    cursor = h.slots[cursor].next;
-                }
-                out
-            }
+        let mut out = Vec::with_capacity(self.map.len());
+        let mut cursor = self.head;
+        while cursor != NIL {
+            out.push(self.slots[cursor].key.clone());
+            cursor = self.slots[cursor].next;
         }
+        out
     }
 
-    /// Returns `true` if this map runs on the linear small-vector
-    /// backend (capacity ≤ [`SMALL_CAPACITY_MAX`](crate::SMALL_CAPACITY_MAX)
-    /// via [`LruMap::new`]).
-    pub fn is_small_backend(&self) -> bool {
-        matches!(self.backend, Backend::Small(_))
-    }
-}
-
-impl<K, V> Hashed<K, V> {
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
         if prev != NIL {
@@ -323,104 +219,83 @@ impl<K, V> Hashed<K, V> {
 mod tests {
     use super::*;
 
-    /// Every unit test runs against both backends at the same capacity.
-    fn both(capacity: usize, check: impl Fn(LruMap<u64, String>)) {
-        check(LruMap::new(capacity));
-        check(LruMap::new_hashed(capacity));
-    }
-
     fn s(text: &str) -> String {
         text.to_owned()
     }
 
     #[test]
-    fn backend_selection_switches_on_capacity() {
-        assert!(LruMap::<u64, u64>::new(1).is_small_backend());
-        assert!(LruMap::<u64, u64>::new(SMALL_CAPACITY_MAX).is_small_backend());
-        assert!(!LruMap::<u64, u64>::new(SMALL_CAPACITY_MAX + 1).is_small_backend());
-        assert!(!LruMap::<u64, u64>::new_hashed(2).is_small_backend());
-    }
-
-    #[test]
     fn insert_until_full_then_evict_lru() {
-        both(3, |mut m| {
-            assert_eq!(m.insert(1, s("a")), Displaced::None);
-            assert_eq!(m.insert(2, s("b")), Displaced::None);
-            assert_eq!(m.insert(3, s("c")), Displaced::None);
-            assert_eq!(m.len(), 3);
-            // 1 is LRU.
-            assert_eq!(m.insert(4, s("d")), Displaced::Evicted(1, s("a")));
-            assert_eq!(m.peek(&1), None);
-            assert_eq!(m.len(), 3);
-            assert_eq!(m.capacity(), 3);
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(3);
+        assert_eq!(m.insert(1, s("a")), Displaced::None);
+        assert_eq!(m.insert(2, s("b")), Displaced::None);
+        assert_eq!(m.insert(3, s("c")), Displaced::None);
+        assert_eq!(m.len(), 3);
+        // 1 is LRU.
+        assert_eq!(m.insert(4, s("d")), Displaced::Evicted(1, s("a")));
+        assert_eq!(m.peek(&1), None);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.capacity(), 3);
     }
 
     #[test]
     fn get_changes_eviction_order() {
-        both(2, |mut m| {
-            m.insert(1, s("a"));
-            m.insert(2, s("b"));
-            assert_eq!(m.get(&1), Some(&s("a")));
-            assert_eq!(m.insert(3, s("c")), Displaced::Evicted(2, s("b")));
-            assert_eq!(m.peek(&1), Some(&s("a")));
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(2);
+        m.insert(1, s("a"));
+        m.insert(2, s("b"));
+        assert_eq!(m.get(&1), Some(&s("a")));
+        assert_eq!(m.insert(3, s("c")), Displaced::Evicted(2, s("b")));
+        assert_eq!(m.peek(&1), Some(&s("a")));
     }
 
     #[test]
     fn peek_does_not_touch() {
-        both(2, |mut m| {
-            m.insert(1, s("a"));
-            m.insert(2, s("b"));
-            assert_eq!(m.peek(&1), Some(&s("a")));
-            // 1 is still LRU despite the peek.
-            assert_eq!(m.insert(3, s("c")), Displaced::Evicted(1, s("a")));
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(2);
+        m.insert(1, s("a"));
+        m.insert(2, s("b"));
+        assert_eq!(m.peek(&1), Some(&s("a")));
+        // 1 is still LRU despite the peek.
+        assert_eq!(m.insert(3, s("c")), Displaced::Evicted(1, s("a")));
     }
 
     #[test]
     fn reinsert_replaces_and_touches() {
-        both(2, |mut m| {
-            m.insert(1, s("a"));
-            m.insert(2, s("b"));
-            assert_eq!(m.insert(1, s("a2")), Displaced::Replaced(s("a")));
-            assert_eq!(m.insert(3, s("c")), Displaced::Evicted(2, s("b")));
-            assert_eq!(m.get(&1), Some(&s("a2")));
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(2);
+        m.insert(1, s("a"));
+        m.insert(2, s("b"));
+        assert_eq!(m.insert(1, s("a2")), Displaced::Replaced(s("a")));
+        assert_eq!(m.insert(3, s("c")), Displaced::Evicted(2, s("b")));
+        assert_eq!(m.get(&1), Some(&s("a2")));
     }
 
     #[test]
     fn remove_frees_capacity() {
-        both(2, |mut m| {
-            m.insert(1, s("a"));
-            m.insert(2, s("b"));
-            assert_eq!(m.remove(&1), Some(s("a")));
-            assert_eq!(m.remove(&1), None);
-            assert_eq!(m.insert(3, s("c")), Displaced::None);
-            assert_eq!(m.len(), 2);
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(2);
+        m.insert(1, s("a"));
+        m.insert(2, s("b"));
+        assert_eq!(m.remove(&1), Some(s("a")));
+        assert_eq!(m.remove(&1), None);
+        assert_eq!(m.insert(3, s("c")), Displaced::None);
+        assert_eq!(m.len(), 2);
     }
 
     #[test]
     fn mru_order_is_observable() {
-        both(3, |mut m| {
-            m.insert(1, s("a"));
-            m.insert(2, s("b"));
-            m.insert(3, s("c"));
-            m.get(&2);
-            assert_eq!(m.keys_mru_to_lru(), vec![2, 3, 1]);
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(3);
+        m.insert(1, s("a"));
+        m.insert(2, s("b"));
+        m.insert(3, s("c"));
+        m.get(&2);
+        assert_eq!(m.keys_mru_to_lru(), vec![2, 3, 1]);
     }
 
     #[test]
     fn clear_empties() {
-        both(2, |mut m| {
-            m.insert(1, s("a"));
-            m.clear();
-            assert!(m.is_empty());
-            assert_eq!(m.insert(5, s("e")), Displaced::None);
-            assert_eq!(m.len(), 1);
-        });
+        let mut m: LruMap<u64, String> = LruMap::new(2);
+        m.insert(1, s("a"));
+        m.clear();
+        assert!(m.is_empty());
+        assert_eq!(m.insert(5, s("e")), Displaced::None);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
@@ -431,56 +306,63 @@ mod tests {
 
     #[test]
     fn hashed_backend_reuses_slots_after_eviction() {
-        let mut m: LruMap<u64, u64> = LruMap::new_hashed(3);
+        let mut m: LruMap<u64, u64> = LruMap::new(3);
         for i in 0..100 {
             m.insert(i, i * 10);
         }
         assert_eq!(m.len(), 3);
-        if let Backend::Hashed(h) = &m.backend {
-            assert!(h.slots.len() <= 4, "slab grew to {}", h.slots.len());
-        } else {
-            panic!("expected hashed backend");
-        }
+        assert!(m.slots.len() <= 4, "slab grew to {}", m.slots.len());
     }
 
-    /// The two backends stay in lockstep under a randomized op stream.
+    /// The map and a naive MRU-ordered `Vec` model stay in lockstep
+    /// under a randomized op stream, at capacities from 1 to 1,024.
     #[test]
     fn backends_are_equivalent() {
-        let mut small: LruMap<u64, u64> = LruMap::new(8);
-        let mut hashed: LruMap<u64, u64> = LruMap::new_hashed(8);
-        // Deterministic LCG op stream: inserts, gets, removes over a
-        // 16-key universe at capacity 8 exercises evict + slot reuse.
-        let mut x: u64 = 0x1234_5678;
-        for step in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (x >> 33) % 16;
-            match x % 3 {
-                0 => {
-                    assert_eq!(
-                        small.insert(key, step),
-                        hashed.insert(key, step),
-                        "insert({key}) diverged at step {step}"
-                    );
+        for capacity in [1usize, 2, 8, 64, 65, 1024] {
+            let mut map: LruMap<u64, u64> = LruMap::new(capacity);
+            // (key, value), most recent first.
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            // Deterministic LCG op stream: inserts, gets, removes over a
+            // universe of twice the capacity exercises evict + slot reuse.
+            let universe = 2 * capacity as u64;
+            let mut x: u64 = 0x1234_5678;
+            for step in 0..10_000u64 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let key = (x >> 33) % universe;
+                let pos = model.iter().position(|&(k, _)| k == key);
+                let at = format!("capacity {capacity}, step {step}, key {key}");
+                match x % 3 {
+                    0 => {
+                        let want = match pos {
+                            Some(p) => Displaced::Replaced(model.remove(p).1),
+                            None if model.len() == capacity => {
+                                let (k, v) = model.pop().expect("full model");
+                                Displaced::Evicted(k, v)
+                            }
+                            None => Displaced::None,
+                        };
+                        model.insert(0, (key, step));
+                        assert_eq!(map.insert(key, step), want, "insert: {at}");
+                    }
+                    1 => {
+                        let want = pos.map(|p| {
+                            let entry = model.remove(p);
+                            model.insert(0, entry);
+                            entry.1
+                        });
+                        assert_eq!(map.get(&key).copied(), want, "get: {at}");
+                    }
+                    _ => {
+                        let want = pos.map(|p| model.remove(p).1);
+                        assert_eq!(map.remove(&key), want, "remove: {at}");
+                    }
                 }
-                1 => {
-                    assert_eq!(
-                        small.get(&key).copied(),
-                        hashed.get(&key).copied(),
-                        "get({key}) diverged at step {step}"
-                    );
-                }
-                _ => {
-                    assert_eq!(
-                        small.remove(&key),
-                        hashed.remove(&key),
-                        "remove({key}) diverged at step {step}"
-                    );
-                }
+                assert_eq!(map.len(), model.len(), "{at}");
+                let keys: Vec<u64> = model.iter().map(|&(k, _)| k).collect();
+                assert_eq!(map.keys_mru_to_lru(), keys, "{at}");
             }
-            assert_eq!(small.len(), hashed.len());
-            assert_eq!(small.keys_mru_to_lru(), hashed.keys_mru_to_lru());
         }
     }
 }

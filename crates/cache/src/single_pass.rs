@@ -14,12 +14,10 @@
 //!   count; tracking a list of set counts covers a whole size ×
 //!   associativity grid in one pass. The 1-set level is classic Mattson:
 //!   the fully-associative miss-rate curve for every capacity at once.
-//!   Two backends share this theory: [`LruSweep::for_set_counts`]
-//!   resolves *every* depth with per-set Fenwick trees (needed for
-//!   capacity curves), while [`LruSweep::bounded`] resolves depths only
-//!   up to each level's largest queried associativity with capped
-//!   per-set MRU arrays — still exact for those queries (hit ⇔ depth ≤
-//!   ways) at a fraction of the per-reference cost.
+//!   Each level resolves depths only up to its largest queried
+//!   associativity, with capped per-set MRU arrays: still exact for
+//!   those queries (hit ⇔ depth ≤ ways), because a deeper reference
+//!   misses at every associativity the level answers.
 //!
 //! * [`FifoSweep`] — FIFO has no inclusion property (Belady's anomaly:
 //!   more frames can miss *more*), so no histogram shortcut exists. The
@@ -91,109 +89,18 @@ impl fmt::Display for SinglePassError {
 
 impl Error for SinglePassError {}
 
-/// One set count's tracking state: a Fenwick tree over *local* (per-set)
-/// timestamps counting most-recent-access marks, plus the owner row of
-/// each timestamp so compaction can test liveness.
-///
-/// Timestamps are set-local and compacted when the arena fills: live
-/// stamps are renumbered 1..=live and capacity doubles over the live
-/// count, so memory is O(footprint) and compaction is amortized O(1)
-/// per insertion (each compaction buys `live` headroom and costs
-/// O(live) — the same coin the doubling rebuild in
-/// [`crate::StackDistanceProfile`] pays, but per set).
-#[derive(Clone, Debug, Default)]
-struct SetTracker {
-    /// Fenwick tree, 1-based; `tree.len() == owner.len() + 1`.
-    tree: Vec<u32>,
-    /// `owner[t - 1]` = row that last claimed local timestamp `t`.
-    owner: Vec<u32>,
-    /// Highest local timestamp issued.
-    now: u32,
-    /// Marked (live) timestamps = distinct lines resident in this set's
-    /// LRU stack.
-    live: u32,
-}
-
-impl SetTracker {
-    /// Sum of marks at timestamps `1..=idx`.
-    fn prefix(&self, mut idx: u32) -> u32 {
-        let mut sum = 0;
-        while idx > 0 {
-            sum += self.tree[idx as usize];
-            idx &= idx - 1;
-        }
-        sum
-    }
-
-    /// Adds `delta` (±1) to the mark at timestamp `idx`.
-    fn add(&mut self, mut idx: u32, delta: i32) {
-        let cap = self.owner.len() as u32;
-        while idx <= cap {
-            self.tree[idx as usize] = self.tree[idx as usize].wrapping_add_signed(delta);
-            idx += idx & idx.wrapping_neg();
-        }
-    }
-
-    /// Renumbers live timestamps to `1..=live` (updating the rows' slots
-    /// in `ts` at stride `nlevels`, offset `k`) and rebuilds the tree
-    /// with doubled headroom.
-    fn compact(&mut self, ts: &mut [u32], k: usize, nlevels: usize) {
-        let mut kept: u32 = 0;
-        for t in 1..=self.now {
-            let row = self.owner[(t - 1) as usize];
-            let slot = row as usize * nlevels + k;
-            // A timestamp is live iff its owner row still points at it;
-            // anything else was superseded by a later access.
-            if ts[slot] == t {
-                self.owner[kept as usize] = row;
-                kept += 1;
-                ts[slot] = kept;
-            }
-        }
-        debug_assert_eq!(kept, self.live);
-        self.now = kept;
-        let cap = (kept as usize * 2).max(8);
-        self.owner.resize(cap, 0);
-        self.tree.clear();
-        self.tree.resize(cap + 1, 0);
-        for mark in &mut self.tree[1..=kept as usize] {
-            *mark = 1;
-        }
-        for i in 1..=cap {
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= cap {
-                let v = self.tree[i];
-                self.tree[parent] += v;
-            }
-        }
-    }
-}
-
-/// One tracked set count: its mask, per-set trackers, and the shared
-/// within-set stack-distance histogram.
-#[derive(Clone, Debug)]
-struct Level {
-    /// `num_sets - 1`; line→set is one mask.
-    mask: u64,
-    /// `hist[d]` = references at within-set stack distance exactly `d`
-    /// (1-based; index 0 unused).
-    hist: Vec<u64>,
-    /// One tracker per set.
-    sets: Vec<SetTracker>,
-}
-
-/// One tracked set count under the bounded backend: flattened per-set
-/// MRU arrays truncated at the level's associativity bound.
+/// One tracked set count: flattened per-set MRU arrays truncated at the
+/// level's associativity bound.
 ///
 /// A hit at array index `i` is within-set stack distance `i + 1`; a
 /// warm reference absent from the array is deeper than the bound and
 /// lands in one overflow bucket. Nothing is lost: an A-way set hits
 /// exactly the references with depth ≤ A, so depths beyond the largest
-/// associativity anyone will query never need resolving — and the
-/// per-reference cost drops from two Fenwick traversals to a word scan
-/// that usually ends at the first (most recent) slot.
+/// associativity anyone will query never need resolving, and the
+/// per-reference cost is a word scan that usually ends at the first
+/// (most recent) slot.
 #[derive(Clone, Debug)]
-struct BoundedLevel {
+struct Level {
     /// `num_sets - 1`; line→set is one mask.
     mask: u64,
     /// Largest associativity this level can answer.
@@ -214,24 +121,9 @@ struct BoundedLevel {
     entries: Vec<u32>,
 }
 
-/// How a [`LruSweep`] tracks within-set stack distances.
-#[derive(Clone, Debug)]
-enum Backend {
-    /// Fenwick trees over per-set timestamps: every depth resolved
-    /// exactly, any associativity answerable.
-    Exact {
-        levels: Vec<Level>,
-        /// `ts[id * levels + k]` = line `id`'s current local timestamp
-        /// at level `k` (0 = not resident in that level's tracking).
-        ts: Vec<u32>,
-    },
-    /// Capped per-set MRU arrays: exact for associativities up to each
-    /// level's bound, `None` beyond it.
-    Bounded { levels: Vec<BoundedLevel> },
-}
-
 /// A single-pass LRU sweep: one trace traversal, exact miss counts for
-/// every (set count in the tracked list) × (any associativity) cell.
+/// every `(num_sets, associativity)` cell up to each set count's largest
+/// queried associativity.
 ///
 /// # Examples
 ///
@@ -239,8 +131,8 @@ enum Backend {
 /// use jouppi_cache::LruSweep;
 /// use jouppi_trace::LineAddr;
 ///
-/// // Track set counts 1 (fully associative) and 2.
-/// let mut sweep = LruSweep::for_set_counts(&[1, 2]).unwrap();
+/// // Set counts 1 (fully associative, up to 3 ways) and 2 (up to 2).
+/// let mut sweep = LruSweep::bounded(&[(1, 3), (2, 2)]).unwrap();
 /// for &n in &[0u64, 1, 2, 0, 1, 2] {
 ///     sweep.observe(LineAddr::new(n));
 /// }
@@ -255,7 +147,8 @@ enum Backend {
 pub struct LruSweep {
     /// Tracked set counts, ascending and distinct.
     set_counts: Vec<u64>,
-    backend: Backend,
+    /// One level per tracked set count, in `set_counts` order.
+    levels: Vec<Level>,
     /// Scratch: within-set depth per level for the last `observe_depths`.
     depths: Vec<u32>,
     total: u64,
@@ -268,45 +161,14 @@ pub struct LruSweep {
 }
 
 impl LruSweep {
-    /// Creates a sweep tracking the given set counts (deduplicated and
-    /// sorted; each must be a nonzero power of two).
-    ///
-    /// # Errors
-    ///
-    /// [`SinglePassError`] when the list is empty or a count is invalid.
-    pub fn for_set_counts(set_counts: &[u64]) -> Result<Self, SinglePassError> {
-        let counts = LruSweep::validated_counts(set_counts)?;
-        let levels = counts
-            .iter()
-            .map(|&c| Level {
-                mask: c - 1,
-                hist: Vec::new(),
-                sets: vec![SetTracker::default(); c as usize],
-            })
-            .collect();
-        let n = counts.len();
-        Ok(LruSweep {
-            set_counts: counts,
-            backend: Backend::Exact {
-                levels,
-                ts: Vec::new(),
-            },
-            depths: vec![0; n],
-            total: 0,
-            cold: 0,
-            interner: LineInterner::new(),
-        })
-    }
-
-    /// Creates a *bounded* sweep over `(num_sets, max_associativity)`
-    /// cells: each set count's within-set distances are resolved only up
-    /// to the largest associativity listed for it. Queries at or below
-    /// the bound stay exact — an A-way set hits iff the depth is ≤ A, so
-    /// deeper depths never matter — while [`Self::misses`] returns
-    /// `None` beyond it. The payoff is the per-reference cost: a short
-    /// scan of a capped per-set MRU array instead of Fenwick-tree
-    /// traversals, which is what lets one pass answer a whole geometry
-    /// grid faster than simulating any single cell.
+    /// Creates a sweep over `(num_sets, max_associativity)` cells: each
+    /// set count's within-set distances are resolved up to the largest
+    /// associativity listed for it. Queries at or below the bound are
+    /// exact — an A-way set hits iff the depth is ≤ A, so deeper depths
+    /// never matter — while [`Self::misses`] returns `None` beyond it.
+    /// Capping the per-set MRU arrays at the bound is what lets one pass
+    /// answer a whole geometry grid faster than simulating any single
+    /// cell.
     ///
     /// # Examples
     ///
@@ -314,26 +176,37 @@ impl LruSweep {
     /// use jouppi_cache::LruSweep;
     /// use jouppi_trace::LineAddr;
     ///
-    /// // Fully associative up to 3 ways, 2 sets up to 2 ways.
-    /// let mut sweep = LruSweep::bounded(&[(1, 3), (2, 2)]).unwrap();
-    /// for &n in &[0u64, 1, 2, 0, 1, 2] {
+    /// // One fully-associative level, bounded at 2 ways.
+    /// let mut sweep = LruSweep::bounded(&[(1, 2)]).unwrap();
+    /// for &n in &[0u64, 1, 0, 2] {
     ///     sweep.observe(LineAddr::new(n));
     /// }
-    /// assert_eq!(sweep.misses(1, 3), Some(3));
-    /// assert_eq!(sweep.misses(1, 2), Some(6));
-    /// assert_eq!(sweep.misses(2, 2), Some(3));
+    /// // Line 1 sits at depth 3 on its reuse: deeper than the bound, so
+    /// // its depth reads as bound + 1, a miss at both answerable sizes.
+    /// let (cold, depths) = sweep.observe_depths(LineAddr::new(1));
+    /// assert!(!cold);
+    /// assert_eq!(depths, &[3]);
+    /// assert_eq!(sweep.misses(1, 2), Some(4));
+    /// assert_eq!(sweep.misses(1, 1), Some(5));
     /// // Beyond the tracked bound the sweep cannot answer.
-    /// assert_eq!(sweep.misses(1, 4), None);
+    /// assert_eq!(sweep.misses(1, 3), None);
     /// ```
     ///
     /// # Errors
     ///
     /// [`SinglePassError`] when the list is empty, a set count is not a
     /// nonzero power of two, or an associativity bound is zero (or does
-    /// not fit the `u32` the backend stores it in).
+    /// not fit the `u32` a level stores it in).
     pub fn bounded(cells: &[(u64, u64)]) -> Result<Self, SinglePassError> {
-        let counts =
-            LruSweep::validated_counts(&cells.iter().map(|&(s, _)| s).collect::<Vec<_>>())?;
+        let mut counts: Vec<u64> = cells.iter().map(|&(s, _)| s).collect();
+        counts.sort_unstable();
+        counts.dedup();
+        if counts.is_empty() {
+            return Err(SinglePassError::Empty);
+        }
+        if let Some(&c) = counts.iter().find(|&&c| !c.is_power_of_two()) {
+            return Err(SinglePassError::BadSetCount(c));
+        }
         let mut bounds = vec![0u32; counts.len()];
         for &(sets, assoc) in cells {
             let bound = match u32::try_from(assoc) {
@@ -348,7 +221,7 @@ impl LruSweep {
         let levels = counts
             .iter()
             .zip(&bounds)
-            .map(|(&c, &bound)| BoundedLevel {
+            .map(|(&c, &bound)| Level {
                 mask: c - 1,
                 bound,
                 hist: vec![0; bound as usize + 1],
@@ -360,42 +233,12 @@ impl LruSweep {
         let n = counts.len();
         Ok(LruSweep {
             set_counts: counts,
-            backend: Backend::Bounded { levels },
+            levels,
             depths: vec![0; n],
             total: 0,
             cold: 0,
             interner: LineInterner::new(),
         })
-    }
-
-    /// Validates, sorts, and deduplicates a set-count list.
-    fn validated_counts(set_counts: &[u64]) -> Result<Vec<u64>, SinglePassError> {
-        let mut counts = set_counts.to_vec();
-        counts.sort_unstable();
-        counts.dedup();
-        if counts.is_empty() {
-            return Err(SinglePassError::Empty);
-        }
-        for &c in &counts {
-            if c == 0 || !c.is_power_of_two() {
-                return Err(SinglePassError::BadSetCount(c));
-            }
-        }
-        Ok(counts)
-    }
-
-    /// Creates a sweep tracking every power-of-two set count up to and
-    /// including `max_sets`.
-    ///
-    /// # Errors
-    ///
-    /// [`SinglePassError`] when `max_sets` is not a power of two.
-    pub fn up_to(max_sets: u64) -> Result<Self, SinglePassError> {
-        if max_sets == 0 || !max_sets.is_power_of_two() {
-            return Err(SinglePassError::BadSetCount(max_sets));
-        }
-        let counts: Vec<u64> = (0..=max_sets.trailing_zeros()).map(|s| 1u64 << s).collect();
-        LruSweep::for_set_counts(&counts)
     }
 
     /// Observes one reference, interning its line.
@@ -422,12 +265,11 @@ impl LruSweep {
     /// Observes one reference and returns `(first touch, depths)`, where
     /// `depths[k]` is the within-set stack distance at the k-th tracked
     /// set count (in [`Self::set_counts`] order; 0 on first touch).
+    /// Depths deeper than a level's bound read as `bound + 1`.
     ///
     /// The per-reference prediction: an S-set, A-way LRU cache hits this
     /// reference iff it is not a first touch and the depth at level S is
-    /// ≤ A. On a [`Self::bounded`] sweep, depths deeper than a level's
-    /// bound are reported as `bound + 1` — the prediction stays correct
-    /// for every associativity the level can answer.
+    /// ≤ A, for every A up to the level's bound.
     pub fn observe_depths(&mut self, line: LineAddr) -> (bool, &[u32]) {
         let id = self.interner.intern(line);
         let cold = self.step::<true>(id, line);
@@ -444,108 +286,60 @@ impl LruSweep {
             "line ids must arrive in first-touch order"
         );
         let cold = u64::from(id) == self.cold;
-        let nlevels = self.set_counts.len();
         let raw = line.get();
-        match &mut self.backend {
-            Backend::Exact { levels, ts } => {
-                if cold {
-                    ts.resize(ts.len() + nlevels, 0);
+        for (k, level) in self.levels.iter_mut().enumerate() {
+            let bound = level.bound as usize;
+            let set = (raw & level.mask) as usize;
+            let base = set * bound;
+            // Depth 1 here is depth 1 at every finer level too (set
+            // refinement: finer substreams are subsequences, so depth is
+            // non-increasing in set count). A depth-1 hit changes nothing
+            // — the line already fronts those MRU arrays, and depth 1 is
+            // a hit at every answerable associativity, so `misses` never
+            // reads it (`hist[1]` stays 0) — and the walk ends. At the
+            // coarsest level this is the whole reference.
+            if level.entries[base] == id {
+                if DEPTHS {
+                    self.depths[k..].fill(1);
                 }
-                let base = id as usize * nlevels;
-                for (k, level) in levels.iter_mut().enumerate() {
-                    let set = (raw & level.mask) as usize;
-                    let tracker = &mut level.sets[set];
-                    let prev = ts[base + k];
-                    let mut depth = 0u32;
-                    if prev != 0 {
-                        // Marks above `prev` are the distinct lines of
-                        // this set touched since the previous access to
-                        // this line.
-                        depth = tracker.live - tracker.prefix(prev) + 1;
-                        let d = depth as usize;
-                        if level.hist.len() <= d {
-                            level.hist.resize(d + 1, 0);
-                        }
-                        level.hist[d] += 1;
-                        tracker.add(prev, -1);
-                        tracker.live -= 1;
-                        // Clear before any compaction so the stale stamp
-                        // reads as dead.
-                        ts[base + k] = 0;
-                    }
-                    if tracker.now as usize == tracker.owner.len() {
-                        tracker.compact(ts, k, nlevels);
-                    }
-                    let t = tracker.now + 1;
-                    tracker.owner[(t - 1) as usize] = id;
-                    tracker.add(t, 1);
-                    tracker.live += 1;
-                    tracker.now = t;
-                    ts[base + k] = t;
-                    if DEPTHS {
-                        self.depths[k] = depth;
-                    }
-                }
+                break;
             }
-            Backend::Bounded { levels } => {
-                for (k, level) in levels.iter_mut().enumerate() {
-                    let bound = level.bound as usize;
-                    let set = (raw & level.mask) as usize;
-                    let base = set * bound;
-                    // Depth 1 here is depth 1 at every finer level too
-                    // (set refinement: finer substreams are subsequences,
-                    // so depth is non-increasing in set count). A depth-1
-                    // hit changes nothing — the line already fronts those
-                    // MRU arrays, and depth 1 is a hit at every
-                    // answerable associativity, so `misses` never reads
-                    // it (`hist[1]` stays 0) — and the walk ends. At the
-                    // coarsest level this is the whole reference.
-                    if level.entries[base] == id {
-                        if DEPTHS {
-                            self.depths[k..].fill(1);
-                        }
-                        break;
-                    }
-                    // Search-and-shift from slot 1: the line moves to
-                    // the front and each walked entry slides one slot
-                    // down; when the line is found mid-array the walk
-                    // has already rotated the prefix.
-                    let len = level.lens[set] as usize;
-                    let mut carry = level.entries[base];
-                    level.entries[base] = id;
-                    let mut depth = 0u32;
-                    let slots = level.entries[base + 1..base + len.max(1)].iter_mut();
-                    for (slot, d) in slots.zip(2u32..) {
-                        let cur = *slot;
-                        *slot = carry;
-                        if cur == id {
-                            depth = d;
-                            break;
-                        }
-                        carry = cur;
-                    }
-                    if depth != 0 {
-                        level.hist[depth as usize] += 1;
-                    } else {
-                        // Deeper than the bound, or a first touch. The
-                        // carried-out line — the set's least-recent
-                        // tracked entry — falls off unless there is
-                        // still room for it.
-                        if len == 0 {
-                            level.lens[set] = 1;
-                        } else if len < bound {
-                            level.entries[base + len] = carry;
-                            level.lens[set] += 1;
-                        }
-                        if !cold {
-                            level.deep += 1;
-                        }
-                        depth = level.bound + 1;
-                    }
-                    if DEPTHS {
-                        self.depths[k] = if cold { 0 } else { depth };
-                    }
+            // Search-and-shift from slot 1: the line moves to the front
+            // and each walked entry slides one slot down; when the line
+            // is found mid-array the walk has already rotated the prefix.
+            let len = level.lens[set] as usize;
+            let mut carry = level.entries[base];
+            level.entries[base] = id;
+            let mut depth = 0u32;
+            let slots = level.entries[base + 1..base + len.max(1)].iter_mut();
+            for (slot, d) in slots.zip(2u32..) {
+                let cur = *slot;
+                *slot = carry;
+                if cur == id {
+                    depth = d;
+                    break;
                 }
+                carry = cur;
+            }
+            if depth != 0 {
+                level.hist[depth as usize] += 1;
+            } else {
+                // Deeper than the bound, or a first touch. The
+                // carried-out line — the set's least-recent tracked
+                // entry — falls off unless there is still room for it.
+                if len == 0 {
+                    level.lens[set] = 1;
+                } else if len < bound {
+                    level.entries[base + len] = carry;
+                    level.lens[set] += 1;
+                }
+                if !cold {
+                    level.deep += 1;
+                }
+                depth = level.bound + 1;
+            }
+            if DEPTHS {
+                self.depths[k] = if cold { 0 } else { depth };
             }
         }
         if cold {
@@ -566,28 +360,15 @@ impl LruSweep {
 
     /// Exact misses of an LRU cache with `num_sets` sets of
     /// `associativity` ways on the observed stream; `None` when
-    /// `num_sets` is not tracked, `associativity` is 0, or (on a
-    /// [`Self::bounded`] sweep) `associativity` exceeds the level's
-    /// bound.
+    /// `num_sets` is not tracked, or `associativity` is 0 or exceeds the
+    /// level's bound.
     pub fn misses(&self, num_sets: u64, associativity: u64) -> Option<u64> {
-        if associativity == 0 {
+        let level = &self.levels[self.level_of(num_sets)?];
+        if associativity == 0 || associativity > u64::from(level.bound) {
             return None;
         }
-        let k = self.level_of(num_sets)?;
-        match &self.backend {
-            Backend::Exact { levels, .. } => {
-                let deep: u64 = levels[k].hist.iter().skip(associativity as usize + 1).sum();
-                Some(self.cold + deep)
-            }
-            Backend::Bounded { levels, .. } => {
-                let level = &levels[k];
-                if associativity > u64::from(level.bound) {
-                    return None;
-                }
-                let above: u64 = level.hist.iter().skip(associativity as usize + 1).sum();
-                Some(self.cold + level.deep + above)
-            }
-        }
+        let above: u64 = level.hist.iter().skip(associativity as usize + 1).sum();
+        Some(self.cold + level.deep + above)
     }
 
     /// Exact misses of an LRU cache with the given geometry.
@@ -876,8 +657,7 @@ mod tests {
     #[test]
     fn lru_sweep_matches_cache_oracle_on_mixed_stream() {
         let stream = mixed_stream();
-        let counts: Vec<u64> = GRID.iter().map(|&(s, _)| s).collect();
-        let mut sweep = LruSweep::for_set_counts(&counts).unwrap();
+        let mut sweep = LruSweep::bounded(&GRID).unwrap();
         for &n in &stream {
             sweep.observe(l(n));
         }
@@ -909,8 +689,7 @@ mod tests {
     #[test]
     fn both_engines_match_oracle_on_adversarial_streams() {
         for stream in adversarial_streams() {
-            let counts: Vec<u64> = GRID.iter().map(|&(s, _)| s).collect();
-            let mut lru = LruSweep::for_set_counts(&counts).unwrap();
+            let mut lru = LruSweep::bounded(&GRID).unwrap();
             let mut fifo = FifoSweep::new(&GRID).unwrap();
             for &n in &stream {
                 lru.observe(l(n));
@@ -959,7 +738,9 @@ mod tests {
         for (sets, assoc) in [(1u64, 8u64), (4, 2), (16, 1), (8, 4)] {
             let geom = CacheGeometry::new(sets * assoc * 16, 16, assoc).unwrap();
             let mut cache = Cache::new(geom);
-            let mut sweep = LruSweep::for_set_counts(&[sets]).unwrap();
+            // A bound well past the associativity resolves the depths
+            // the prediction compares against, not just bound + 1.
+            let mut sweep = LruSweep::bounded(&[(sets, 64)]).unwrap();
             for &n in &stream {
                 let (cold, depths) = sweep.observe_depths(l(n));
                 let predicted_hit = !cold && u64::from(depths[0]) <= assoc;
@@ -975,9 +756,9 @@ mod tests {
     #[test]
     fn one_set_level_is_classic_mattson() {
         // The 1-set level must agree with StackDistanceProfile (and
-        // therefore FA-LRU) at every capacity.
+        // therefore FA-LRU) at every capacity up to its bound.
         let stream = mixed_stream();
-        let mut sweep = LruSweep::up_to(1).unwrap();
+        let mut sweep = LruSweep::bounded(&[(1, 128)]).unwrap();
         let mut profile = crate::StackDistanceProfile::new();
         for &n in &stream {
             sweep.observe(l(n));
@@ -996,16 +777,8 @@ mod tests {
     }
 
     #[test]
-    fn up_to_tracks_all_powers_of_two() {
-        let sweep = LruSweep::up_to(16).unwrap();
-        assert_eq!(sweep.set_counts(), &[1, 2, 4, 8, 16]);
-        assert_eq!(sweep.level_of(8), Some(3));
-        assert_eq!(sweep.level_of(3), None);
-    }
-
-    #[test]
     fn geometry_queries_and_accessors() {
-        let mut sweep = LruSweep::for_set_counts(&[4]).unwrap();
+        let mut sweep = LruSweep::bounded(&[(4, 2)]).unwrap();
         let mut fifo = FifoSweep::new(&[(4, 2)]).unwrap();
         for &n in &[0u64, 4, 0, 8, 4, 0] {
             sweep.observe(l(n));
@@ -1027,24 +800,22 @@ mod tests {
         assert_eq!(sweep.misses(3, 2), None);
         assert_eq!(sweep.misses(4, 0), None);
         assert_eq!(fifo.misses(9, 9), None);
+        // Set counts come back sorted and deduplicated.
+        let cells = [(16, 1), (1, 4), (4, 2), (8, 1), (2, 1), (4, 1)];
+        let sweep = LruSweep::bounded(&cells).unwrap();
+        assert_eq!(sweep.set_counts(), &[1, 2, 4, 8, 16]);
+        assert_eq!(sweep.level_of(8), Some(3));
+        assert_eq!(sweep.level_of(3), None);
     }
 
     #[test]
     fn constructors_reject_bad_shapes() {
         assert_eq!(
-            LruSweep::for_set_counts(&[]).unwrap_err(),
-            SinglePassError::Empty
-        );
-        assert_eq!(
-            LruSweep::for_set_counts(&[3]).unwrap_err(),
-            SinglePassError::BadSetCount(3)
-        );
-        assert_eq!(
-            LruSweep::for_set_counts(&[0]).unwrap_err(),
+            LruSweep::bounded(&[(0, 1)]).unwrap_err(),
             SinglePassError::BadSetCount(0)
         );
         assert_eq!(
-            LruSweep::up_to(12).unwrap_err(),
+            LruSweep::bounded(&[(4, 1), (12, 1)]).unwrap_err(),
             SinglePassError::BadSetCount(12)
         );
         assert_eq!(FifoSweep::new(&[]).unwrap_err(), SinglePassError::Empty);
@@ -1079,61 +850,59 @@ mod tests {
 
     #[test]
     fn bounded_sweep_matches_exact_and_oracle_within_bounds() {
-        // The bounded backend must be bit-identical to the Fenwick
-        // backend (and therefore the per-cell oracle) at every cell it
-        // tracks, on both the mixed and the adversarial streams.
+        // The sweep must equal the per-cell oracle at every cell it
+        // tracks, on both the mixed and the adversarial streams, and
+        // count every reference and distinct line exactly.
         let mut streams = adversarial_streams();
         streams.push(mixed_stream());
         for stream in streams {
-            let counts: Vec<u64> = GRID.iter().map(|&(s, _)| s).collect();
-            let mut exact = LruSweep::for_set_counts(&counts).unwrap();
             let mut bounded = LruSweep::bounded(&GRID).unwrap();
             for &n in &stream {
-                exact.observe(l(n));
                 bounded.observe(l(n));
             }
             for &(sets, assoc) in &GRID {
-                assert_eq!(
-                    bounded.misses(sets, assoc),
-                    exact.misses(sets, assoc),
-                    "bounded vs exact at {sets}x{assoc}"
-                );
                 assert_eq!(
                     bounded.misses(sets, assoc),
                     Some(oracle(&stream, sets, assoc, ReplacementPolicy::Lru)),
                     "bounded vs oracle at {sets}x{assoc}"
                 );
             }
-            assert_eq!(bounded.total_refs(), exact.total_refs());
-            assert_eq!(bounded.cold_refs(), exact.cold_refs());
-            assert_eq!(bounded.distinct_lines(), exact.distinct_lines());
+            let distinct: std::collections::BTreeSet<u64> = stream.iter().copied().collect();
+            assert_eq!(bounded.total_refs(), stream.len() as u64);
+            assert_eq!(bounded.cold_refs(), distinct.len() as u64);
+            assert_eq!(bounded.distinct_lines(), distinct.len());
         }
     }
 
     #[test]
     fn bounded_sweep_takes_the_largest_bound_per_set_count() {
         // (1, 2) and (1, 5) collapse into one level bounded at 5; both
-        // associativities answer, 6 does not.
+        // associativities answer, 6 does not. Capacities 3 and 5 are no
+        // power-of-two cache, so the fully-associative stack profile is
+        // the oracle.
         let mut sweep = LruSweep::bounded(&[(1, 2), (1, 5)]).unwrap();
         let stream = mixed_stream();
-        let mut exact = LruSweep::for_set_counts(&[1]).unwrap();
+        let mut profile = crate::StackDistanceProfile::new();
         for &n in &stream {
             sweep.observe(l(n));
-            exact.observe(l(n));
+            profile.observe(l(n));
         }
         assert_eq!(sweep.set_counts(), &[1]);
         for assoc in [1u64, 2, 3, 4, 5] {
-            assert_eq!(sweep.misses(1, assoc), exact.misses(1, assoc), "{assoc}");
+            assert_eq!(
+                sweep.misses(1, assoc),
+                Some(profile.misses_for_capacity(assoc as usize)),
+                "{assoc}"
+            );
         }
         assert_eq!(sweep.misses(1, 6), None, "beyond the bound");
-        assert!(exact.misses(1, 6).is_some());
     }
 
     #[test]
     fn bounded_depths_predict_per_reference_hits() {
-        // Same per-reference contract as the exact backend, for every
-        // associativity at or below the bound (deeper depths surface as
-        // bound + 1, which correctly predicts a miss).
+        // The per-reference contract holds for every associativity at or
+        // below the bound, however tight: deeper depths surface as
+        // bound + 1, which correctly predicts a miss.
         let stream = mixed_stream();
         for (sets, bound) in [(1u64, 8u64), (4, 2), (16, 1), (8, 4)] {
             for assoc in [1u64, 2, 4, 8].into_iter().filter(|&a| a <= bound) {
@@ -1223,10 +992,8 @@ mod tests {
         // intern the lines themselves; lines are spread so their bits and
         // their ids pick different sets.
         let stream: Vec<u64> = mixed_stream().iter().map(|&n| n * 0x1_0001 + 3).collect();
-        let counts: Vec<u64> = GRID.iter().map(|&(s, _)| s).collect();
         let mut interner = jouppi_trace::LineInterner::new();
         let mut by_id = (
-            LruSweep::for_set_counts(&counts).unwrap(),
             LruSweep::bounded(&GRID).unwrap(),
             FifoSweep::new(&GRID).unwrap(),
         );
@@ -1234,25 +1001,20 @@ mod tests {
         for &n in &stream {
             let id = interner.intern(l(n));
             by_id.0.observe_id(id, l(n));
-            by_id.1.observe_id(id, l(n));
-            let missed = by_id.2.observe_id(id, l(n));
+            let missed = by_id.1.observe_id(id, l(n));
             by_line.0.observe(l(n));
-            by_line.1.observe(l(n));
-            assert_eq!(by_line.2.observe(l(n)), missed);
+            assert_eq!(by_line.1.observe(l(n)), missed);
         }
         for &(sets, assoc) in &GRID {
             let lru = oracle(&stream, sets, assoc, ReplacementPolicy::Lru);
             assert_eq!(by_id.0.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
-            assert_eq!(by_id.1.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
             assert_eq!(by_line.0.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
-            assert_eq!(by_line.1.misses(sets, assoc), Some(lru), "{sets}x{assoc}");
             assert_eq!(
-                by_id.2.misses(sets, assoc),
-                by_line.2.misses(sets, assoc),
+                by_id.1.misses(sets, assoc),
+                by_line.1.misses(sets, assoc),
                 "{sets}x{assoc}"
             );
         }
-        assert_eq!(by_id.1.distinct_lines(), interner.len());
         assert_eq!(by_id.0.distinct_lines(), interner.len());
     }
 
@@ -1268,33 +1030,5 @@ mod tests {
     fn fifo_duplicate_cells_are_deduplicated() {
         let sweep = FifoSweep::new(&[(1, 2), (1, 2), (2, 1)]).unwrap();
         assert_eq!(sweep.cells(), &[(1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn compaction_keeps_memory_proportional_to_footprint() {
-        // 100k references over 16 lines: timestamp arenas must stay tiny
-        // (compaction renumbers live stamps instead of growing forever).
-        let mut sweep = LruSweep::for_set_counts(&[1, 4]).unwrap();
-        for i in 0..100_000u64 {
-            sweep.observe(l((i * 7) % 16));
-        }
-        let Backend::Exact { levels, .. } = &sweep.backend else {
-            panic!("for_set_counts builds the exact backend");
-        };
-        for level in levels {
-            for tracker in &level.sets {
-                assert!(
-                    tracker.owner.len() <= 64,
-                    "arena grew to {} entries for a 16-line footprint",
-                    tracker.owner.len()
-                );
-            }
-        }
-        // Still exact after thousands of compactions.
-        let stream: Vec<u64> = (0..100_000u64).map(|i| (i * 7) % 16).collect();
-        assert_eq!(
-            sweep.misses(4, 2),
-            Some(oracle(&stream, 4, 2, ReplacementPolicy::Lru))
-        );
     }
 }

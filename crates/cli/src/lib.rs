@@ -136,10 +136,12 @@ pub const USAGE: &str = "\
 usage: jouppi-sim [OPTIONS]
   --workload NAME        built-in workload: ccom grr yacc met linpack liver
   --trace FILE           Dinero-format trace file instead of a workload
-  --cache SIZE:LINE:ASSOC  cache geometry in bytes (default 4096:16:1)
-  --victim N             add an N-entry victim cache
-  --miss-cache N         add an N-entry miss cache
-  --stream WAYSxDEPTH    add stream buffers, e.g. 4x4 or 1x4
+  --cache SIZE:LINE:ASSOC  cache geometry in bytes (default 4096:16:1),
+                         at most 65536 lines
+  --victim N             add an N-entry victim cache, N at most 1024
+  --miss-cache N         add an N-entry miss cache, N at most 1024
+  --stream WAYSxDEPTH    add stream buffers, e.g. 4x4 or 1x4, ways and
+                         depth each at most 1024
   --stride-detect MAX    stream buffers detect strides up to MAX lines
   --side i|d|all         which references the cache sees (default d)
   --scale N              workload length in instructions (default 500000)
@@ -259,6 +261,19 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
     if opts.victim > 0 && opts.miss_cache > 0 {
         return Err(err("--victim and --miss-cache are mutually exclusive"));
     }
+    // The daemon's bounds: nothing request- or argument-sized may size
+    // an allocation past them.
+    let (ways, depth) = opts.stream.unwrap_or_default();
+    jouppi_serve::sim::check_bounds(
+        &opts.geometry,
+        &[
+            ("--victim", opts.victim),
+            ("--miss-cache", opts.miss_cache),
+            ("--stream ways", ways),
+            ("--stream depth", depth),
+        ],
+    )
+    .map_err(err)?;
     if opts.geometry_sweep && (opts.system.is_some() || opts.export.is_some()) {
         return Err(err(
             "--geometry-sweep is a whole-grid report; it cannot combine \
@@ -517,12 +532,47 @@ mod tests {
         assert!(parse(&["--system", "nope"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--victim", "2", "--miss-cache", "2"]).is_err());
+        // Past the daemon's bounds: each of these once sized an
+        // allocation from the argument and aborted the process.
+        for (args, needle) in [
+            (
+                ["--victim", "100000000000"],
+                "--victim must be at most 1024",
+            ),
+            (
+                ["--miss-cache", "100000000000"],
+                "--miss-cache must be at most 1024",
+            ),
+            (
+                ["--stream", "100000000000x4"],
+                "--stream ways must be at most 1024",
+            ),
+            (
+                ["--stream", "4x100000000000"],
+                "--stream depth must be at most 1024",
+            ),
+            (["--cache", "1099511627776:16:1"], "at most 65536"),
+        ] {
+            let e = parse(&args).expect_err("out of bounds");
+            assert!(e.to_string().contains(needle), "{args:?}: {e}");
+        }
+        assert!(parse(&["--victim", "1024", "--cache", "1048576:16:1"]).is_ok());
+        assert!(parse(&["--miss-cache", "1024", "--stream", "1024x1024"]).is_ok());
     }
 
     #[test]
     fn help_shows_usage() {
         let e = parse(&["--help"]).unwrap_err();
         assert!(e.to_string().contains("usage: jouppi-sim"));
+        // The text states the bounds parse_args enforces.
+        use jouppi_serve::sim::{MAX_BUFFER_ENTRIES, MAX_CACHE_LINES};
+        assert!(USAGE.contains(&format!("at most {MAX_CACHE_LINES} lines")));
+        assert_eq!(
+            USAGE
+                .matches(&format!("at most {MAX_BUFFER_ENTRIES}\n"))
+                .count(),
+            3
+        );
     }
 
     #[test]

@@ -57,15 +57,18 @@ fn classify_by_id(view: &SideView, geom: CacheGeometry) -> MissBreakdown {
     classifier.breakdown()
 }
 
-/// [`run`] by the single-pass engine: one [`jouppi_cache::LruSweep`] over
-/// levels {1, `num_sets`} per (benchmark, side) replaces the classified
-/// simulator, reading the same three-C breakdown off stack depths —
-/// compulsory ⇔ first touch; a direct-mapped miss ⇔ cold or within-set
-/// depth > 1; capacity ⇔ a non-cold miss whose *global* depth exceeds the
-/// cache's line count (i.e. the classifier's fully-associative shadow
-/// would also have missed); conflict otherwise. Exactly equal to [`run`]
-/// (pinned by the `single_pass_engine_matches_classifier` test and the
-/// cross-crate equivalence suite).
+/// [`run`] by the single-pass engine: one bounded
+/// [`jouppi_cache::LruSweep`] per (benchmark, side) replaces the
+/// classified simulator, reading the same three-C breakdown off two
+/// stack depths — compulsory ⇔ first touch; a miss ⇔ cold or within-set
+/// depth > ways; capacity ⇔ a non-cold miss whose *global* depth exceeds
+/// the cache's line count (i.e. the classifier's fully-associative
+/// shadow would also have missed); conflict otherwise. Both tests are
+/// threshold tests, so the sweep resolves the global depth only up to
+/// the line count and the within-set depth only up to the ways. Exactly
+/// equal to [`run`] (pinned by the `single_pass_engine_matches_classifier`
+/// test and the cross-crate equivalence suite); it stays as the
+/// stack-depth oracle for the tag-array path.
 pub fn run_single_pass(cfg: &ExperimentConfig) -> Fig31 {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
@@ -91,9 +94,10 @@ fn classify_side_single_pass(
     side: Side,
     geom: jouppi_cache::CacheGeometry,
 ) -> MissBreakdown {
-    let mut sweep_engine = jouppi_cache::LruSweep::for_set_counts(&[1, geom.num_sets()])
-        .expect("baseline set counts are powers of two");
     let num_lines = geom.num_lines();
+    let mut sweep_engine =
+        jouppi_cache::LruSweep::bounded(&[(1, num_lines), (geom.num_sets(), geom.associativity())])
+            .expect("baseline set counts are powers of two");
     let mut breakdown = MissBreakdown::new();
     let mut observe = |line| {
         let (cold, depths) = sweep_engine.observe_depths(line);

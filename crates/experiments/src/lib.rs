@@ -49,6 +49,13 @@
 //! ```
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 #![warn(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 

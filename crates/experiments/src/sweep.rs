@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_empty() {
-        let out: Vec<u32> = map_jobs(0, |_| unreachable!());
+        let out: Vec<u32> = map_jobs(0, |_| panic!("no job runs"));
         assert!(out.is_empty());
     }
 

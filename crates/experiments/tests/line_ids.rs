@@ -36,36 +36,35 @@ fn grid_engines_count_the_same_fed_ids_or_lines() {
         .iter()
         .map(|g| (g.num_sets(), g.associativity()))
         .collect();
-    let set_counts: Vec<u64> = cells.iter().map(|&(s, _)| s).collect();
     for cfg in configs() {
+        // The per-cell `Cache` replays, one per (cell, policy).
+        let oracle = single_pass::run_per_cell(&cfg);
         for (b, trace) in record_traces(&cfg).iter() {
+            let row = oracle.row(*b).expect("every benchmark has a row");
             for side in Side::BOTH {
                 let view = side.view(trace);
+                let expected = match side {
+                    Side::Instruction => &row.instr,
+                    Side::Data => &row.data,
+                };
                 let mut by_id = (
                     LruSweep::bounded(&cells).expect("grid cells are valid"),
                     FifoSweep::new(&cells).expect("grid cells are valid"),
-                    LruSweep::for_set_counts(&set_counts).expect("powers of two"),
                 );
                 let mut by_line = by_id.clone();
                 for (id, line) in refs(view) {
                     by_id.0.observe_id(id, line);
                     by_id.1.observe_id(id, line);
-                    by_id.2.observe_id(id, line);
                     by_line.0.observe(line);
                     by_line.1.observe(line);
-                    by_line.2.observe(line);
                 }
-                for &(sets, assoc) in &cells {
+                for (&(sets, assoc), cell) in cells.iter().zip(expected) {
                     let at = format!("{cfg:?} {b} {side:?} {sets}x{assoc}");
-                    let lru = by_line.2.misses(sets, assoc);
+                    let (lru, fifo) = (Some(cell.lru_misses), Some(cell.fifo_misses));
                     assert_eq!(by_id.0.misses(sets, assoc), lru, "{at}");
                     assert_eq!(by_line.0.misses(sets, assoc), lru, "{at}");
-                    assert_eq!(by_id.2.misses(sets, assoc), lru, "{at}");
-                    assert_eq!(
-                        by_id.1.misses(sets, assoc),
-                        by_line.1.misses(sets, assoc),
-                        "{at}"
-                    );
+                    assert_eq!(by_id.1.misses(sets, assoc), fifo, "{at}");
+                    assert_eq!(by_line.1.misses(sets, assoc), fifo, "{at}");
                 }
                 assert_eq!(by_id.0.distinct_lines(), view.lines_by_id().len());
             }

@@ -55,15 +55,16 @@ fn engines_match_cache_oracle_on_adversarial_streams() {
         .iter()
         .map(|g| (g.num_sets(), g.associativity()))
         .collect();
-    let set_counts: Vec<u64> = cells.iter().map(|&(s, _)| s).collect();
+    // A second LRU sweep bounded at 64 ways per set count resolves
+    // depths well past the grid's associativities; both must equal the
+    // oracle at every grid cell.
+    let deep: Vec<(u64, u64)> = cells.iter().map(|&(s, _)| (s, 64)).collect();
     for stream in adversarial_streams() {
-        // Both LRU backends: the production bounded sweep and the
-        // exact Fenwick sweep must each equal the oracle.
-        let mut lru_exact = LruSweep::for_set_counts(&set_counts).expect("valid");
+        let mut lru_deep = LruSweep::bounded(&deep).expect("valid");
         let mut lru_bounded = LruSweep::bounded(&cells).expect("valid");
         let mut fifo = FifoSweep::new(&cells).expect("valid");
         for &line in &stream {
-            lru_exact.observe(line);
+            lru_deep.observe(line);
             lru_bounded.observe(line);
             fifo.observe(line);
         }
@@ -78,7 +79,7 @@ fn engines_match_cache_oracle_on_adversarial_streams() {
                 }
                 let engines = match policy {
                     ReplacementPolicy::Lru => vec![
-                        lru_exact.misses_for_geometry(&geom),
+                        lru_deep.misses_for_geometry(&geom),
                         lru_bounded.misses_for_geometry(&geom),
                     ],
                     _ => vec![fifo.misses_for_geometry(&geom)],
@@ -114,8 +115,7 @@ fn engines_match_oracle_beyond_the_grid() {
         .iter()
         .map(|g| (g.num_sets(), g.associativity()))
         .collect();
-    let mut lru = LruSweep::for_set_counts(&cells.iter().map(|&(s, _)| s).collect::<Vec<_>>())
-        .expect("valid");
+    let mut lru = LruSweep::bounded(&cells).expect("valid");
     let mut fifo = FifoSweep::new(&cells).expect("valid");
     for &line in &stream {
         lru.observe(line);

@@ -10,7 +10,7 @@
 //! `relaxed-ordering` and `unbounded-growth` resolve within one file.
 //! **lock-order** needs the whole crate's acquisition graph (an A→B
 //! edge in one file is only a deadlock when some other file holds B
-//! while taking A), and the four call-graph lints need the workspace
+//! while taking A), and the three call-graph lints need the workspace
 //! call graph. So [`check_source_facts`] returns the resolved findings
 //! *plus* the file's cross-file facts and its pending workspace-lint
 //! suppressions, for [`crate::workspace`] to finish the job;
@@ -41,11 +41,10 @@ use crate::policy::{lints_for, FileContext};
 use crate::workspace::scan_sources;
 
 /// Lints that only resolve once the whole workspace is assembled: the
-/// crate-wide lock graph, plus the four call-graph analyses. Their
+/// crate-wide lock graph, plus the three call-graph analyses. Their
 /// suppression directives stay pending through phase one.
-pub const WORKSPACE_LINTS: [LintId; 5] = [
+pub const WORKSPACE_LINTS: [LintId; 4] = [
     LintId::LockOrder,
-    LintId::PanicReachability,
     LintId::TransitivePurity,
     LintId::UntrustedSizeTaint,
     LintId::LockHeldAcrossCall,

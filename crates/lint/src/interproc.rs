@@ -1,18 +1,11 @@
-//! The four interprocedural analyses riding the workspace call graph.
+//! The three interprocedural analyses riding the workspace call graph.
 //!
-//! All four follow the repo's conservatism stance — **fail toward false
+//! All three follow the repo's conservatism stance — **fail toward false
 //! negatives**: only resolved (non-ambiguous) call edges are traversed,
 //! and constructs with a documented contract are accepted.
 //!
-//! * **panic-reachability** — every non-test function in `jouppi-serve`
-//!   is a request-handling entrypoint; no function transitively
-//!   reachable from one may contain an undocumented panic site
-//!   (`panic!`/`todo!`/`unimplemented!`/`unreachable!` macro or a bare
-//!   `.unwrap()`). `.expect("message")` is a documented invariant and is
-//!   accepted — clippy's `expect_used`, set on serve's crate root, still
-//!   bans it inside the crate itself.
 //! * **transitive purity** — from the cache-keyed simulate path (serve
-//!   functions named `simulate` or `run_named_engine`), no reachable
+//!   functions named `simulate` or `run_named`), no reachable
 //!   function may touch ambient time, randomness, environment,
 //!   filesystem, or default-hasher collections: the result cache
 //!   memoizes on (organization, workload, scale, seed) alone, so any
@@ -50,9 +43,9 @@ pub struct InterprocOutput {
 const ENTRY_CRATE: &str = "serve";
 
 /// Serve functions forming the cache-keyed simulate path.
-const PURITY_ENTRIES: [&str; 2] = ["simulate", "run_named_engine"];
+pub const PURITY_ENTRIES: [&str; 2] = ["simulate", "run_named"];
 
-/// Runs the four analyses. `active` and `guarded_calls` are parallel to
+/// Runs the three analyses. `active` and `guarded_calls` are parallel to
 /// the graph's file list: which lints policy activates per file, and the
 /// calls captured under live guards per file.
 pub fn run(
@@ -68,34 +61,6 @@ pub fn run(
     out.timings.push(("interproc-facts", t0.elapsed()));
 
     let wants = |file: usize, lint: LintId| active.get(file).is_some_and(|a| a.contains(&lint));
-
-    // --- panic-reachability -------------------------------------------
-    let t0 = Instant::now();
-    let entries: Vec<usize> = (0..graph.nodes.len())
-        .filter(|&n| graph.files[graph.nodes[n].file].crate_name == ENTRY_CRATE)
-        .collect();
-    let parent = reach_forward(graph, &entries);
-    for (n, facts_n) in facts.iter().enumerate() {
-        let Some((line, what)) = &facts_n.panic_site else {
-            continue;
-        };
-        if parent[n] == usize::MAX || !wants(graph.nodes[n].file, LintId::PanicReachability) {
-            continue;
-        }
-        out.findings.push((
-            graph.nodes[n].file,
-            Finding {
-                line: *line,
-                lint: LintId::PanicReachability,
-                message: format!(
-                    "undocumented panic site `{what}` reachable from serve entrypoints \
-                     via {} — return an error (or .expect(\"…\") a stated invariant)",
-                    call_path(graph, &parent, n)
-                ),
-            },
-        ));
-    }
-    out.timings.push(("panic-reachability", t0.elapsed()));
 
     // --- transitive purity --------------------------------------------
     let t0 = Instant::now();
@@ -197,8 +162,6 @@ fn call_path(graph: &CallGraph<'_>, parent: &[usize], node: usize) -> String {
 
 /// Per-node facts the reachability analyses consume.
 struct NodeFacts {
-    /// First undocumented panic site, if any.
-    panic_site: Option<(u32, String)>,
     /// First ambient (time/RNG/env/fs/default-hasher) site, if any.
     impure_site: Option<(u32, String)>,
     /// Whether the body directly contains a blocking construct.
@@ -208,7 +171,6 @@ struct NodeFacts {
 impl NodeFacts {
     fn of(graph: &CallGraph<'_>, n: usize) -> NodeFacts {
         let mut facts = NodeFacts {
-            panic_site: None,
             impure_site: None,
             direct_blocking: false,
         };
@@ -218,24 +180,8 @@ impl NodeFacts {
         facts.direct_blocking = call_sites(body)
             .iter()
             .any(|site| is_blocking(&site.callee, site.arity));
-        for_each_expr(body, &mut |e| match e {
-            Expr::Macro { name, line, .. }
-                if facts.panic_site.is_none()
-                    && matches!(
-                        name.as_str(),
-                        "panic" | "todo" | "unimplemented" | "unreachable"
-                    ) =>
-            {
-                facts.panic_site = Some((*line, format!("{name}!")));
-            }
-            Expr::Chain(chain) => {
-                for step in &chain.steps {
-                    if let Step::Method { name, args, line } = step {
-                        if name == "unwrap" && args.is_empty() && facts.panic_site.is_none() {
-                            facts.panic_site = Some((*line, ".unwrap()".to_owned()));
-                        }
-                    }
-                }
+        for_each_expr(body, &mut |e| {
+            if let Expr::Chain(chain) = e {
                 if facts.impure_site.is_none() {
                     if let Root::Path(path) = &chain.root {
                         if let Some(what) = impure_path(path) {
@@ -244,7 +190,6 @@ impl NodeFacts {
                     }
                 }
             }
-            _ => {}
         });
         facts
     }
@@ -774,7 +719,6 @@ mod tests {
             .iter()
             .map(|_| {
                 vec![
-                    LintId::PanicReachability,
                     LintId::TransitivePurity,
                     LintId::UntrustedSizeTaint,
                     LintId::LockHeldAcrossCall,
@@ -795,61 +739,6 @@ mod tests {
             .filter(|(_, f)| f.lint == lint)
             .map(|(p, f)| (p.clone(), f.line))
             .collect()
-    }
-
-    #[test]
-    fn panic_three_calls_deep_is_reachable_from_serve() {
-        let findings = run_on(&[
-            (
-                "crates/serve/src/routes.rs",
-                "use jouppi_core::enter;\nfn handler() { enter(); }\n",
-            ),
-            (
-                "crates/core/src/lib.rs",
-                "pub fn enter() { middle(); }\nfn middle() { deep(); }\n\
-                 fn deep() { panic!(\"boom\"); }\n",
-            ),
-        ]);
-        let hits = lints(&findings, LintId::PanicReachability);
-        assert_eq!(hits, [("crates/core/src/lib.rs".to_owned(), 3)]);
-        let msg = &findings
-            .iter()
-            .find(|(_, f)| f.lint == LintId::PanicReachability)
-            .expect("finding")
-            .1
-            .message;
-        assert!(
-            msg.contains("serve::handler"),
-            "call path in message: {msg}"
-        );
-    }
-
-    #[test]
-    fn expect_is_a_documented_contract_not_a_panic_site() {
-        let findings = run_on(&[
-            (
-                "crates/serve/src/routes.rs",
-                "use jouppi_core::enter;\nfn handler() { enter(); }\n",
-            ),
-            (
-                "crates/core/src/lib.rs",
-                "pub fn enter() { let x: Option<u8> = None; \
-                 let _y = x.expect(\"validated at construction\"); }\n",
-            ),
-        ]);
-        assert!(lints(&findings, LintId::PanicReachability).is_empty());
-    }
-
-    #[test]
-    fn unreached_panic_is_not_flagged() {
-        let findings = run_on(&[
-            ("crates/serve/src/routes.rs", "fn handler() {}\n"),
-            (
-                "crates/core/src/lib.rs",
-                "pub fn island() { let x: Option<u8> = None; let _ = x.unwrap(); }\n",
-            ),
-        ]);
-        assert!(lints(&findings, LintId::PanicReachability).is_empty());
     }
 
     #[test]

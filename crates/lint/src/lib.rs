@@ -6,10 +6,11 @@
 //! per-file rules the toolchain checks with full type information:
 //! `[workspace.lints]` in the root `Cargo.toml`, the root `clippy.toml`
 //! and crate-root attributes ban unsafe code, ambient time and entropy,
-//! default hashers, panics in serve, printing in libraries, narrowing
-//! casts and discarded results. This crate keeps only what clippy cannot
-//! express: facts about the whole workspace (a call graph, per-crate
-//! lock graphs) and one ordering rule with a written-reason convention.
+//! default hashers, panics in library code, printing in libraries,
+//! narrowing casts and discarded results. This crate keeps only what
+//! clippy cannot express: facts about the whole workspace (a call graph,
+//! per-crate lock graphs) and one ordering rule with a written-reason
+//! convention.
 //!
 //! Architecture:
 //!
@@ -31,9 +32,8 @@
 //!   impl/module context, flattened `use` imports);
 //! * [`callgraph`] — the conservative workspace call graph and its
 //!   reachability engine (resolved vs. explicitly ambiguous edges);
-//! * [`interproc`] — the four interprocedural analyses riding the graph
-//!   (panic-reachability, transitive purity, untrusted-size taint,
-//!   lock-held-across-call);
+//! * [`interproc`] — the three interprocedural analyses riding the graph
+//!   (transitive purity, untrusted-size taint, lock-held-across-call);
 //! * [`workspace`] — deterministic workspace walking, including the
 //!   crate-wide lock-order resolution phase and the workspace
 //!   call-graph phase;

@@ -1,8 +1,8 @@
 //! The lint catalog: the invariants `jouppi-lint` enforces. Per-file
 //! rules the toolchain can check (unsafe code, ambient time and entropy,
-//! default hashers, serve panics, printing, narrowing casts, discarded
-//! results) live in the workspace's `[workspace.lints]`, `clippy.toml`
-//! and crate-root attributes instead.
+//! default hashers, panics in library code, printing, narrowing casts,
+//! discarded results) live in the workspace's `[workspace.lints]`,
+//! `clippy.toml` and crate-root attributes instead.
 
 use std::fmt;
 
@@ -18,10 +18,6 @@ pub enum LintId {
     /// Long-lived server/sweep collection state that only grows —
     /// no eviction, pruning, or capacity path anywhere in the file.
     UnboundedGrowth,
-    /// An undocumented panic site (`panic!`-family macro or bare
-    /// `.unwrap()`) transitively reachable from a serve request-handling
-    /// entrypoint.
-    PanicReachability,
     /// An ambient time/RNG/env/filesystem/default-hasher source
     /// transitively reachable from the cache-keyed simulate path.
     TransitivePurity,
@@ -38,11 +34,10 @@ pub enum LintId {
 }
 
 /// Every catalog entry, in reporting order.
-pub const ALL_LINTS: [LintId; 9] = [
+pub const ALL_LINTS: [LintId; 8] = [
     LintId::RelaxedOrdering,
     LintId::LockOrder,
     LintId::UnboundedGrowth,
-    LintId::PanicReachability,
     LintId::TransitivePurity,
     LintId::UntrustedSizeTaint,
     LintId::LockHeldAcrossCall,
@@ -57,7 +52,6 @@ impl LintId {
             LintId::RelaxedOrdering => "relaxed-ordering",
             LintId::LockOrder => "lock-order",
             LintId::UnboundedGrowth => "unbounded-growth",
-            LintId::PanicReachability => "panic-reachability",
             LintId::TransitivePurity => "transitive-purity",
             LintId::UntrustedSizeTaint => "untrusted-size-taint",
             LintId::LockHeldAcrossCall => "lock-held-across-call",
@@ -85,11 +79,6 @@ impl LintId {
             LintId::UnboundedGrowth => {
                 "long-lived collection state in serve/experiments must have an eviction, \
                  pruning, or capacity path — push/insert with no shrink leaks under load"
-            }
-            LintId::PanicReachability => {
-                "no undocumented panic site — panic!-family macro or bare .unwrap() — \
-                 transitively reachable from a serve request-handling entrypoint; \
-                 .expect(\"invariant\") documents a checked contract and is accepted"
             }
             LintId::TransitivePurity => {
                 "no ambient time/RNG/env/filesystem/default-hasher source transitively \

@@ -11,11 +11,10 @@
 //! | experiments, serve | ✔ | ✔ |
 //! | every other crate | | |
 //!
-//! `lock-order` and the four call-graph lints (`panic-reachability`,
-//! `transitive-purity`, `untrusted-size-taint`,
-//! `lock-held-across-call`) apply to every linted file — reachability
-//! is decided by the workspace call graph, so their findings land
-//! wherever the offending function is declared.
+//! `lock-order` and the three call-graph lints (`transitive-purity`,
+//! `untrusted-size-taint`, `lock-held-across-call`) apply to every
+//! linted file — reachability is decided by the workspace call graph,
+//! so their findings land wherever the offending function is declared.
 
 use crate::lint::LintId;
 
@@ -57,7 +56,6 @@ pub fn lints_for(ctx: &FileContext) -> Vec<LintId> {
         lints.push(LintId::UnboundedGrowth);
     }
     lints.push(LintId::LockOrder);
-    lints.push(LintId::PanicReachability);
     lints.push(LintId::TransitivePurity);
     lints.push(LintId::UntrustedSizeTaint);
     lints.push(LintId::LockHeldAcrossCall);
@@ -90,7 +88,6 @@ mod tests {
     fn policy_matches_the_table() {
         let everywhere = [
             LintId::LockOrder,
-            LintId::PanicReachability,
             LintId::TransitivePurity,
             LintId::UntrustedSizeTaint,
             LintId::LockHeldAcrossCall,

@@ -98,7 +98,7 @@ pub fn catalog() -> String {
         "\nsuppression: // jouppi-lint: allow(<lint>) — <reason>\n\
          file scope:  // jouppi-lint: allow-file(<lint>) — <reason>\n\
          \nPer-file rules (unsafe code, ambient time and entropy, default hashers,\n\
-         serve panics, printing, narrowing casts, discarded results) are clippy\n\
+         library panics, printing, narrowing casts, discarded results) are clippy\n\
          configuration: see [workspace.lints] in Cargo.toml and clippy.toml.\n",
     );
     out

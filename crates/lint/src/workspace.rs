@@ -9,7 +9,7 @@
 //! one graph *per crate* (lock identities are textual — `self.inner` in
 //! two crates is two different locks) and reports every edge in a cycle.
 //! Phase three builds the **workspace call graph** over the retained
-//! ASTs ([`crate::callgraph`]) and runs the four interprocedural
+//! ASTs ([`crate::callgraph`]) and runs the three interprocedural
 //! analyses ([`crate::interproc`]); findings from both phases are routed
 //! back to the declaring files, checked against the pending
 //! suppressions, and the leftover directives become `unused-suppression`
@@ -114,10 +114,20 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 ///
 /// Propagates I/O failures reading directories or files.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
+    scan_files(root, &source_files(root)?)
+}
+
+/// The workspace-relative `.rs` paths under `root`, sorted, with the
+/// pruned directories left out: what [`scan_workspace`] reads.
+///
+/// # Errors
+///
+/// Propagates I/O failures reading directories.
+pub fn source_files(root: &Path) -> io::Result<Vec<String>> {
     let mut rel_paths = Vec::new();
     collect_rs_files(root, root, &mut rel_paths)?;
     rel_paths.sort();
-    scan_files(root, &rel_paths)
+    Ok(rel_paths)
 }
 
 /// Scans an explicit list of workspace-relative files; paths the policy

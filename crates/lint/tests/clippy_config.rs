@@ -18,7 +18,7 @@ use jouppi_serve::json::Json;
 
 /// (fixture dir under `tests/fixtures/`, owning crate root, lint codes
 /// the `bad` fixture must raise).
-const CASES: [(&str, &str, &[&str]); 8] = [
+const CASES: [(&str, &str, &[&str]); 9] = [
     (
         "ambient-time",
         "crates/core/src/lib.rs",
@@ -38,6 +38,17 @@ const CASES: [(&str, &str, &[&str]); 8] = [
         "serve-panic",
         "crates/serve/src/lib.rs",
         &["clippy::unwrap_used", "clippy::expect_used"],
+    ),
+    (
+        "panic-reachability",
+        "crates/core/src/lib.rs",
+        &[
+            "clippy::unwrap_used",
+            "clippy::panic",
+            "clippy::todo",
+            "clippy::unimplemented",
+            "clippy::unreachable",
+        ],
     ),
     ("forbid-unsafe", "crates/core/src/lib.rs", &["unsafe_code"]),
     (

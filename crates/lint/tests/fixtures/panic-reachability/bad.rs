@@ -1,14 +1,22 @@
-//! Fixture: a bare unwrap two calls behind a serve entrypoint.
+//! Fixture: panic sites in library code.
 
-pub fn lookup() {
-    resolve();
-}
-
-fn resolve() {
+/// The table entry for a seeded key.
+pub fn lookup() -> u32 {
     let found: Option<u32> = table_get();
-    let _value = found.unwrap();
+    found.unwrap()
 }
 
 fn table_get() -> Option<u32> {
     None
+}
+
+/// Names a small count.
+pub fn name(n: u32) -> &'static str {
+    match n {
+        0 => "zero",
+        1 => panic!("one is reserved"),
+        2 => todo!(),
+        3 => unimplemented!(),
+        _ => unreachable!(),
+    }
 }

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 /// (lint, fixture dir, path the fixture occupies in the temp workspace).
 /// The lints that moved to clippy configuration keep their fixtures
 /// next to these; `clippy_config.rs` drives them.
-const CASES: [(&str, &str, &str); 10] = [
+const CASES: [(&str, &str, &str); 9] = [
     (
         "relaxed-ordering",
         "relaxed-ordering",
@@ -44,11 +44,6 @@ const CASES: [(&str, &str, &str); 10] = [
         "crates/serve/src/fixture.rs",
     ),
     (
-        "panic-reachability",
-        "panic-reachability",
-        "crates/core/src/fixture.rs",
-    ),
-    (
         "transitive-purity",
         "transitive-purity",
         "crates/report/src/fixture.rs",
@@ -68,14 +63,8 @@ const CASES: [(&str, &str, &str); 10] = [
 /// Support files materialized alongside a fixture for both its bad and
 /// ok runs — the interprocedural lints fire only when a serve-side
 /// entrypoint in another crate reaches the fixture.
-const SUPPORT: [(&str, &str, &str); 2] = [
-    (
-        "panic-reachability",
-        "entry.rs",
-        "crates/serve/src/entry.rs",
-    ),
-    ("transitive-purity", "entry.rs", "crates/serve/src/entry.rs"),
-];
+const SUPPORT: [(&str, &str, &str); 1] =
+    [("transitive-purity", "entry.rs", "crates/serve/src/entry.rs")];
 
 fn fixture(dir: &str, name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -16,8 +16,8 @@
 //!   two independently-seeded [`FxHasher`] lanes, domain-separated per
 //!   endpoint.
 //! * **Memoization** — completed result documents live in a bounded
-//!   [`LruMap`] (the capacity-switched design of
-//!   `crates/cache/src/lru.rs`), shared behind one mutex. Each entry
+//!   [`LruMap`] (a hash map over an intrusive recency list, O(1) at any
+//!   capacity), shared behind one mutex. Each entry
 //!   keeps the document as an `Arc<Json>` and its served encoding — the
 //!   body [`Response::json`] would produce — as an `Arc<[u8]>`, encoded
 //!   once at insert. A synchronous hit probes with

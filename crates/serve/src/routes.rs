@@ -269,23 +269,18 @@ fn sweep(ctx: &Ctx, req: &Request) -> Response {
             // The leader guard rides inside the job closure: success
             // memoizes the document, failure (or a worker panic, via
             // the guard's Drop) abandons so waiters re-elect.
-            Some(leader) => {
-                Box::new(
-                    move || match sweeps::run_named_engine(&job_name, &cfg, engine) {
-                        Some(result) => {
-                            leader.complete(&Arc::new(result.clone()));
-                            Ok(result)
-                        }
-                        None => {
-                            leader.abandon();
-                            Err("sweep vanished".to_owned())
-                        }
-                    },
-                )
-            }
+            Some(leader) => Box::new(move || match sweeps::run_named(&job_name, &cfg) {
+                Some(result) => {
+                    leader.complete(&Arc::new(result.clone()));
+                    Ok(result)
+                }
+                None => {
+                    leader.abandon();
+                    Err("sweep vanished".to_owned())
+                }
+            }),
             None => Box::new(move || {
-                sweeps::run_named_engine(&job_name, &cfg, engine)
-                    .ok_or_else(|| "sweep vanished".to_owned())
+                sweeps::run_named(&job_name, &cfg).ok_or_else(|| "sweep vanished".to_owned())
             }),
         }
     };

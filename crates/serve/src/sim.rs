@@ -38,6 +38,34 @@ pub const MAX_SIMULATE_SCALE: u64 = 2_000_000;
 /// attacker-chosen count from sizing an allocation.
 pub const MAX_BUFFER_ENTRIES: usize = 1024;
 
+/// Hard cap on a cache's line count (`size / line`), which sizes the
+/// cache's tag array and the classifier's shadow. The paper's largest
+/// geometries, its 128KB/16B L1 and 1MB/128B L2, hold 8,192 lines; the
+/// cap is 8× that.
+pub const MAX_CACHE_LINES: u64 = 1 << 16;
+
+/// Checks an organization against [`MAX_CACHE_LINES`] and
+/// [`MAX_BUFFER_ENTRIES`] before anything is allocated for it. This
+/// endpoint and the `jouppi-sim` command line both validate with it;
+/// `buffers` pairs each entry count with the name its front end gives
+/// it.
+///
+/// # Errors
+///
+/// A message naming the first bound exceeded.
+pub fn check_bounds(geometry: &CacheGeometry, buffers: &[(&str, usize)]) -> Result<(), String> {
+    if geometry.num_lines() > MAX_CACHE_LINES {
+        return Err(format!(
+            "the cache ({geometry}) holds {} lines; at most {MAX_CACHE_LINES} are allowed",
+            geometry.num_lines()
+        ));
+    }
+    match buffers.iter().find(|&&(_, n)| n > MAX_BUFFER_ENTRIES) {
+        Some((name, _)) => Err(format!("{name} must be at most {MAX_BUFFER_ENTRIES}")),
+        None => Ok(()),
+    }
+}
+
 /// Default `scale` when the request omits it.
 pub const DEFAULT_SIMULATE_SCALE: u64 = 100_000;
 
@@ -94,11 +122,27 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
 
     let victim = get_usize(body, "victim", 0)?;
     let miss_cache = get_usize(body, "miss_cache", 0)?;
-    if victim > MAX_BUFFER_ENTRIES || miss_cache > MAX_BUFFER_ENTRIES {
-        return Err(format!(
-            "'victim' and 'miss_cache' must be at most {MAX_BUFFER_ENTRIES} entries"
-        ));
-    }
+    let stream = match body.get("stream") {
+        None => None,
+        Some(stream) => {
+            let ways = get_usize(stream, "ways", 1)?;
+            let depth = get_usize(stream, "depth", 4)?;
+            if ways == 0 || depth == 0 {
+                return Err("'stream.ways' and 'stream.depth' must be nonzero".to_owned());
+            }
+            Some((ways, depth))
+        }
+    };
+    let (ways, depth) = stream.unwrap_or_default();
+    check_bounds(
+        &geometry,
+        &[
+            ("'victim'", victim),
+            ("'miss_cache'", miss_cache),
+            ("'stream.ways'", ways),
+            ("'stream.depth'", depth),
+        ],
+    )?;
     if victim > 0 && miss_cache > 0 {
         return Err("'victim' and 'miss_cache' are mutually exclusive".to_owned());
     }
@@ -111,17 +155,7 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
     if miss_cache > 0 {
         cfg = cfg.miss_cache(miss_cache);
     }
-    if let Some(stream) = body.get("stream") {
-        let ways = get_usize(stream, "ways", 1)?;
-        let depth = get_usize(stream, "depth", 4)?;
-        if ways == 0 || depth == 0 {
-            return Err("'stream.ways' and 'stream.depth' must be nonzero".to_owned());
-        }
-        if ways > MAX_BUFFER_ENTRIES || depth > MAX_BUFFER_ENTRIES {
-            return Err(format!(
-                "'stream.ways' and 'stream.depth' must be at most {MAX_BUFFER_ENTRIES}"
-            ));
-        }
+    if let Some((ways, depth)) = stream {
         let sb = StreamBufferConfig::new(depth);
         cfg = if stride_detect > 0 {
             cfg.strided_stream_buffer(ways, sb, stride_detect)
@@ -349,6 +383,14 @@ mod tests {
                 "at most",
             ),
             (r#"{"workload":"ccom","side":"x"}"#, "'side'"),
+            (
+                r#"{"workload":"met","scale":1000,"cache":{"size":1099511627776,"line":16,"assoc":1}}"#,
+                "at most 65536 are allowed",
+            ),
+            (
+                r#"{"workload":"met","cache":{"size":2097152,"line":16,"assoc":1}}"#,
+                "131072 lines",
+            ),
             (r#"{"workload":"ccom","classify":3}"#, "'classify'"),
         ] {
             let err = req(body).unwrap_err();

@@ -40,16 +40,19 @@ pub const NAMED_SWEEPS: [&str; 6] = [
     "geometry_grid",
 ];
 
-/// The execution engines a named sweep accepts (first = default).
+/// The execution engine a named sweep runs on, as the one-element list
+/// a request's optional `engine` field is checked against. The response
+/// document and the result-cache key both name it.
 ///
-/// Pure size × associativity sweeps route to the single-pass Mattson
-/// engine; sweeps whose cells augment the L1 (miss caches, victim
-/// caches, stream buffers) run filter-then-fan-out: one L1 pass per
-/// (benchmark, side), every configuration answered from its miss log.
+/// The size × associativity grid routes to the single-pass Mattson
+/// engines; Figure 3-1 classifies on the tag array; sweeps whose cells
+/// augment the L1 (miss caches, victim caches, stream buffers) run
+/// filter-then-fan-out: one L1 pass per (benchmark, side), every
+/// configuration answered from its miss log.
 pub fn engines_for(name: &str) -> &'static [&'static str] {
     match name {
-        "fig_3_1" => &["classify", "single_pass"],
-        "geometry_grid" => &["single_pass", "per_cell"],
+        "fig_3_1" => &["classify"],
+        "geometry_grid" => &["single_pass"],
         _ => &["miss_log"],
     }
 }
@@ -75,39 +78,31 @@ pub fn sweep_config(scale: u64, seed: u64) -> Result<ExperimentConfig, String> {
     })
 }
 
-/// Runs the named sweep on its default engine. See [`run_named_engine`].
+/// Runs the named sweep on its engine ([`engines_for`]) and encodes
+/// its result; `None` for an unknown name (the router 400s with the
+/// [`NAMED_SWEEPS`] catalog).
 pub fn run_named(name: &str, cfg: &ExperimentConfig) -> Option<Json> {
-    run_named_engine(name, cfg, engines_for(name).first()?)
-}
-
-/// Runs the named sweep on the given engine and encodes its result;
-/// `None` for an unknown name or an engine the sweep does not accept
-/// (the router 400s with the [`NAMED_SWEEPS`] / [`engines_for`]
-/// catalogs).
-pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Option<Json> {
     let refs_before = refs_simulated() + single_pass_refs();
     let start = Instant::now(); // jouppi-lint: allow(transitive-purity) — wall-clock feeds only the refs/sec throughput gauge below; the result document never includes it
-    let body = match (name, engine) {
-        ("fig_3_1", "classify") => fig31_json(&fig_3_1::run(cfg)),
-        ("fig_3_1", "single_pass") => fig31_json(&fig_3_1::run_single_pass(cfg)),
-        ("miss_cache_4", "miss_log") => conflict_json(&conflict_sweep::run(
+    let body = match name {
+        "fig_3_1" => fig31_json(&fig_3_1::run(cfg)),
+        "miss_cache_4" => conflict_json(&conflict_sweep::run(
             cfg,
             conflict_sweep::Mechanism::MissCache,
             4,
         )),
-        ("victim_cache_4", "miss_log") => conflict_json(&conflict_sweep::run(
+        "victim_cache_4" => conflict_json(&conflict_sweep::run(
             cfg,
             conflict_sweep::Mechanism::VictimCache,
             4,
         )),
-        ("stream_single_8", "miss_log") => stream_json(&stream_sweep::run(cfg, 1, 8)),
-        ("stream_four_8", "miss_log") => stream_json(&stream_sweep::run(cfg, 4, 8)),
-        ("geometry_grid", "single_pass") => geometry_json(&single_pass::run(cfg)),
-        ("geometry_grid", "per_cell") => geometry_json(&single_pass::run_per_cell(cfg)),
+        "stream_single_8" => stream_json(&stream_sweep::run(cfg, 1, 8)),
+        "stream_four_8" => stream_json(&stream_sweep::run(cfg, 4, 8)),
+        "geometry_grid" => geometry_json(&single_pass::run(cfg)),
         _ => return None,
     };
     let seconds = start.elapsed().as_secs_f64();
-    // Both engine families feed the throughput gauge: per-cell replays
+    // Every engine feeds the throughput gauge: L1 passes and replays
     // count via refs_simulated, one-pass traversals via single_pass_refs.
     let refs = (refs_simulated() + single_pass_refs()).saturating_sub(refs_before);
     if seconds > 0.0 && refs > 0 {
@@ -122,7 +117,7 @@ pub fn run_named_engine(name: &str, cfg: &ExperimentConfig, engine: &str) -> Opt
     }
     let mut doc = vec![
         ("sweep".to_owned(), Json::str(name)),
-        ("engine".to_owned(), Json::str(engine)),
+        ("engine".to_owned(), Json::str(engines_for(name)[0])),
         ("scale".to_owned(), Json::Int(cfg.scale.instructions as i64)),
         ("seed".to_owned(), Json::Int(cfg.seed as i64)),
     ];
@@ -312,46 +307,40 @@ mod tests {
 
     #[test]
     fn every_sweep_reports_its_default_engine() {
+        let cfg = sweep_config(2_000, 42).unwrap();
         for name in NAMED_SWEEPS {
-            let default = engines_for(name)[0];
-            assert!(
-                ["classify", "single_pass", "miss_log", "per_cell"].contains(&default),
-                "{name}: unexpected default {default}"
-            );
+            let engines = engines_for(name);
+            assert_eq!(engines.len(), 1, "{name}: one engine per sweep");
+            let doc = run_named(name, &cfg).unwrap();
+            assert_eq!(doc.get("engine").unwrap(), &Json::str(engines[0]), "{name}");
         }
-        let cfg = sweep_config(5_000, 42).unwrap();
-        let v = run_named("victim_cache_4", &cfg).unwrap();
-        assert_eq!(v.get("engine").unwrap(), &Json::str("miss_log"));
+        assert_eq!(engines_for("fig_3_1"), ["classify"]);
+        assert_eq!(engines_for("geometry_grid"), ["single_pass"]);
+        assert_eq!(engines_for("victim_cache_4"), ["miss_log"]);
     }
 
     #[test]
     fn geometry_grid_engines_agree_and_encode() {
+        // The served single-pass grid equals the per-cell oracle's.
         let cfg = sweep_config(5_000, 42).unwrap();
-        let fast = run_named_engine("geometry_grid", &cfg, "single_pass").unwrap();
-        let oracle = run_named_engine("geometry_grid", &cfg, "per_cell").unwrap();
+        let fast = run_named("geometry_grid", &cfg).unwrap();
+        let oracle = Json::Obj(geometry_json(&single_pass::run_per_cell(&cfg)));
         assert_eq!(fast.get("engine").unwrap(), &Json::str("single_pass"));
-        assert_eq!(oracle.get("engine").unwrap(), &Json::str("per_cell"));
-        // Identical payload modulo the engine tag.
         assert_eq!(fast.get("rows"), oracle.get("rows"));
         assert_eq!(fast.get("rows").unwrap().as_arr().unwrap().len(), 6);
         assert_eq!(fast.get("sizes").unwrap().as_arr().unwrap().len(), 8);
-        // Default engine is the single-pass one.
-        assert_eq!(
-            run_named("geometry_grid", &cfg).unwrap().encode(),
-            fast.encode()
-        );
         // The round trip survives.
         assert_eq!(Json::parse(&fast.encode()).unwrap(), fast);
     }
 
     #[test]
     fn fig_3_1_engines_agree() {
+        // The served tag-array classification equals the stack-depth
+        // oracle's rows.
         let cfg = sweep_config(5_000, 42).unwrap();
-        let classify = run_named_engine("fig_3_1", &cfg, "classify").unwrap();
-        let single = run_named_engine("fig_3_1", &cfg, "single_pass").unwrap();
-        assert_eq!(classify.get("rows"), single.get("rows"));
-        // Engines a sweep does not accept are rejected.
-        assert!(run_named_engine("fig_3_1", &cfg, "miss_log").is_none());
-        assert!(run_named_engine("victim_cache_4", &cfg, "single_pass").is_none());
+        let classify = run_named("fig_3_1", &cfg).unwrap();
+        let oracle = Json::Obj(fig31_json(&fig_3_1::run_single_pass(&cfg)));
+        assert_eq!(classify.get("engine").unwrap(), &Json::str("classify"));
+        assert_eq!(classify.get("rows"), oracle.get("rows"));
     }
 }

@@ -155,9 +155,7 @@ fn engine_field_selects_the_single_pass_engine() {
         scale: Scale::new(20_000),
         seed: 42,
     };
-    let mut expected = sweeps::run_named_engine("fig_3_1", &cfg, "single_pass")
-        .unwrap()
-        .encode();
+    let mut expected = sweeps::run_named("geometry_grid", &cfg).unwrap().encode();
     expected.push('\n');
 
     let resp = c
@@ -165,7 +163,7 @@ fn engine_field_selects_the_single_pass_engine() {
             "POST",
             "/v1/sweep",
             Some(&json(
-                r#"{"sweep":"fig_3_1","engine":"single_pass","scale":20000,"wait":true}"#,
+                r#"{"sweep":"geometry_grid","engine":"single_pass","scale":20000,"wait":true}"#,
             )),
         )
         .unwrap();
@@ -186,6 +184,21 @@ fn engine_field_selects_the_single_pass_engine() {
         .expect("single-pass counter exported");
     let refs: u64 = line.split(' ').nth(1).unwrap().parse().unwrap();
     assert!(refs > 0, "single-pass engine counted nothing: {line}");
+
+    // Each sweep has one engine: naming another is a 400.
+    let resp = c
+        .request(
+            "POST",
+            "/v1/sweep",
+            Some(&json(r#"{"sweep":"fig_3_1","engine":"single_pass"}"#)),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    assert!(
+        resp.text().contains("valid engines: classify"),
+        "{}",
+        resp.text()
+    );
 
     handle.shutdown();
 }
@@ -287,6 +300,16 @@ fn malformed_requests_get_4xx_not_a_crash() {
             "POST",
             "/v1/simulate",
             Some(json(r#"{"workload":"doom"}"#)),
+            400,
+        ),
+        (
+            // A terabyte of 16B lines: sized straight into the tag
+            // array, this once aborted the whole daemon.
+            "POST",
+            "/v1/simulate",
+            Some(json(
+                r#"{"workload":"met","scale":1000,"cache":{"size":1099511627776,"line":16,"assoc":1}}"#,
+            )),
             400,
         ),
         ("GET", "/v1/simulate", None, 405),

@@ -3,11 +3,10 @@
 //!
 //! `std`'s default `SipHash` is DoS-resistant but costs tens of cycles per
 //! key — far too much for simulation loops that perform a hash-map probe
-//! per memory reference (the large-capacity `LruSet` backend and
-//! stack-distance profiles in `jouppi-cache`, and [`LineInterner`]). Keys here
-//! are line addresses produced by our own trace generators, so hash-flood
-//! resistance buys nothing; what matters is a single multiply instead of a
-//! full SipHash round.
+//! per memory reference (the stack-distance profiles in `jouppi-cache`,
+//! and [`LineInterner`]). Keys here are line addresses produced by our own
+//! trace generators, so hash-flood resistance buys nothing; what matters
+//! is a single multiply instead of a full SipHash round.
 //!
 //! [`FxHasher`] is the Fowler-style multiply-xor hash used by rustc
 //! (`FxHashMap`): per 8-byte word, `hash = (hash.rotate_left(5) ^ word) *

@@ -41,6 +41,13 @@
 //! ```
 
 #![warn(clippy::print_stdout, clippy::print_stderr)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 #![warn(missing_docs)]
 
 mod benchmarks;

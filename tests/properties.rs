@@ -40,6 +40,21 @@ fn cell_misses(stream: &[u64], sets: u64, assoc: u64, policy: ReplacementPolicy)
     cache.stats().misses
 }
 
+/// Misses of `sets` LRU sets of `assoc` ways each, the set chosen by the
+/// line's low bits: set-associative LRU at any way count, which a
+/// [`Cache`] (power-of-two ways only) cannot model.
+fn per_set_lru_misses(stream: &[u64], sets: u64, assoc: u64) -> u64 {
+    let mut set_lrus: Vec<LruSet> = (0..sets).map(|_| LruSet::new(assoc as usize)).collect();
+    let mut misses = 0;
+    for &n in stream {
+        let set = &mut set_lrus[(n & (sets - 1)) as usize];
+        if !matches!(set.touch_or_insert(l(n)), TouchOutcome::Hit) {
+            misses += 1;
+        }
+    }
+    misses
+}
+
 /// An LruSet never exceeds capacity and evicts exactly the LRU.
 #[test]
 fn lru_set_respects_capacity() {
@@ -276,7 +291,9 @@ fn within_set_depth_predicts_set_assoc_lru() {
         for (sets, assoc) in [(1u64, 4u64), (4, 1), (4, 2), (8, 4), (16, 2)] {
             let geom = CacheGeometry::new(sets * assoc * 16, 16, assoc).expect("valid cell");
             let mut cache = Cache::new(geom);
-            let mut sweep = LruSweep::for_set_counts(&[sets]).expect("power of two");
+            // Bounded well past the associativity, so the depths the
+            // prediction reads are resolved rather than capped.
+            let mut sweep = LruSweep::bounded(&[(sets, 32)]).expect("power of two");
             for (t, &n) in stream.iter().enumerate() {
                 let (cold, depths) = sweep.observe_depths(l(n));
                 let predicted_hit = !cold && u64::from(depths[0]) <= assoc;
@@ -295,34 +312,44 @@ fn within_set_depth_predicts_set_assoc_lru() {
     }
 }
 
-/// The bounded LRU backend equals the exact Fenwick backend at every
-/// associativity up to each level's bound, and declines to answer beyond
-/// it, on arbitrary streams.
+/// The bounded LRU sweep equals per-set LRU simulation at every
+/// associativity up to each level's bound, including bounds that are not
+/// powers of two on multi-set levels; agrees with per-cell [`Cache`]
+/// simulation and the stack profile where those apply; declines to answer
+/// beyond the bound; and counts cold references and distinct lines
+/// exactly, on arbitrary streams.
 #[test]
 fn bounded_lru_sweep_matches_exact_within_bounds() {
     let mut rng = SmallRng::seed_from_u64(SEED ^ 10);
-    let cells = [(1u64, 6u64), (2, 3), (8, 2), (16, 1)];
-    let counts: Vec<u64> = cells.iter().map(|&(s, _)| s).collect();
+    let cells = [(1u64, 6u64), (2, 3), (4, 5), (8, 2), (16, 1)];
     for round in 0..ROUNDS {
         let stream = line_stream(&mut rng, 128, 400);
-        let mut exact = LruSweep::for_set_counts(&counts).expect("powers of two");
         let mut bounded = LruSweep::bounded(&cells).expect("valid cells");
+        let mut profile = StackDistanceProfile::new();
         for &n in &stream {
-            exact.observe(l(n));
             bounded.observe(l(n));
+            profile.observe(l(n));
         }
         for (sets, bound) in cells {
             for assoc in 1..=bound {
-                assert_eq!(
-                    bounded.misses(sets, assoc),
-                    exact.misses(sets, assoc),
+                let at = format!(
                     "seed {SEED:#x} round {round}: {sets} sets x {assoc} ways (bound {bound})"
                 );
+                let exact = per_set_lru_misses(&stream, sets, assoc);
+                assert_eq!(bounded.misses(sets, assoc), Some(exact), "{at}");
+                if sets == 1 {
+                    assert_eq!(profile.misses_for_capacity(assoc as usize), exact, "{at}");
+                }
+                if assoc.is_power_of_two() {
+                    let cell = cell_misses(&stream, sets, assoc, ReplacementPolicy::Lru);
+                    assert_eq!(cell, exact, "{at}");
+                }
             }
             assert_eq!(bounded.misses(sets, bound + 1), None);
         }
-        assert_eq!(bounded.cold_refs(), exact.cold_refs());
-        assert_eq!(bounded.distinct_lines(), exact.distinct_lines());
+        let distinct: BTreeSet<u64> = stream.iter().copied().collect();
+        assert_eq!(bounded.cold_refs(), distinct.len() as u64);
+        assert_eq!(bounded.distinct_lines(), distinct.len());
     }
 }
 
