@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo doc -D warnings: every intra-doc link resolves"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
-echo "==> jouppi-lint: call-graph, lock and ordering invariants"
+echo "==> jouppi-lint: lock order, locks held across blocking calls, unbounded growth, relaxed ordering"
 cargo build --release -p jouppi-lint
 # Any finding fails the gate. --timings keeps the per-analysis cost
 # (including the workspace call-graph build) visible, and --budget-ms
@@ -30,8 +30,8 @@ cargo build --release --examples
 echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
 
-echo "==> cargo test --release: trace, cache and core with debug assertions compiled out, as the benchmark builds them"
-cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core
+echo "==> cargo test --release: trace, cache, core and serve with debug assertions compiled out, as the benchmark and the daemon build them"
+cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core -p jouppi-serve
 
 echo "==> jouppi-bench --quick: build the committed benchmark, run all four workloads, check every result"
 CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin jouppi-bench -- --quick

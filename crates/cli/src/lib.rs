@@ -25,25 +25,15 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-use jouppi_cache::{CacheGeometry, FifoSweep, LruSweep, MissClassifier};
-use jouppi_core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
+use jouppi_cache::{CacheGeometry, FifoSweep, LruSweep};
+use jouppi_experiments::single_pass;
 use jouppi_report::Table;
+use jouppi_serve::sim;
 use jouppi_system::{SystemConfig, SystemModel};
 use jouppi_trace::{io as trace_io, RecordedTrace, TraceSource};
 use jouppi_workloads::{Benchmark, Scale};
 
-/// Which references the simulated cache sees.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SideFilter {
-    /// Instruction fetches only.
-    Instruction,
-    /// Loads and stores only (the default — most experiments are
-    /// data-side).
-    #[default]
-    Data,
-    /// Every reference through the one cache (a unified cache).
-    All,
-}
+pub use jouppi_serve::sim::SideFilter;
 
 /// Full-system mode instead of a single cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,7 +127,7 @@ usage: jouppi-sim [OPTIONS]
   --workload NAME        built-in workload: ccom grr yacc met linpack liver
   --trace FILE           Dinero-format trace file instead of a workload
   --cache SIZE:LINE:ASSOC  cache geometry in bytes (default 4096:16:1),
-                         at most 65536 lines
+                         at most 65536 lines and 1024 ways
   --victim N             add an N-entry victim cache, N at most 1024
   --miss-cache N         add an N-entry miss cache, N at most 1024
   --stream WAYSxDEPTH    add stream buffers, e.g. 4x4 or 1x4, ways and
@@ -220,12 +210,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
                     .map_err(|_| err("--stride-detect wants an integer"))?;
             }
             "--side" => {
-                opts.side = match value("--side")?.as_str() {
-                    "i" => SideFilter::Instruction,
-                    "d" => SideFilter::Data,
-                    "all" => SideFilter::All,
-                    other => return Err(err(format!("--side wants i|d|all, got '{other}'"))),
-                };
+                let name = value("--side")?;
+                opts.side = SideFilter::from_name(&name)
+                    .ok_or_else(|| err(format!("--side wants i|d|all, got '{name}'")))?;
             }
             "--scale" => {
                 opts.scale = value("--scale")?
@@ -264,7 +251,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
     // The daemon's bounds: nothing request- or argument-sized may size
     // an allocation past them.
     let (ways, depth) = opts.stream.unwrap_or_default();
-    jouppi_serve::sim::check_bounds(
+    sim::check_bounds(
         &opts.geometry,
         &[
             ("--victim", opts.victim),
@@ -283,30 +270,18 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
     Ok(opts)
 }
 
-/// Builds the augmented-cache configuration the options describe.
-pub fn build_config(opts: &Options) -> AugmentedConfig {
-    let mut cfg = AugmentedConfig::new(opts.geometry);
-    if opts.victim > 0 {
-        cfg = cfg.victim_cache(opts.victim);
-    }
-    if opts.miss_cache > 0 {
-        cfg = cfg.miss_cache(opts.miss_cache);
-    }
-    if let Some((ways, depth)) = opts.stream {
-        cfg = if opts.stride_detect > 0 {
-            cfg.strided_stream_buffer(ways, StreamBufferConfig::new(depth), opts.stride_detect)
-        } else {
-            cfg.multi_way_stream_buffer(ways, StreamBufferConfig::new(depth))
-        };
-    }
-    cfg
-}
-
-fn load_trace(opts: &Options) -> Result<RecordedTrace, Box<dyn std::error::Error>> {
-    match &opts.input {
-        Input::Workload(b) => Ok(RecordedTrace::record(
-            &b.source(Scale::new(opts.scale), opts.seed),
-        )),
+/// Records the workload at `scale`/`seed`, or reads the trace file.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the command line reads the trace file its user names"
+)]
+fn load_trace(
+    input: &Input,
+    scale: u64,
+    seed: u64,
+) -> Result<RecordedTrace, Box<dyn std::error::Error>> {
+    match input {
+        Input::Workload(b) => Ok(RecordedTrace::record(&b.source(Scale::new(scale), seed))),
         Input::TraceFile(path) => {
             let file = File::open(path).map_err(|e| err(format!("cannot open {path}: {e}")))?;
             Ok(trace_io::read_din(BufReader::new(file), path)?)
@@ -319,8 +294,12 @@ fn load_trace(opts: &Options) -> Result<RecordedTrace, Box<dyn std::error::Error
 /// # Errors
 ///
 /// Returns any I/O or parse error from trace loading or export.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the command line writes the export file its user names"
+)]
 pub fn run(opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
-    let trace = load_trace(opts)?;
+    let trace = load_trace(&opts.input, opts.scale, opts.seed)?;
 
     if let Some(path) = &opts.export {
         let file = File::create(path).map_err(|e| err(format!("cannot create {path}: {e}")))?;
@@ -352,23 +331,14 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
         ));
     }
 
-    let mut cache = AugmentedCache::new(build_config(opts));
-    let mut classifier = opts.classify.then(|| MissClassifier::new(opts.geometry));
-    for r in trace.refs() {
-        let wanted = match opts.side {
-            SideFilter::Instruction => r.kind.is_instr(),
-            SideFilter::Data => r.kind.is_data(),
-            SideFilter::All => true,
-        };
-        if !wanted {
-            continue;
-        }
-        let outcome = cache.access(r.addr);
-        if let Some(cls) = classifier.as_mut() {
-            cls.observe(opts.geometry.line_of(r.addr), !outcome.is_l1_hit());
-        }
-    }
-    let s = cache.stats();
+    let cfg = sim::build_config(
+        opts.geometry,
+        opts.victim,
+        opts.miss_cache,
+        opts.stream,
+        opts.stride_detect,
+    );
+    let (s, breakdown) = sim::replay(trace.refs(), opts.side, cfg, opts.classify);
     let mut t = Table::new(["metric", "value"]);
     t.row(["trace".to_owned(), trace.name().to_owned()]);
     t.row(["geometry".to_owned(), opts.geometry.to_string()]);
@@ -391,50 +361,22 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
         format!("{:.1}%", 100.0 * s.removed_fraction()),
     ]);
     let mut out = t.render();
-    if let Some(cls) = classifier {
-        out.push_str(&format!("\n3-C breakdown: {}\n", cls.breakdown()));
+    if let Some(b) = breakdown {
+        out.push_str(&format!("\n3-C breakdown: {b}\n"));
     }
     Ok(out)
 }
 
-/// Line size the geometry sweep uses (the paper's base line size).
-const SWEEP_LINE: u64 = 16;
-
-/// Cache sizes swept: every power of two from 1KB to 128KB.
-const SWEEP_SIZES: [u64; 8] = [
-    1 << 10,
-    2 << 10,
-    4 << 10,
-    8 << 10,
-    16 << 10,
-    32 << 10,
-    64 << 10,
-    128 << 10,
-];
-
-/// Associativities swept at each size.
-const SWEEP_ASSOCS: [u64; 5] = [1, 2, 4, 8, 16];
-
 /// One pass over the trace, miss rates for every (size, associativity)
-/// cell under both LRU (via set-refined stack distances) and FIFO.
+/// cell of [`single_pass::grid`] under both LRU (via set-refined stack
+/// distances) and FIFO.
 fn geometry_sweep_report(trace: &RecordedTrace, opts: &Options) -> String {
     let lines: Vec<_> = trace
         .refs()
-        .filter(|r| match opts.side {
-            SideFilter::Instruction => r.kind.is_instr(),
-            SideFilter::Data => r.kind.is_data(),
-            SideFilter::All => true,
-        })
-        .map(|r| r.addr.line(SWEEP_LINE))
+        .filter(|r| opts.side.sees(r.kind))
+        .map(|r| r.addr.line(single_pass::LINE_SIZE))
         .collect();
-    let grid: Vec<CacheGeometry> = SWEEP_SIZES
-        .iter()
-        .flat_map(|&size| {
-            SWEEP_ASSOCS
-                .iter()
-                .filter_map(move |&assoc| CacheGeometry::new(size, SWEEP_LINE, assoc).ok())
-        })
-        .collect();
+    let grid = single_pass::grid();
     let cells: Vec<(u64, u64)> = grid
         .iter()
         .map(|g| (g.num_sets(), g.associativity()))
@@ -552,12 +494,18 @@ mod tests {
                 "--stream depth must be at most 1024",
             ),
             (["--cache", "1099511627776:16:1"], "at most 65536"),
+            // Within the line bound, but every probe scans 2^16 ways.
+            (
+                ["--cache", "1048576:16:65536"],
+                "has 65536 ways; at most 1024 are allowed",
+            ),
         ] {
             let e = parse(&args).expect_err("out of bounds");
             assert!(e.to_string().contains(needle), "{args:?}: {e}");
         }
         assert!(parse(&["--victim", "1024", "--cache", "1048576:16:1"]).is_ok());
         assert!(parse(&["--miss-cache", "1024", "--stream", "1024x1024"]).is_ok());
+        assert!(parse(&["--cache", "16384:16:1024"]).is_ok());
     }
 
     #[test]
@@ -566,7 +514,9 @@ mod tests {
         assert!(e.to_string().contains("usage: jouppi-sim"));
         // The text states the bounds parse_args enforces.
         use jouppi_serve::sim::{MAX_BUFFER_ENTRIES, MAX_CACHE_LINES};
-        assert!(USAGE.contains(&format!("at most {MAX_CACHE_LINES} lines")));
+        assert!(USAGE.contains(&format!(
+            "at most {MAX_CACHE_LINES} lines and {MAX_BUFFER_ENTRIES} ways"
+        )));
         assert_eq!(
             USAGE
                 .matches(&format!("at most {MAX_BUFFER_ENTRIES}\n"))
@@ -577,6 +527,15 @@ mod tests {
 
     #[test]
     fn build_config_reflects_options() {
+        let build_config = |o: &Options| {
+            sim::build_config(
+                o.geometry,
+                o.victim,
+                o.miss_cache,
+                o.stream,
+                o.stride_detect,
+            )
+        };
         let o = parse(&["--victim", "2", "--stream", "1x4"]).unwrap();
         let cfg = build_config(&o);
         assert_eq!(cfg.conflict_aid(), jouppi_core::ConflictAid::VictimCache(2));

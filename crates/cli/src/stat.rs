@@ -1,13 +1,10 @@
 //! Analysis logic for `jouppi-stat`: trace statistics, footprints, and
 //! miss-rate curves for a workload or a din trace file.
 
-use std::fs::File;
-use std::io::BufReader;
-
 use jouppi_cache::{BandedShadow, CacheGeometry, DirectMappedSweep};
 use jouppi_report::Table;
-use jouppi_trace::{io as trace_io, Footprint, RecordedTrace, TraceSource};
-use jouppi_workloads::{Benchmark, Scale};
+use jouppi_trace::{Footprint, RecordedTrace, TraceSource};
+use jouppi_workloads::Benchmark;
 
 use crate::UsageError;
 
@@ -102,16 +99,7 @@ pub fn parse_stat_args<I: IntoIterator<Item = String>>(args: I) -> Result<StatOp
 ///
 /// Returns trace-loading errors.
 pub fn run_stat(opts: &StatOptions) -> Result<String, Box<dyn std::error::Error>> {
-    let trace = match &opts.input {
-        crate::Input::Workload(b) => {
-            RecordedTrace::record(&b.source(Scale::new(opts.scale), opts.seed))
-        }
-        crate::Input::TraceFile(path) => {
-            let file =
-                File::open(path).map_err(|e| UsageError(format!("cannot open {path}: {e}")))?;
-            trace_io::read_din(BufReader::new(file), path)?
-        }
-    };
+    let trace = crate::load_trace(&opts.input, opts.scale, opts.seed)?;
 
     let stats = trace.stats();
     let mut fp = Footprint::new(opts.line_size);
@@ -194,6 +182,7 @@ fn data_curve(trace: &RecordedTrace, line_size: u64) -> Result<Table, UsageError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jouppi_workloads::Scale;
 
     fn parse(args: &[&str]) -> Result<StatOptions, UsageError> {
         parse_stat_args(args.iter().map(|s| s.to_string()))

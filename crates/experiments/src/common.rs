@@ -107,10 +107,11 @@ pub fn record_traces(cfg: &ExperimentConfig) -> TraceSet {
         cache.push(hit);
         return set;
     }
-    // Generation runs under the lock: concurrent callers with the same
-    // configuration (the common case in the serve daemon) would otherwise
-    // duplicate the work. Sweep workers never call back into the cache,
-    // so holding the lock across map_jobs cannot deadlock.
+    // jouppi-lint: allow(lock-held-across-call) — generation runs under
+    // the lock: concurrent callers with the same configuration (the
+    // common case in the serve daemon) would otherwise duplicate the
+    // work. Sweep workers never call back into the cache, so holding the
+    // lock across map_jobs cannot deadlock.
     let set: TraceSet = Arc::new(sweep::map_jobs(Benchmark::ALL.len(), |i| {
         let b = Benchmark::ALL[i];
         let trace = RecordedTrace::record(&b.source(cfg.scale, cfg.seed));
@@ -370,6 +371,19 @@ mod tests {
         assert_eq!(pct_of_conflicts_removed(5, 10), 50.0);
         assert_eq!(pct_of_misses_removed(0, 0), 0.0);
         assert_eq!(pct_of_misses_removed(3, 12), 25.0);
+    }
+
+    #[test]
+    fn trace_cache_holds_at_most_its_capacity() {
+        for seed in 0..=TRACE_CACHE_CAPACITY as u64 {
+            let cfg = ExperimentConfig {
+                scale: Scale::new(500),
+                seed: 0x7472_6163_6500 + seed,
+            };
+            record_traces(&cfg);
+        }
+        let held = TRACE_CACHE.lock().unwrap_or_else(|e| e.into_inner()).len();
+        assert!(held <= TRACE_CACHE_CAPACITY, "{held} trace sets held");
     }
 
     #[test]

@@ -73,12 +73,15 @@ pub fn set_thread_count(n: usize) {
 /// The number of worker threads a sweep will use:
 /// [`set_thread_count`] override if set, else `JOUPPI_THREADS` if parsable,
 /// else all available cores.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "worker count shapes scheduling only; sweep results merge in job-index order, identical at any thread count"
+)]
 fn thread_count() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if forced > 0 {
         return forced;
     }
-    // jouppi-lint: allow(transitive-purity) — worker count shapes scheduling only; sweep results merge in job-index order, identical at any thread count
     if let Ok(raw) = std::env::var("JOUPPI_THREADS") {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n >= 1 {

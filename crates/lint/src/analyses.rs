@@ -34,7 +34,7 @@
 //! (held → acquired), and every other call is captured as a
 //! [`GuardedCall`]. A captured call that is itself blocking — `recv`, a
 //! 0-argument `join`/`wait`/`accept`, `read_to_end`, `thread::sleep`,
-//! `TcpStream::connect`, … — is the depth-0 case of
+//! `thread::scope`, `TcpStream::connect`, … — is the depth-0 case of
 //! `lock-held-across-call`.
 //!
 //! Accepted imprecision, chosen to fail toward false *negatives*:
@@ -112,8 +112,9 @@ pub struct LockEdge {
 }
 
 /// Runs the guard-liveness scan, plus unbounded-growth when active,
-/// over one parsed file.
-pub fn run(active: &[LintId], ast: &Ast) -> AnalysisOutput {
+/// over one parsed file. `in_test` tells which lines are test code: a
+/// test that measures or clears a collection is no bounding path.
+pub fn run(active: &[LintId], ast: &Ast, in_test: &dyn Fn(u32) -> bool) -> AnalysisOutput {
     let mut out = AnalysisOutput::default();
     let t0 = Instant::now();
     let mut scan = GuardScan {
@@ -135,7 +136,7 @@ pub fn run(active: &[LintId], ast: &Ast) -> AnalysisOutput {
     out.timings.push(("guard-scan", t0.elapsed()));
     if active.contains(&LintId::UnboundedGrowth) {
         let t0 = Instant::now();
-        unbounded_growth(ast, &mut out.findings);
+        unbounded_growth(ast, in_test, &mut out.findings);
         out.timings.push(("unbounded-growth", t0.elapsed()));
     }
     out
@@ -246,9 +247,11 @@ const BLOCKING_METHODS: [(&str, usize); 10] = [
 ];
 
 /// Blocking free/associated functions, matched as path suffixes.
-const BLOCKING_PATHS: [&[&str]; 4] = [
+/// `thread::scope` joins every thread spawned in it before returning.
+const BLOCKING_PATHS: [&[&str]; 5] = [
     &["thread", "sleep"],
     &["sleep"],
+    &["thread", "scope"],
     &["TcpStream", "connect"],
     &["UnixStream", "connect"],
 ];
@@ -601,9 +604,9 @@ const BOUND_METHODS: [&str; 16] = [
 ];
 
 /// Flags collection-typed struct fields and statics that only ever grow
-/// in this file: some chain grows them, and no chain shrinks, prunes, or
-/// even measures them.
-fn unbounded_growth(ast: &Ast, findings: &mut Vec<Finding>) {
+/// in this file: some chain grows them, and no chain outside test code
+/// shrinks, prunes, or even measures them.
+fn unbounded_growth(ast: &Ast, in_test: &dyn Fn(u32) -> bool, findings: &mut Vec<Finding>) {
     // Tracked entities: (name, declaration line).
     let mut tracked: Vec<(String, u32)> = Vec::new();
     for s in ast.structs() {
@@ -627,7 +630,7 @@ fn unbounded_growth(ast: &Ast, findings: &mut Vec<Finding>) {
     // its bindings stand for that entity (`let mut q = CACHE.lock()…`).
     let mut aliases: Vec<(String, usize)> = Vec::new();
     for f in ast.functions() {
-        if let Some(body) = &f.body {
+        if let (Some(body), false) = (&f.body, in_test(f.line)) {
             growth_in_block(body, &tracked, &mut aliases, &mut grows, &mut bounds);
         }
     }
@@ -826,7 +829,7 @@ mod tests {
     use crate::policy::classify;
 
     fn run_on(active: &[LintId], src: &str) -> AnalysisOutput {
-        run(active, &parse(&lex(src)))
+        run(active, &parse(&lex(src)), &|_| false)
     }
 
     fn lines_of(out: &AnalysisOutput, lint: LintId) -> Vec<u32> {
@@ -974,10 +977,11 @@ fn f(&self) {
     let g = self.state.lock().unwrap();
     std::thread::sleep(TICK);
     let c = TcpStream::connect(addr);
+    std::thread::scope(|s| { s.spawn(|| work()); });
     g.touch();
 }
 ";
-        assert_eq!(blocking_lines(src), vec![3, 4]);
+        assert_eq!(blocking_lines(src), vec![3, 4, 5]);
     }
 
     #[test]
@@ -1038,6 +1042,25 @@ fn record(&mut self, e: Event) {
         // `log` only grows (line 2); `seen` has a pruning path; `count`
         // is not a collection.
         assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
+    }
+
+    #[test]
+    fn a_test_measuring_a_collection_is_no_bound() {
+        let src = "\
+struct Server { conns: Vec<Handle> }
+fn accept(&mut self, h: Handle) { self.conns.push(h); }
+#[cfg(test)]
+mod tests {
+    fn reaped(s: &Server) -> bool { s.conns.len() == 1 }
+}
+";
+        let ctx = classify("crates/serve/src/fixture.rs").expect("serve context");
+        let lines: Vec<u32> = check_source(&ctx, src)
+            .iter()
+            .filter(|f| f.lint == LintId::UnboundedGrowth)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, vec![1]);
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //!    never fall back by bare name: a receiver-less `x.push(…)` is far
 //!    more likely `Vec::push` than any workspace `push`.
 //!
-//! The reachability engine (`reach_forward`/`reaches_backward`) follows
-//! **resolved edges only**: ambiguous edges are surfaced as counts in
-//! the JSON report but never traversed, so the interprocedural analyses
-//! fail toward false negatives — same stance as the structural analyses.
+//! The reachability engine ([`reaches_backward`]) follows **resolved
+//! edges only**: ambiguous edges are surfaced as counts in the JSON
+//! report but never traversed, so the interprocedural analysis fails
+//! toward false negatives — same stance as the structural analyses.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -76,7 +76,7 @@ pub struct GraphFile<'a> {
 pub struct Node<'a> {
     /// Index of the declaring file in the builder's input slice.
     pub file: usize,
-    /// The declaration (name, impl type, module, params).
+    /// The declaration (name, impl type, module, receiver).
     pub decl: FnDecl,
     /// The function body, when present.
     pub body: Option<&'a Block>,
@@ -656,45 +656,6 @@ fn unique_or_ambiguous(nodes: &[usize]) -> Resolution {
     }
 }
 
-/// BFS from `entries` over **resolved** edges. Returns, per node, the
-/// predecessor on a shortest call path from an entry (`usize::MAX` if
-/// unreachable; entries are their own predecessor).
-pub fn reach_forward(graph: &CallGraph<'_>, entries: &[usize]) -> Vec<usize> {
-    let mut parent = vec![usize::MAX; graph.nodes.len()];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &e in entries {
-        if parent[e] == usize::MAX {
-            parent[e] = e;
-            queue.push_back(e);
-        }
-    }
-    while let Some(n) = queue.pop_front() {
-        for edge in &graph.edges[n] {
-            if !edge.ambiguous && parent[edge.to] == usize::MAX {
-                parent[edge.to] = n;
-                queue.push_back(edge.to);
-            }
-        }
-    }
-    parent
-}
-
-/// Reconstructs the entry → … → `node` call path from a
-/// [`reach_forward`] predecessor array.
-pub fn path_to(parent: &[usize], node: usize) -> Vec<usize> {
-    let mut path = vec![node];
-    let mut cur = node;
-    while parent[cur] != cur && parent[cur] != usize::MAX {
-        cur = parent[cur];
-        path.push(cur);
-        if path.len() > parent.len() {
-            break; // defensive: malformed parent array
-        }
-    }
-    path.reverse();
-    path
-}
-
 /// The set of nodes from which any `seed` node is reachable over
 /// resolved edges (seeds included) — reverse reachability, used for
 /// "does this callee transitively block?".
@@ -870,25 +831,35 @@ mod tests {
 
     #[test]
     fn reachability_follows_resolved_edges_only() {
-        let asts = parsed(&[(
-            "crates/serve/src/a.rs",
-            "fn entry() { step(); }\n\
-             fn step() { leaf(); }\n\
-             fn leaf() {}\n\
-             fn island() {}\n",
-        )]);
+        // `caller`'s `x.refresh()` has two candidates, so its edges are
+        // ambiguous and not traversed.
+        let asts = parsed(&[
+            (
+                "crates/serve/src/a.rs",
+                "fn entry() { step(); }\n\
+                 fn step() { leaf(); }\n\
+                 fn leaf() {}\n\
+                 fn island() {}\n\
+                 fn caller(x: &X) { x.refresh(); }\n",
+            ),
+            (
+                "crates/serve/src/b.rs",
+                "struct B; impl B { fn refresh(&self) { leaf(); } }\n",
+            ),
+            (
+                "crates/core/src/c.rs",
+                "struct C; impl C { fn refresh(&self) {} }\n",
+            ),
+        ]);
         let g = graph_of(&asts);
-        let entry = node_named(&g, "entry");
-        let parent = reach_forward(&g, &[entry]);
-        let leaf = node_named(&g, "leaf");
-        assert_ne!(parent[leaf], usize::MAX);
-        assert_eq!(parent[node_named(&g, "island")], usize::MAX);
-        let path = path_to(&parent, leaf);
-        let names: Vec<&str> = path
-            .iter()
-            .map(|&i| g.nodes[i].decl.name.as_str())
-            .collect();
-        assert_eq!(names, ["entry", "step", "leaf"]);
+        let mut seeds = vec![false; g.nodes.len()];
+        seeds[node_named(&g, "leaf")] = true;
+        let reaches = reaches_backward(&g, &seeds);
+        assert!(reaches[node_named(&g, "entry")]);
+        assert!(reaches[node_named(&g, "step")]);
+        assert!(!reaches[node_named(&g, "island")]);
+        assert_eq!(g.ambiguous_edges, 2);
+        assert!(!reaches[node_named(&g, "caller")]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `relaxed-ordering` and `unbounded-growth` resolve within one file.
 //! **lock-order** needs the whole crate's acquisition graph (an A→B
 //! edge in one file is only a deadlock when some other file holds B
-//! while taking A), and the three call-graph lints need the workspace
+//! while taking A), and `lock-held-across-call` needs the workspace
 //! call graph. So [`check_source_facts`] returns the resolved findings
 //! *plus* the file's cross-file facts and its pending workspace-lint
 //! suppressions, for [`crate::workspace`] to finish the job;
@@ -41,14 +41,9 @@ use crate::policy::{lints_for, FileContext};
 use crate::workspace::scan_sources;
 
 /// Lints that only resolve once the whole workspace is assembled: the
-/// crate-wide lock graph, plus the three call-graph analyses. Their
-/// suppression directives stay pending through phase one.
-pub const WORKSPACE_LINTS: [LintId; 4] = [
-    LintId::LockOrder,
-    LintId::TransitivePurity,
-    LintId::UntrustedSizeTaint,
-    LintId::LockHeldAcrossCall,
-];
+/// crate-wide lock graph and the call-graph analysis. Their suppression
+/// directives stay pending through phase one.
+pub const WORKSPACE_LINTS: [LintId; 2] = [LintId::LockOrder, LintId::LockHeldAcrossCall];
 
 /// Everything the workspace scan needs from one file: its resolved
 /// findings plus the facts that only resolve workspace-wide.
@@ -156,7 +151,7 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
     let t0 = Instant::now();
     let ast = parse(&lexed);
     timings.push(("parse", t0.elapsed()));
-    let out = analyses::run(&active, &ast);
+    let out = analyses::run(&active, &ast, &in_test);
     findings.extend(out.findings.into_iter().filter(|f| !in_test(f.line)));
     let lock_edges = out
         .lock_edges

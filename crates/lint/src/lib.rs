@@ -5,12 +5,12 @@
 //! to per-cell scheduling. Most of the conventions behind that are
 //! per-file rules the toolchain checks with full type information:
 //! `[workspace.lints]` in the root `Cargo.toml`, the root `clippy.toml`
-//! and crate-root attributes ban unsafe code, ambient time and entropy,
-//! default hashers, panics in library code, printing in libraries,
-//! narrowing casts and discarded results. This crate keeps only what
-//! clippy cannot express: facts about the whole workspace (a call graph,
-//! per-crate lock graphs) and one ordering rule with a written-reason
-//! convention.
+//! and crate-root attributes ban unsafe code, ambient time, entropy,
+//! environment and file input, default hashers, panics in library code,
+//! printing in libraries, narrowing casts and discarded results. This
+//! crate keeps only what clippy cannot express: facts about the whole
+//! workspace (a call graph, per-crate lock graphs) and one ordering rule
+//! with a written-reason convention.
 //!
 //! Architecture:
 //!
@@ -32,8 +32,8 @@
 //!   impl/module context, flattened `use` imports);
 //! * [`callgraph`] — the conservative workspace call graph and its
 //!   reachability engine (resolved vs. explicitly ambiguous edges);
-//! * [`interproc`] — the three interprocedural analyses riding the graph
-//!   (transitive purity, untrusted-size taint, lock-held-across-call);
+//! * [`interproc`] — the interprocedural analysis riding the graph
+//!   (lock-held-across-call);
 //! * [`workspace`] — deterministic workspace walking, including the
 //!   crate-wide lock-order resolution phase and the workspace
 //!   call-graph phase;
@@ -66,7 +66,8 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![allow(
     clippy::disallowed_types,
-    reason = "the linter times its own analysis stages; it produces no simulation results"
+    clippy::disallowed_methods,
+    reason = "the linter times its own analysis stages and reads the sources it checks; it produces no simulation results"
 )]
 #![warn(missing_docs)]
 

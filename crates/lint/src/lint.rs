@@ -1,8 +1,8 @@
 //! The lint catalog: the invariants `jouppi-lint` enforces. Per-file
-//! rules the toolchain can check (unsafe code, ambient time and entropy,
-//! default hashers, panics in library code, printing, narrowing casts,
-//! discarded results) live in the workspace's `[workspace.lints]`,
-//! `clippy.toml` and crate-root attributes instead.
+//! rules the toolchain can check (unsafe code, ambient time, entropy,
+//! environment and file input, default hashers, panics in library code,
+//! printing, narrowing casts, discarded results) live in the workspace's
+//! `[workspace.lints]`, `clippy.toml` and crate-root attributes instead.
 
 use std::fmt;
 
@@ -18,12 +18,6 @@ pub enum LintId {
     /// Long-lived server/sweep collection state that only grows —
     /// no eviction, pruning, or capacity path anywhere in the file.
     UnboundedGrowth,
-    /// An ambient time/RNG/env/filesystem/default-hasher source
-    /// transitively reachable from the cache-keyed simulate path.
-    TransitivePurity,
-    /// A request-derived integer flowing into `with_capacity`/`reserve`/
-    /// `vec![_; n]` without a bounds check, across call edges.
-    UntrustedSizeTaint,
     /// A call made while a lock guard is live that blocks (`recv`,
     /// `join`, `sleep`, …) directly or through its callees.
     LockHeldAcrossCall,
@@ -34,12 +28,10 @@ pub enum LintId {
 }
 
 /// Every catalog entry, in reporting order.
-pub const ALL_LINTS: [LintId; 8] = [
+pub const ALL_LINTS: [LintId; 6] = [
     LintId::RelaxedOrdering,
     LintId::LockOrder,
     LintId::UnboundedGrowth,
-    LintId::TransitivePurity,
-    LintId::UntrustedSizeTaint,
     LintId::LockHeldAcrossCall,
     LintId::BadSuppression,
     LintId::UnusedSuppression,
@@ -52,8 +44,6 @@ impl LintId {
             LintId::RelaxedOrdering => "relaxed-ordering",
             LintId::LockOrder => "lock-order",
             LintId::UnboundedGrowth => "unbounded-growth",
-            LintId::TransitivePurity => "transitive-purity",
-            LintId::UntrustedSizeTaint => "untrusted-size-taint",
             LintId::LockHeldAcrossCall => "lock-held-across-call",
             LintId::BadSuppression => "bad-suppression",
             LintId::UnusedSuppression => "unused-suppression",
@@ -79,16 +69,6 @@ impl LintId {
             LintId::UnboundedGrowth => {
                 "long-lived collection state in serve/experiments must have an eviction, \
                  pruning, or capacity path — push/insert with no shrink leaks under load"
-            }
-            LintId::TransitivePurity => {
-                "no ambient time/RNG/env/filesystem/default-hasher source transitively \
-                 reachable from the cache-keyed simulate path — the result cache memoizes \
-                 on (organization, workload, scale, seed) alone"
-            }
-            LintId::UntrustedSizeTaint => {
-                "request-derived integers must be bounds-checked before flowing into \
-                 with_capacity/reserve/vec![_; n] — an attacker-chosen length is an \
-                 allocation-size DoS, across call edges too"
             }
             LintId::LockHeldAcrossCall => {
                 "no blocking call (recv/join/sleep/accept/connect/read) while a lock guard \

@@ -157,9 +157,6 @@ pub struct FnItem {
     pub name: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Parameter names in declaration order (`self` excluded; the first
-    /// bound identifier of each pattern parameter).
-    pub params: Vec<String>,
     /// Whether the parameter list starts with a `self` receiver.
     pub has_self: bool,
     /// The body; `None` for bodyless trait-method declarations.
@@ -838,11 +835,7 @@ impl<'a> P<'a> {
         if self.at_punct('<') {
             self.skip_generics();
         }
-        let (params, has_self) = if self.at_punct('(') {
-            self.fn_params()
-        } else {
-            (Vec::new(), false)
-        };
+        let has_self = self.at_punct('(') && self.fn_params();
         self.skip_to_body_open();
         let body = if self.at_punct('{') {
             Some(self.block())
@@ -853,18 +846,15 @@ impl<'a> P<'a> {
         FnItem {
             name,
             line,
-            params,
             has_self,
             body,
         }
     }
 
-    /// Parses a parameter list (the `(` is next) into parameter names:
-    /// the first bound identifier of each parameter's pattern. Returns
-    /// the names and whether the list starts with a `self` receiver.
-    fn fn_params(&mut self) -> (Vec<String>, bool) {
+    /// Skips a parameter list (the `(` is next); returns whether it
+    /// starts with a `self` receiver.
+    fn fn_params(&mut self) -> bool {
         self.eat_punct('(');
-        let mut params = Vec::new();
         let mut has_self = false;
         let mut first = true;
         loop {
@@ -878,17 +868,13 @@ impl<'a> P<'a> {
                 self.type_words_until(&[',', ')']);
             }
             self.eat_punct(',');
-            match name {
-                Some(n) if first && n == "self" => has_self = true,
-                Some(n) => params.push(n),
-                None => {}
-            }
+            has_self |= first && name.as_deref() == Some("self");
             first = false;
             if self.i == before {
                 self.bump();
             }
         }
-        (params, has_self)
+        has_self
     }
 
     /// Scans one parameter's pattern up to its `:` / `,` / `)` at depth

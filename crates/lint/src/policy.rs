@@ -11,10 +11,9 @@
 //! | experiments, serve | ✔ | ✔ |
 //! | every other crate | | |
 //!
-//! `lock-order` and the three call-graph lints (`transitive-purity`,
-//! `untrusted-size-taint`, `lock-held-across-call`) apply to every
-//! linted file — reachability is decided by the workspace call graph,
-//! so their findings land wherever the offending function is declared.
+//! `lock-order` and the call-graph lint `lock-held-across-call` apply
+//! to every linted file — reachability is decided by the workspace call
+//! graph, so its findings land wherever the offending call is made.
 
 use crate::lint::LintId;
 
@@ -56,8 +55,6 @@ pub fn lints_for(ctx: &FileContext) -> Vec<LintId> {
         lints.push(LintId::UnboundedGrowth);
     }
     lints.push(LintId::LockOrder);
-    lints.push(LintId::TransitivePurity);
-    lints.push(LintId::UntrustedSizeTaint);
     lints.push(LintId::LockHeldAcrossCall);
     lints
 }
@@ -86,12 +83,7 @@ mod tests {
 
     #[test]
     fn policy_matches_the_table() {
-        let everywhere = [
-            LintId::LockOrder,
-            LintId::TransitivePurity,
-            LintId::UntrustedSizeTaint,
-            LintId::LockHeldAcrossCall,
-        ];
+        let everywhere = [LintId::LockOrder, LintId::LockHeldAcrossCall];
         let report = classify("crates/report/src/table.rs").expect("report");
         assert_eq!(lints_for(&report), everywhere);
 

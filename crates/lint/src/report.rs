@@ -36,7 +36,7 @@ pub fn human(result: &ScanResult) -> String {
 
 /// Machine-readable report document (version 3: adds the `callgraph`
 /// section sizing the workspace call graph behind the interprocedural
-/// analyses).
+/// analysis).
 pub fn to_json(result: &ScanResult) -> Json {
     let findings: Vec<Json> = result
         .findings()
@@ -97,9 +97,10 @@ pub fn catalog() -> String {
     out.push_str(
         "\nsuppression: // jouppi-lint: allow(<lint>) — <reason>\n\
          file scope:  // jouppi-lint: allow-file(<lint>) — <reason>\n\
-         \nPer-file rules (unsafe code, ambient time and entropy, default hashers,\n\
-         library panics, printing, narrowing casts, discarded results) are clippy\n\
-         configuration: see [workspace.lints] in Cargo.toml and clippy.toml.\n",
+         \nPer-file rules (unsafe code, ambient time, entropy, environment and file\n\
+         input, default hashers, library panics, printing, narrowing casts,\n\
+         discarded results) are clippy configuration: see [workspace.lints] in\n\
+         Cargo.toml and clippy.toml.\n",
     );
     out
 }

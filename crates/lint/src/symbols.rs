@@ -29,8 +29,6 @@ pub struct FnDecl {
     pub line: u32,
     /// Whether the function takes a `self` receiver.
     pub has_self: bool,
-    /// Parameter names in declaration order (`self` excluded).
-    pub params: Vec<String>,
 }
 
 /// The symbols one file contributes to the workspace.
@@ -130,7 +128,6 @@ fn walk_items<'a>(
                     module: module.to_vec(),
                     line: f.line,
                     has_self: f.has_self,
-                    params: f.params.clone(),
                 });
                 bodies.push(f);
             }
@@ -245,10 +242,9 @@ mod inner {
         );
         let push = &s.fns[1];
         assert!(push.has_self);
-        assert_eq!(push.params, ["item"]);
         let nested = &s.fns[3];
         assert_eq!(nested.module, ["queue", "inner"]);
-        assert_eq!(nested.params, ["n"]);
+        assert!(!nested.has_self);
     }
 
     #[test]

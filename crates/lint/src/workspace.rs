@@ -9,8 +9,9 @@
 //! one graph *per crate* (lock identities are textual — `self.inner` in
 //! two crates is two different locks) and reports every edge in a cycle.
 //! Phase three builds the **workspace call graph** over the retained
-//! ASTs ([`crate::callgraph`]) and runs the three interprocedural
-//! analyses ([`crate::interproc`]); findings from both phases are routed
+//! ASTs ([`crate::callgraph`]) and runs the interprocedural
+//! `lock-held-across-call` analysis ([`crate::interproc`]); findings
+//! from both phases are routed
 //! back to the declaring files, checked against the pending
 //! suppressions, and the leftover directives become `unused-suppression`
 //! findings.
@@ -195,7 +196,7 @@ pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
     }
     *timings.entry("lock-order-resolve").or_default() += t0.elapsed();
     // Phase three: the workspace call graph and the interprocedural
-    // analyses, over the ASTs retained in phase one (graph-file indexes
+    // analysis, over the ASTs retained in phase one (graph-file indexes
     // are `result.files` indexes).
     let t0 = Instant::now();
     if !asts.is_empty() {

@@ -18,11 +18,23 @@ use jouppi_serve::json::Json;
 
 /// (fixture dir under `tests/fixtures/`, owning crate root, lint codes
 /// the `bad` fixture must raise).
-const CASES: [(&str, &str, &[&str]); 9] = [
+const CASES: [(&str, &str, &[&str]); 11] = [
     (
         "ambient-time",
         "crates/core/src/lib.rs",
         &["clippy::disallowed_types", "clippy::disallowed_methods"],
+    ),
+    // The daemon's crate root carries no blanket opt-out: only the
+    // modules that enforce deadlines opt out, each with a reason.
+    (
+        "ambient-time",
+        "crates/serve/src/lib.rs",
+        &["clippy::disallowed_types", "clippy::disallowed_methods"],
+    ),
+    (
+        "ambient-input",
+        "crates/core/src/lib.rs",
+        &["clippy::disallowed_methods"],
     ),
     (
         "ambient-rng",
@@ -75,6 +87,10 @@ fn repo_root() -> PathBuf {
     jouppi_lint::find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test reads the committed configuration and fixtures"
+)]
 fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
@@ -148,6 +164,10 @@ fn clippy(temp: &Path, name: &str, crate_root: &str, fixture: &str) -> ClippyRun
     fs::write(krate.join("src/lib.rs"), lib).expect("write lib.rs");
     fs::write(krate.join("src/fixture.rs"), fixture).expect("write fixture");
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runs the cargo that runs the test"
+    )]
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned());
     let out = Command::new(cargo)
         .args(["clippy", "--offline", "--quiet", "--message-format=json"])
@@ -186,30 +206,33 @@ fn clippy(temp: &Path, name: &str, crate_root: &str, fixture: &str) -> ClippyRun
 fn moved_lint_fixtures_fail_and_pass_under_clippy() {
     let temp = std::env::temp_dir().join(format!("jouppi-clippy-config-{}", std::process::id()));
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-    for (dir, crate_root, expected) in CASES {
+    for (case, (dir, crate_root, expected)) in CASES.into_iter().enumerate() {
         let bad = clippy(
             &temp,
-            &format!("{dir}-bad"),
+            &format!("{dir}-{case}-bad"),
             crate_root,
             &read(&fixtures.join(dir).join("bad.rs")),
         );
-        assert!(!bad.passed, "{dir}: bad fixture passed clippy");
+        assert!(
+            !bad.passed,
+            "{dir} under {crate_root}: bad fixture passed clippy"
+        );
         for code in expected {
             assert!(
                 bad.codes.iter().any(|c| c == code),
-                "{dir}: bad fixture did not raise {code}:\n{}",
+                "{dir} under {crate_root}: bad fixture did not raise {code}:\n{}",
                 bad.rendered
             );
         }
         let ok = clippy(
             &temp,
-            &format!("{dir}-ok"),
+            &format!("{dir}-{case}-ok"),
             crate_root,
             &read(&fixtures.join(dir).join("ok.rs")),
         );
         assert!(
             ok.passed,
-            "{dir}: ok fixture failed clippy:\n{}",
+            "{dir} under {crate_root}: ok fixture failed clippy:\n{}",
             ok.rendered
         );
     }

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 /// (lint, fixture dir, path the fixture occupies in the temp workspace).
 /// The lints that moved to clippy configuration keep their fixtures
 /// next to these; `clippy_config.rs` drives them.
-const CASES: [(&str, &str, &str); 9] = [
+const CASES: [(&str, &str, &str); 7] = [
     (
         "relaxed-ordering",
         "relaxed-ordering",
@@ -44,28 +44,16 @@ const CASES: [(&str, &str, &str); 9] = [
         "crates/serve/src/fixture.rs",
     ),
     (
-        "transitive-purity",
-        "transitive-purity",
-        "crates/report/src/fixture.rs",
-    ),
-    (
-        "untrusted-size-taint",
-        "untrusted-size-taint",
-        "crates/serve/src/fixture.rs",
-    ),
-    (
         "lock-held-across-call",
         "lock-held-across-call",
         "crates/core/src/fixture.rs",
     ),
 ];
 
-/// Support files materialized alongside a fixture for both its bad and
-/// ok runs — the interprocedural lints fire only when a serve-side
-/// entrypoint in another crate reaches the fixture.
-const SUPPORT: [(&str, &str, &str); 1] =
-    [("transitive-purity", "entry.rs", "crates/serve/src/entry.rs")];
-
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test reads its committed fixtures"
+)]
 fn fixture(dir: &str, name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -88,18 +76,6 @@ fn temp_workspace(tag: &str, rel_file: &str, contents: &str) -> PathBuf {
     root
 }
 
-/// Adds the fixture dir's support files (if any) to a temp workspace.
-fn write_support(root: &Path, dir: &str) {
-    for (support_dir, name, rel_file) in SUPPORT {
-        if support_dir != dir {
-            continue;
-        }
-        let file = root.join(rel_file);
-        fs::create_dir_all(file.parent().expect("support path has a parent")).expect("mkdir");
-        fs::write(&file, fixture(dir, name)).expect("write support file");
-    }
-}
-
 fn lint_workspace(root: &Path, json: bool) -> jouppi_lint::cli::CliResult {
     let mut args = vec![
         "--root".to_owned(),
@@ -116,7 +92,6 @@ fn lint_workspace(root: &Path, json: bool) -> jouppi_lint::cli::CliResult {
 fn bad_fixtures_fail_with_the_expected_lint() {
     for (lint, dir, rel_file) in CASES {
         let root = temp_workspace(&format!("bad-{dir}"), rel_file, &fixture(dir, "bad.rs"));
-        write_support(&root, dir);
         let r = lint_workspace(&root, false);
         assert_eq!(
             r.code, 1,
@@ -136,7 +111,6 @@ fn bad_fixtures_fail_with_the_expected_lint() {
 fn ok_fixtures_pass_clean() {
     for (lint, dir, rel_file) in CASES {
         let root = temp_workspace(&format!("ok-{dir}"), rel_file, &fixture(dir, "ok.rs"));
-        write_support(&root, dir);
         let r = lint_workspace(&root, false);
         assert_eq!(
             r.code, 0,

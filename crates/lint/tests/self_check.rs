@@ -1,15 +1,9 @@
 //! The workspace must pass its own linter — the test form of the
 //! `jouppi-lint --workspace` gate ci.sh enforces.
 
-use std::fs;
 use std::path::Path;
 
-use jouppi_lint::callgraph::{build, GraphFile};
-use jouppi_lint::check::check_source_facts;
 use jouppi_lint::find_root;
-use jouppi_lint::interproc::PURITY_ENTRIES;
-use jouppi_lint::policy::classify;
-use jouppi_lint::workspace::source_files;
 use jouppi_serve::json::Json;
 
 fn root_args(extra: &[&str]) -> Vec<String> {
@@ -79,41 +73,5 @@ fn workspace_json_report_is_clean_and_covers_the_tree() {
             }
             other => panic!("callgraph.{field} missing or mistyped: {other:?}"),
         }
-    }
-}
-
-/// Every `transitive-purity` entry name is a jouppi-serve function of
-/// the workspace call graph. Without this, renaming an entry point
-/// would empty the analysis's entry set with no finding at all.
-#[test]
-fn purity_entries_name_serve_functions() {
-    let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let sources: Vec<_> = source_files(&root)
-        .expect("walk the workspace")
-        .iter()
-        .filter_map(|rel| classify(rel))
-        .map(|ctx| {
-            let src = fs::read_to_string(root.join(&ctx.rel_path)).expect("read source");
-            let facts = check_source_facts(&ctx, &src);
-            (ctx, facts)
-        })
-        .collect();
-    let inputs: Vec<GraphFile<'_>> = sources
-        .iter()
-        .map(|(ctx, facts)| GraphFile {
-            ctx,
-            ast: &facts.ast,
-            test_ranges: &facts.test_ranges,
-        })
-        .collect();
-    let graph = build(&inputs);
-    for name in PURITY_ENTRIES {
-        assert!(
-            graph
-                .nodes
-                .iter()
-                .any(|n| graph.files[n.file].crate_name == "serve" && n.decl.name == name),
-            "PURITY_ENTRIES names `{name}`, which is no jouppi-serve function"
-        );
     }
 }

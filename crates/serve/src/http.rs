@@ -13,6 +13,11 @@
 //!   errors (mapped to 431/413 by the server), never unbounded buffering.
 //! * **No panics** — malformed input is a [`HttpError`], full stop.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the request reader enforces the caller's wall-clock deadline; parsing never depends on it"
+)]
+
 use std::io::{self, Read, Write};
 use std::time::Instant;
 

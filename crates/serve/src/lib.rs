@@ -49,10 +49,6 @@
     clippy::unreachable,
     clippy::unimplemented
 )]
-#![allow(
-    clippy::disallowed_types,
-    reason = "the daemon measures request latency and deadlines on the wall clock; cached result documents never carry timing"
-)]
 #![warn(missing_docs)]
 
 pub mod client;

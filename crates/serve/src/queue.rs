@@ -16,6 +16,11 @@
 //! * **Panic-isolated** — a panicking job is recorded as `failed`; the
 //!   worker thread survives.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a synchronous job wait is bounded by a wall-clock deadline; job results never depend on it"
+)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -71,6 +76,19 @@ struct Inner {
     running: usize,
     completed: u64,
     shutdown: bool,
+}
+
+impl Inner {
+    /// Records a finished job, pruning the oldest finished records past
+    /// [`RETAINED_COMPLETED`].
+    fn retire(&mut self, id: u64) {
+        self.finished_order.push_back(id);
+        while self.finished_order.len() > RETAINED_COMPLETED {
+            if let Some(old) = self.finished_order.pop_front() {
+                self.jobs.remove(&old);
+            }
+        }
+    }
 }
 
 /// Counters sampled for `/metrics`.
@@ -170,12 +188,7 @@ impl JobQueue {
         let id = inner.next_id;
         inner.next_id += 1;
         inner.jobs.insert(id, (name.into(), JobState::Done(result)));
-        inner.finished_order.push_back(id);
-        while inner.finished_order.len() > RETAINED_COMPLETED {
-            if let Some(old) = inner.finished_order.pop_front() {
-                inner.jobs.remove(&old);
-            }
-        }
+        inner.retire(id);
         Ok(id)
     }
 
@@ -263,12 +276,7 @@ impl JobQueue {
                     Err(msg) => JobState::Failed(msg),
                 };
             }
-            inner.finished_order.push_back(id);
-            while inner.finished_order.len() > RETAINED_COMPLETED {
-                if let Some(old) = inner.finished_order.pop_front() {
-                    inner.jobs.remove(&old);
-                }
-            }
+            inner.retire(id);
             drop(inner);
             self.job_done.notify_all();
         }
@@ -310,6 +318,32 @@ mod tests {
         assert_eq!(q.stats().completed, 0);
         q.shutdown();
         assert_eq!(q.insert_completed("late", Json::Null), Err(QueueFull));
+    }
+
+    #[test]
+    fn completed_records_age_out_on_both_paths() {
+        const EXTRA: usize = 3;
+        let total = RETAINED_COMPLETED + EXTRA;
+        // Through the workers.
+        let q = JobQueue::new(total);
+        let ids: Vec<u64> = (0..total)
+            .map(|_| q.submit("job", Box::new(|| Ok(Json::Null))).unwrap())
+            .collect();
+        let workers = q.spawn_workers(1).expect("spawn");
+        q.shutdown();
+        for w in workers {
+            w.join().unwrap();
+        }
+        // Through insert_completed.
+        let cached = JobQueue::new(1);
+        let tickets: Vec<u64> = (0..total)
+            .map(|_| cached.insert_completed("cached", Json::Null).unwrap())
+            .collect();
+        for (q, ids) in [(&q, &ids), (&cached, &tickets)] {
+            let (old, kept) = ids.split_at(EXTRA);
+            assert!(old.iter().all(|&id| q.status(id).is_none()));
+            assert!(kept.iter().all(|&id| q.status(id).is_some()));
+        }
     }
 
     #[test]

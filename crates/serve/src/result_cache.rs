@@ -1,8 +1,10 @@
 //! Content-addressed result cache with singleflight coalescing.
 //!
 //! Every simulation this daemon serves is a pure function of its request
-//! parameters — the lint suite enforces that purity — so `/v1/simulate`
-//! and `/v1/sweep` responses can be memoized and deduplicated. This is
+//! parameters — the workspace's clippy configuration bans ambient time,
+//! entropy, environment and file input outside the modules that opt out
+//! with a reason — so `/v1/simulate` and `/v1/sweep` responses can be
+//! memoized and deduplicated. This is
 //! the paper's thesis turned on the service layer: a small
 //! fully-associative cache in front of an expensive backing store
 //! removes most misses, and skewed (Zipf) reuse makes a small cache
@@ -671,6 +673,20 @@ mod tests {
             "the parked waiter must be re-elected leader"
         );
         assert!(matches!(c.begin(key(9), false), Lookup::Hit(_)));
+    }
+
+    #[test]
+    fn finished_flights_leave_the_inflight_map() {
+        let c = cache(4);
+        lead(&c, key(1)).complete(&doc(1));
+        lead(&c, key(2)).abandon();
+        drop(lead(&c, key(3)));
+        let leader = match c.try_begin(key(4), false) {
+            TryLookup::Miss(leader) => leader,
+            _ => panic!("expected to lead"),
+        };
+        leader.complete(&doc(4));
+        assert!(c.lock().inflight.is_empty(), "a resolved flight stayed");
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!    the job queue — every accepted sweep completes before the workers
 //!    exit.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "connection threads enforce idle and whole-request deadlines and time requests on the wall clock; no result document carries timing"
+)]
+
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -321,7 +326,38 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
+
+    /// The accept loop reaps finished connection threads: once a run of
+    /// closed connections has finished, one more connection leaves only
+    /// its own handle behind.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let handle = Server::start(ServerConfig::default()).expect("start");
+        let connect = || {
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .expect("send");
+            let mut reply = Vec::new();
+            stream.read_to_end(&mut reply).expect("read until close");
+            assert!(reply.starts_with(b"HTTP/1.1 200"));
+        };
+        for _ in 0..8 {
+            connect();
+        }
+        let mut tracked = usize::MAX;
+        for _ in 0..50 {
+            std::thread::sleep(Duration::from_millis(20));
+            connect();
+            tracked = handle.conns.lock().unwrap_or_else(|e| e.into_inner()).len();
+            if tracked == 1 {
+                break;
+            }
+        }
+        assert_eq!(tracked, 1, "finished connection handles were kept");
+        handle.shutdown();
+    }
 
     /// Pins the fix for the swallowed `set_read_timeout` result: a
     /// socket that cannot arm the tick timeout must be closed, never

@@ -20,10 +20,10 @@
 //! }
 //! ```
 
-use jouppi_cache::{CacheGeometry, MissClassifier};
-use jouppi_core::{AugmentedCache, AugmentedConfig, StreamBufferConfig};
+use jouppi_cache::{CacheGeometry, MissBreakdown, MissClassifier};
+use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, StreamBufferConfig};
 use jouppi_experiments::common::note_refs_simulated;
-use jouppi_trace::TraceSource;
+use jouppi_trace::{AccessKind, MemRef, TraceSource};
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::json::Json;
@@ -32,10 +32,12 @@ use crate::json::Json;
 pub const MAX_SIMULATE_SCALE: u64 = 2_000_000;
 
 /// Hard cap on request-chosen buffer entry counts (`victim`,
-/// `miss_cache`, `stream.ways`, `stream.depth`). The paper's
-/// fully-associative buffers top out at 16 entries; 1024 leaves
-/// headroom for design-space exploration while keeping an
-/// attacker-chosen count from sizing an allocation.
+/// `miss_cache`, `stream.ways`, `stream.depth`) and on a cache's
+/// associativity. The paper's fully-associative buffers top out at 16
+/// entries; 1024 leaves headroom for design-space exploration while
+/// keeping an attacker-chosen count from sizing an allocation. A probe
+/// scans every way of a set, so the same cap bounds the per-reference
+/// work of the cache and of each buffer.
 pub const MAX_BUFFER_ENTRIES: usize = 1024;
 
 /// Hard cap on a cache's line count (`size / line`), which sizes the
@@ -45,10 +47,10 @@ pub const MAX_BUFFER_ENTRIES: usize = 1024;
 pub const MAX_CACHE_LINES: u64 = 1 << 16;
 
 /// Checks an organization against [`MAX_CACHE_LINES`] and
-/// [`MAX_BUFFER_ENTRIES`] before anything is allocated for it. This
-/// endpoint and the `jouppi-sim` command line both validate with it;
-/// `buffers` pairs each entry count with the name its front end gives
-/// it.
+/// [`MAX_BUFFER_ENTRIES`] (its buffers' entries and its cache's ways)
+/// before anything is allocated for it. This endpoint and the
+/// `jouppi-sim` command line both validate with it; `buffers` pairs
+/// each entry count with the name its front end gives it.
 ///
 /// # Errors
 ///
@@ -60,6 +62,12 @@ pub fn check_bounds(geometry: &CacheGeometry, buffers: &[(&str, usize)]) -> Resu
             geometry.num_lines()
         ));
     }
+    if geometry.associativity() > MAX_BUFFER_ENTRIES as u64 {
+        return Err(format!(
+            "the cache ({geometry}) has {} ways; at most {MAX_BUFFER_ENTRIES} are allowed",
+            geometry.associativity()
+        ));
+    }
     match buffers.iter().find(|&&(_, n)| n > MAX_BUFFER_ENTRIES) {
         Some((name, _)) => Err(format!("{name} must be at most {MAX_BUFFER_ENTRIES}")),
         None => Ok(()),
@@ -68,6 +76,103 @@ pub fn check_bounds(geometry: &CacheGeometry, buffers: &[(&str, usize)]) -> Resu
 
 /// Default `scale` when the request omits it.
 pub const DEFAULT_SIMULATE_SCALE: u64 = 100_000;
+
+/// Which references a simulated cache sees.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SideFilter {
+    /// Instruction fetches only.
+    Instruction,
+    /// Loads and stores only (the default — most experiments are
+    /// data-side).
+    #[default]
+    Data,
+    /// Every reference through the one cache (a unified cache).
+    All,
+}
+
+impl SideFilter {
+    /// Parses the name both front ends use: `i`, `d` or `all`.
+    pub fn from_name(name: &str) -> Option<SideFilter> {
+        match name {
+            "i" => Some(SideFilter::Instruction),
+            "d" => Some(SideFilter::Data),
+            "all" => Some(SideFilter::All),
+            _ => None,
+        }
+    }
+
+    /// The name [`SideFilter::from_name`] parses.
+    pub fn name(self) -> &'static str {
+        match self {
+            SideFilter::Instruction => "i",
+            SideFilter::Data => "d",
+            SideFilter::All => "all",
+        }
+    }
+
+    /// Whether a reference of this kind reaches the cache.
+    pub fn sees(self, kind: AccessKind) -> bool {
+        match self {
+            SideFilter::Instruction => kind.is_instr(),
+            SideFilter::Data => kind.is_data(),
+            SideFilter::All => true,
+        }
+    }
+}
+
+/// The augmented-cache configuration of an organization: `victim` and
+/// `miss_cache` entries (0 = none), and `stream` buffers as `(ways,
+/// depth)`, sequential unless `stride_detect` (the largest detectable
+/// stride, in lines) is positive. Both front ends build with it.
+pub fn build_config(
+    geometry: CacheGeometry,
+    victim: usize,
+    miss_cache: usize,
+    stream: Option<(usize, usize)>,
+    stride_detect: i64,
+) -> AugmentedConfig {
+    let mut cfg = AugmentedConfig::new(geometry);
+    if victim > 0 {
+        cfg = cfg.victim_cache(victim);
+    }
+    if miss_cache > 0 {
+        cfg = cfg.miss_cache(miss_cache);
+    }
+    if let Some((ways, depth)) = stream {
+        let sb = StreamBufferConfig::new(depth);
+        cfg = if stride_detect > 0 {
+            cfg.strided_stream_buffer(ways, sb, stride_detect)
+        } else {
+            cfg.multi_way_stream_buffer(ways, sb)
+        };
+    }
+    cfg
+}
+
+/// Replays the references `side` sees through an augmented cache built
+/// from `cfg`, with the three-C classifier riding along when `classify`
+/// is set. Both front ends replay with it: this endpoint streams a
+/// generator, `jouppi-sim` a recorded or loaded trace.
+pub fn replay(
+    refs: impl IntoIterator<Item = MemRef>,
+    side: SideFilter,
+    cfg: AugmentedConfig,
+    classify: bool,
+) -> (AugmentedStats, Option<MissBreakdown>) {
+    let geometry = *cfg.geometry();
+    let mut cache = AugmentedCache::new(cfg);
+    let mut classifier = classify.then(|| MissClassifier::new(geometry));
+    for r in refs {
+        if !side.sees(r.kind) {
+            continue;
+        }
+        let outcome = cache.access(r.addr);
+        if let Some(cls) = classifier.as_mut() {
+            cls.observe(geometry.line_of(r.addr), !outcome.is_l1_hit());
+        }
+    }
+    (*cache.stats(), classifier.map(|cls| cls.breakdown()))
+}
 
 pub(crate) fn get_u64(body: &Json, key: &str, default: u64) -> Result<u64, String> {
     match body.get(key) {
@@ -147,27 +252,14 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
         return Err("'victim' and 'miss_cache' are mutually exclusive".to_owned());
     }
     let stride_detect = get_u64(body, "stride_detect", 0)? as i64;
+    let cfg = build_config(geometry, victim, miss_cache, stream, stride_detect);
 
-    let mut cfg = AugmentedConfig::new(geometry);
-    if victim > 0 {
-        cfg = cfg.victim_cache(victim);
-    }
-    if miss_cache > 0 {
-        cfg = cfg.miss_cache(miss_cache);
-    }
-    if let Some((ways, depth)) = stream {
-        let sb = StreamBufferConfig::new(depth);
-        cfg = if stride_detect > 0 {
-            cfg.strided_stream_buffer(ways, sb, stride_detect)
-        } else {
-            cfg.multi_way_stream_buffer(ways, sb)
-        };
-    }
-
-    let side = match body.get("side").map(|v| v.as_str()) {
-        None => "d",
-        Some(Some(s)) if matches!(s, "i" | "d" | "all") => s,
-        _ => return Err("'side' must be \"i\", \"d\", or \"all\"".to_owned()),
+    let side = match body.get("side") {
+        None => SideFilter::Data,
+        Some(v) => v
+            .as_str()
+            .and_then(SideFilter::from_name)
+            .ok_or("'side' must be \"i\", \"d\", or \"all\"")?,
     };
     let classify = match body.get("classify") {
         None => false,
@@ -175,33 +267,15 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
     };
 
     let source = bench.source(Scale::new(scale), seed);
-    let mut cache = AugmentedCache::new(cfg);
-    let mut classifier = classify.then(|| MissClassifier::new(geometry));
-    let mut replayed = 0u64;
-    for r in source.refs() {
-        let wanted = match side {
-            "i" => r.kind.is_instr(),
-            "d" => r.kind.is_data(),
-            _ => true,
-        };
-        if !wanted {
-            continue;
-        }
-        replayed += 1;
-        let outcome = cache.access(r.addr);
-        if let Some(cls) = classifier.as_mut() {
-            cls.observe(geometry.line_of(r.addr), !outcome.is_l1_hit());
-        }
-    }
-    note_refs_simulated(replayed);
+    let (s, breakdown) = replay(source.refs(), side, cfg, classify);
+    note_refs_simulated(s.accesses);
 
-    let s = cache.stats();
     let mut out = vec![
         ("workload".to_owned(), Json::str(bench.name())),
         ("scale".to_owned(), Json::Int(scale as i64)),
         ("seed".to_owned(), Json::Int(seed as i64)),
         ("geometry".to_owned(), Json::str(geometry.to_string())),
-        ("side".to_owned(), Json::str(side)),
+        ("side".to_owned(), Json::str(side.name())),
         ("accesses".to_owned(), Json::Int(s.accesses as i64)),
         ("l1_hits".to_owned(), Json::Int(s.l1_hits as i64)),
         ("l1_misses".to_owned(), Json::Int(s.l1_misses() as i64)),
@@ -222,8 +296,7 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
             Json::Float(100.0 * s.removed_fraction()),
         ),
     ];
-    if let Some(cls) = classifier {
-        let b = cls.breakdown();
+    if let Some(b) = breakdown {
         out.push((
             "classification".to_owned(),
             Json::obj([
@@ -239,8 +312,6 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jouppi_cache::MissBreakdown;
-    use jouppi_core::AugmentedStats;
     use jouppi_trace::RecordedTrace;
 
     fn req(text: &str) -> Result<Json, String> {
@@ -390,6 +461,12 @@ mod tests {
             (
                 r#"{"workload":"met","cache":{"size":2097152,"line":16,"assoc":1}}"#,
                 "131072 lines",
+            ),
+            // 2^16 ways fit the line bound, but every probe would scan
+            // them all: about 26 s of one core at the scale cap.
+            (
+                r#"{"workload":"liver","scale":2000000,"cache":{"size":1048576,"line":16,"assoc":65536}}"#,
+                "has 65536 ways; at most 1024 are allowed",
             ),
             (r#"{"workload":"ccom","classify":3}"#, "'classify'"),
         ] {

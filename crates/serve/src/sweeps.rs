@@ -7,7 +7,6 @@
 //! served bytes to match **bit-for-bit**.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 use jouppi_experiments::common::{refs_simulated, ExperimentConfig};
 use jouppi_experiments::sweep::single_pass_refs;
@@ -81,9 +80,13 @@ pub fn sweep_config(scale: u64, seed: u64) -> Result<ExperimentConfig, String> {
 /// Runs the named sweep on its engine ([`engines_for`]) and encodes
 /// its result; `None` for an unknown name (the router 400s with the
 /// [`NAMED_SWEEPS`] catalog).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the wall clock feeds only the refs/s throughput gauge; the result document never includes it"
+)]
 pub fn run_named(name: &str, cfg: &ExperimentConfig) -> Option<Json> {
     let refs_before = refs_simulated() + single_pass_refs();
-    let start = Instant::now(); // jouppi-lint: allow(transitive-purity) — wall-clock feeds only the refs/sec throughput gauge below; the result document never includes it
+    let start = std::time::Instant::now();
     let body = match name {
         "fig_3_1" => fig31_json(&fig_3_1::run(cfg)),
         "miss_cache_4" => conflict_json(&conflict_sweep::run(

@@ -1,5 +1,6 @@
-//! Adversarial rounds for the daemon's two untrusted-input parsers: the
-//! HTTP/1.1 request reader (`http.rs`) and the JSON parser (`json.rs`).
+//! Adversarial rounds for the daemon's untrusted input: the HTTP/1.1
+//! request reader (`http.rs`), the JSON parser (`json.rs`), and the
+//! integer fields `/v1/simulate` and `/v1/sweep` read from a request.
 //!
 //! Every round must come back, never panic, and never hang (the test
 //! finishing is the proof). On top of that:
@@ -13,16 +14,26 @@
 //!   `parse(encode_pretty(v))`, and canonical encoding is idempotent.
 //!   Byte soup and mutated encodings return `Ok` or `Err`; every `Ok`
 //!   re-encodes to text that parses to the same value.
+//! * **Requests** — every integer field `sim::simulate` and
+//!   `sweeps::sweep_config` read takes the edges of the integer types it
+//!   passes through (0, 1, 2^31, 2^32, 2^40, 2^62, `i64::MAX`) or a
+//!   small valid value. Each request is rejected or simulated: a panic
+//!   or an aborting allocation fails the round. A source scan keeps the
+//!   round's field list complete.
 //!
 //! Randomness comes from the workspace's seeded `jouppi_trace::SmallRng`.
 //! Each round seeds its own generator, and a failure prints that seed.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 
 use jouppi_serve::http::{HttpConn, HttpError, Limits, Request};
 use jouppi_serve::json::Json;
+use jouppi_serve::{sim, sweeps};
 use jouppi_trace::SmallRng;
+use jouppi_workloads::Benchmark;
 
 const ROUNDS: u64 = 300;
 
@@ -330,5 +341,231 @@ fn garbage_parses_or_fails_and_every_ok_re_encodes() {
                 "round {round} (seed {seed:#x}): {text:?} re-encoded as {again:?}"
             );
         }
+    }
+}
+
+// ------------------------------------------------------------ requests
+
+/// One integer field of a `/v1/simulate` request: the object holding it
+/// (`None` for the top level), its key, the value of the round's valid
+/// base request, and a small valid value the round also draws.
+struct Field {
+    object: Option<&'static str>,
+    key: &'static str,
+    base: i64,
+    small: i64,
+}
+
+/// Every integer field `sim::simulate` reads. The base request is
+/// valid, so each edge value set alone reaches the code behind it.
+const SIMULATE_FIELDS: [Field; 10] = [
+    Field {
+        object: None,
+        key: "scale",
+        base: 1_000,
+        small: 1_000,
+    },
+    Field {
+        object: None,
+        key: "seed",
+        base: 42,
+        small: 7,
+    },
+    Field {
+        object: Some("cache"),
+        key: "size",
+        base: 4_096,
+        small: 8_192,
+    },
+    Field {
+        object: Some("cache"),
+        key: "line",
+        base: 16,
+        small: 32,
+    },
+    Field {
+        object: Some("cache"),
+        key: "assoc",
+        base: 1,
+        small: 2,
+    },
+    Field {
+        object: None,
+        key: "victim",
+        base: 0,
+        small: 4,
+    },
+    Field {
+        object: None,
+        key: "miss_cache",
+        base: 0,
+        small: 4,
+    },
+    Field {
+        object: Some("stream"),
+        key: "ways",
+        base: 1,
+        small: 4,
+    },
+    Field {
+        object: Some("stream"),
+        key: "depth",
+        base: 4,
+        small: 2,
+    },
+    Field {
+        object: None,
+        key: "stride_detect",
+        base: 0,
+        small: 8,
+    },
+];
+
+/// `/v1/sweep`'s integer fields, as (key, small valid value).
+const SWEEP_FIELDS: [(&str, i64); 2] = [("scale", 1_000), ("seed", 7)];
+
+/// The edges of the integer types a request field passes through.
+const EDGES: [i64; 7] = [0, 1, 1 << 31, 1 << 32, 1 << 40, 1 << 62, i64::MAX];
+
+/// The values the round gives a field: every edge, then `small`.
+fn values(small: i64) -> impl Iterator<Item = i64> {
+    EDGES.into_iter().chain([small])
+}
+
+/// A `/v1/simulate` body with `values[i]` in `SIMULATE_FIELDS[i]`.
+fn simulate_request(workload: &str, values: &[i64]) -> Json {
+    let mut top = vec![
+        ("workload".to_owned(), Json::str(workload)),
+        ("side".to_owned(), Json::str("all")),
+        ("classify".to_owned(), Json::Bool(true)),
+    ];
+    let mut nested: BTreeMap<&str, Vec<(String, Json)>> = BTreeMap::new();
+    for (field, &value) in SIMULATE_FIELDS.iter().zip(values) {
+        let entry = (field.key.to_owned(), Json::Int(value));
+        match field.object {
+            None => top.push(entry),
+            Some(object) => nested.entry(object).or_default().push(entry),
+        }
+    }
+    top.extend(
+        nested
+            .into_iter()
+            .map(|(object, fields)| (object.to_owned(), Json::Obj(fields))),
+    );
+    Json::Obj(top)
+}
+
+/// `sim::simulate` must return `Ok` or `Err` on `body`; an accepted
+/// request must have run at a scale the round can afford. Returns
+/// whether the request was accepted.
+fn check_simulate(body: &Json, at: &str) -> bool {
+    let text = body.encode();
+    match catch_unwind(AssertUnwindSafe(|| sim::simulate(body))) {
+        Err(_) => panic!("{at}: simulate panicked on {text}"),
+        Ok(Ok(doc)) => {
+            let scale = doc.get("scale").and_then(Json::as_i64);
+            assert!(
+                scale.is_some_and(|s| s <= 1_000),
+                "{at}: {text} ran at {scale:?}"
+            );
+            true
+        }
+        Ok(Err(_)) => false,
+    }
+}
+
+#[test]
+fn every_integer_simulate_field_is_rejected_or_simulated() {
+    let base: Vec<i64> = SIMULATE_FIELDS.iter().map(|f| f.base).collect();
+    assert!(check_simulate(
+        &simulate_request("liver", &base),
+        "base request"
+    ));
+    // Each field alone at each value, on the valid base request. Its
+    // small value is accepted, so the edges are not all rejected early.
+    for (i, field) in SIMULATE_FIELDS.iter().enumerate() {
+        for value in values(field.small) {
+            let mut request = base.clone();
+            request[i] = value;
+            let at = format!("{} = {value}", field.key);
+            let accepted = check_simulate(&simulate_request("met", &request), &at);
+            assert!(accepted || value != field.small, "{at}: rejected");
+        }
+    }
+    // Seeded rounds: several fields at once, on every workload.
+    let mut accepted = 0;
+    for round in 0..ROUNDS {
+        let seed = 0x7265_7175_0000 + round;
+        eprintln!("request round {round}: seed {seed:#x}");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut request = base.clone();
+        for _ in 0..=rng.below(4) {
+            let i = rng.below(SIMULATE_FIELDS.len());
+            let drawn: Vec<i64> = values(SIMULATE_FIELDS[i].small).collect();
+            request[i] = drawn[rng.below(drawn.len())];
+        }
+        let workload = Benchmark::ALL[rng.below(Benchmark::ALL.len())].name();
+        let at = format!("round {round} (seed {seed:#x})");
+        accepted += usize::from(check_simulate(&simulate_request(workload, &request), &at));
+    }
+    assert!(accepted > 0, "every seeded request was rejected");
+}
+
+#[test]
+fn every_integer_sweep_field_is_rejected_or_swept() {
+    let [(_, small_scale), (_, small_seed)] = SWEEP_FIELDS;
+    let seeds: Vec<i64> = values(small_seed).collect();
+    let mut accepted = 0;
+    for scale in values(small_scale) {
+        for &seed in &seeds {
+            let at = format!("scale {scale}, seed {seed}");
+            let Ok(cfg) = sweeps::sweep_config(scale as u64, seed as u64) else {
+                continue;
+            };
+            assert!(cfg.scale.instructions <= 1_000, "{at}: accepted");
+            let name = sweeps::NAMED_SWEEPS[accepted % sweeps::NAMED_SWEEPS.len()];
+            accepted += 1;
+            let doc = catch_unwind(|| sweeps::run_named(name, &cfg))
+                .unwrap_or_else(|_| panic!("{at}: {name} panicked"));
+            assert!(doc.is_some(), "{at}: {name} is a named sweep");
+        }
+    }
+    assert_eq!(accepted, 2 * seeds.len(), "scales 1 and 1000 are valid");
+}
+
+/// The request rounds cover every key serve reads through its integer
+/// accessors: a new integer field fails here until the rounds draw it.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the check reads the daemon's own sources"
+)]
+fn request_rounds_cover_every_integer_key() {
+    let covered: Vec<&str> = SIMULATE_FIELDS
+        .iter()
+        .map(|f| f.key)
+        .chain(SWEEP_FIELDS.iter().map(|&(key, _)| key))
+        .collect();
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut reads = Vec::new();
+    for entry in std::fs::read_dir(&src).expect("list src/") {
+        let path = entry.expect("dir entry").path();
+        let text = std::fs::read_to_string(&path).expect("read source");
+        for accessor in ["get_u64(", "get_usize("] {
+            for (at, _) in text.match_indices(accessor) {
+                let call = &text[at..];
+                let args = &call[..call.find(')').unwrap_or(call.len())];
+                if let Some(key) = args.split('"').nth(1) {
+                    reads.push((path.display().to_string(), key.to_owned()));
+                }
+            }
+        }
+    }
+    assert!(reads.len() >= 12, "the scan found only {reads:?}");
+    for (file, key) in reads {
+        assert!(
+            covered.contains(&key.as_str()),
+            "{file} reads integer key '{key}', which no request round draws"
+        );
     }
 }
