@@ -30,8 +30,8 @@ cargo build --release --examples
 echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
 
-echo "==> cargo test --release: trace, cache, core and serve with debug assertions compiled out, as the benchmark and the daemon build them"
-cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core -p jouppi-serve
+echo "==> cargo test --release: trace, cache, core, experiments and serve with debug assertions compiled out, as the benchmark and the daemon build them"
+cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core -p jouppi-experiments -p jouppi-serve
 
 echo "==> jouppi-bench --quick: build the committed benchmark, run all four workloads, check every result"
 CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin jouppi-bench -- --quick

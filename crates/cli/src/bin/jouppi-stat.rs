@@ -5,22 +5,12 @@
 
 use std::process::ExitCode;
 
+use jouppi_cli::stat;
+
 fn main() -> ExitCode {
-    let opts = match jouppi_cli::stat::parse_stat_args(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match jouppi_cli::stat::run_stat(&opts) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    jouppi_cli::finish(
+        stat::parse_stat_args(std::env::args().skip(1)),
+        stat::STAT_USAGE,
+        stat::run_stat,
+    )
 }

@@ -10,6 +10,8 @@
 
 use std::process::ExitCode;
 
+use jouppi_cli::serve_cmd;
+
 const USAGE: &str = "\
 usage: jouppi <command> [OPTIONS]
 
@@ -21,45 +23,27 @@ commands:
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("serve") => match jouppi_cli::serve_cmd::parse_serve_args(args) {
-            Ok(opts) => match jouppi_cli::serve_cmd::run_serve(&opts) {
-                Ok(report) => {
-                    println!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("sim") => match jouppi_cli::parse_args(args) {
-            Ok(opts) => match jouppi_cli::run(&opts) {
-                Ok(report) => {
-                    println!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        },
+        Some("serve") => jouppi_cli::finish(
+            serve_cmd::parse_serve_args(args),
+            serve_cmd::SERVE_USAGE,
+            serve_cmd::run_serve,
+        ),
+        Some("sim") => jouppi_cli::finish(
+            jouppi_cli::parse_args(args),
+            jouppi_cli::USAGE,
+            jouppi_cli::run,
+        ),
         Some("lint") => {
             let result = jouppi_lint::cli::run(args);
             print!("{}", result.stdout);
             eprint!("{}", result.stderr);
             ExitCode::from(result.code)
         }
-        Some("--help" | "-h") | None => {
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            ExitCode::SUCCESS
+        }
+        None => {
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }

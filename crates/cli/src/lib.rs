@@ -24,6 +24,7 @@ pub mod stat;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::process::ExitCode;
 
 use jouppi_cache::{CacheGeometry, FifoSweep, LruSweep};
 use jouppi_experiments::single_pass;
@@ -105,7 +106,9 @@ impl Default for Options {
     }
 }
 
-/// A fatal usage error; the message is shown to the user.
+/// A fatal usage error; the message is shown to the user. A `--help`
+/// returns the usage text itself, which [`finish`] prints to stdout with
+/// success.
 #[derive(Debug, PartialEq, Eq)]
 pub struct UsageError(pub String);
 
@@ -142,6 +145,41 @@ usage: jouppi-sim [OPTIONS]
   --geometry-sweep       miss rates for every 1K-128K size x 1-16 way cell
                          under LRU and FIFO, from one pass over the trace
   --help                 show this message";
+
+/// Ends a command-line program: runs `run` on the parsed options and
+/// prints its report to stdout. A `--help` prints `usage` to stdout and
+/// succeeds; a usage error or a failed run goes to stderr and fails.
+#[expect(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "the binaries' one exit path: reports and requested usage go to stdout, errors to stderr"
+)]
+pub fn finish<O>(
+    parsed: Result<O, UsageError>,
+    usage: &str,
+    run: impl FnOnce(&O) -> Result<String, Box<dyn std::error::Error>>,
+) -> ExitCode {
+    match parsed {
+        Ok(opts) => match run(&opts) {
+            Ok(report) => {
+                println!("{report}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
+        Err(e) if e.0 == usage => {
+            println!("{usage}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
 /// Parses command-line arguments (excluding `argv[0]`).
 ///

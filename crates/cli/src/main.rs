@@ -6,21 +6,9 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let opts = match jouppi_cli::parse_args(std::env::args().skip(1)) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match jouppi_cli::run(&opts) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    jouppi_cli::finish(
+        jouppi_cli::parse_args(std::env::args().skip(1)),
+        jouppi_cli::USAGE,
+        jouppi_cli::run,
+    )
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use jouppi_cache::{AccessResult, Cache, CacheGeometry, ReplacementPolicy};
 use jouppi_trace::{Addr, LineAddr};
 
-use crate::stride::StridedMultiWayBuffer;
+use crate::stride::StrideDetector;
 use crate::{MissCache, MultiWayStreamBuffer, StreamBufferConfig, StreamProbe, VictimCache};
 
 /// Which conflict-miss mechanism backs the first-level cache.
@@ -93,16 +93,13 @@ impl AugmentedConfig {
 
     /// Adds a multi-way stream buffer with `ways` parallel streams.
     #[must_use]
-    pub fn multi_way_stream_buffer(mut self, ways: usize, cfg: StreamBufferConfig) -> Self {
-        self.stream_ways = ways;
-        self.stream_cfg = cfg;
-        self.stride_detection = 0;
-        self
+    pub fn multi_way_stream_buffer(self, ways: usize, cfg: StreamBufferConfig) -> Self {
+        self.strided_stream_buffer(ways, cfg, 0)
     }
 
     /// Adds a multi-way stream buffer with stride detection up to
-    /// `max_stride` lines — the §5 future-work extension for non-unit
-    /// stride numeric code (see [`crate::stride`]).
+    /// `max_stride` lines (0: none) — the §5 future-work extension for
+    /// non-unit stride numeric code (see [`crate::stride`]).
     #[must_use]
     pub fn strided_stream_buffer(
         mut self,
@@ -282,34 +279,6 @@ enum Aid {
     Victim(VictimCache),
 }
 
-enum Streams {
-    Plain(MultiWayStreamBuffer),
-    Strided(StridedMultiWayBuffer),
-}
-
-impl Streams {
-    fn probe(&self, line: LineAddr, now: u64) -> StreamProbe {
-        match self {
-            Streams::Plain(sb) => sb.probe(line, now),
-            Streams::Strided(sb) => sb.probe(line, now),
-        }
-    }
-
-    fn probe_consume(&mut self, line: LineAddr, now: u64) -> StreamProbe {
-        match self {
-            Streams::Plain(sb) => sb.probe_consume(line, now),
-            Streams::Strided(sb) => sb.probe_consume(line, now),
-        }
-    }
-
-    fn handle_miss(&mut self, miss: LineAddr, now: u64) {
-        match self {
-            Streams::Plain(sb) => sb.handle_miss(miss, now),
-            Streams::Strided(sb) => sb.handle_miss(miss, now),
-        }
-    }
-}
-
 /// One first-level miss: everything the structures behind the L1 see.
 ///
 /// The L1 is refilled on every miss whatever the augmentation does, so
@@ -378,7 +347,7 @@ impl L1Filter {
 /// handler.
 pub(crate) struct MissPath {
     aid: Aid,
-    stream: Option<Streams>,
+    stream: Option<MultiWayStreamBuffer>,
 }
 
 impl MissPath {
@@ -392,14 +361,11 @@ impl MissPath {
             ConflictAid::VictimCache(n) => Aid::Victim(VictimCache::with_policy(n, cfg.aid_policy)),
         };
         let stream = (cfg.stream_ways > 0).then(|| {
+            let sb = MultiWayStreamBuffer::new(cfg.stream_ways, cfg.stream_cfg);
             if cfg.stride_detection > 0 {
-                Streams::Strided(StridedMultiWayBuffer::new(
-                    cfg.stream_ways,
-                    cfg.stream_cfg,
-                    cfg.stride_detection,
-                ))
+                sb.with_stride_detector(StrideDetector::new(cfg.stride_detection))
             } else {
-                Streams::Plain(MultiWayStreamBuffer::new(cfg.stream_ways, cfg.stream_cfg))
+                sb
             }
         });
         MissPath { aid, stream }
@@ -409,18 +375,19 @@ impl MissPath {
     /// `miss.victim`, and counts where it was satisfied.
     pub(crate) fn handle(&mut self, miss: L1Miss, stats: &mut AugmentedStats) -> AccessOutcome {
         let (tick, line, victim) = (miss.tick, miss.line, miss.victim());
-        // §5 orthogonality statistic: would both mechanisms have supplied
-        // the line?
         let aid_holds = match &self.aid {
             Aid::None => false,
             Aid::Miss(mc) => mc.contains(line),
             Aid::Victim(vc) => vc.contains(line),
         };
-        let stream_holds = self
-            .stream
-            .as_ref()
-            .is_some_and(|sb| sb.probe(line, tick).is_hit());
-        if aid_holds && stream_holds {
+        // §5 orthogonality statistic: would a stream-buffer head also have
+        // supplied the line the conflict aid holds?
+        if aid_holds
+            && self
+                .stream
+                .as_ref()
+                .is_some_and(|sb| sb.probe(line, tick).is_hit())
+        {
             stats.overlap_hits += 1;
         }
 
@@ -770,32 +737,24 @@ mod tests {
 
     #[test]
     fn overlap_counted_when_both_would_hit() {
-        // Construct: line X evicted from L1 (enters VC) and also the head
-        // of a stream buffer.
-        let cfg = AugmentedConfig::new(geom())
-            .victim_cache(4)
-            .stream_buffer(StreamBufferConfig::new(4));
-        let mut c = AugmentedCache::new(cfg);
-        c.access_line(l(10)); // miss; stream starts at 11
-        c.access_line(l(266)); // conflicts with 10 (10+256): 10 → VC
-                               // Now line 11: in stream? stream restarted at 267 by the second
-                               // miss (LRU way — single way restarted). So build differently:
-                               // use a fresh composite.
         let cfg = AugmentedConfig::new(geom())
             .victim_cache(4)
             .multi_way_stream_buffer(4, StreamBufferConfig::new(4));
         let mut c = AugmentedCache::new(cfg);
-        c.access_line(l(10)); // way A streams 11,12,13,14
-        c.access_line(l(267)); // way B; also evicts nothing relevant
-        c.access_line(l(11)); // stream hit: 11 enters L1 (set 11)
-        c.access_line(l(11 + 256)); // evicts 11 → VC; way C streams 268..
-                                    // Line 12 is head of way A. Re-reference 11: VC holds it; stream
-                                    // head does not. Reference 12 after evicting it? Simpler: check
-                                    // stats consistency only.
+        // 13 misses: a way streams 14 on. 269 evicts 13 into the victim
+        // cache: a way streams 270 on. 12 misses: a way streams 13 on.
+        for n in [13, 269, 12] {
+            assert_eq!(c.access_line(l(n)), AccessOutcome::Miss);
+        }
+        // 13 is in the victim cache and at a stream head: the victim cache
+        // supplies it, and both could have.
+        assert_eq!(c.access_line(l(13)), AccessOutcome::VictimHit);
+        // 14 is at a stream head only: no overlap.
+        assert_eq!(c.access_line(l(14)), AccessOutcome::StreamHit { stall: 0 });
         let s = c.stats();
-        assert_eq!(
-            s.accesses,
-            s.l1_hits + s.victim_hits + s.miss_cache_hits + s.stream_hits + s.full_misses
-        );
+        assert_eq!(s.overlap_hits, 1);
+        assert_eq!(s.victim_hits, 1);
+        assert_eq!(s.stream_hits, 1);
+        assert_eq!(s.full_misses, 3);
     }
 }

@@ -15,7 +15,9 @@
 //! * [`StreamBuffer`] — a sequential prefetch FIFO started at the line
 //!   after a miss; only the head has a tag comparator (§4.1).
 //! * [`MultiWayStreamBuffer`] — four stream buffers in parallel with LRU
-//!   allocation, for interleaved data streams (§4.2).
+//!   allocation, for interleaved data streams (§4.2), optionally
+//!   allocating each stream with the stride a [`stride::StrideDetector`]
+//!   confirms.
 //! * [`prefetch`] — prefetch-always, prefetch-on-miss, and tagged prefetch
 //!   (Smith), used for the Figure 4-1 comparison.
 //! * [`WriteBuffer`] — the write-through store path of §2, whose

@@ -8,8 +8,9 @@
 //! [`AugmentedConfig`] from the misses alone, a few percent of the
 //! references.
 //!
-//! Three size axes need no per-configuration or per-size pass at all
-//! (Mattson's stack inclusion, applied as in DEW-style sweeps):
+//! Four families of configurations need no per-configuration or per-size
+//! pass at all (Mattson's stack inclusion, applied as in DEW-style sweeps,
+//! and a closed form for one stream buffer):
 //!
 //! * **Direct-mapped L1 sizes.** At one line size, a hit in a
 //!   direct-mapped cache of `2^k` sets is a hit in every larger one: the
@@ -30,6 +31,19 @@
 //! * **Miss caches.** Without stream buffers a miss cache is plain LRU
 //!   over the miss sequence, so a [`StackDistanceProfile`] of the logged
 //!   lines gives every size's hits.
+//! * **Stream-run lengths of one sequential buffer.** Only a stream
+//!   buffer's head has a comparator (§4.1), so after any miss `x` — a
+//!   head hit or a restart — a lone buffer expects `x + 1` next. With no
+//!   conflict aid, zero latency and unit stride, a miss therefore hits
+//!   exactly when it is one line past the previous miss and the run
+//!   budget is not spent, whatever the depth. Call a run of `L` such
+//!   misses after one that is not a *chain*: at run budget `R` it gives
+//!   `L − ⌊L/(R+1)⌋` hits, and `L` with no limit. One scan that counts
+//!   the misses at each position of a chain answers every budget.
+//!
+//! Every other configuration replays the log through one
+//! [`crate::AugmentedCache`] miss handler, whose stream buffers keep only
+//! each way's head, stride and run left (see [`crate::StreamBuffer`]).
 //!
 //! # Examples
 //!
@@ -262,9 +276,51 @@ impl MissLog {
             .collect()
     }
 
+    /// Statistics of one sequential stream buffer at each run budget in
+    /// `max_runs` (`None`: unlimited), with no conflict aid, zero latency
+    /// and any depth, from one scan of the log's chains (see the module
+    /// docs). A line past `u64::MAX` wraps to 0, as a prefetch does.
+    pub fn stream_run_sweep(&self, max_runs: &[Option<usize>]) -> Vec<AugmentedStats> {
+        if max_runs.is_empty() {
+            return Vec::new();
+        }
+        // at[p]: misses p lines into a chain; a chain of L misses has one
+        // at each position 1..=L, and the one at p hits unless p is a
+        // multiple of R + 1.
+        let mut at = vec![0u64];
+        let mut p = 0;
+        for pair in self.misses.windows(2) {
+            p = if pair[1].line == pair[0].line.next() {
+                p + 1
+            } else {
+                0
+            };
+            if p == at.len() {
+                at.push(0);
+            }
+            at[p] += 1;
+        }
+        max_runs
+            .iter()
+            .map(|&max_run| {
+                let period = max_run.map_or(usize::MAX, |r| r.saturating_add(1));
+                let hits: u64 = (0..at.len())
+                    .filter(|p| p % period != 0)
+                    .map(|p| at[p])
+                    .sum();
+                AugmentedStats {
+                    stream_hits: hits,
+                    full_misses: self.l1_misses() - hits,
+                    ..self.bare_stats()
+                }
+            })
+            .collect()
+    }
+
     /// Answers every configuration, in order. LRU victim caches and miss
-    /// caches without stream buffers share one stack pass per kind; every
-    /// other configuration replays the log.
+    /// caches without stream buffers share one stack pass per kind, and
+    /// single sequential stream buffers one chain scan; every other
+    /// configuration replays the log.
     ///
     /// # Panics
     ///
@@ -272,16 +328,18 @@ impl MissLog {
     /// conflict aid with zero entries.
     pub fn fan_out(&self, cfgs: &[AugmentedConfig]) -> Vec<AugmentedStats> {
         let plans: Vec<Plan> = cfgs.iter().map(Plan::of).collect();
-        let (mut victim_depth, mut miss_depth) = (0, 0);
+        let (mut victim_depth, mut miss_depth, mut max_runs) = (0, 0, Vec::new());
         for plan in &plans {
             match *plan {
                 Plan::VictimStack(n) => victim_depth = victim_depth.max(n),
                 Plan::MissStack(n) => miss_depth = miss_depth.max(n),
+                Plan::StreamRuns(max_run) => max_runs.push(max_run),
                 Plan::Replay => {}
             }
         }
         let victims = self.victim_cache_sweep(victim_depth);
         let miss_caches = self.miss_cache_sweep(miss_depth);
+        let mut stream_runs = self.stream_run_sweep(&max_runs).into_iter();
         cfgs.iter()
             .zip(&plans)
             .map(|(cfg, plan)| {
@@ -289,6 +347,7 @@ impl MissLog {
                 match *plan {
                     Plan::VictimStack(n) => victims[n - 1],
                     Plan::MissStack(n) => miss_caches[n - 1],
+                    Plan::StreamRuns(_) => stream_runs.next().expect("one result per budget"),
                     Plan::Replay => self.replay(cfg),
                 }
             })
@@ -303,20 +362,22 @@ enum Plan {
     VictimStack(usize),
     /// From the miss-line stack-distance profile, at this many entries.
     MissStack(usize),
+    /// From the chain scan, at this run budget.
+    StreamRuns(Option<usize>),
     /// By replaying the log.
     Replay,
 }
 
 impl Plan {
     fn of(cfg: &AugmentedConfig) -> Plan {
-        if cfg.stream_ways() > 0 {
-            return Plan::Replay;
-        }
-        match cfg.conflict_aid() {
-            ConflictAid::VictimCache(n) if n > 0 && cfg.aid_policy() == ReplacementPolicy::Lru => {
-                Plan::VictimStack(n)
+        let sb = cfg.stream_config();
+        let lru = cfg.aid_policy() == ReplacementPolicy::Lru;
+        match (cfg.stream_ways(), cfg.conflict_aid()) {
+            (1, ConflictAid::None) if sb.latency_ticks() == 0 && cfg.stride_detection() == 0 => {
+                Plan::StreamRuns(sb.run_limit())
             }
-            ConflictAid::MissCache(n) if n > 0 => Plan::MissStack(n),
+            (0, ConflictAid::VictimCache(n)) if n > 0 && lru => Plan::VictimStack(n),
+            (0, ConflictAid::MissCache(n)) if n > 0 => Plan::MissStack(n),
             _ => Plan::Replay,
         }
     }

@@ -2,6 +2,7 @@
 
 use jouppi_trace::LineAddr;
 
+use crate::stride::StrideDetector;
 use crate::{StreamBuffer, StreamBufferConfig, StreamProbe};
 
 /// Several [`StreamBuffer`]s in parallel, so interleaved reference streams
@@ -10,7 +11,9 @@ use crate::{StreamBuffer, StreamBufferConfig, StreamProbe};
 ///
 /// On a miss every way's head comparator is checked; a hit consumes from
 /// the matching way. When no way hits, the **least-recently-hit** way is
-/// cleared and restarted at the miss address.
+/// cleared and restarted at the miss address — sequentially, or with the
+/// stride an optional [`StrideDetector`] confirms (see
+/// [`with_stride_detector`](Self::with_stride_detector)).
 ///
 /// # Examples
 ///
@@ -33,10 +36,11 @@ use crate::{StreamBuffer, StreamBufferConfig, StreamProbe};
 #[derive(Clone, Debug)]
 pub struct MultiWayStreamBuffer {
     ways: Vec<StreamBuffer>,
+    detector: Option<StrideDetector>,
 }
 
 impl MultiWayStreamBuffer {
-    /// Creates `ways` parallel stream buffers, all sharing one
+    /// Creates `ways` parallel sequential stream buffers, all sharing one
     /// configuration.
     ///
     /// # Panics
@@ -46,7 +50,43 @@ impl MultiWayStreamBuffer {
         assert!(ways > 0, "a multi-way stream buffer needs at least one way");
         MultiWayStreamBuffer {
             ways: (0..ways).map(|_| StreamBuffer::new(cfg)).collect(),
+            detector: None,
         }
+    }
+
+    /// Allocates each new stream with the stride `detector` confirms in
+    /// the miss stream — the §5 future-work extension for non-unit-stride
+    /// numeric code (see [`crate::stride`]). A purely sequential stream
+    /// still hits exactly as in a sequential buffer.
+    ///
+    /// # Examples
+    ///
+    /// A stride-50 column sweep (e.g. walking a matrix row in
+    /// column-major storage) defeats the sequential buffer but not this
+    /// one:
+    ///
+    /// ```
+    /// use jouppi_core::stride::StrideDetector;
+    /// use jouppi_core::{MultiWayStreamBuffer, StreamBufferConfig};
+    /// use jouppi_trace::LineAddr;
+    ///
+    /// let mut sb = MultiWayStreamBuffer::new(4, StreamBufferConfig::new(4))
+    ///     .with_stride_detector(StrideDetector::new(64));
+    /// let mut hits = 0;
+    /// for i in 0..20u64 {
+    ///     let line = LineAddr::new(1000 + 50 * i);
+    ///     if sb.probe_consume(line, i).is_hit() {
+    ///         hits += 1;
+    ///     } else {
+    ///         sb.handle_miss(line, i);
+    ///     }
+    /// }
+    /// assert!(hits >= 16); // everything after stride confirmation
+    /// ```
+    #[must_use]
+    pub fn with_stride_detector(mut self, detector: StrideDetector) -> Self {
+        self.detector = Some(detector);
+        self
     }
 
     /// Number of parallel ways.
@@ -74,35 +114,39 @@ impl MultiWayStreamBuffer {
             .unwrap_or(StreamProbe::Miss)
     }
 
-    /// Probes all heads on a cache miss; consumes from the first way that
-    /// hits. Returns [`StreamProbe::Miss`] if no way matched (use
-    /// [`handle_miss`](Self::handle_miss) to then reallocate a way).
+    /// Probes each way's head once on a cache miss, in order, and consumes
+    /// from the first that hits. Returns [`StreamProbe::Miss`] if no way
+    /// matched; **pass such a miss to [`handle_miss`](Self::handle_miss)**,
+    /// which reallocates a way and lets a stride detector see the whole
+    /// demand-miss stream.
     pub fn probe_consume(&mut self, line: LineAddr, now: u64) -> StreamProbe {
-        for way in &mut self.ways {
-            let probe = way.probe(line, now);
-            if probe.is_hit() {
-                return way.probe_consume(line, now);
-            }
-        }
-        StreamProbe::Miss
+        self.ways
+            .iter_mut()
+            .map(|w| w.probe_consume(line, now))
+            .find(StreamProbe::is_hit)
+            .unwrap_or(StreamProbe::Miss)
     }
 
-    /// Reallocates the least-recently-used way to a new stream starting
-    /// after `miss`. Call after [`probe_consume`](Self::probe_consume)
-    /// returned a miss.
+    /// Records a full miss: feeds the stride detector, if any, and
+    /// reallocates the least-recently-used way to a new stream starting
+    /// after `miss`, idle ways first.
     pub fn handle_miss(&mut self, miss: LineAddr, now: u64) {
+        let stride = self.detector.as_mut().map_or(1, |d| d.observe_miss(miss));
         let lru = self
             .ways
             .iter_mut()
             .min_by_key(|w| if w.is_active() { w.last_use() + 1 } else { 0 })
             .expect("at least one way");
-        lru.restart(miss, now);
+        lru.restart_strided(miss, stride, now);
     }
 
-    /// Flushes every way.
+    /// Flushes every way and forgets the detector's history.
     pub fn flush(&mut self) {
         for way in &mut self.ways {
             way.flush();
+        }
+        if let Some(d) = &mut self.detector {
+            d.reset();
         }
     }
 

@@ -1,7 +1,5 @@
 //! The sequential stream buffer of §4.1.
 
-use std::collections::VecDeque;
-
 use jouppi_trace::LineAddr;
 
 /// Configuration for a [`StreamBuffer`].
@@ -100,12 +98,6 @@ impl StreamProbe {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    line: LineAddr,
-    ready_at: u64,
-}
-
 /// A sequential stream buffer: a FIFO of prefetched lines following a cache
 /// miss, with a tag comparator on the head entry only (§4.1).
 ///
@@ -115,6 +107,15 @@ struct Entry {
 /// line in one cycle; the queue shifts up and the next sequential line is
 /// fetched. A miss that does not match the head flushes and restarts the
 /// buffer — even if the line is further down the queue.
+///
+/// Because only the head is ever matched and consumed, the FIFO is always
+/// the progression `head, head + stride, …` of the run's next
+/// [`len`](Self::len) lines. So the buffer keeps no queue of lines: just
+/// the head, the stride and the lines left in the run. With a prefetch
+/// latency it also keeps each entry's ready tick, in a ring of `depth`
+/// slots; at zero latency every entry has arrived by the time it can be
+/// probed, so it keeps none. Ticks passed to one buffer must never
+/// decrease.
 ///
 /// # Examples
 ///
@@ -134,17 +135,23 @@ struct Entry {
 #[derive(Clone, Debug)]
 pub struct StreamBuffer {
     cfg: StreamBufferConfig,
-    queue: VecDeque<Entry>,
-    next_line: LineAddr,
+    /// The line at the head of the FIFO, while `left > 0`.
+    head: LineAddr,
     /// Line-address step between prefetches. 1 for the paper's sequential
     /// buffers; other values support the non-unit-stride extension the
     /// paper lists as future work (see [`crate::stride`]).
     stride: i64,
-    run_remaining: usize,
+    /// Lines the run has yet to supply: the FIFO's `min(left, depth)`
+    /// entries plus the prefetches not yet issued.
+    left: usize,
     active: bool,
     /// Tick of the most recent hit or restart; multi-way allocation uses
     /// this for LRU selection.
     last_use: u64,
+    /// Ready tick of each FIFO entry, the head's at `front`; empty at zero
+    /// latency.
+    ready: Vec<u64>,
+    front: usize,
 }
 
 impl StreamBuffer {
@@ -152,12 +159,17 @@ impl StreamBuffer {
     pub fn new(cfg: StreamBufferConfig) -> Self {
         StreamBuffer {
             cfg,
-            queue: VecDeque::with_capacity(cfg.depth),
-            next_line: LineAddr::new(0),
+            head: LineAddr::new(0),
             stride: 1,
-            run_remaining: 0,
+            left: 0,
             active: false,
             last_use: 0,
+            ready: if cfg.latency > 0 {
+                vec![0; cfg.depth]
+            } else {
+                Vec::new()
+            },
+            front: 0,
         }
     }
 
@@ -178,39 +190,39 @@ impl StreamBuffer {
 
     /// The line at the head of the FIFO, if any.
     pub fn head(&self) -> Option<LineAddr> {
-        self.queue.front().map(|e| e.line)
+        (self.left > 0).then_some(self.head)
     }
 
     /// Number of prefetched lines currently buffered.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.left.min(self.cfg.depth)
     }
 
     /// Returns `true` if no lines are buffered.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.left == 0
     }
 
     /// Returns `true` if `line` is anywhere in the FIFO. The hardware
     /// cannot see past the head; this exists for overlap statistics and
     /// tests.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.queue.iter().any(|e| e.line == line)
+        std::iter::successors(Some(self.head), |&l| Some(step(l, self.stride)))
+            .take(self.len())
+            .any(|l| l == line)
     }
 
     /// Compares `line` against the head entry without consuming it.
     pub fn probe(&self, line: LineAddr, now: u64) -> StreamProbe {
-        match self.queue.front() {
-            Some(head) if head.line == line => {
-                if head.ready_at <= now {
-                    StreamProbe::HitReady
-                } else {
-                    StreamProbe::HitPending {
-                        remaining: head.ready_at - now,
-                    }
-                }
-            }
-            _ => StreamProbe::Miss,
+        debug_assert!(now >= self.last_use, "stream-buffer ticks never decrease");
+        if self.left == 0 || line != self.head {
+            return StreamProbe::Miss;
+        }
+        match self.ready.get(self.front) {
+            Some(&ready_at) if ready_at > now => StreamProbe::HitPending {
+                remaining: ready_at - now,
+            },
+            _ => StreamProbe::HitReady,
         }
     }
 
@@ -222,9 +234,17 @@ impl StreamBuffer {
     pub fn probe_consume(&mut self, line: LineAddr, now: u64) -> StreamProbe {
         let probe = self.probe(line, now);
         if probe.is_hit() {
-            self.queue.pop_front();
+            if let Some(slot) = self.ready.get_mut(self.front) {
+                // With run to spare, the prefetch `depth` lines past the
+                // head takes the slot the head frees.
+                if self.left > self.cfg.depth {
+                    *slot = now + self.cfg.latency;
+                }
+                self.front = (self.front + 1) % self.cfg.depth;
+            }
+            self.head = step(self.head, self.stride);
+            self.left -= 1;
             self.last_use = now;
-            self.refill(now);
         }
         probe
     }
@@ -245,13 +265,14 @@ impl StreamBuffer {
     /// Panics if `stride` is zero (a stream must move).
     pub fn restart_strided(&mut self, miss: LineAddr, stride: i64, now: u64) {
         assert!(stride != 0, "a stream must advance");
-        self.queue.clear();
+        debug_assert!(now >= self.last_use, "stream-buffer ticks never decrease");
+        self.head = step(miss, stride);
         self.stride = stride;
-        self.next_line = LineAddr::new(miss.get().wrapping_add_signed(stride));
-        self.run_remaining = self.cfg.max_run.unwrap_or(usize::MAX);
+        self.left = self.cfg.max_run.unwrap_or(usize::MAX);
         self.active = true;
         self.last_use = now;
-        self.refill(now);
+        self.front = 0;
+        self.ready.fill(now + self.cfg.latency);
     }
 
     /// The stream's current stride in lines (1 for sequential buffers).
@@ -261,21 +282,15 @@ impl StreamBuffer {
 
     /// Flushes the buffer and makes it idle.
     pub fn flush(&mut self) {
-        self.queue.clear();
-        self.run_remaining = 0;
+        self.left = 0;
         self.active = false;
     }
+}
 
-    fn refill(&mut self, now: u64) {
-        while self.queue.len() < self.cfg.depth && self.run_remaining > 0 {
-            self.queue.push_back(Entry {
-                line: self.next_line,
-                ready_at: now + self.cfg.latency,
-            });
-            self.next_line = LineAddr::new(self.next_line.get().wrapping_add_signed(self.stride));
-            self.run_remaining -= 1;
-        }
-    }
+/// The line `stride` lines past `line`, wrapping at the ends of the line
+/// space as the prefetch address does.
+fn step(line: LineAddr, stride: i64) -> LineAddr {
+    LineAddr::new(line.get().wrapping_add_signed(stride))
 }
 
 #[cfg(test)]

@@ -7,12 +7,12 @@
 //! row-major matrix misses on lines 0, 50, 100, … and the unit-stride
 //! buffer prefetching lines 1, 2, 3 never hits. This module adds the
 //! minimal hardware the literature later converged on (cf. Palacharla &
-//! Kessler 1994): a **stride detector** watching the miss stream, and a
-//! multi-way buffer whose ways are allocated with the detected stride.
+//! Kessler 1994): a **stride detector** watching the miss stream, which a
+//! [`MultiWayStreamBuffer`](crate::MultiWayStreamBuffer) consults to
+//! allocate each way with the detected stride
+//! ([`with_stride_detector`](crate::MultiWayStreamBuffer::with_stride_detector)).
 
 use jouppi_trace::LineAddr;
-
-use crate::{StreamBuffer, StreamBufferConfig, StreamProbe};
 
 /// Detects a constant stride in the miss stream.
 ///
@@ -94,121 +94,30 @@ impl StrideDetector {
     }
 }
 
-/// A multi-way stream buffer whose ways are allocated with the stride the
-/// detector confirms — hits unit-stride streams exactly like
-/// [`MultiWayStreamBuffer`](crate::MultiWayStreamBuffer), and also locks
-/// onto constant non-unit strides.
-///
-/// # Examples
-///
-/// A stride-50 column sweep (e.g. walking a matrix row in column-major
-/// storage) defeats the sequential buffer but not this one:
-///
-/// ```
-/// use jouppi_core::stride::StridedMultiWayBuffer;
-/// use jouppi_core::StreamBufferConfig;
-/// use jouppi_trace::LineAddr;
-///
-/// let mut sb = StridedMultiWayBuffer::new(4, StreamBufferConfig::new(4), 64);
-/// let mut hits = 0;
-/// for i in 0..20u64 {
-///     let line = LineAddr::new(1000 + 50 * i);
-///     if sb.probe_consume(line, i).is_hit() {
-///         hits += 1;
-///     } else {
-///         sb.handle_miss(line, i);
-///     }
-/// }
-/// assert!(hits >= 16); // everything after stride confirmation
-/// ```
-#[derive(Clone, Debug)]
-pub struct StridedMultiWayBuffer {
-    ways: Vec<StreamBuffer>,
-    detector: StrideDetector,
-}
-
-impl StridedMultiWayBuffer {
-    /// Creates `ways` buffers sharing one configuration, with stride
-    /// detection up to `max_stride` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero or `max_stride` is not positive.
-    pub fn new(ways: usize, cfg: StreamBufferConfig, max_stride: i64) -> Self {
-        assert!(ways > 0, "need at least one way");
-        StridedMultiWayBuffer {
-            ways: (0..ways).map(|_| StreamBuffer::new(cfg)).collect(),
-            detector: StrideDetector::new(max_stride),
-        }
-    }
-
-    /// Number of parallel ways.
-    pub fn num_ways(&self) -> usize {
-        self.ways.len()
-    }
-
-    /// Compares `line` against every way's head without consuming.
-    pub fn probe(&self, line: LineAddr, now: u64) -> StreamProbe {
-        self.ways
-            .iter()
-            .map(|w| w.probe(line, now))
-            .find(StreamProbe::is_hit)
-            .unwrap_or(StreamProbe::Miss)
-    }
-
-    /// Probes every way's head on a cache miss; consumes from the first
-    /// hit. **Misses must then be passed to
-    /// [`handle_miss`](Self::handle_miss)** so the detector sees the full
-    /// demand-miss stream.
-    pub fn probe_consume(&mut self, line: LineAddr, now: u64) -> StreamProbe {
-        for way in &mut self.ways {
-            let probe = way.probe(line, now);
-            if probe.is_hit() {
-                return way.probe_consume(line, now);
-            }
-        }
-        StreamProbe::Miss
-    }
-
-    /// Records a full miss: updates the stride detector and reallocates
-    /// the least-recently-used way with the detected stride.
-    pub fn handle_miss(&mut self, miss: LineAddr, now: u64) {
-        let stride = self.detector.observe_miss(miss);
-        let lru = self
-            .ways
-            .iter_mut()
-            .min_by_key(|w| if w.is_active() { w.last_use() + 1 } else { 0 })
-            .expect("at least one way");
-        lru.restart_strided(miss, stride, now);
-    }
-
-    /// Flushes every way and the detector.
-    pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            way.flush();
-        }
-        self.detector.reset();
-    }
-
-    /// The stride of each currently active way (diagnostics).
-    pub fn active_strides(&self) -> Vec<i64> {
-        self.ways
-            .iter()
-            .filter(|w| w.is_active())
-            .map(|w| w.stride())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MultiWayStreamBuffer, StreamBufferConfig, StreamProbe};
 
     fn l(n: u64) -> LineAddr {
         LineAddr::new(n)
     }
 
-    fn drive(sb: &mut StridedMultiWayBuffer, lines: impl Iterator<Item = u64>) -> (u64, u64) {
+    /// A multi-way buffer that detects strides up to 64 lines.
+    fn strided(ways: usize) -> MultiWayStreamBuffer {
+        MultiWayStreamBuffer::new(ways, StreamBufferConfig::new(4))
+            .with_stride_detector(StrideDetector::new(64))
+    }
+
+    /// The strides of the active ways.
+    fn active_strides(sb: &MultiWayStreamBuffer) -> Vec<i64> {
+        sb.ways()
+            .filter(|w| w.is_active())
+            .map(|w| w.stride())
+            .collect()
+    }
+
+    fn drive(sb: &mut MultiWayStreamBuffer, lines: impl Iterator<Item = u64>) -> (u64, u64) {
         let (mut hits, mut misses) = (0, 0);
         for (t, n) in lines.enumerate() {
             if sb.probe_consume(l(n), t as u64).is_hit() {
@@ -274,22 +183,21 @@ mod tests {
 
     #[test]
     fn locks_onto_constant_stride_streams() {
-        let mut sb = StridedMultiWayBuffer::new(4, StreamBufferConfig::new(4), 64);
+        let mut sb = strided(4);
         let (hits, misses) = drive(&mut sb, (0..50).map(|i| 10_000 + 37 * i));
         assert!(hits >= 45, "hits {hits}, misses {misses}");
-        assert!(sb.active_strides().contains(&37));
+        assert!(active_strides(&sb).contains(&37));
     }
 
     #[test]
     fn unit_stride_still_works() {
-        let mut sb = StridedMultiWayBuffer::new(4, StreamBufferConfig::new(4), 64);
+        let mut sb = strided(4);
         let (hits, _) = drive(&mut sb, 500..600);
         assert!(hits >= 95);
     }
 
     #[test]
     fn sequential_buffer_fails_where_strided_succeeds() {
-        use crate::MultiWayStreamBuffer;
         let stride_stream: Vec<u64> = (0..60).map(|i| 77_000 + 50 * i).collect();
         // Plain sequential 4-way buffer:
         let mut plain = MultiWayStreamBuffer::new(4, StreamBufferConfig::new(4));
@@ -301,15 +209,14 @@ mod tests {
                 plain.handle_miss(l(n), t as u64);
             }
         }
-        let mut strided = StridedMultiWayBuffer::new(4, StreamBufferConfig::new(4), 64);
-        let (strided_hits, _) = drive(&mut strided, stride_stream.iter().copied());
+        let (strided_hits, _) = drive(&mut strided(4), stride_stream.iter().copied());
         assert_eq!(plain_hits, 0, "§4.1: unit-stride buffers don't help");
         assert!(strided_hits > 50);
     }
 
     #[test]
     fn interleaved_mixed_strides_each_get_a_way() {
-        let mut sb = StridedMultiWayBuffer::new(4, StreamBufferConfig::new(4), 64);
+        let mut sb = strided(4);
         // Two interleaved streams: stride 50 and stride 1. Warm the
         // detector by letting each stream miss a few times.
         let mut refs = Vec::new();
@@ -323,12 +230,17 @@ mod tests {
 
     #[test]
     fn flush_resets_everything() {
-        let mut sb = StridedMultiWayBuffer::new(2, StreamBufferConfig::new(4), 64);
+        let mut sb = strided(2);
         sb.handle_miss(l(0), 0);
+        sb.handle_miss(l(50), 1);
         sb.flush();
-        assert!(sb.active_strides().is_empty());
-        assert_eq!(sb.probe_consume(l(1), 1), StreamProbe::Miss);
+        assert!(active_strides(&sb).is_empty());
+        assert_eq!(sb.probe_consume(l(1), 2), StreamProbe::Miss);
         assert_eq!(sb.num_ways(), 2);
+        // The detector forgot 0 and 50: a third miss in that progression
+        // is allocated sequentially.
+        sb.handle_miss(l(100), 3);
+        assert_eq!(active_strides(&sb), vec![1]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! printed seed and round.
 
 use jouppi_cache::CacheGeometry;
-use jouppi_core::stride::StridedMultiWayBuffer;
+use jouppi_core::stride::StrideDetector;
 use jouppi_core::{
     AugmentedCache, AugmentedConfig, MissCache, MultiWayStreamBuffer, StreamBuffer,
     StreamBufferConfig, StreamProbe,
@@ -125,7 +125,8 @@ fn strided_buffer_equals_plain_on_unit_streams() {
         let len = 10 + rng.below(190) as u64;
         let cfg = StreamBufferConfig::new(4);
         let mut plain = MultiWayStreamBuffer::new(4, cfg);
-        let mut strided = StridedMultiWayBuffer::new(4, cfg, 64);
+        let mut strided =
+            MultiWayStreamBuffer::new(4, cfg).with_stride_detector(StrideDetector::new(64));
         for (t, n) in (start..start + len).enumerate() {
             let a = plain.probe_consume(l(n), t as u64);
             let b = strided.probe_consume(l(n), t as u64);

@@ -58,8 +58,6 @@ pub struct ExtReplacement {
     /// itself, answered by the single-pass engines ([`LruSweep`] /
     /// [`FifoSweep`], one trace traversal each) — the DEW extension of
     /// the policy question from the victim cache to the L1.
-    // jouppi-lint: allow(unbounded-growth) — a one-shot result built
-    // once per run, one row per benchmark; nothing appends to it later.
     pub l1_two_way: Vec<L1PolicyRow>,
 }
 

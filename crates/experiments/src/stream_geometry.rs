@@ -1,11 +1,13 @@
 //! Figures 4-6 and 4-7: stream-buffer effectiveness as the cache's size
 //! or line size varies.
 //!
-//! Both stream buffers replay each point's [`MissLog`]. On the cache-size
-//! axis one L1 pass per (benchmark, side) logs every size at once (see
-//! [`MissLog::record_sizes`]); the sweep holds one side's logs at a time.
-//! The line-size axis has no such inclusion, so each of its points takes
-//! an L1 pass of its own.
+//! Each point's [`MissLog`] answers both stream buffers: the single
+//! buffer from one scan of the log's sequential chains
+//! ([`MissLog::stream_run_sweep`]), the four-way buffer by a replay. On
+//! the cache-size axis one L1 pass per (benchmark, side) logs every size
+//! at once (see [`MissLog::record_sizes`]); the sweep holds one side's
+//! logs at a time. The line-size axis has no such inclusion, so each of
+//! its points takes an L1 pass of its own.
 
 use jouppi_core::{AugmentedConfig, MissLog, StreamBufferConfig};
 use jouppi_report::{Chart, Series, Table};
@@ -37,8 +39,9 @@ pub struct StreamGeometrySweep {
 /// Runs the sweep over the given axis points, in any order. Stream
 /// buffers are 4 entries deep with unlimited run length (the paper's
 /// deployed configuration). Each (benchmark, side) takes one L1 pass on
-/// the cache-size axis and one per point on the line-size axis; both
-/// buffers replay every point's miss log.
+/// the cache-size axis and one per point on the line-size axis; the
+/// four-way buffer replays every point's miss log, and the single buffer
+/// reads it from the log's chain scan.
 pub fn run(cfg: &ExperimentConfig, axis: GeometryAxis, points: &[u64]) -> StreamGeometrySweep {
     // [series][point][bench], series = 2 × (4-way?) + (data side?).
     let mut acc = vec![vec![Vec::new(); points.len()]; 4];

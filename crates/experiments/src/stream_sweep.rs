@@ -48,16 +48,20 @@ fn config(ways: usize, run: usize) -> AugmentedConfig {
 ///
 /// The unit of scheduled work is one (benchmark × side) cell: one L1
 /// pass records that side's miss log, whose length is the total-miss
-/// denominator, then each run length replays the log ([`fan_out`]).
-/// Results are bit-identical to [`run_per_cell`] (pinned by the
-/// `miss_log_equivalence` test).
+/// denominator, then [`fan_out`] answers every run length from the log:
+/// a single buffer from one scan of its sequential chains, a multi-way
+/// buffer by one replay per run length. Results are bit-identical to
+/// [`run_per_cell`] (pinned by the `miss_log_equivalence` test).
 pub fn run(cfg: &ExperimentConfig, ways: usize, max_run: usize) -> StreamSweep {
     let geom = baseline_l1();
     let traces = record_traces(cfg);
     let cfgs: Vec<_> = (0..=max_run).map(|run| config(ways, run)).collect();
-    // A cell costs its L1 pass plus one log replay per run length; at the
-    // paper's miss rates those replays add up to about one more pass.
-    let rows = sweep::map_jobs_sized(traces.len() * 2, 2 * refs_per_side(&traces), |cell| {
+    // A cell costs its L1 pass plus its fan-out: a single buffer's chain
+    // scan is a small fraction of that pass, and a multi-way buffer's
+    // replays, one per run length, add up to about one more pass at the
+    // paper's miss rates.
+    let passes = if ways == 1 { 1 } else { 2 };
+    let rows = sweep::map_jobs_sized(traces.len() * 2, passes * refs_per_side(&traces), |cell| {
         let (_, trace) = &traces[cell / 2];
         let log = log_side(trace, Side::BOTH[cell % 2], geom);
         fan_out(&log, &cfgs)

@@ -45,7 +45,9 @@ use std::time::{Duration, Instant};
 
 use crate::callgraph::Callee;
 use crate::lint::{Finding, LintId};
-use crate::parser::{Ast, Block, Chain, Expr, FnItem, Item, LetStmt, Root, Step, Stmt};
+use crate::parser::{
+    Ast, Block, Chain, ContainerKind, Expr, FnItem, Item, LetStmt, Root, Step, Stmt,
+};
 
 /// What the structural analyses produce for one file.
 #[derive(Clone, Debug, Default)]
@@ -603,47 +605,88 @@ const BOUND_METHODS: [&str; 16] = [
     "capacity",
 ];
 
+/// A collection-typed struct field or static that unbounded-growth
+/// follows.
+struct Tracked {
+    name: String,
+    line: u32,
+    /// The struct that declares the field; `None` for a static.
+    owner: Option<String>,
+}
+
 /// Flags collection-typed struct fields and statics that only ever grow
 /// in this file: some chain grows them, and no chain outside test code
 /// shrinks, prunes, or even measures them.
 fn unbounded_growth(ast: &Ast, in_test: &dyn Fn(u32) -> bool, findings: &mut Vec<Finding>) {
-    // Tracked entities: (name, declaration line).
-    let mut tracked: Vec<(String, u32)> = Vec::new();
+    let mut tracked: Vec<Tracked> = Vec::new();
     for s in ast.structs() {
         for field in &s.fields {
             if COLLECTION_TYPES.iter().any(|c| ty_mentions(&field.ty, c)) {
-                tracked.push((field.name.clone(), field.line));
+                tracked.push(Tracked {
+                    name: field.name.clone(),
+                    line: field.line,
+                    owner: Some(s.name.clone()),
+                });
             }
         }
     }
     for s in ast.statics() {
         if COLLECTION_TYPES.iter().any(|c| ty_mentions(&s.ty, c)) {
-            tracked.push((s.name.clone(), s.line));
+            tracked.push(Tracked {
+                name: s.name.clone(),
+                line: s.line,
+                owner: None,
+            });
         }
     }
     if tracked.is_empty() {
         return;
     }
-    let mut grows = vec![false; tracked.len()];
-    let mut bounds = vec![false; tracked.len()];
-    // Aliases: a `let` whose init chain mentions a tracked name makes
-    // its bindings stand for that entity (`let mut q = CACHE.lock()…`).
-    let mut aliases: Vec<(String, usize)> = Vec::new();
-    for f in ast.functions() {
+    let mut scan = GrowthScan {
+        tracked: &tracked,
+        self_ty: None,
+        aliases: Vec::new(),
+        grows: vec![false; tracked.len()],
+        bounds: vec![false; tracked.len()],
+    };
+    let mut fns = Vec::new();
+    fns_with_self_type(&ast.items, None, &mut fns);
+    for (f, self_ty) in fns {
         if let (Some(body), false) = (&f.body, in_test(f.line)) {
-            growth_in_block(body, &tracked, &mut aliases, &mut grows, &mut bounds);
+            scan.self_ty = self_ty;
+            scan.block(body);
         }
     }
-    for (i, (name, line)) in tracked.iter().enumerate() {
-        if grows[i] && !bounds[i] {
+    for (i, t) in tracked.iter().enumerate() {
+        if scan.grows[i] && !scan.bounds[i] {
             findings.push(Finding {
-                line: *line,
+                line: t.line,
                 lint: LintId::UnboundedGrowth,
                 message: format!(
-                    "collection `{name}` only grows in this file — add an eviction, \
-                     pruning, or capacity path (or suppress with the reason it is bounded)"
+                    "collection `{}` only grows in this file — add an eviction, \
+                     pruning, or capacity path (or suppress with the reason it is bounded)",
+                    t.name
                 ),
             });
+        }
+    }
+}
+
+/// Every function in `items`, with the self type of the `impl` block it
+/// is in (`None` outside one, or in a trait's default methods).
+fn fns_with_self_type<'a>(
+    items: &'a [Item],
+    self_ty: Option<&'a str>,
+    out: &mut Vec<(&'a FnItem, Option<&'a str>)>,
+) {
+    for item in items {
+        match item {
+            Item::Fn(f) => out.push((f, self_ty)),
+            Item::Container { kind, name, items } => {
+                let ty = (*kind == ContainerKind::Impl).then_some(name.as_str());
+                fns_with_self_type(items, ty, out);
+            }
+            _ => {}
         }
     }
 }
@@ -653,167 +696,147 @@ fn ty_mentions(ty: &str, word: &str) -> bool {
     ty.split(' ').any(|w| w == word)
 }
 
-fn growth_in_block(
-    block: &Block,
-    tracked: &[(String, u32)],
-    aliases: &mut Vec<(String, usize)>,
-    grows: &mut [bool],
-    bounds: &mut [bool],
-) {
-    for stmt in &block.stmts {
-        match stmt {
-            Stmt::Let(l) => {
-                if let Some(Expr::Chain(chain)) = &l.init {
-                    for (i, (name, _)) in tracked.iter().enumerate() {
-                        if chain_mentions(chain, name) {
-                            for bound in &l.names {
-                                aliases.push((bound.clone(), i));
+/// One file's growth scan: which tracked collections some chain grows or
+/// bounds.
+struct GrowthScan<'a> {
+    tracked: &'a [Tracked],
+    /// The self type of the function being scanned, when known.
+    self_ty: Option<&'a str>,
+    /// A `let` whose init chain reaches a tracked collection makes its
+    /// bindings stand for it (`let mut q = CACHE.lock()…`).
+    aliases: Vec<(String, usize)>,
+    grows: Vec<bool>,
+    bounds: Vec<bool>,
+}
+
+impl GrowthScan<'_> {
+    /// Where `chain` reaches `tracked[i]`: `-1` at a static's path or an
+    /// alias, else the index of the first step that accesses the field.
+    /// A field is reached only through `self` in its own struct's `impl`,
+    /// or through another value with a field of its name (a syntactic
+    /// pass cannot type the value). A bare name never reaches a field,
+    /// since a local may share the field's name.
+    fn reach(&self, chain: &Chain, i: usize) -> Option<isize> {
+        let t = &self.tracked[i];
+        let root = chain.root_path().unwrap_or_default();
+        if self
+            .aliases
+            .iter()
+            .any(|(a, j)| *j == i && root.contains(a))
+        {
+            return Some(-1);
+        }
+        let Some(owner) = &t.owner else {
+            return root.contains(&t.name).then_some(-1);
+        };
+        let k = chain
+            .steps
+            .iter()
+            .position(|s| matches!(s, Step::Field(f, _) if *f == t.name))?;
+        let via_other_self =
+            k == 0 && root == ["self"] && self.self_ty.is_some_and(|ty| ty != owner);
+        (!via_other_self).then_some(k as isize)
+    }
+
+    fn block(&mut self, block: &Block) {
+        for stmt in &block.stmts {
+            match stmt {
+                Stmt::Let(l) => {
+                    if let Some(Expr::Chain(chain)) = &l.init {
+                        for i in 0..self.tracked.len() {
+                            if self.reach(chain, i).is_some() {
+                                for bound in &l.names {
+                                    self.aliases.push((bound.clone(), i));
+                                }
                             }
                         }
                     }
-                }
-                if let Some(init) = &l.init {
-                    growth_in_expr(init, tracked, aliases, grows, bounds);
-                }
-                if let Some(e) = &l.else_block {
-                    growth_in_block(e, tracked, aliases, grows, bounds);
-                }
-            }
-            Stmt::Expr(e) => growth_in_expr(e, tracked, aliases, grows, bounds),
-            Stmt::Item(Item::Fn(FnItem {
-                body: Some(body), ..
-            })) => growth_in_block(body, tracked, aliases, grows, bounds),
-            Stmt::Item(_) => {}
-        }
-    }
-}
-
-fn growth_in_expr(
-    expr: &Expr,
-    tracked: &[(String, u32)],
-    aliases: &mut Vec<(String, usize)>,
-    grows: &mut [bool],
-    bounds: &mut [bool],
-) {
-    match expr {
-        Expr::Chain(chain) => {
-            attribute_chain(chain, tracked, aliases, grows, bounds);
-            if let Root::Grouped(inner) = &chain.root {
-                growth_in_expr(inner, tracked, aliases, grows, bounds);
-            }
-            for step in &chain.steps {
-                match step {
-                    Step::Method { args, .. } | Step::Call { args, .. } => {
-                        for a in args {
-                            growth_in_expr(a, tracked, aliases, grows, bounds);
-                        }
+                    if let Some(init) = &l.init {
+                        self.expr(init);
                     }
-                    Step::Index(i, _) => growth_in_expr(i, tracked, aliases, grows, bounds),
-                    _ => {}
+                    if let Some(e) = &l.else_block {
+                        self.block(e);
+                    }
                 }
+                Stmt::Expr(e) => self.expr(e),
+                Stmt::Item(Item::Fn(FnItem {
+                    body: Some(body), ..
+                })) => self.block(body),
+                Stmt::Item(_) => {}
             }
         }
-        Expr::Block(b) => growth_in_block(b, tracked, aliases, grows, bounds),
-        Expr::If {
-            cond,
-            then_block,
-            else_branch,
-        } => {
-            growth_in_expr(cond, tracked, aliases, grows, bounds);
-            growth_in_block(then_block, tracked, aliases, grows, bounds);
-            if let Some(e) = else_branch {
-                growth_in_expr(e, tracked, aliases, grows, bounds);
-            }
-        }
-        Expr::While { cond, body } => {
-            growth_in_expr(cond, tracked, aliases, grows, bounds);
-            growth_in_block(body, tracked, aliases, grows, bounds);
-        }
-        Expr::Loop { body } => growth_in_block(body, tracked, aliases, grows, bounds),
-        Expr::For { iter, body } => {
-            growth_in_expr(iter, tracked, aliases, grows, bounds);
-            growth_in_block(body, tracked, aliases, grows, bounds);
-        }
-        Expr::Match {
-            scrutinee, arms, ..
-        } => {
-            growth_in_expr(scrutinee, tracked, aliases, grows, bounds);
-            for a in arms {
-                growth_in_expr(a, tracked, aliases, grows, bounds);
-            }
-        }
-        Expr::Closure { body, .. } => growth_in_expr(body, tracked, aliases, grows, bounds),
-        Expr::Macro { args, .. } => {
-            for a in args {
-                growth_in_expr(a, tracked, aliases, grows, bounds);
-            }
-        }
-        Expr::Group(children) => {
-            for c in children {
-                growth_in_expr(c, tracked, aliases, grows, bounds);
-            }
-        }
-        Expr::Lit(_) | Expr::Unit(_) => {}
     }
-}
 
-/// Whether a chain's root path or field steps mention `name`.
-fn chain_mentions(chain: &Chain, name: &str) -> bool {
-    let root_hit = matches!(&chain.root, Root::Path(p) if p.iter().any(|s| s == name));
-    root_hit
-        || chain
-            .steps
-            .iter()
-            .any(|s| matches!(s, Step::Field(f, _) if f == name))
-}
+    fn expr(&mut self, expr: &Expr) {
+        match expr {
+            Expr::Chain(chain) => {
+                self.chain(chain);
+                if let Root::Grouped(inner) = &chain.root {
+                    self.expr(inner);
+                }
+                for step in &chain.steps {
+                    match step {
+                        Step::Method { args, .. } | Step::Call { args, .. } => {
+                            for a in args {
+                                self.expr(a);
+                            }
+                        }
+                        Step::Index(i, _) => self.expr(i),
+                        _ => {}
+                    }
+                }
+            }
+            Expr::Block(b) => self.block(b),
+            Expr::If {
+                cond,
+                then_block,
+                else_branch,
+            } => {
+                self.expr(cond);
+                self.block(then_block);
+                if let Some(e) = else_branch {
+                    self.expr(e);
+                }
+            }
+            Expr::While { cond, body } => {
+                self.expr(cond);
+                self.block(body);
+            }
+            Expr::Loop { body } => self.block(body),
+            Expr::For { iter, body } => {
+                self.expr(iter);
+                self.block(body);
+            }
+            Expr::Match {
+                scrutinee, arms, ..
+            } => {
+                self.expr(scrutinee);
+                for a in arms {
+                    self.expr(a);
+                }
+            }
+            Expr::Closure { body, .. } => self.expr(body),
+            Expr::Macro { args, .. } | Expr::Group(args) => {
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            Expr::Lit(_) | Expr::Unit(_) => {}
+        }
+    }
 
-/// Attributes a chain's grow/bound method calls to the tracked entities
-/// it mentions (directly or through an alias): every method step after
-/// the mention counts.
-fn attribute_chain(
-    chain: &Chain,
-    tracked: &[(String, u32)],
-    aliases: &[(String, usize)],
-    grows: &mut [bool],
-    bounds: &mut [bool],
-) {
-    // (tracked index, position): -1 for a root mention, the step index
-    // for a field mention.
-    let mut touched: Vec<(usize, isize)> = Vec::new();
-    if let Root::Path(path) = &chain.root {
-        for seg in path {
-            for (i, (name, _)) in tracked.iter().enumerate() {
-                if seg == name {
-                    touched.push((i, -1));
-                }
-            }
-            for (alias, i) in aliases {
-                if seg == alias {
-                    touched.push((*i, -1));
-                }
-            }
-        }
-    }
-    for (k, step) in chain.steps.iter().enumerate() {
-        if let Step::Field(f, _) = step {
-            for (i, (name, _)) in tracked.iter().enumerate() {
-                if f == name {
-                    touched.push((i, k as isize));
-                }
-            }
-        }
-    }
-    for (i, pos) in touched {
-        for (k, step) in chain.steps.iter().enumerate() {
-            if (k as isize) <= pos {
+    /// Attributes a chain's grow/bound method calls to the tracked
+    /// collections it reaches: every method step after the reaching one
+    /// counts.
+    fn chain(&mut self, chain: &Chain) {
+        for i in 0..self.tracked.len() {
+            let Some(pos) = self.reach(chain, i) else {
                 continue;
-            }
-            if let Step::Method { name, .. } = step {
-                if GROW_METHODS.contains(&name.as_str()) {
-                    grows[i] = true;
-                }
-                if BOUND_METHODS.contains(&name.as_str()) {
-                    bounds[i] = true;
+            };
+            for (k, step) in chain.steps.iter().enumerate() {
+                if let (Step::Method { name, .. }, true) = (step, k as isize > pos) {
+                    self.grows[i] |= GROW_METHODS.contains(&name.as_str());
+                    self.bounds[i] |= BOUND_METHODS.contains(&name.as_str());
                 }
             }
         }
@@ -1041,6 +1064,37 @@ fn record(&mut self, e: Event) {
         let out = run_on(&[LintId::UnboundedGrowth], src);
         // `log` only grows (line 2); `seen` has a pruning path; `count`
         // is not a collection.
+        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
+    }
+
+    #[test]
+    fn a_local_sharing_a_field_name_is_not_the_field() {
+        let src = "\
+struct Report { rows: Vec<Row> }
+fn build(ids: &[u64]) -> Report {
+    let mut rows = Vec::new();
+    rows.push(row(ids));
+    Report { rows }
+}
+";
+        let out = run_on(&[LintId::UnboundedGrowth], src);
+        assert!(lines_of(&out, LintId::UnboundedGrowth).is_empty());
+        // Growth through a binding's field is the field's.
+        let grown = format!("{src}fn add(report: &mut Report) {{ report.rows.push(row()); }}\n");
+        let out = run_on(&[LintId::UnboundedGrowth], &grown);
+        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![1]);
+    }
+
+    #[test]
+    fn self_reaches_only_its_own_structs_field() {
+        let src = "\
+struct Request { headers: Vec<Header> }
+struct Response { headers: Vec<Header> }
+impl Response {
+    fn header(mut self, h: Header) -> Self { self.headers.push(h); self }
+}
+";
+        let out = run_on(&[LintId::UnboundedGrowth], src);
         assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
     }
 

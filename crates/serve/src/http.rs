@@ -289,6 +289,8 @@ pub struct Response {
     /// Status code (200, 404, ...).
     pub status: u16,
     /// Extra headers beyond `Content-Length`/`Content-Type`/`Connection`.
+    // jouppi-lint: allow(unbounded-growth) — a response lives for one
+    // request, and each `header` call site adds one fixed header.
     pub headers: Vec<(String, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
