@@ -13,7 +13,7 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo doc -D warnings: every intra-doc link resolves"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
-echo "==> jouppi-lint: lock order, locks held across blocking calls, unbounded growth, relaxed ordering"
+echo "==> jouppi-lint: locks held across blocking calls or further acquisitions, relaxed ordering"
 cargo build --release -p jouppi-lint
 # Any finding fails the gate. --timings keeps the per-analysis cost
 # (including the workspace call-graph build) visible, and --budget-ms

@@ -22,7 +22,7 @@ usage: jouppi serve [OPTIONS]
   --max-body BYTES       request body size limit (default 1048576)
   --idle-timeout-ms N    keep-alive idle timeout (default 10000)
   --request-timeout-ms N whole-request receive timeout (default 30000)
-  --cache-mode MODE      result cache: on, off, or bypass (default on)
+  --cache-mode MODE      result cache: on or off (default on)
   --cache-capacity N     max memoized result documents (default 256)
   --max-runtime-secs N   serve for N seconds then drain and exit (0 = forever)
   --help                 show this message
@@ -115,7 +115,7 @@ pub fn parse_serve_args<I: IntoIterator<Item = String>>(
             "--cache-mode" => {
                 let raw = value("--cache-mode")?;
                 opts.config.cache.mode = CacheMode::parse(&raw)
-                    .ok_or_else(|| err(format!("--cache-mode wants on|off|bypass, got '{raw}'")))?;
+                    .ok_or_else(|| err(format!("--cache-mode wants on|off, got '{raw}'")))?;
             }
             "--cache-capacity" => {
                 opts.config.cache.capacity =
@@ -205,7 +205,7 @@ mod tests {
             "--request-timeout-ms",
             "2000",
             "--cache-mode",
-            "bypass",
+            "off",
             "--cache-capacity",
             "64",
             "--max-runtime-secs",
@@ -218,7 +218,7 @@ mod tests {
         assert_eq!(o.config.limits.max_body_bytes, 4096);
         assert_eq!(o.config.idle_timeout, Duration::from_millis(500));
         assert_eq!(o.config.request_timeout, Duration::from_secs(2));
-        assert_eq!(o.config.cache.mode, CacheMode::Bypass);
+        assert_eq!(o.config.cache.mode, CacheMode::Off);
         assert_eq!(o.config.cache.capacity, 64);
         assert_eq!(o.max_runtime_secs, 3);
     }
@@ -229,6 +229,8 @@ mod tests {
         assert!(parse(&["--workers"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--cache-mode", "sometimes"]).is_err());
+        // Bypassing is a per-request knob (`?cache=bypass`), not a mode.
+        assert!(parse(&["--cache-mode", "bypass"]).is_err());
         assert!(parse(&["--cache-capacity", "many"]).is_err());
         let e = parse(&["--help"]).unwrap_err();
         assert!(e.to_string().contains("usage: jouppi serve"));

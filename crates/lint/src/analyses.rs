@@ -1,13 +1,12 @@
-//! The structural analyses, built on [`crate::parser`]'s AST.
+//! The guard-liveness scan, built on [`crate::parser`]'s AST.
 //!
-//! Two analyses run here. **unbounded-growth** produces findings
-//! directly. The **guard-liveness scan** produces *facts*: nested
-//! acquisitions ([`LockEdge`]s), which the workspace scan assembles into
-//! a per-crate acquisition graph before reporting cycles (see
-//! [`lock_order_findings`]), and calls made under a live guard
-//! ([`GuardedCall`]s), which the workspace `lock-held-across-call` pass
-//! checks against the blocking catalog and the call graph. Both are
-//! scope-aware: they know which `let` binds a guard and when a block
+//! The scan produces *facts*, not findings: every call made while a lock
+//! guard is live ([`GuardedCall`]), which the workspace
+//! `lock-held-across-call` pass ([`crate::interproc`]) checks against
+//! the blocking catalog and the call graph. Taking a lock is in the
+//! catalog, so a nested acquisition is a finding whether it happens in
+//! place or inside any uniquely resolved callee. The scan is
+//! scope-aware: it knows which `let` binds a guard and when a block
 //! ends.
 //!
 //! ## Guard liveness model
@@ -15,7 +14,7 @@
 //! A *guard* comes into being at a 0-argument `.lock()` / `.read()` /
 //! `.write()` call. Its identity is the textual receiver chain before
 //! the acquiring call (`self.inner`, `TRACE_CACHE`, `self`) — no type
-//! resolution, so identities are textual and compared per crate.
+//! resolution, so identities are textual.
 //!
 //! * A `let`-bound guard (the init chain ends at the acquisition,
 //!   possibly via `unwrap` / `expect` / `unwrap_or_else`) lives to the
@@ -30,38 +29,20 @@
 //!   callee named `spawn` are walked with no guards, because they run on
 //!   another thread.
 //!
-//! While any guard is live, a further acquisition records a [`LockEdge`]
-//! (held → acquired), and every other call is captured as a
-//! [`GuardedCall`]. A captured call that is itself blocking — `recv`, a
-//! 0-argument `join`/`wait`/`accept`, `read_to_end`, `thread::sleep`,
-//! `thread::scope`, `TcpStream::connect`, … — is the depth-0 case of
+//! While any guard is live, every call is captured as a
+//! [`GuardedCall`], a further acquisition included (it records the lock
+//! it takes). A captured call that is itself blocking — a 0-argument
+//! `lock`/`read`/`write`, `recv`, a 0-argument `join`/`wait`/`accept`,
+//! `read_to_end`, `thread::sleep`, `thread::scope`,
+//! `TcpStream::connect`, … — is the depth-0 case of
 //! `lock-held-across-call`.
 //!
 //! Accepted imprecision, chosen to fail toward false *negatives*:
 //! rebinding a consumed guard (`inner = cv.wait(inner)…`) ends tracking,
 //! and guards borrowed into called functions are not followed.
 
-use std::time::{Duration, Instant};
-
 use crate::callgraph::Callee;
-use crate::lint::{Finding, LintId};
-use crate::parser::{
-    Ast, Block, Chain, ContainerKind, Expr, FnItem, Item, LetStmt, Root, Step, Stmt,
-};
-
-/// What the structural analyses produce for one file.
-#[derive(Clone, Debug, Default)]
-pub struct AnalysisOutput {
-    /// Findings from the single-file analysis (unbounded-growth).
-    pub findings: Vec<Finding>,
-    /// Nested-acquisition facts for the lock-order pass.
-    pub lock_edges: Vec<LockEdge>,
-    /// Calls made while a guard was live, for the workspace
-    /// lock-held-across-call pass.
-    pub guarded_calls: Vec<GuardedCall>,
-    /// Wall-clock cost per analysis, for the `--timings` report.
-    pub timings: Vec<(&'static str, Duration)>,
-}
+use crate::parser::{Ast, Block, Chain, Expr, FnItem, Item, LetStmt, Root, Step, Stmt};
 
 /// One call made while at least one lock guard was live. The workspace
 /// scan resolves the callee against the call graph and flags it when the
@@ -80,6 +61,9 @@ pub struct GuardedCall {
     pub line: u32,
     /// The held guards' identities, joined for the message.
     pub held: String,
+    /// The identity of the lock the call takes, when it is an
+    /// acquisition.
+    pub acquires: Option<String>,
 }
 
 /// Whether a method `name` called with `arity` arguments is in the
@@ -101,26 +85,10 @@ pub fn is_blocking_path(path: &[String]) -> bool {
     })
 }
 
-/// One nested lock acquisition: `held` was live when `acquired` was
-/// taken.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LockEdge {
-    /// Identity of the guard already held.
-    pub held: String,
-    /// Identity of the lock being acquired.
-    pub acquired: String,
-    /// Line of the acquiring call.
-    pub line: u32,
-}
-
-/// Runs the guard-liveness scan, plus unbounded-growth when active,
-/// over one parsed file. `in_test` tells which lines are test code: a
-/// test that measures or clears a collection is no bounding path.
-pub fn run(active: &[LintId], ast: &Ast, in_test: &dyn Fn(u32) -> bool) -> AnalysisOutput {
-    let mut out = AnalysisOutput::default();
-    let t0 = Instant::now();
+/// Runs the guard-liveness scan over one parsed file, returning every
+/// call made under a live guard.
+pub fn guarded_calls(ast: &Ast) -> Vec<GuardedCall> {
     let mut scan = GuardScan {
-        edges: Vec::new(),
         guarded_calls: Vec::new(),
         live: Vec::new(),
         next_serial: 0,
@@ -133,73 +101,11 @@ pub fn run(active: &[LintId], ast: &Ast, in_test: &dyn Fn(u32) -> bool) -> Analy
             scan.walk_block(body);
         }
     }
-    out.lock_edges = scan.edges;
-    out.guarded_calls = scan.guarded_calls;
-    out.timings.push(("guard-scan", t0.elapsed()));
-    if active.contains(&LintId::UnboundedGrowth) {
-        let t0 = Instant::now();
-        unbounded_growth(ast, in_test, &mut out.findings);
-        out.timings.push(("unbounded-growth", t0.elapsed()));
-    }
-    out
-}
-
-/// Builds lock-order findings from a set of accumulated edges (one
-/// crate's worth): an edge is reported iff it participates in a cycle —
-/// its acquired lock can reach its held lock through other edges,
-/// including the length-1 cycle of re-acquiring a held lock, which
-/// `std::sync::Mutex` deadlocks on.
-///
-/// Edges arrive tagged with their file path; findings come back as
-/// `(edge index, finding)` pairs so the caller can route each finding to
-/// the file that produced the edge.
-pub fn lock_order_findings(edges: &[(String, LockEdge)]) -> Vec<(usize, Finding)> {
-    let mut out = Vec::new();
-    for (i, (_, edge)) in edges.iter().enumerate() {
-        if reaches(edges, &edge.acquired, &edge.held) {
-            out.push((
-                i,
-                Finding {
-                    line: edge.line,
-                    lint: LintId::LockOrder,
-                    message: format!(
-                        "acquiring `{}` while holding `{}` completes a lock cycle — \
-                         a potential deadlock; establish one acquisition order",
-                        edge.acquired, edge.held
-                    ),
-                },
-            ));
-        }
-    }
-    out
-}
-
-/// Whether `from` reaches `to` over the edge set (`from == to` counts:
-/// a self-edge is a re-entrant acquisition).
-fn reaches(edges: &[(String, LockEdge)], from: &str, to: &str) -> bool {
-    if from == to {
-        return true;
-    }
-    let mut seen: Vec<&str> = vec![from];
-    let mut stack: Vec<&str> = vec![from];
-    while let Some(node) = stack.pop() {
-        for (_, e) in edges {
-            if e.held == node {
-                if e.acquired == to {
-                    return true;
-                }
-                if !seen.contains(&e.acquired.as_str()) {
-                    seen.push(&e.acquired);
-                    stack.push(&e.acquired);
-                }
-            }
-        }
-    }
-    false
+    scan.guarded_calls
 }
 
 // -------------------------------------------------------------------
-// Guard-liveness scan (lock-order edges + guarded calls)
+// Guard-liveness scan
 // -------------------------------------------------------------------
 
 /// A live lock guard.
@@ -215,7 +121,6 @@ struct Guard {
 }
 
 struct GuardScan {
-    edges: Vec<LockEdge>,
     guarded_calls: Vec<GuardedCall>,
     live: Vec<Guard>,
     next_serial: u64,
@@ -234,8 +139,14 @@ const GUARD_CONSUMERS: [&str; 4] = ["wait", "wait_timeout", "wait_while", "wait_
 /// Blocking method names with the argument count they block at
 /// (`usize::MAX` = any). `wait` and `join` only block at zero arguments:
 /// `Condvar::wait(guard)` is the condvar pattern and `Vec::join(", ")`
-/// is string joining.
-const BLOCKING_METHODS: [(&str, usize); 10] = [
+/// is string joining. Taking a lock blocks until its holder lets go, so
+/// a 0-argument `lock`/`read`/`write` is here too: under another guard
+/// it is a nested acquisition, which deadlocks against any other order
+/// (or, re-entrant, against itself).
+const BLOCKING_METHODS: [(&str, usize); 13] = [
+    ("lock", 0),
+    ("read", 0),
+    ("write", 0),
     ("recv", 0),
     ("recv_timeout", usize::MAX),
     ("recv_deadline", usize::MAX),
@@ -436,24 +347,11 @@ impl GuardScan {
                     self.walk_args(name, args);
                     let acquires =
                         args.is_empty() && matches!(name.as_str(), "lock" | "read" | "write");
-                    if acquires {
-                        for g in &self.live {
-                            self.edges.push(LockEdge {
-                                held: g.lock_id.clone(),
-                                acquired: receiver.clone(),
-                                line: *line,
-                            });
-                        }
-                        let serial = self.stamp();
-                        self.live.push(Guard {
-                            names: Vec::new(),
-                            lock_id: receiver.clone(),
-                            serial,
-                        });
-                        guard_serial = Some(serial);
-                    } else if guard_serial.is_some() && GUARD_TAIL.contains(&name.as_str()) {
+                    if !acquires && guard_serial.is_some() && GUARD_TAIL.contains(&name.as_str()) {
                         // The chain's value is still the guard.
                     } else {
+                        // An acquisition is captured before its own guard
+                        // goes live: only the guards already held count.
                         self.capture_call(
                             Callee::Method {
                                 receiver: if step_index == 0 {
@@ -465,8 +363,18 @@ impl GuardScan {
                             },
                             args.len(),
                             *line,
+                            acquires.then(|| receiver.clone()),
                         );
                         guard_serial = None;
+                        if acquires {
+                            let serial = self.stamp();
+                            self.live.push(Guard {
+                                names: Vec::new(),
+                                lock_id: receiver.clone(),
+                                serial,
+                            });
+                            guard_serial = Some(serial);
+                        }
                     }
                     receiver = format!("{receiver}.{name}()");
                 }
@@ -474,7 +382,7 @@ impl GuardScan {
                     let mut callee = String::new();
                     if step_index == 0 {
                         if let Root::Path(path) = &chain.root {
-                            self.capture_call(Callee::Path(path.clone()), args.len(), *line);
+                            self.capture_call(Callee::Path(path.clone()), args.len(), *line, None);
                             callee = path.last().cloned().unwrap_or_default();
                         }
                     }
@@ -523,8 +431,9 @@ impl GuardScan {
     }
 
     /// Records a call made under a live guard, for the workspace
-    /// lock-held-across-call pass.
-    fn capture_call(&mut self, callee: Callee, arity: usize, line: u32) {
+    /// lock-held-across-call pass; `acquires` names the lock an
+    /// acquisition takes.
+    fn capture_call(&mut self, callee: Callee, arity: usize, line: u32, acquires: Option<String>) {
         if self.live.is_empty() {
             return;
         }
@@ -541,6 +450,7 @@ impl GuardScan {
             arity,
             line,
             held,
+            acquires,
         });
     }
 }
@@ -553,325 +463,41 @@ fn bare_name(chain: &Chain) -> Option<&str> {
     }
 }
 
-// -------------------------------------------------------------------
-// unbounded-growth
-// -------------------------------------------------------------------
-
-/// Collection type names tracked for growth.
-const COLLECTION_TYPES: [&str; 9] = [
-    "Vec",
-    "VecDeque",
-    "HashMap",
-    "BTreeMap",
-    "HashSet",
-    "BTreeSet",
-    "FxHashMap",
-    "FxHashSet",
-    "BinaryHeap",
-];
-
-/// Methods that grow a collection.
-const GROW_METHODS: [&str; 10] = [
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "extend",
-    "append",
-    "entry",
-    "or_insert",
-    "or_insert_with",
-    "or_default",
-];
-
-/// Methods that shrink a collection, cap it, or consult its size —
-/// evidence of a bounding path.
-const BOUND_METHODS: [&str; 16] = [
-    "pop",
-    "pop_front",
-    "pop_back",
-    "remove",
-    "remove_entry",
-    "clear",
-    "truncate",
-    "drain",
-    "retain",
-    "split_off",
-    "take",
-    "swap_remove",
-    "shrink_to_fit",
-    "len",
-    "is_empty",
-    "capacity",
-];
-
-/// A collection-typed struct field or static that unbounded-growth
-/// follows.
-struct Tracked {
-    name: String,
-    line: u32,
-    /// The struct that declares the field; `None` for a static.
-    owner: Option<String>,
-}
-
-/// Flags collection-typed struct fields and statics that only ever grow
-/// in this file: some chain grows them, and no chain outside test code
-/// shrinks, prunes, or even measures them.
-fn unbounded_growth(ast: &Ast, in_test: &dyn Fn(u32) -> bool, findings: &mut Vec<Finding>) {
-    let mut tracked: Vec<Tracked> = Vec::new();
-    for s in ast.structs() {
-        for field in &s.fields {
-            if COLLECTION_TYPES.iter().any(|c| ty_mentions(&field.ty, c)) {
-                tracked.push(Tracked {
-                    name: field.name.clone(),
-                    line: field.line,
-                    owner: Some(s.name.clone()),
-                });
-            }
-        }
-    }
-    for s in ast.statics() {
-        if COLLECTION_TYPES.iter().any(|c| ty_mentions(&s.ty, c)) {
-            tracked.push(Tracked {
-                name: s.name.clone(),
-                line: s.line,
-                owner: None,
-            });
-        }
-    }
-    if tracked.is_empty() {
-        return;
-    }
-    let mut scan = GrowthScan {
-        tracked: &tracked,
-        self_ty: None,
-        aliases: Vec::new(),
-        grows: vec![false; tracked.len()],
-        bounds: vec![false; tracked.len()],
-    };
-    let mut fns = Vec::new();
-    fns_with_self_type(&ast.items, None, &mut fns);
-    for (f, self_ty) in fns {
-        if let (Some(body), false) = (&f.body, in_test(f.line)) {
-            scan.self_ty = self_ty;
-            scan.block(body);
-        }
-    }
-    for (i, t) in tracked.iter().enumerate() {
-        if scan.grows[i] && !scan.bounds[i] {
-            findings.push(Finding {
-                line: t.line,
-                lint: LintId::UnboundedGrowth,
-                message: format!(
-                    "collection `{}` only grows in this file — add an eviction, \
-                     pruning, or capacity path (or suppress with the reason it is bounded)",
-                    t.name
-                ),
-            });
-        }
-    }
-}
-
-/// Every function in `items`, with the self type of the `impl` block it
-/// is in (`None` outside one, or in a trait's default methods).
-fn fns_with_self_type<'a>(
-    items: &'a [Item],
-    self_ty: Option<&'a str>,
-    out: &mut Vec<(&'a FnItem, Option<&'a str>)>,
-) {
-    for item in items {
-        match item {
-            Item::Fn(f) => out.push((f, self_ty)),
-            Item::Container { kind, name, items } => {
-                let ty = (*kind == ContainerKind::Impl).then_some(name.as_str());
-                fns_with_self_type(items, ty, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Whether a space-joined type-word string contains `word` exactly.
-fn ty_mentions(ty: &str, word: &str) -> bool {
-    ty.split(' ').any(|w| w == word)
-}
-
-/// One file's growth scan: which tracked collections some chain grows or
-/// bounds.
-struct GrowthScan<'a> {
-    tracked: &'a [Tracked],
-    /// The self type of the function being scanned, when known.
-    self_ty: Option<&'a str>,
-    /// A `let` whose init chain reaches a tracked collection makes its
-    /// bindings stand for it (`let mut q = CACHE.lock()…`).
-    aliases: Vec<(String, usize)>,
-    grows: Vec<bool>,
-    bounds: Vec<bool>,
-}
-
-impl GrowthScan<'_> {
-    /// Where `chain` reaches `tracked[i]`: `-1` at a static's path or an
-    /// alias, else the index of the first step that accesses the field.
-    /// A field is reached only through `self` in its own struct's `impl`,
-    /// or through another value with a field of its name (a syntactic
-    /// pass cannot type the value). A bare name never reaches a field,
-    /// since a local may share the field's name.
-    fn reach(&self, chain: &Chain, i: usize) -> Option<isize> {
-        let t = &self.tracked[i];
-        let root = chain.root_path().unwrap_or_default();
-        if self
-            .aliases
-            .iter()
-            .any(|(a, j)| *j == i && root.contains(a))
-        {
-            return Some(-1);
-        }
-        let Some(owner) = &t.owner else {
-            return root.contains(&t.name).then_some(-1);
-        };
-        let k = chain
-            .steps
-            .iter()
-            .position(|s| matches!(s, Step::Field(f, _) if *f == t.name))?;
-        let via_other_self =
-            k == 0 && root == ["self"] && self.self_ty.is_some_and(|ty| ty != owner);
-        (!via_other_self).then_some(k as isize)
-    }
-
-    fn block(&mut self, block: &Block) {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let(l) => {
-                    if let Some(Expr::Chain(chain)) = &l.init {
-                        for i in 0..self.tracked.len() {
-                            if self.reach(chain, i).is_some() {
-                                for bound in &l.names {
-                                    self.aliases.push((bound.clone(), i));
-                                }
-                            }
-                        }
-                    }
-                    if let Some(init) = &l.init {
-                        self.expr(init);
-                    }
-                    if let Some(e) = &l.else_block {
-                        self.block(e);
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-                Stmt::Item(Item::Fn(FnItem {
-                    body: Some(body), ..
-                })) => self.block(body),
-                Stmt::Item(_) => {}
-            }
-        }
-    }
-
-    fn expr(&mut self, expr: &Expr) {
-        match expr {
-            Expr::Chain(chain) => {
-                self.chain(chain);
-                if let Root::Grouped(inner) = &chain.root {
-                    self.expr(inner);
-                }
-                for step in &chain.steps {
-                    match step {
-                        Step::Method { args, .. } | Step::Call { args, .. } => {
-                            for a in args {
-                                self.expr(a);
-                            }
-                        }
-                        Step::Index(i, _) => self.expr(i),
-                        _ => {}
-                    }
-                }
-            }
-            Expr::Block(b) => self.block(b),
-            Expr::If {
-                cond,
-                then_block,
-                else_branch,
-            } => {
-                self.expr(cond);
-                self.block(then_block);
-                if let Some(e) = else_branch {
-                    self.expr(e);
-                }
-            }
-            Expr::While { cond, body } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Expr::Loop { body } => self.block(body),
-            Expr::For { iter, body } => {
-                self.expr(iter);
-                self.block(body);
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                self.expr(scrutinee);
-                for a in arms {
-                    self.expr(a);
-                }
-            }
-            Expr::Closure { body, .. } => self.expr(body),
-            Expr::Macro { args, .. } | Expr::Group(args) => {
-                for a in args {
-                    self.expr(a);
-                }
-            }
-            Expr::Lit(_) | Expr::Unit(_) => {}
-        }
-    }
-
-    /// Attributes a chain's grow/bound method calls to the tracked
-    /// collections it reaches: every method step after the reaching one
-    /// counts.
-    fn chain(&mut self, chain: &Chain) {
-        for i in 0..self.tracked.len() {
-            let Some(pos) = self.reach(chain, i) else {
-                continue;
-            };
-            for (k, step) in chain.steps.iter().enumerate() {
-                if let (Step::Method { name, .. }, true) = (step, k as isize > pos) {
-                    self.grows[i] |= GROW_METHODS.contains(&name.as_str());
-                    self.bounds[i] |= BOUND_METHODS.contains(&name.as_str());
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::check_source;
     use crate::lexer::lex;
+    use crate::lint::{Finding, LintId};
     use crate::parser::parse;
     use crate::policy::classify;
 
-    fn run_on(active: &[LintId], src: &str) -> AnalysisOutput {
-        run(active, &parse(&lex(src)), &|_| false)
-    }
-
-    fn lines_of(out: &AnalysisOutput, lint: LintId) -> Vec<u32> {
-        out.findings
-            .iter()
-            .filter(|f| f.lint == lint)
-            .map(|f| f.line)
+    /// The acquisitions the scan records under a live guard, as
+    /// `(held, acquired, line)`.
+    fn nested(src: &str) -> Vec<(String, String, u32)> {
+        guarded_calls(&parse(&lex(src)))
+            .into_iter()
+            .filter_map(|c| c.acquires.map(|a| (c.held, a, c.line)))
             .collect()
     }
 
-    /// Lines where the full one-file pipeline reports a blocking call
-    /// under a live guard — the depth-0 case of lock-held-across-call.
-    fn blocking_lines(src: &str) -> Vec<u32> {
+    /// What the full one-file pipeline reports for lock-held-across-call.
+    fn findings(src: &str) -> Vec<Finding> {
         let ctx = classify("crates/serve/src/fixture.rs").expect("serve context");
         check_source(&ctx, src)
-            .iter()
+            .into_iter()
             .filter(|f| f.lint == LintId::LockHeldAcrossCall)
-            .map(|f| f.line)
             .collect()
+    }
+
+    /// Lines where the full one-file pipeline reports a lock held
+    /// across a blocking call or a further acquisition.
+    fn blocking_lines(src: &str) -> Vec<u32> {
+        findings(src).iter().map(|f| f.line).collect()
+    }
+
+    fn pair(held: &str, acquired: &str, line: u32) -> (String, String, u32) {
+        (held.to_owned(), acquired.to_owned(), line)
     }
 
     #[test]
@@ -883,14 +509,15 @@ fn f(&self) {
     a.touch(b.len());
 }
 ";
-        let out = run_on(&[LintId::LockOrder], src);
-        assert_eq!(
-            out.lock_edges,
-            vec![LockEdge {
-                held: "self.alpha".to_owned(),
-                acquired: "self.beta".to_owned(),
-                line: 3,
-            }]
+        assert_eq!(nested(src), vec![pair("self.alpha", "self.beta", 3)]);
+        // The finding names both the held lock and the acquired one.
+        let found = findings(src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
+        assert!(
+            found[0].message.contains("`self.beta`") && found[0].message.contains("`self.alpha`"),
+            "{}",
+            found[0].message
         );
     }
 
@@ -902,8 +529,8 @@ fn f(&self) {
     let b = self.beta.lock().unwrap();
 }
 ";
-        let out = run_on(&[LintId::LockOrder], src);
-        assert!(out.lock_edges.is_empty(), "{:?}", out.lock_edges);
+        assert!(nested(src).is_empty(), "{:?}", nested(src));
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
@@ -915,54 +542,55 @@ fn f(&self) {
     let b = self.beta.lock().unwrap();
 }
 ";
-        let out = run_on(&[LintId::LockOrder], src);
-        assert!(out.lock_edges.is_empty(), "{:?}", out.lock_edges);
+        assert!(nested(src).is_empty(), "{:?}", nested(src));
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
-    fn cycle_detection_reports_both_edges() {
-        let edges = vec![
-            (
-                "a.rs".to_owned(),
-                LockEdge {
-                    held: "A".into(),
-                    acquired: "B".into(),
-                    line: 1,
-                },
-            ),
-            (
-                "b.rs".to_owned(),
-                LockEdge {
-                    held: "B".into(),
-                    acquired: "A".into(),
-                    line: 2,
-                },
-            ),
-            (
-                "c.rs".to_owned(),
-                LockEdge {
-                    held: "A".into(),
-                    acquired: "C".into(),
-                    line: 3,
-                },
-            ),
-        ];
-        let findings = lock_order_findings(&edges);
-        let indices: Vec<usize> = findings.iter().map(|(i, _)| *i).collect();
-        assert_eq!(indices, vec![0, 1]);
+    fn a_dereferenced_guard_is_a_temporary() {
+        // `*g` copies the value out: the guard drops with its statement.
+        let src = "\
+fn f(&self) -> u64 {
+    let a = *self.alpha.lock().unwrap();
+    let b = *self.beta.lock().unwrap();
+    a + b
+}
+";
+        assert!(nested(src).is_empty(), "{:?}", nested(src));
+        assert!(blocking_lines(src).is_empty());
     }
 
     #[test]
     fn reentrant_acquisition_is_a_self_cycle() {
-        let edges = vec![(
-            "a.rs".to_owned(),
-            LockEdge {
-                held: "Q".into(),
-                acquired: "Q".into(),
-                line: 9,
-            },
-        )];
-        assert_eq!(lock_order_findings(&edges).len(), 1);
+        // `std::sync::Mutex` deadlocks on re-acquiring a lock it holds.
+        let src = "\
+fn f(&self) {
+    let q = self.queue.lock().unwrap();
+    let again = self.queue.lock().unwrap();
+}
+";
+        assert_eq!(nested(src), vec![pair("self.queue", "self.queue", 3)]);
+        assert_eq!(blocking_lines(src), vec![3]);
+    }
+
+    #[test]
+    fn nested_acquisition_through_a_helper_is_flagged() {
+        // The inner lock is taken in a callee: the call graph carries the
+        // acquisition back to the call made under the guard.
+        let src = "\
+fn total(p: &Pair) -> u64 {
+    let a = p.a.lock().unwrap();
+    *a + read_b(p)
+}
+fn read_b(p: &Pair) -> u64 {
+    *p.b.lock().unwrap()
+}
+";
+        assert!(nested(src).is_empty(), "{:?}", nested(src));
+        let found = findings(src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].line, 3);
+        assert!(found[0].message.contains("read_b"), "{}", found[0].message);
     }
 
     #[test]
@@ -1045,95 +673,5 @@ fn f(&self) {
         // recv inside the arm runs under the scrutinee's guard
         // temporary; the one after the match does not.
         assert_eq!(blocking_lines(src), vec![3]);
-    }
-
-    #[test]
-    fn growth_without_bound_is_flagged_and_pruned_is_not() {
-        let src = "\
-struct State {
-    log: Vec<Event>,
-    seen: BTreeMap<u64, Event>,
-    count: usize,
-}
-fn record(&mut self, e: Event) {
-    self.log.push(e.clone());
-    self.seen.insert(e.id, e);
-    if self.seen.len() > CAP { self.seen.remove(&oldest); }
-}
-";
-        let out = run_on(&[LintId::UnboundedGrowth], src);
-        // `log` only grows (line 2); `seen` has a pruning path; `count`
-        // is not a collection.
-        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
-    }
-
-    #[test]
-    fn a_local_sharing_a_field_name_is_not_the_field() {
-        let src = "\
-struct Report { rows: Vec<Row> }
-fn build(ids: &[u64]) -> Report {
-    let mut rows = Vec::new();
-    rows.push(row(ids));
-    Report { rows }
-}
-";
-        let out = run_on(&[LintId::UnboundedGrowth], src);
-        assert!(lines_of(&out, LintId::UnboundedGrowth).is_empty());
-        // Growth through a binding's field is the field's.
-        let grown = format!("{src}fn add(report: &mut Report) {{ report.rows.push(row()); }}\n");
-        let out = run_on(&[LintId::UnboundedGrowth], &grown);
-        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![1]);
-    }
-
-    #[test]
-    fn self_reaches_only_its_own_structs_field() {
-        let src = "\
-struct Request { headers: Vec<Header> }
-struct Response { headers: Vec<Header> }
-impl Response {
-    fn header(mut self, h: Header) -> Self { self.headers.push(h); self }
-}
-";
-        let out = run_on(&[LintId::UnboundedGrowth], src);
-        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![2]);
-    }
-
-    #[test]
-    fn a_test_measuring_a_collection_is_no_bound() {
-        let src = "\
-struct Server { conns: Vec<Handle> }
-fn accept(&mut self, h: Handle) { self.conns.push(h); }
-#[cfg(test)]
-mod tests {
-    fn reaped(s: &Server) -> bool { s.conns.len() == 1 }
-}
-";
-        let ctx = classify("crates/serve/src/fixture.rs").expect("serve context");
-        let lines: Vec<u32> = check_source(&ctx, src)
-            .iter()
-            .filter(|f| f.lint == LintId::UnboundedGrowth)
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(lines, vec![1]);
-    }
-
-    #[test]
-    fn growth_through_static_alias_is_tracked() {
-        let src = "\
-static CACHE: Mutex<Vec<(Config, TraceSet)>> = Mutex::new(Vec::new());
-fn put(t: TraceSet) {
-    let mut cache = CACHE.lock().unwrap();
-    cache.push((cfg, t));
-}
-";
-        let out = run_on(&[LintId::UnboundedGrowth], src);
-        assert_eq!(lines_of(&out, LintId::UnboundedGrowth), vec![1]);
-        // With an eviction path through the same alias it is clean.
-        let bounded = format!(
-            "{src}fn evict() {{ let mut cache = CACHE.lock().unwrap(); \
-             if cache.len() > 3 {{ cache.remove(0); }} }}\n"
-        );
-        let out = run_on(&[LintId::UnboundedGrowth], &bounded);
-        assert!(lines_of(&out, LintId::UnboundedGrowth).is_empty());
     }
 }

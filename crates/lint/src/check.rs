@@ -1,21 +1,19 @@
-//! The checker: runs the active lints over one lexed source file.
+//! The checker: runs the per-file lints over one lexed source file.
 //!
 //! Pipeline per file: lex → locate `#[cfg(test)]`/`#[test]` regions →
 //! parse suppression directives from comments → scan tokens for
-//! `relaxed-ordering` → parse the AST and run the structural analyses →
+//! `relaxed-ordering` → parse the AST and run the guard-liveness scan →
 //! apply suppressions → report unused directives.
 //!
 //! # Single-file vs. workspace facts
 //!
-//! `relaxed-ordering` and `unbounded-growth` resolve within one file.
-//! **lock-order** needs the whole crate's acquisition graph (an A→B
-//! edge in one file is only a deadlock when some other file holds B
-//! while taking A), and `lock-held-across-call` needs the workspace
-//! call graph. So [`check_source_facts`] returns the resolved findings
-//! *plus* the file's cross-file facts and its pending workspace-lint
-//! suppressions, for [`crate::workspace`] to finish the job;
-//! [`check_source`] runs that whole pipeline over a single in-memory
-//! file.
+//! `relaxed-ordering` resolves within one file. `lock-held-across-call`
+//! needs the workspace call graph (a call made under a guard is a
+//! finding when its callee, perhaps in another crate, blocks or takes a
+//! lock). So [`check_source_facts`] returns the resolved findings *plus*
+//! the file's guarded calls and its pending workspace-lint suppressions,
+//! for [`crate::workspace`] to finish the job; [`check_source`] runs
+//! that whole pipeline over a single in-memory file.
 //!
 //! # Suppression directives
 //!
@@ -33,17 +31,17 @@
 
 use std::time::{Duration, Instant};
 
-use crate::analyses::{self, GuardedCall, LockEdge};
+use crate::analyses::{self, GuardedCall};
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::lint::{Finding, LintId};
 use crate::parser::{parse, Ast};
-use crate::policy::{lints_for, FileContext};
+use crate::policy::FileContext;
 use crate::workspace::scan_sources;
 
 /// Lints that only resolve once the whole workspace is assembled: the
-/// crate-wide lock graph and the call-graph analysis. Their suppression
-/// directives stay pending through phase one.
-pub const WORKSPACE_LINTS: [LintId; 2] = [LintId::LockOrder, LintId::LockHeldAcrossCall];
+/// call-graph analysis. Their suppression directives stay pending
+/// through phase one.
+pub const WORKSPACE_LINTS: [LintId; 1] = [LintId::LockHeldAcrossCall];
 
 /// Everything the workspace scan needs from one file: its resolved
 /// findings plus the facts that only resolve workspace-wide.
@@ -51,9 +49,6 @@ pub const WORKSPACE_LINTS: [LintId; 2] = [LintId::LockOrder, LintId::LockHeldAcr
 pub struct FileFacts {
     /// Findings from every single-file lint, suppressed and sorted.
     pub findings: Vec<Finding>,
-    /// Nested-acquisition edges (outside test regions) for the crate's
-    /// lock graph.
-    pub lock_edges: Vec<LockEdge>,
     /// Calls captured under a live guard (outside test regions), for the
     /// workspace lock-held-across-call pass.
     pub guarded_calls: Vec<GuardedCall>,
@@ -110,8 +105,8 @@ pub fn unused_pending(p: &PendingSuppression) -> Finding {
 }
 
 /// Checks one source file as a one-file workspace, returning findings
-/// sorted by line. Lock-order cycles and the call-graph lints resolve
-/// against this file alone.
+/// sorted by line. The call-graph lint resolves against this file
+/// alone.
 pub fn check_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
     let mut result = scan_sources(&[(ctx.clone(), src)]);
     result
@@ -134,8 +129,7 @@ pub fn suppress_pending(pending: &mut [PendingSuppression], lint: LintId, line: 
 }
 
 /// Checks one source file, returning findings plus cross-file facts.
-pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
-    let active = lints_for(ctx);
+pub fn check_source_facts(src: &str) -> FileFacts {
     let mut timings = Vec::new();
     let t0 = Instant::now();
     let lexed = lex(src);
@@ -143,27 +137,18 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
     let in_test = |line: u32| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
 
     let (mut directives, mut findings) = parse_directives(&lexed, &in_test);
-    if active.contains(&LintId::RelaxedOrdering) {
-        relaxed_ordering(&lexed.tokens, &in_test, &mut findings);
-    }
+    relaxed_ordering(&lexed.tokens, &in_test, &mut findings);
     timings.push(("lex+tokens", t0.elapsed()));
 
     let t0 = Instant::now();
     let ast = parse(&lexed);
     timings.push(("parse", t0.elapsed()));
-    let out = analyses::run(&active, &ast, &in_test);
-    findings.extend(out.findings.into_iter().filter(|f| !in_test(f.line)));
-    let lock_edges = out
-        .lock_edges
-        .into_iter()
-        .filter(|e| !in_test(e.line))
-        .collect();
-    let guarded_calls = out
-        .guarded_calls
+    let t0 = Instant::now();
+    let guarded_calls = analyses::guarded_calls(&ast)
         .into_iter()
         .filter(|c| !in_test(c.line))
         .collect();
-    timings.extend(out.timings);
+    timings.push(("guard-scan", t0.elapsed()));
 
     // Apply suppressions to suppressible findings.
     findings.retain(|f| {
@@ -218,7 +203,6 @@ pub fn check_source_facts(ctx: &FileContext, src: &str) -> FileFacts {
     findings.sort_by_key(|f| (f.line, f.lint.name()));
     FileFacts {
         findings,
-        lock_edges,
         guarded_calls,
         ast,
         test_ranges,
@@ -463,7 +447,6 @@ mod tests {
     use super::*;
     use crate::policy::classify;
 
-    /// A crate where `relaxed-ordering` is active.
     fn ctx() -> FileContext {
         classify("crates/experiments/src/fixture.rs").expect("experiments context")
     }
@@ -520,8 +503,15 @@ mod tests {
 
     #[test]
     fn unknown_lint_in_directive_is_a_finding() {
-        // Lints that moved to clippy configuration are unknown here too.
-        for name in ["no-such", "ambient-time", "swallowed-result"] {
+        // Lints that moved to clippy configuration or were deleted are
+        // unknown here too.
+        for name in [
+            "no-such",
+            "ambient-time",
+            "swallowed-result",
+            "lock-order",
+            "unbounded-growth",
+        ] {
             let f = run(&format!(
                 "// jouppi-lint: allow({name}) — because\nfn f() {{}}\n"
             ));
@@ -536,7 +526,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::UnusedSuppression);
         // Workspace-lint directives settle in the same one-file scan.
-        let f = run("// jouppi-lint: allow(lock-order) — just in case\nfn f() {}\n");
+        let f = run("// jouppi-lint: allow(lock-held-across-call) — just in case\nfn f() {}\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::UnusedSuppression);
     }
@@ -564,9 +554,9 @@ fn f(c: &AtomicU64) {
             .map(|f| f.line)
             .collect();
         assert_eq!(relaxed, vec![2]);
-        // Outside serve and experiments the lint is off.
+        // The lint applies to every linted crate.
         let cache = classify("crates/cache/src/fixture.rs").expect("cache context");
-        assert!(check_source(&cache, src).is_empty());
+        assert_eq!(check_source(&cache, src).len(), 1);
     }
 
     #[test]
@@ -594,9 +584,9 @@ fn f() {}
     #[test]
     fn multiple_lints_in_one_directive() {
         let src = "fn f(c: &AtomicU64) { c.load(Ordering::Relaxed); } \
-                   // jouppi-lint: allow(relaxed-ordering, unbounded-growth) — fixture exercising a two-lint directive\n";
-        // relaxed-ordering suppressed; the unused unbounded-growth half
-        // is fine because the directive as a whole was used.
+                   // jouppi-lint: allow(relaxed-ordering, lock-held-across-call) — fixture exercising a two-lint directive\n";
+        // relaxed-ordering suppressed; the unused lock-held-across-call
+        // half is fine because the directive as a whole was used.
         assert!(run(src).is_empty());
     }
 }

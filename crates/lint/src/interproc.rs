@@ -1,8 +1,10 @@
 //! The interprocedural analysis riding the workspace call graph:
 //! **lock-held-across-call**. A call made while a `MutexGuard` is live
-//! that is itself a blocking construct (`recv`, 0-argument
-//! `join`/`wait`, `thread::sleep`, `thread::scope`, …), or whose callee
-//! *transitively* reaches one, convoys every thread behind the lock.
+//! that is itself a blocking construct (another lock, `recv`,
+//! 0-argument `join`/`wait`, `thread::sleep`, `thread::scope`, …), or
+//! whose callee *transitively* reaches one, convoys every thread behind
+//! the lock — and a nested acquisition, in place or in a callee, can
+//! deadlock against any other acquisition order.
 //!
 //! It follows the repo's conservatism stance — **fail toward false
 //! negatives**: only resolved (non-ambiguous) call edges are traversed.
@@ -24,14 +26,9 @@ pub struct InterprocOutput {
     pub timings: Vec<(&'static str, Duration)>,
 }
 
-/// Runs lock-held-across-call. `active` and `guarded_calls` are parallel
-/// to the graph's file list: which lints policy activates per file, and
-/// the calls captured under live guards per file.
-pub fn run(
-    graph: &CallGraph<'_>,
-    active: &[Vec<LintId>],
-    guarded_calls: &[Vec<GuardedCall>],
-) -> InterprocOutput {
+/// Runs lock-held-across-call. `guarded_calls` is parallel to the
+/// graph's file list: the calls captured under live guards per file.
+pub fn run(graph: &CallGraph<'_>, guarded_calls: &[Vec<GuardedCall>]) -> InterprocOutput {
     let mut out = InterprocOutput::default();
     // A guarded call that blocks itself is the depth-0 case; otherwise
     // the uniquely resolved callee must not reach a blocking construct.
@@ -49,20 +46,25 @@ pub fn run(
         .collect();
     let blocking = reaches_backward(graph, &seeds);
     for (file, calls) in guarded_calls.iter().enumerate() {
-        if !active
-            .get(file)
-            .is_some_and(|a| a.contains(&LintId::LockHeldAcrossCall))
-        {
-            continue;
-        }
         let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
         for gc in calls {
-            let (what, via) = if is_blocking(&gc.callee, gc.arity) {
+            let message = if let Some(acquired) = &gc.acquires {
+                format!(
+                    "acquiring `{acquired}` while guard of `{}` is live — a nested \
+                     acquisition deadlocks against any other order (or, re-entrant, \
+                     against itself); drop the guard first",
+                    gc.held
+                )
+            } else if is_blocking(&gc.callee, gc.arity) {
                 let what = match &gc.callee {
                     Callee::Method { name, .. } => format!(".{name}()"),
                     Callee::Path(path) => path.join("::"),
                 };
-                (what, "blocks")
+                format!(
+                    "call to `{what}` while guard of `{}` is live — the callee blocks; \
+                     drop the guard before the call",
+                    gc.held
+                )
             } else {
                 let Some(caller) = graph.node_at(file, gc.fn_line) else {
                     continue;
@@ -73,9 +75,14 @@ pub fn run(
                 if !blocking[target] {
                     continue;
                 }
-                (graph.label(target), "(transitively) blocks")
+                format!(
+                    "call to `{}` while guard of `{}` is live — the callee (transitively) \
+                     blocks or takes a lock; drop the guard before the call",
+                    graph.label(target),
+                    gc.held
+                )
             };
-            if !seen.insert((gc.line, what.clone())) {
+            if !seen.insert((gc.line, message.clone())) {
                 continue;
             }
             out.findings.push((
@@ -83,11 +90,7 @@ pub fn run(
                 Finding {
                     line: gc.line,
                     lint: LintId::LockHeldAcrossCall,
-                    message: format!(
-                        "call to `{what}` while guard of `{}` is live — the callee {via}; \
-                         drop the guard before the call",
-                        gc.held
-                    ),
+                    message,
                 },
             ));
         }
@@ -137,7 +140,6 @@ mod tests {
             })
             .collect();
         let graph = build(&inputs);
-        let active = vec![vec![LintId::LockHeldAcrossCall]];
         // What GuardScan would capture: drain_jobs() called in tick with
         // the q guard live.
         let guarded = vec![vec![GuardedCall {
@@ -147,8 +149,9 @@ mod tests {
             arity: 0,
             line: 1,
             held: "q".to_owned(),
+            acquires: None,
         }]];
-        let out = run(&graph, &active, &guarded);
+        let out = run(&graph, &guarded);
         let hits: Vec<&Finding> = out
             .findings
             .iter()

@@ -8,9 +8,10 @@
 //! and crate-root attributes ban unsafe code, ambient time, entropy,
 //! environment and file input, default hashers, panics in library code,
 //! printing in libraries, narrowing casts and discarded results. This
-//! crate keeps only what clippy cannot express: facts about the whole
-//! workspace (a call graph, per-crate lock graphs) and one ordering rule
-//! with a written-reason convention.
+//! crate keeps only what clippy cannot express: a fact about the whole
+//! workspace (which calls made under a lock block or take another lock,
+//! through a call graph) and one ordering rule with a written-reason
+//! convention.
 //!
 //! Architecture:
 //!
@@ -21,13 +22,13 @@
 //!   enough structure (items, blocks, statements, chains) for the
 //!   syntax-aware analyses;
 //! * [`lint`] — the catalog of enforced invariants;
-//! * [`policy`] — the per-crate table mapping files to active lints;
+//! * [`policy`] — which workspace files are linted;
 //! * [`check`] — the per-file checker, including `#[cfg(test)]` region
 //!   exemption, the `relaxed-ordering` token scan and the suppression
 //!   directive engine;
-//! * [`analyses`] — the structural analyses walking the parsed AST
-//!   (unbounded-growth, and the guard-liveness scan feeding lock-order
-//!   and lock-held-across-call);
+//! * [`analyses`] — the guard-liveness scan walking the parsed AST,
+//!   which records every call (a nested acquisition included) made
+//!   under a live lock guard;
 //! * [`symbols`] — per-file symbol tables (function declarations with
 //!   impl/module context, flattened `use` imports);
 //! * [`callgraph`] — the conservative workspace call graph and its
@@ -35,8 +36,7 @@
 //! * [`interproc`] — the interprocedural analysis riding the graph
 //!   (lock-held-across-call);
 //! * [`workspace`] — deterministic workspace walking, including the
-//!   crate-wide lock-order resolution phase and the workspace
-//!   call-graph phase;
+//!   workspace call-graph phase;
 //! * [`report`] — human `file:line` output, the `--json` document, and
 //!   the `--timings` breakdown;
 //! * [`cli`] — the driver shared by the `jouppi-lint` binary and the
@@ -86,5 +86,5 @@ pub mod workspace;
 
 pub use check::check_source;
 pub use lint::{Finding, LintId, ALL_LINTS};
-pub use policy::{classify, lints_for, FileContext};
+pub use policy::{classify, FileContext};
 pub use workspace::{find_root, scan_workspace, ScanResult};

@@ -12,14 +12,9 @@ pub enum LintId {
     /// `Ordering::Relaxed` in crates whose cross-thread counters feed
     /// reported results.
     RelaxedOrdering,
-    /// A cycle in the per-crate graph of nested lock acquisitions
-    /// (potential deadlock).
-    LockOrder,
-    /// Long-lived server/sweep collection state that only grows —
-    /// no eviction, pruning, or capacity path anywhere in the file.
-    UnboundedGrowth,
     /// A call made while a lock guard is live that blocks (`recv`,
-    /// `join`, `sleep`, …) directly or through its callees.
+    /// `join`, `sleep`, another lock, …) directly or through its
+    /// callees.
     LockHeldAcrossCall,
     /// A malformed suppression directive (unknown lint, missing reason).
     BadSuppression,
@@ -28,10 +23,8 @@ pub enum LintId {
 }
 
 /// Every catalog entry, in reporting order.
-pub const ALL_LINTS: [LintId; 6] = [
+pub const ALL_LINTS: [LintId; 4] = [
     LintId::RelaxedOrdering,
-    LintId::LockOrder,
-    LintId::UnboundedGrowth,
     LintId::LockHeldAcrossCall,
     LintId::BadSuppression,
     LintId::UnusedSuppression,
@@ -42,8 +35,6 @@ impl LintId {
     pub fn name(self) -> &'static str {
         match self {
             LintId::RelaxedOrdering => "relaxed-ordering",
-            LintId::LockOrder => "lock-order",
-            LintId::UnboundedGrowth => "unbounded-growth",
             LintId::LockHeldAcrossCall => "lock-held-across-call",
             LintId::BadSuppression => "bad-suppression",
             LintId::UnusedSuppression => "unused-suppression",
@@ -62,18 +53,10 @@ impl LintId {
                 "Ordering::Relaxed on counters that feed reported results needs a written \
                  justification (fetch_add totals are exact, cross-variable ordering is not)"
             }
-            LintId::LockOrder => {
-                "nested lock acquisitions must form a cycle-free order per crate — a cycle \
-                 (A held while taking B, B held while taking A) is a potential deadlock"
-            }
-            LintId::UnboundedGrowth => {
-                "long-lived collection state in serve/experiments must have an eviction, \
-                 pruning, or capacity path — push/insert with no shrink leaks under load"
-            }
             LintId::LockHeldAcrossCall => {
-                "no blocking call (recv/join/sleep/accept/connect/read) while a lock guard \
-                 is live, directly or through any callee — drop the guard first, or the \
-                 lock convoys every thread"
+                "no blocking call (recv/join/sleep/accept/connect/read) and no further lock \
+                 while a lock guard is live, directly or through any callee — drop the guard \
+                 first, or the lock convoys every thread (or, nested, deadlocks)"
             }
             LintId::BadSuppression => {
                 "suppression directives must name a known lint and carry a non-empty reason"

@@ -1,8 +1,8 @@
 //! A tolerant recursive-descent parser, just deep enough for the
 //! structural analyses.
 //!
-//! The structural analyses (lock-order, unbounded-growth, the call graph
-//! and the lints riding it) need *structure*: which `let` binds what,
+//! The structural analyses (the guard-liveness scan, the call graph and
+//! the lint riding it) need *structure*: which `let` binds what,
 //! where a block ends, what a method-call chain's receiver is. This
 //! parser recovers exactly that much shape from the lexer's token
 //! stream — items, blocks, statements, and expressions — and
@@ -51,20 +51,6 @@ impl Ast {
         collect_fns(&self.items, &mut out);
         out
     }
-
-    /// Every struct item in the file, at any nesting depth.
-    pub fn structs(&self) -> Vec<&StructItem> {
-        let mut out = Vec::new();
-        collect_structs(&self.items, &mut out);
-        out
-    }
-
-    /// Every `static`/`const` item in the file, at any nesting depth.
-    pub fn statics(&self) -> Vec<&StaticItem> {
-        let mut out = Vec::new();
-        collect_statics(&self.items, &mut out);
-        out
-    }
 }
 
 fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a FnItem>) {
@@ -81,35 +67,12 @@ fn collect_fns<'a>(items: &'a [Item], out: &mut Vec<&'a FnItem>) {
     }
 }
 
-fn collect_structs<'a>(items: &'a [Item], out: &mut Vec<&'a StructItem>) {
-    for item in items {
-        match item {
-            Item::Struct(s) => out.push(s),
-            Item::Container { items, .. } => collect_structs(items, out),
-            _ => {}
-        }
-    }
-}
-
-fn collect_statics<'a>(items: &'a [Item], out: &mut Vec<&'a StaticItem>) {
-    for item in items {
-        match item {
-            Item::Static(s) => out.push(s),
-            Item::Container { items, .. } => collect_statics(items, out),
-            _ => {}
-        }
-    }
-}
-
-/// One top-level or nested item.
+/// One top-level or nested item. Items no analysis reads (structs,
+/// enums, statics, consts, type aliases) are skipped whole.
 #[derive(Clone, Debug)]
 pub enum Item {
     /// A function with a parsed body.
     Fn(FnItem),
-    /// A struct with named fields (tuple structs have none).
-    Struct(StructItem),
-    /// A `static` or `const` with its type and initializer.
-    Static(StaticItem),
     /// One import flattened out of a `use` tree.
     Use(UseItem),
     /// An `impl`/`trait`/`mod` block: a transparent container of items.
@@ -161,43 +124,6 @@ pub struct FnItem {
     pub has_self: bool,
     /// The body; `None` for bodyless trait-method declarations.
     pub body: Option<Block>,
-}
-
-/// One named struct field.
-#[derive(Clone, Debug)]
-pub struct Field {
-    /// The field name.
-    pub name: String,
-    /// The field's type as its identifier words, space-joined
-    /// (e.g. `"Mutex Vec ExperimentConfig TraceSet"`). Enough to ask
-    /// "does this type mention `Vec`?" without a type grammar.
-    pub ty: String,
-    /// Line of the field name.
-    pub line: u32,
-}
-
-/// A struct item and its named fields.
-#[derive(Clone, Debug)]
-pub struct StructItem {
-    /// The struct's name.
-    pub name: String,
-    /// Line of the `struct` keyword.
-    pub line: u32,
-    /// Named fields (empty for tuple/unit structs).
-    pub fields: Vec<Field>,
-}
-
-/// A `static` or `const` item.
-#[derive(Clone, Debug)]
-pub struct StaticItem {
-    /// The item's name.
-    pub name: String,
-    /// The type's identifier words, space-joined (see [`Field::ty`]).
-    pub ty: String,
-    /// Line of the item keyword.
-    pub line: u32,
-    /// The initializer expression, when one parsed.
-    pub init: Option<Expr>,
 }
 
 /// A `{ … }` block of statements.
@@ -334,8 +260,6 @@ impl Stmt {
             Stmt::Let(l) => l.line,
             Stmt::Expr(e) => e.line(),
             Stmt::Item(Item::Fn(f)) => f.line,
-            Stmt::Item(Item::Struct(s)) => s.line,
-            Stmt::Item(Item::Static(s)) => s.line,
             Stmt::Item(Item::Use(u)) => u.line,
             Stmt::Item(Item::Container { .. }) => 0,
         }
@@ -517,18 +441,14 @@ impl<'a> P<'a> {
                     }
                 }
                 Some("fn") => items.push(Item::Fn(self.fn_item())),
-                Some("struct") => items.push(Item::Struct(self.struct_item())),
-                Some("static") => {
-                    if let Some(s) = self.static_item() {
-                        items.push(Item::Static(s));
-                    }
-                }
+                Some("struct") => self.skip_struct(),
+                Some("static") => self.skip_past(';'),
                 Some("const") => {
                     // `const fn` is a function; `const NAME: T = …` an item.
                     if self.peek_at(1).and_then(Token::ident) == Some("fn") {
                         self.bump();
-                    } else if let Some(s) = self.static_item() {
-                        items.push(Item::Static(s));
+                    } else {
+                        self.skip_past(';');
                     }
                 }
                 Some("impl" | "trait") => {
@@ -865,7 +785,7 @@ impl<'a> P<'a> {
             let before = self.i;
             let name = self.param_pattern_name();
             if self.eat_punct(':') {
-                self.type_words_until(&[',', ')']);
+                self.skip_type_until(&[',', ')']);
             }
             self.eat_punct(',');
             has_self |= first && name.as_deref() == Some("self");
@@ -938,82 +858,30 @@ impl<'a> P<'a> {
         }
     }
 
-    fn struct_item(&mut self) -> StructItem {
-        let line = self.line();
+    /// Skips a `struct` item (the keyword is next): name, generics,
+    /// `where` bounds, and the field block or tuple list with its `;`.
+    fn skip_struct(&mut self) {
         self.eat_ident("struct");
-        let name = self.bump().and_then(Token::ident).unwrap_or("?").to_owned();
+        self.bump(); // the name
         if self.at_punct('<') {
             self.skip_generics();
         }
-        // `where` bounds before the body.
+        // `where` bounds and a tuple list before any body or `;`.
         self.skip_to_body_open();
-        let mut fields = Vec::new();
-        if self.eat_punct('{') {
-            loop {
-                self.skip_attributes();
-                if self.at_punct('}') || self.peek().is_none() {
-                    break;
-                }
-                if self.eat_ident("pub") && self.at_punct('(') {
-                    self.skip_balanced('(', ')');
-                }
-                let field_line = self.line();
-                let Some(fname) = self.bump().and_then(Token::ident) else {
-                    continue;
-                };
-                if !self.eat_punct(':') {
-                    continue;
-                }
-                let ty = self.type_words_until(&[',', '}']);
-                fields.push(Field {
-                    name: fname.to_owned(),
-                    ty,
-                    line: field_line,
-                });
-                self.eat_punct(',');
-            }
-            self.eat_punct('}');
-        } else if self.at_punct('(') {
-            self.skip_balanced('(', ')');
-            self.eat_punct(';');
+        if self.at_punct('{') {
+            self.skip_balanced('{', '}');
         } else {
             self.eat_punct(';');
         }
-        StructItem { name, line, fields }
     }
 
-    fn static_item(&mut self) -> Option<StaticItem> {
-        let line = self.line();
-        self.bump(); // `static` / `const`
-        self.eat_ident("mut"); // `static mut` (forbidden by unsafe anyway)
-        let name = self.bump().and_then(Token::ident)?.to_owned();
-        if !self.eat_punct(':') {
-            self.skip_past(';');
-            return None;
-        }
-        let ty = self.type_words_until(&['=', ';']);
-        let init = if self.eat_punct('=') {
-            Some(self.expr(false))
-        } else {
-            None
-        };
-        self.eat_punct(';');
-        Some(StaticItem {
-            name,
-            ty,
-            line,
-            init,
-        })
-    }
-
-    /// Collects a type region's identifier words until one of `stops`
-    /// appears at bracket depth 0 (angle/round/square aware). Leaves the
-    /// stop token unconsumed.
-    fn type_words_until(&mut self, stops: &[char]) -> String {
+    /// Skips a type region until one of `stops` appears at bracket
+    /// depth 0 (angle/round/square aware). Leaves the stop token
+    /// unconsumed.
+    fn skip_type_until(&mut self, stops: &[char]) {
         let mut angle = 0i32;
         let mut round = 0i32;
         let mut square = 0i32;
-        let mut words: Vec<&str> = Vec::new();
         while let Some(tok) = self.peek() {
             if angle <= 0 && round == 0 && square == 0 {
                 if let TokKind::Punct(c) = tok.kind {
@@ -1029,16 +897,10 @@ impl<'a> P<'a> {
                 TokKind::Punct(')') => round -= 1,
                 TokKind::Punct('[') => square += 1,
                 TokKind::Punct(']') => square -= 1,
-                TokKind::Ident(_) => {
-                    if let Some(word) = tok.ident() {
-                        words.push(word);
-                    }
-                }
                 _ => {}
             }
             self.bump();
         }
-        words.join(" ")
     }
 
     // ---------------------------------------------------------------
@@ -1068,17 +930,10 @@ impl<'a> P<'a> {
             match tok.ident() {
                 Some("let") => stmts.push(Stmt::Let(self.let_stmt())),
                 Some("fn") => stmts.push(Stmt::Item(Item::Fn(self.fn_item()))),
-                Some("struct") => stmts.push(Stmt::Item(Item::Struct(self.struct_item()))),
-                Some("use" | "type") => self.skip_past(';'),
-                Some("static") => {
-                    if let Some(s) = self.static_item() {
-                        stmts.push(Stmt::Item(Item::Static(s)));
-                    }
-                }
+                Some("struct") => self.skip_struct(),
+                Some("use" | "type" | "static") => self.skip_past(';'),
                 Some("const") if self.peek_at(1).and_then(Token::ident) != Some("fn") => {
-                    if let Some(s) = self.static_item() {
-                        stmts.push(Stmt::Item(Item::Static(s)));
-                    }
+                    self.skip_past(';');
                 }
                 Some("impl" | "trait" | "mod" | "enum") => {
                     // Items in blocks: reuse the item parser for one item.
@@ -1141,7 +996,7 @@ impl<'a> P<'a> {
         self.eat_ident("let");
         let names = self.pattern_names(&['=', ':', ';']);
         if self.eat_punct(':') {
-            self.type_words_until(&['=', ';']);
+            self.skip_type_until(&['=', ';']);
         }
         let init = if self.eat_punct('=') {
             Some(self.expr(false))
@@ -1295,10 +1150,14 @@ impl<'a> P<'a> {
 
     /// Prefix operators, then a postfix chain, then `as` casts.
     fn unary(&mut self, no_struct: bool) -> Expr {
-        // Prefix: `& && * ! -` (fold — analyses don't care).
+        // Prefix: `& && * ! -`, folded. A borrow keeps its operand's
+        // identity, but `*g`, `!g` and `-g` are new values: the operand
+        // is grouped, so a guard under them is no `let` binding's value.
+        let mut valued = false;
         while let Some(tok) = self.peek() {
             match tok.kind {
                 TokKind::Punct('&' | '*' | '!' | '-') => {
+                    valued |= !tok.is_punct('&');
                     self.bump();
                     self.eat_ident("mut");
                 }
@@ -1311,7 +1170,11 @@ impl<'a> P<'a> {
             self.bump();
             self.skip_cast_type();
         }
-        expr
+        if valued {
+            Expr::Group(vec![expr])
+        } else {
+            expr
+        }
     }
 
     /// Consumes the target type of an `as` cast: a path with optional
@@ -1622,7 +1485,7 @@ impl<'a> P<'a> {
         if self.at_punct('-') && self.peek_at(1).is_some_and(|t| t.is_punct('>')) {
             self.bump();
             self.bump();
-            self.type_words_until(&['{']);
+            self.skip_type_until(&['{']);
         }
         let body = self.expr(false);
         Expr::Closure {
@@ -2091,26 +1954,28 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_and_statics_capture_types() {
+    fn structs_and_statics_are_skipped_whole() {
+        // `;` in array types, `->` in bounds, braces in initializers and
+        // items inside bodies must not derail the functions around them.
         let src = "
 static CACHE: Mutex<Vec<(Config, TraceSet)>> = Mutex::new(Vec::new());
-struct Inner {
+const TABLE: [u8; 4] = { let t = [0; 4]; t };
+struct Inner<F: Fn(u8) -> u8> where F: Clone {
     queue: VecDeque<(u64, Job)>,
-    jobs: BTreeMap<u64, (String, JobState)>,
-    running: usize,
+    jobs: BTreeMap<u64, [u8; 2]>,
+    f: F,
 }
+struct Pair(u64, Vec<u8>);
+fn after(&self) { self.q.lock(); }
+fn body() { struct Local { a: u8 } static S: u8 = 1; go(S); }
 ";
         let ast = parse_src(src);
-        let statics = ast.statics();
-        assert_eq!(statics.len(), 1);
-        assert_eq!(statics[0].name, "CACHE");
-        assert!(statics[0].ty.contains("Vec"), "{}", statics[0].ty);
-        let structs = ast.structs();
-        assert_eq!(structs.len(), 1);
-        assert_eq!(structs[0].fields.len(), 3);
-        assert_eq!(structs[0].fields[0].name, "queue");
-        assert!(structs[0].fields[0].ty.contains("VecDeque"));
-        assert!(structs[0].fields[2].ty.contains("usize"));
+        assert_eq!(ast.items.len(), 2);
+        let names: Vec<&str> = ast.functions().iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["after", "body"]);
+        let c = chains(&ast);
+        assert!(c.contains(&"self.q.lock(0)".to_owned()), "{c:?}");
+        assert!(c.contains(&"go(1)".to_owned()), "{c:?}");
     }
 
     #[test]

@@ -1,21 +1,13 @@
-//! The per-crate policy table: which lints apply where.
+//! Which files are linted.
 //!
-//! Policy is keyed on a file's *workspace-relative path*. Only library
+//! Coverage is keyed on a file's *workspace-relative path*. Only library
 //! and binary sources (`src/` of the root package and of each
 //! `crates/<name>`) are linted; integration tests, examples and
 //! benches carry no jouppi-lint invariant, and `#[cfg(test)]` regions
-//! inside linted files are skipped as well.
-//!
-//! | crate | relaxed-ordering | unbounded-growth |
-//! |---|---|---|
-//! | experiments, serve | ✔ | ✔ |
-//! | every other crate | | |
-//!
-//! `lock-order` and the call-graph lint `lock-held-across-call` apply
-//! to every linted file — reachability is decided by the workspace call
-//! graph, so its findings land wherever the offending call is made.
-
-use crate::lint::LintId;
+//! inside linted files are skipped as well. Every lint applies to every
+//! linted file: `relaxed-ordering` wherever the token appears, and the
+//! call-graph lint `lock-held-across-call` wherever the offending call
+//! is made.
 
 /// Where a source file sits in the workspace.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,20 +37,6 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
     })
 }
 
-/// The lints active for a file.
-pub fn lints_for(ctx: &FileContext) -> Vec<LintId> {
-    let mut lints = Vec::new();
-    // The long-lived daemon (serve) and the sweep engine (experiments)
-    // own the cross-thread counters and the long-lived collections.
-    if ctx.crate_name == "experiments" || ctx.crate_name == "serve" {
-        lints.push(LintId::RelaxedOrdering);
-        lints.push(LintId::UnboundedGrowth);
-    }
-    lints.push(LintId::LockOrder);
-    lints.push(LintId::LockHeldAcrossCall);
-    lints
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,29 +53,9 @@ mod tests {
         assert!(classify("tests/paper_claims.rs").is_none());
         assert!(classify("examples/quickstart.rs").is_none());
         assert!(classify("crates/serve/tests/integration.rs").is_none());
-        assert!(classify("crates/lint/tests/fixtures/lock-order/bad.rs").is_none());
+        assert!(classify("crates/lint/tests/fixtures/nested-acquisition/bad.rs").is_none());
         assert!(classify("crates/workloads/examples/calibrate.rs").is_none());
         assert!(classify("crates/cache/benches/x.rs").is_none());
         assert!(classify("README.md").is_none());
-    }
-
-    #[test]
-    fn policy_matches_the_table() {
-        let everywhere = [LintId::LockOrder, LintId::LockHeldAcrossCall];
-        let report = classify("crates/report/src/table.rs").expect("report");
-        assert_eq!(lints_for(&report), everywhere);
-
-        for path in [
-            "crates/serve/src/queue.rs",
-            "crates/experiments/src/sweep.rs",
-        ] {
-            let ctx = classify(path).expect("classifiable");
-            let lints = lints_for(&ctx);
-            assert_eq!(
-                lints[..2],
-                [LintId::RelaxedOrdering, LintId::UnboundedGrowth]
-            );
-            assert_eq!(lints[2..], everywhere);
-        }
     }
 }

@@ -158,7 +158,6 @@ fn walk_items<'a>(
                     walk_items(items, &nested, None, test_ranges, symbols, bodies);
                 }
             },
-            Item::Struct(_) | Item::Static(_) => {}
         }
     }
 }

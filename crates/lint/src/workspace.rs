@@ -1,20 +1,15 @@
 //! Workspace discovery and the full-tree scan.
 //!
 //! Only `src/` trees are linted (see [`crate::policy::classify`]). The
-//! scan runs in three phases. Phase one checks each file
-//! independently ([`crate::check::check_source_facts`]), collecting
-//! findings plus each file's cross-file facts: lock-acquisition edges,
-//! calls captured under live guards, the parsed AST, and pending
-//! workspace-lint suppressions. Phase two assembles the lock edges into
-//! one graph *per crate* (lock identities are textual — `self.inner` in
-//! two crates is two different locks) and reports every edge in a cycle.
-//! Phase three builds the **workspace call graph** over the retained
-//! ASTs ([`crate::callgraph`]) and runs the interprocedural
-//! `lock-held-across-call` analysis ([`crate::interproc`]); findings
-//! from both phases are routed
-//! back to the declaring files, checked against the pending
-//! suppressions, and the leftover directives become `unused-suppression`
-//! findings.
+//! scan runs in two phases. Phase one checks each file independently
+//! ([`crate::check::check_source_facts`]), collecting findings plus each
+//! file's cross-file facts: calls captured under live guards, the parsed
+//! AST, and pending workspace-lint suppressions. Phase two builds the
+//! **workspace call graph** over the retained ASTs ([`crate::callgraph`])
+//! and runs the interprocedural `lock-held-across-call` analysis
+//! ([`crate::interproc`]); its findings are routed back to the declaring
+//! files, checked against the pending suppressions, and the leftover
+//! directives become `unused-suppression` findings.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -22,12 +17,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::analyses::{lock_order_findings, LockEdge};
 use crate::callgraph::{self, GraphFile};
 use crate::check::{check_source_facts, suppress_pending, unused_pending};
 use crate::interproc;
-use crate::lint::{Finding, LintId};
-use crate::policy::{classify, lints_for, FileContext};
+use crate::lint::Finding;
+use crate::policy::{classify, FileContext};
 
 /// Directories never descended into: build output, VCS state, and the
 /// test and example trees no jouppi-lint invariant covers.
@@ -154,23 +148,16 @@ pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
     let mut timings: BTreeMap<&'static str, Duration> = BTreeMap::new();
     // Phase one: per-file checks; park each file's cross-file facts.
     // `pendings`, `asts`, `test_ranges`, and `guarded` are parallel to
-    // `sources` and `result.files`; `crate_edges` tags every edge with
-    // the index of the file that produced it.
+    // `sources` and `result.files`.
     let mut pendings = Vec::new();
     let mut asts = Vec::new();
     let mut test_ranges = Vec::new();
     let mut guarded = Vec::new();
-    let mut crate_edges: BTreeMap<String, Vec<(usize, LockEdge)>> = BTreeMap::new();
     for (ctx, src) in sources {
-        let facts = check_source_facts(ctx, src.as_ref());
-        let file_index = result.files.len();
+        let facts = check_source_facts(src.as_ref());
         for (stage, d) in facts.timings {
             *timings.entry(stage).or_default() += d;
         }
-        crate_edges
-            .entry(ctx.crate_name.clone())
-            .or_default()
-            .extend(facts.lock_edges.into_iter().map(|e| (file_index, e)));
         pendings.push(facts.pending);
         asts.push(facts.ast);
         test_ranges.push(facts.test_ranges);
@@ -180,22 +167,7 @@ pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
             findings: facts.findings,
         });
     }
-    // Phase two: resolve lock-order per crate.
-    let t0 = Instant::now();
-    for edges in crate_edges.values() {
-        let tagged: Vec<(String, LockEdge)> = edges
-            .iter()
-            .map(|(i, e)| (result.files[*i].rel_path.clone(), e.clone()))
-            .collect();
-        for (edge_index, finding) in lock_order_findings(&tagged) {
-            let file_index = edges[edge_index].0;
-            if !suppress_pending(&mut pendings[file_index], finding.lint, finding.line) {
-                result.files[file_index].findings.push(finding);
-            }
-        }
-    }
-    *timings.entry("lock-order-resolve").or_default() += t0.elapsed();
-    // Phase three: the workspace call graph and the interprocedural
+    // Phase two: the workspace call graph and the interprocedural
     // analysis, over the ASTs retained in phase one (graph-file indexes
     // are `result.files` indexes).
     let t0 = Instant::now();
@@ -218,8 +190,7 @@ pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
             external_calls: graph.external_calls,
         });
         *timings.entry("callgraph-build").or_default() += t0.elapsed();
-        let actives: Vec<Vec<LintId>> = sources.iter().map(|(ctx, _)| lints_for(ctx)).collect();
-        let interproc_out = interproc::run(&graph, &actives, &guarded);
+        let interproc_out = interproc::run(&graph, &guarded);
         for (stage, d) in interproc_out.timings {
             *timings.entry(stage).or_default() += d;
         }

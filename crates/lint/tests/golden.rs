@@ -1,9 +1,9 @@
-//! Golden tests: every jouppi-lint lint has a `bad`/`ok` fixture pair
-//! under `tests/fixtures/<lint>/`. Each case materializes a one-file
-//! throwaway workspace in the system temp directory at the path where
-//! the lint is active, then drives the real CLI: the `bad` fixture must
-//! exit 1 and name the lint, the `ok` fixture (fixed or justifiably
-//! suppressed) must exit 0.
+//! Golden tests: every jouppi-lint lint has at least one case, a fixture
+//! directory under `tests/fixtures/` holding one or more `bad*.rs`
+//! fixtures and an `ok.rs`. Each fixture materializes a one-file
+//! throwaway workspace in the system temp directory, then drives the
+//! real CLI: every `bad` fixture must exit 1 and name the lint, the `ok`
+//! fixture (fixed or justifiably suppressed) must exit 0.
 //!
 //! Fixture files live under `tests/`, which the workspace scan never
 //! descends into, so they are never linted in place.
@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 /// (lint, fixture dir, path the fixture occupies in the temp workspace).
 /// The lints that moved to clippy configuration keep their fixtures
 /// next to these; `clippy_config.rs` drives them.
-const CASES: [(&str, &str, &str); 7] = [
+const CASES: [(&str, &str, &str); 6] = [
     (
         "relaxed-ordering",
         "relaxed-ordering",
@@ -30,7 +30,6 @@ const CASES: [(&str, &str, &str); 7] = [
         "unused-suppression",
         "crates/experiments/src/fixture.rs",
     ),
-    ("lock-order", "lock-order", "crates/core/src/fixture.rs"),
     // A blocking call under a live guard is the depth-0 case of
     // lock-held-across-call.
     (
@@ -38,28 +37,57 @@ const CASES: [(&str, &str, &str); 7] = [
         "blocking-under-lock",
         "crates/core/src/fixture.rs",
     ),
-    (
-        "unbounded-growth",
-        "unbounded-growth",
-        "crates/serve/src/fixture.rs",
-    ),
+    // A guard held across a call whose callee transitively blocks.
     (
         "lock-held-across-call",
         "lock-held-across-call",
         "crates/core/src/fixture.rs",
     ),
+    // Taking a lock blocks: a nested acquisition, in place or in a
+    // helper.
+    (
+        "lock-held-across-call",
+        "nested-acquisition",
+        "crates/core/src/fixture.rs",
+    ),
 ];
+
+fn fixtures_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
 
 #[expect(
     clippy::disallowed_methods,
     reason = "the test reads its committed fixtures"
 )]
 fn fixture(dir: &str, name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(dir)
-        .join(name);
+    let path = fixtures_dir().join(dir).join(name);
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// The file names in a fixture directory, sorted.
+fn fixture_files(dir: &str) -> Vec<String> {
+    let path = fixtures_dir().join(dir);
+    let mut names: Vec<String> = fs::read_dir(&path)
+        .unwrap_or_else(|e| panic!("list {}: {e}", path.display()))
+        .map(|entry| {
+            entry
+                .expect("fixture dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// The `bad*.rs` fixtures of a case, sorted.
+fn bad_fixtures(dir: &str) -> Vec<String> {
+    fixture_files(dir)
+        .into_iter()
+        .filter(|n| n.starts_with("bad") && n.ends_with(".rs"))
+        .collect()
 }
 
 /// Creates a minimal workspace containing exactly one source file.
@@ -89,21 +117,43 @@ fn lint_workspace(root: &Path, json: bool) -> jouppi_lint::cli::CliResult {
 }
 
 #[test]
+fn every_lint_has_a_bad_and_an_ok_fixture() {
+    for lint in jouppi_lint::ALL_LINTS {
+        assert!(
+            CASES.iter().any(|(name, ..)| *name == lint.name()),
+            "no golden case for `{lint}`"
+        );
+    }
+    for (lint, dir, _) in CASES {
+        assert!(
+            jouppi_lint::LintId::from_name(lint).is_some(),
+            "case `{dir}` names `{lint}`, which is not in the catalog"
+        );
+        let files = fixture_files(dir);
+        assert!(files.contains(&"bad.rs".to_owned()), "{dir}: {files:?}");
+        assert!(files.contains(&"ok.rs".to_owned()), "{dir}: {files:?}");
+    }
+}
+
+#[test]
 fn bad_fixtures_fail_with_the_expected_lint() {
     for (lint, dir, rel_file) in CASES {
-        let root = temp_workspace(&format!("bad-{dir}"), rel_file, &fixture(dir, "bad.rs"));
-        let r = lint_workspace(&root, false);
-        assert_eq!(
-            r.code, 1,
-            "{lint}: expected findings\n{}{}",
-            r.stdout, r.stderr
-        );
-        assert!(
-            r.stdout.contains(&format!("[{lint}]")),
-            "{lint}: findings do not name the lint:\n{}",
-            r.stdout
-        );
-        fs::remove_dir_all(&root).expect("remove temp workspace");
+        for bad in bad_fixtures(dir) {
+            let tag = format!("{dir}-{}", bad.trim_end_matches(".rs"));
+            let root = temp_workspace(&tag, rel_file, &fixture(dir, &bad));
+            let r = lint_workspace(&root, false);
+            assert_eq!(
+                r.code, 1,
+                "{dir}/{bad}: expected findings\n{}{}",
+                r.stdout, r.stderr
+            );
+            assert!(
+                r.stdout.contains(&format!("[{lint}]")),
+                "{dir}/{bad}: findings do not name `{lint}`:\n{}",
+                r.stdout
+            );
+            fs::remove_dir_all(&root).expect("remove temp workspace");
+        }
     }
 }
 

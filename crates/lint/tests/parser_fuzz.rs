@@ -23,9 +23,8 @@ use jouppi_lint::callgraph::{self, GraphFile};
 use jouppi_lint::check::check_source_facts;
 use jouppi_lint::interproc;
 use jouppi_lint::lexer::lex;
-use jouppi_lint::lint::LintId;
 use jouppi_lint::parser::parse;
-use jouppi_lint::policy::{classify, lints_for};
+use jouppi_lint::policy::classify;
 use jouppi_trace::SmallRng;
 
 /// Rust-ish seed fragments covering the grammar the parser handles:
@@ -99,7 +98,7 @@ fn mutated(rng: &mut SmallRng) -> String {
 /// determinism property can compare runs.
 fn exercise(src: &str) -> (Vec<String>, usize, usize, usize, usize, usize) {
     let ctx = classify("crates/serve/src/fuzzed.rs").expect("serve path classifies");
-    let facts = check_source_facts(&ctx, src);
+    let facts = check_source_facts(src);
     let findings: Vec<String> = facts
         .findings
         .iter()
@@ -114,9 +113,8 @@ fn exercise(src: &str) -> (Vec<String>, usize, usize, usize, usize, usize) {
         test_ranges: &[],
     }];
     let graph = callgraph::build(&inputs);
-    let active: Vec<Vec<LintId>> = vec![lints_for(&ctx)];
     let guarded = vec![facts.guarded_calls];
-    let interproc_out = interproc::run(&graph, &active, &guarded);
+    let interproc_out = interproc::run(&graph, &guarded);
 
     (
         findings,

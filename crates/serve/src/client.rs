@@ -80,12 +80,13 @@ impl Client {
         body: Option<&Json>,
     ) -> io::Result<ClientResponse> {
         let payload = body.map(Json::encode).unwrap_or_default();
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n",
+        // One write per request: with `TCP_NODELAY` set, a separate
+        // payload write would leave as a second segment.
+        let request = format!(
+            "{method} {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{payload}",
             payload.len()
         );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(payload.as_bytes())?;
+        self.stream.write_all(request.as_bytes())?;
         self.stream.flush()?;
         self.read_response()
     }

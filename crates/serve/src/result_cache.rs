@@ -48,6 +48,7 @@ use crate::http::Response;
 use crate::json::Json;
 
 /// How the server-wide cache behaves (`cache: {mode}` in the config).
+/// A single request skips the cache with the `?cache=bypass` knob.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheMode {
     /// Full caching: lookups, singleflight coalescing, and stores.
@@ -55,28 +56,15 @@ pub enum CacheMode {
     On,
     /// The cache does not exist: no lookups, no stores, no headers.
     Off,
-    /// Every request acts as if it carried the per-request bypass knob:
-    /// compute fresh, store nothing, report `x-jouppi-cache: bypass`.
-    Bypass,
 }
 
 impl CacheMode {
-    /// Parses the wire/flag spelling (`on`, `off`, `bypass`).
+    /// Parses the flag spelling (`on`, `off`).
     pub fn parse(text: &str) -> Option<CacheMode> {
         match text {
             "on" => Some(CacheMode::On),
             "off" => Some(CacheMode::Off),
-            "bypass" => Some(CacheMode::Bypass),
             _ => None,
-        }
-    }
-
-    /// The mode's flag spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheMode::On => "on",
-            CacheMode::Off => "off",
-            CacheMode::Bypass => "bypass",
         }
     }
 }
@@ -84,7 +72,7 @@ impl CacheMode {
 /// Result-cache configuration (part of the server config).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Whether the cache serves, bypasses, or is disabled.
+    /// Whether the cache serves or is disabled.
     pub mode: CacheMode,
     /// Maximum memoized result documents.
     pub capacity: usize,
@@ -217,8 +205,8 @@ pub struct CacheCounters {
 pub enum Lookup {
     /// Mode is [`CacheMode::Off`]: compute as if the cache did not exist.
     Disabled,
-    /// This request bypasses the cache (knob or [`CacheMode::Bypass`]):
-    /// compute fresh, store nothing.
+    /// This request carries the bypass knob: compute fresh, store
+    /// nothing.
     Bypass,
     /// Memo hit: serve this document.
     Hit(Arc<Json>),
@@ -275,11 +263,6 @@ impl ResultCache {
         })
     }
 
-    /// The server-wide mode.
-    pub fn mode(&self) -> CacheMode {
-        self.mode
-    }
-
     /// Looks `key` up, *blocking* behind an in-flight leader if one
     /// exists. Used by synchronous endpoints (`/v1/simulate`): a
     /// thundering herd of identical requests costs one simulation.
@@ -295,7 +278,8 @@ impl ResultCache {
         }
         loop {
             let flight = match self.lookup_or_lead(key) {
-                Ok(lookup) => return lookup,
+                Ok(Elected::Hit(doc)) => return Lookup::Hit(doc),
+                Ok(Elected::Leader(leader)) => return Lookup::Miss(leader),
                 Err(flight) => flight,
             };
             // Park outside the cache lock; a Done flight coalesces,
@@ -311,8 +295,8 @@ impl ResultCache {
     /// `Response::json(200, &doc)` produced for the stored document when
     /// it was stored. A hit counts like one from [`begin`](Self::begin);
     /// a miss counts nothing and elects no leader, so the caller goes on
-    /// to `begin` or `try_begin`. `None` under [`CacheMode::Off`] or
-    /// [`CacheMode::Bypass`], or with `bypass` set.
+    /// to `begin` or `try_begin`. `None` under [`CacheMode::Off`], or
+    /// with `bypass` set.
     pub fn cached_body(&self, key: Key, bypass: bool) -> Option<Arc<[u8]>> {
         if self.gate(bypass).is_some() {
             return None;
@@ -336,9 +320,8 @@ impl ResultCache {
             None => {}
         }
         let flight = match self.lookup_or_lead(key) {
-            Ok(Lookup::Hit(doc)) => return TryLookup::Hit(doc),
-            Ok(Lookup::Miss(leader)) => return TryLookup::Miss(leader),
-            Ok(_) => return TryLookup::Bypass, // unreachable: lookup_or_lead yields Hit/Miss only
+            Ok(Elected::Hit(doc)) => return TryLookup::Hit(doc),
+            Ok(Elected::Leader(leader)) => return TryLookup::Miss(leader),
             Err(flight) => flight,
         };
         self.coalesced.fetch_add(1, Ordering::SeqCst);
@@ -347,13 +330,13 @@ impl ResultCache {
     }
 
     /// Memo hit, new leadership, or the flight to wait on.
-    fn lookup_or_lead(self: &Arc<Self>, key: Key) -> Result<Lookup, Arc<Flight>> {
+    fn lookup_or_lead(self: &Arc<Self>, key: Key) -> Result<Elected, Arc<Flight>> {
         let mut inner = self.lock();
         if let Some(entry) = inner.lru.get(&key) {
             let doc = Arc::clone(&entry.doc);
             drop(inner);
             self.hits.fetch_add(1, Ordering::SeqCst);
-            return Ok(Lookup::Hit(doc));
+            return Ok(Elected::Hit(doc));
         }
         if let Some(flight) = inner.inflight.get(&key) {
             return Err(Arc::clone(flight));
@@ -361,7 +344,7 @@ impl ResultCache {
         inner.inflight.insert(key, Arc::new(Flight::new()));
         drop(inner);
         self.misses.fetch_add(1, Ordering::SeqCst);
-        Ok(Lookup::Miss(LeaderGuard {
+        Ok(Elected::Leader(LeaderGuard {
             cache: Arc::clone(self),
             key,
             resolved: false,
@@ -371,7 +354,6 @@ impl ResultCache {
     fn gate(&self, bypass: bool) -> Option<Gate> {
         match self.mode {
             CacheMode::Off => Some(Gate::Disabled),
-            CacheMode::Bypass => Some(Gate::Bypass),
             CacheMode::On if bypass => Some(Gate::Bypass),
             CacheMode::On => None,
         }
@@ -440,6 +422,15 @@ impl ResultCache {
 enum Gate {
     Disabled,
     Bypass,
+}
+
+/// What [`ResultCache::lookup_or_lead`] finds for a key that is not in
+/// flight.
+enum Elected {
+    /// Memo hit.
+    Hit(Arc<Json>),
+    /// The caller leads the computation.
+    Leader(LeaderGuard),
 }
 
 /// RAII leadership of one in-flight key. Call
@@ -553,17 +544,18 @@ mod tests {
         assert_eq!((counters.hits, counters.misses), (1, 1));
         assert_eq!(counters.bytes_resident, body.len() as u64);
 
-        for mode in [CacheMode::Off, CacheMode::Bypass] {
-            let c = ResultCache::new(CacheConfig { mode, capacity: 4 });
-            // Store through the lower layer so only the gate can hide it.
-            let leader = match c.lookup_or_lead(key(1)) {
-                Ok(Lookup::Miss(leader)) => leader,
-                _ => panic!("expected to lead"),
-            };
-            leader.complete(&doc(10));
-            assert!(c.cached_body(key(1), false).is_none(), "{mode:?}");
-            assert_eq!(c.counters().hits, 0, "{mode:?}");
-        }
+        let off = ResultCache::new(CacheConfig {
+            mode: CacheMode::Off,
+            capacity: 4,
+        });
+        // Store through the lower layer so only the gate can hide it.
+        let leader = match off.lookup_or_lead(key(1)) {
+            Ok(Elected::Leader(leader)) => leader,
+            _ => panic!("expected to lead"),
+        };
+        leader.complete(&doc(10));
+        assert!(off.cached_body(key(1), false).is_none(), "mode off");
+        assert_eq!(off.counters().hits, 0, "mode off");
     }
 
     #[test]
@@ -613,11 +605,8 @@ mod tests {
         });
         assert!(matches!(off.begin(key(1), false), Lookup::Disabled));
         assert!(matches!(off.try_begin(key(1), false), TryLookup::Disabled));
-        let bypass_mode = ResultCache::new(CacheConfig {
-            mode: CacheMode::Bypass,
-            capacity: 4,
-        });
-        assert!(matches!(bypass_mode.begin(key(1), false), Lookup::Bypass));
+        // The mode wins over the knob: there is no cache to bypass.
+        assert!(matches!(off.begin(key(1), true), Lookup::Disabled));
     }
 
     #[test]
@@ -649,29 +638,37 @@ mod tests {
     fn abandoned_leader_wakes_and_reelects_waiters() {
         let c = cache(4);
         let leader = lead(&c, key(9));
-        let waiter = {
+        // The waiter reports over a channel, so a waiter that never
+        // returns (one that keeps re-finding a stale abandoned flight)
+        // fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
             let c = Arc::clone(&c);
-            std::thread::spawn(move || match c.begin(key(9), false) {
-                // Re-elected: this waiter becomes the new leader and
-                // finishes the job.
-                Lookup::Miss(new_leader) => {
-                    new_leader.complete(&doc(99));
-                    true
-                }
-                Lookup::Coalesced(d) | Lookup::Hit(d) => {
-                    assert_eq!(*d, *doc(99));
-                    false
-                }
-                _ => panic!("unexpected lookup"),
-            })
-        };
+            std::thread::spawn(move || {
+                let reelected = match c.begin(key(9), false) {
+                    // Re-elected: this waiter becomes the new leader and
+                    // finishes the job.
+                    Lookup::Miss(new_leader) => {
+                        new_leader.complete(&doc(99));
+                        Ok(())
+                    }
+                    Lookup::Coalesced(_) | Lookup::Hit(_) => Err("coalesced"),
+                    _ => Err("unexpected lookup"),
+                };
+                tx.send(reelected).expect("the test waits for the report");
+            });
+        }
         std::thread::sleep(Duration::from_millis(50));
         // The leader "panics": its guard drops without completing.
         drop(leader);
-        assert!(
-            waiter.join().expect("waiter"),
-            "the parked waiter must be re-elected leader"
-        );
+        match rx.recv_timeout(Duration::from_secs(5)) {
+            Ok(outcome) => assert_eq!(
+                outcome,
+                Ok(()),
+                "the parked waiter must be re-elected leader"
+            ),
+            Err(e) => panic!("the parked waiter did not report within 5 s: {e}"),
+        }
         assert!(matches!(c.begin(key(9), false), Lookup::Hit(_)));
     }
 
