@@ -19,7 +19,7 @@ cargo build --release -p jouppi-lint
 # (including the workspace call-graph build) visible, and --budget-ms
 # fails the gate outright if the whole analysis blows its wall-time
 # budget.
-./target/release/jouppi-lint --root . --workspace --timings --budget-ms 15000
+./target/release/jouppi-lint --root . --timings --budget-ms 15000
 
 echo "==> tier-1: cargo build --release"
 cargo build --release

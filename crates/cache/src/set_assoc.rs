@@ -52,13 +52,12 @@ struct Way {
 ///
 /// * [`Cache::access`] / [`Cache::access_line`] — a complete demand access:
 ///   lookup, fill-on-miss, and statistics. This is what plain baseline
-///   simulations use.
-/// * The primitives [`Cache::lookup`], [`Cache::fill`],
-///   [`Cache::invalidate`], and [`Cache::replace_resident`] — used by the
-///   augmented organizations in `jouppi-core` (victim caches need to swap
-///   lines; stream buffers fill the cache from the buffer). The primitives
-///   do **not** update [`Cache::stats`]; composite organizations keep their
-///   own counters.
+///   simulations and the L1 of `jouppi-core`'s augmented organizations
+///   use.
+/// * The primitives [`Cache::lookup`] and [`Cache::fill`] — used by
+///   `jouppi-core`'s prefetch simulator, which fills prefetched lines
+///   into the cache. The primitives do **not** update [`Cache::stats`];
+///   the simulator keeps its own counters.
 ///
 /// # Examples
 ///
@@ -127,11 +126,6 @@ impl Cache {
     #[inline]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Resets the demand-access statistics (resident lines are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 
     /// The slice of slots backing the set `line` maps to.
@@ -288,44 +282,6 @@ impl Cache {
         victim
     }
 
-    /// Removes a line from the cache. Returns `true` if it was resident.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let range = self.set_range(line);
-        for slot in &mut self.slots[range] {
-            if matches!(slot, Some(w) if w.line == line) {
-                *slot = None;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Replaces resident line `old` with `new` in place, marking `new` as
-    /// most recently used. Returns `false` (and changes nothing) if `old` is
-    /// not resident or `new` maps to a different set.
-    ///
-    /// This is the cache half of a victim-cache swap: the requested line
-    /// moves from the victim cache into the way its conflict partner
-    /// occupied.
-    pub fn replace_resident(&mut self, old: LineAddr, new: LineAddr) -> bool {
-        if self.geom.set_of(old) != self.geom.set_of(new) {
-            return false;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        let range = self.set_range(old);
-        for way in self.slots[range].iter_mut().flatten() {
-            if way.line == old {
-                *way = Way {
-                    line: new,
-                    stamp: tick,
-                };
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of currently resident lines.
     pub fn resident_count(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
@@ -334,11 +290,6 @@ impl Cache {
     /// Iterates over all resident lines (set order, then way order).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.slots.iter().filter_map(|s| s.map(|w| w.line))
-    }
-
-    /// Empties the cache (statistics are kept).
-    pub fn flush(&mut self) {
-        self.slots.fill(None);
     }
 }
 
@@ -436,41 +387,6 @@ mod tests {
         c.fill(l(0));
         assert_eq!(c.fill(l(0)), None);
         assert_eq!(c.resident_count(), 1);
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = dm(64, 16);
-        c.access_line(l(0));
-        assert!(c.invalidate(l(0)));
-        assert!(!c.invalidate(l(0)));
-        assert!(!c.probe(l(0)));
-        assert_eq!(c.access_line(l(0)), AccessResult::Miss { victim: None });
-    }
-
-    #[test]
-    fn replace_resident_swaps_in_place() {
-        let mut c = dm(64, 16);
-        c.access_line(l(0));
-        // 0 and 4 are conflict partners in a 4-set cache.
-        assert!(c.replace_resident(l(0), l(4)));
-        assert!(!c.probe(l(0)));
-        assert!(c.probe(l(4)));
-        // old not resident:
-        assert!(!c.replace_resident(l(0), l(4)));
-        // different sets:
-        assert!(!c.replace_resident(l(4), l(5)));
-    }
-
-    #[test]
-    fn flush_clears_lines_keeps_stats() {
-        let mut c = dm(64, 16);
-        c.access_line(l(0));
-        c.flush();
-        assert_eq!(c.resident_count(), 0);
-        assert_eq!(c.stats().accesses, 1);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses, 0);
     }
 
     #[test]

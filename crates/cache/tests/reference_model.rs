@@ -132,23 +132,3 @@ fn fifo_eviction_order_is_insertion_order() {
         }
     }
 }
-
-#[test]
-fn invalidate_then_access_always_misses() {
-    for round in 0..ROUNDS {
-        let seed = 0x726d_3000 + round;
-        let stream = line_stream(&mut SmallRng::seed_from_u64(seed), 32, 100);
-        let geom = CacheGeometry::direct_mapped(8 * 16, 16).unwrap();
-        let mut cache = Cache::new(geom);
-        for &n in &stream {
-            let line = LineAddr::new(n);
-            cache.access_line(line);
-            cache.invalidate(line);
-            assert!(!cache.probe(line), "seed {seed:#x}: line {n} still present");
-            assert!(
-                cache.access_line(line).is_miss(),
-                "seed {seed:#x}: line {n} hit after invalidate"
-            );
-        }
-    }
-}

@@ -3,7 +3,6 @@
 //! ```text
 //! jouppi serve [OPTIONS]   run the simulation-as-a-service daemon
 //! jouppi sim [OPTIONS]     one-shot simulation (same flags as jouppi-sim)
-//! jouppi lint [OPTIONS]    check the workspace invariants (jouppi-lint)
 //! ```
 
 #![warn(clippy::cast_possible_truncation)]
@@ -17,8 +16,7 @@ usage: jouppi <command> [OPTIONS]
 
 commands:
   serve   run the HTTP simulation service (see 'jouppi serve --help')
-  sim     simulate one cache organization (see 'jouppi sim --help')
-  lint    check determinism/robustness invariants (see 'jouppi lint --help')";
+  sim     simulate one cache organization (see 'jouppi sim --help')";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -33,12 +31,6 @@ fn main() -> ExitCode {
             jouppi_cli::USAGE,
             jouppi_cli::run,
         ),
-        Some("lint") => {
-            let result = jouppi_lint::cli::run(args);
-            print!("{}", result.stdout);
-            eprint!("{}", result.stderr);
-            ExitCode::from(result.code)
-        }
         Some("--help" | "-h") => {
             println!("{USAGE}");
             ExitCode::SUCCESS

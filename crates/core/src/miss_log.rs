@@ -73,7 +73,7 @@
 use jouppi_cache::{CacheGeometry, DirectMappedSweep, ReplacementPolicy, StackDistanceProfile};
 use jouppi_trace::LineAddr;
 
-use crate::augmented::{L1Filter, L1Miss, MissPath};
+use crate::augmented::{L1Miss, MissPath};
 use crate::{AugmentedConfig, AugmentedStats, ConflictAid};
 
 /// The misses of one L1 pass over a reference stream.
@@ -85,43 +85,15 @@ pub struct MissLog {
 }
 
 impl MissLog {
-    /// Runs `lines` through a bare L1 of geometry `geom` and records its
-    /// misses.
-    pub fn record(geom: CacheGeometry, lines: impl IntoIterator<Item = LineAddr>) -> Self {
-        MissLog::record_observed(geom, lines, |_, _| {})
-    }
-
-    /// Like [`MissLog::record`], and also calls `observe(line, missed)` on
-    /// every reference, so a miss classifier can ride the same pass.
+    /// Runs `lines` through a bare direct-mapped L1 of geometry `geom`
+    /// and records its misses: [`MissLog::record_sizes`] at one size.
     ///
-    /// A direct-mapped L1 runs on the tag array of
-    /// [`MissLog::record_sizes`], with one size; any other geometry on a
-    /// generic [`jouppi_cache::Cache`].
-    pub fn record_observed(
-        geom: CacheGeometry,
-        lines: impl IntoIterator<Item = LineAddr>,
-        mut observe: impl FnMut(LineAddr, bool),
-    ) -> Self {
-        if geom.is_direct_mapped() {
-            let mut logs = MissLog::record_sizes(&[geom], lines, |line, missed| {
-                observe(line, missed > 0);
-            });
-            return logs.pop().expect("one log per geometry");
-        }
-        let mut l1 = L1Filter::new(geom);
-        let mut accesses = 0;
-        let mut misses = Vec::new();
-        for line in lines {
-            accesses += 1;
-            let miss = l1.step(line);
-            observe(line, miss.is_some());
-            misses.extend(miss);
-        }
-        MissLog {
-            geom,
-            accesses,
-            misses,
-        }
+    /// # Panics
+    ///
+    /// Panics if `geom` is not direct-mapped.
+    pub fn record(geom: CacheGeometry, lines: impl IntoIterator<Item = LineAddr>) -> Self {
+        let mut logs = MissLog::record_sizes(&[geom], lines, |_, _| {});
+        logs.pop().expect("one log per geometry")
     }
 
     /// Runs `lines` once through direct-mapped L1s of every geometry in
@@ -386,6 +358,7 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::augmented::L1Filter;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::direct_mapped(1024, 16).unwrap()

@@ -1,7 +1,7 @@
 //! Shared experiment infrastructure.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use jouppi_cache::{BandedShadow, CacheGeometry, MissBreakdown, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, MissLog};
@@ -80,7 +80,15 @@ impl ExperimentConfig {
 /// All six benchmark traces for one configuration, shared process-wide.
 pub type TraceSet = Arc<Vec<(Benchmark, RecordedTrace)>>;
 
-/// Recently recorded trace sets, LRU by configuration (MRU at the back).
+/// A configuration's memoized trace set, filled once by whichever
+/// caller asks first.
+type TraceSlot = Arc<OnceLock<TraceSet>>;
+
+/// Recently requested configurations and their trace sets, LRU by
+/// configuration (MRU at the back).
+type TraceMemo = Mutex<Vec<(ExperimentConfig, TraceSlot)>>;
+
+/// The process-wide trace memo.
 ///
 /// Trace generation is pure in `(benchmark, scale, seed)`, yet it
 /// dominated sweep wall time: every figure regenerated all six traces
@@ -88,7 +96,7 @@ pub type TraceSet = Arc<Vec<(Benchmark, RecordedTrace)>>;
 /// sweeps — the `jouppi serve` daemon, `repro`'s figure sequence, the
 /// benchmark harness — into pure replay. Capacity is small because a
 /// trace set at default scale is tens of megabytes.
-static TRACE_CACHE: Mutex<Vec<(ExperimentConfig, TraceSet)>> = Mutex::new(Vec::new());
+static TRACE_CACHE: TraceMemo = Mutex::new(Vec::new());
 
 const TRACE_CACHE_CAPACITY: usize = 3;
 
@@ -100,31 +108,47 @@ const TRACE_CACHE_CAPACITY: usize = 3;
 /// Results are memoized per configuration; repeat calls return the shared
 /// recording without regenerating.
 pub fn record_traces(cfg: &ExperimentConfig) -> TraceSet {
-    let mut cache = TRACE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(pos) = cache.iter().position(|(k, _)| k == cfg) {
-        let hit = cache.remove(pos);
-        let set = hit.1.clone();
-        cache.push(hit);
-        return set;
-    }
-    // jouppi-lint: allow(lock-held-across-call) — generation runs under
-    // the lock: concurrent callers with the same configuration (the
-    // common case in the serve daemon) would otherwise duplicate the
-    // work. Sweep workers never call back into the cache, so holding the
-    // lock across map_jobs cannot deadlock.
-    let set: TraceSet = Arc::new(sweep::map_jobs(Benchmark::ALL.len(), |i| {
-        let b = Benchmark::ALL[i];
-        let trace = RecordedTrace::record(&b.source(cfg.scale, cfg.seed));
-        // Build both side views here, on the worker, so the partition
-        // cost is not paid lazily inside the first simulation cell.
-        trace.materialize_sides();
-        (b, trace)
-    }));
-    if cache.len() == TRACE_CACHE_CAPACITY {
-        cache.remove(0);
-    }
-    cache.push((*cfg, set.clone()));
-    set
+    memoized(&TRACE_CACHE, cfg, || {
+        Arc::new(sweep::map_jobs(Benchmark::ALL.len(), |i| {
+            let b = Benchmark::ALL[i];
+            let trace = RecordedTrace::record(&b.source(cfg.scale, cfg.seed));
+            // Build both side views here, on the worker, so the partition
+            // cost is not paid lazily inside the first simulation cell.
+            trace.materialize_sides();
+            (b, trace)
+        }))
+    })
+}
+
+/// `cfg`'s trace set from `memo`, made by `generate` on a miss.
+///
+/// The memo's lock is held only to find or insert the configuration's
+/// slot, never while a set generates: a memoized configuration does not
+/// wait behind another configuration's generation. Concurrent callers of
+/// one configuration wait on its slot and share one generation while the
+/// slot stays in the memo; a slot evicted mid-generation (three other
+/// configurations arrived meanwhile) generates again for its next caller.
+fn memoized(
+    memo: &TraceMemo,
+    cfg: &ExperimentConfig,
+    generate: impl FnOnce() -> TraceSet,
+) -> TraceSet {
+    let slot = {
+        let mut slots = memo.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = match slots.iter().position(|(k, _)| k == cfg) {
+            Some(pos) => slots.remove(pos),
+            None => {
+                if slots.len() == TRACE_CACHE_CAPACITY {
+                    slots.remove(0);
+                }
+                (*cfg, TraceSlot::default())
+            }
+        };
+        let slot = entry.1.clone();
+        slots.push(entry);
+        slot
+    };
+    slot.get_or_init(generate).clone()
 }
 
 /// Records each benchmark's trace once and maps `f` over them.
@@ -185,8 +209,12 @@ pub fn run_side(trace: &RecordedTrace, side: Side, cfg: AugmentedConfig) -> Augm
     *cache.stats()
 }
 
-/// Runs one side of a trace through a bare L1 of geometry `geom` and
-/// records its misses: the filter half of filter-then-fan-out.
+/// Runs one side of a trace through a bare direct-mapped L1 of geometry
+/// `geom` and records its misses: the filter half of filter-then-fan-out.
+///
+/// # Panics
+///
+/// Panics if `geom` is not direct-mapped.
 pub fn log_side(trace: &RecordedTrace, side: Side, geom: CacheGeometry) -> MissLog {
     record_side(trace, side, geom, |_, _| {})
 }
@@ -219,9 +247,12 @@ fn record_side(
     trace: &RecordedTrace,
     side: Side,
     geom: CacheGeometry,
-    observe: impl FnMut(LineAddr, bool),
+    mut observe: impl FnMut(LineAddr, bool),
 ) -> MissLog {
-    MissLog::record_observed(geom, side.view(trace).lines(geom.line_size()), observe)
+    let mut logs = record_side_sizes(trace, side, &[geom], |line, missed| {
+        observe(line, missed > 0);
+    });
+    logs.pop().expect("one log per geometry")
 }
 
 /// One side's miss logs at every direct-mapped geometry in `geoms`,
@@ -384,6 +415,48 @@ mod tests {
         }
         let held = TRACE_CACHE.lock().unwrap_or_else(|e| e.into_inner()).len();
         assert!(held <= TRACE_CACHE_CAPACITY, "{held} trace sets held");
+    }
+
+    #[test]
+    fn a_memoized_configuration_returns_while_another_generates() {
+        let memo: TraceMemo = Mutex::new(Vec::new());
+        let memo = &memo;
+        let warm = ExperimentConfig::default();
+        let cold = ExperimentConfig {
+            seed: warm.seed + 1,
+            ..warm
+        };
+        let set = memoized(memo, &warm, TraceSet::default);
+        std::thread::scope(|s| {
+            let (started_tx, started) = std::sync::mpsc::channel::<()>();
+            // Dropping `release` (also by a failed assertion below) lets
+            // the cold generation finish.
+            let (release, wait) = std::sync::mpsc::channel::<()>();
+            let cold_thread = s.spawn(move || {
+                memoized(memo, &cold, move || {
+                    started_tx.send(()).unwrap();
+                    // Released, or the sender dropped: either way, finish.
+                    wait.recv().unwrap_or_default();
+                    TraceSet::default()
+                })
+            });
+            started.recv().unwrap();
+            // The cold set is generating: its slot is in the memo, and
+            // the memo's lock is free.
+            assert!(
+                memo.try_lock()
+                    .is_ok_and(|slots| slots.iter().any(|(k, _)| *k == cold)),
+                "the memo is locked while a set generates"
+            );
+            let again = memoized(memo, &warm, || panic!("the warm set is memoized"));
+            assert!(Arc::ptr_eq(&set, &again));
+            assert!(
+                !cold_thread.is_finished(),
+                "the cold set is still generating"
+            );
+            release.send(()).unwrap();
+            assert!(cold_thread.join().unwrap().is_empty());
+        });
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! oracle, `run_side`:
 //!
 //! * every `AugmentedStats` field, for every configuration class the
-//!   miss handler serves, on 16B lines (pre-derived), 32B and 64B lines
-//!   (derived from byte addresses) and a 2-way L1;
+//!   miss handler serves, on 16B lines (pre-derived) and 32B and 64B
+//!   lines (derived from byte addresses);
 //! * the result structs of all eight paper sweeps built on the log —
 //!   Figures 3-3, 3-5, 4-3 and 4-5 against their `run_per_cell`, and
 //!   Figures 3-6, 3-7, 4-6 and 4-7 against a per-cell recomputation here,
@@ -77,11 +77,6 @@ fn every_config_class_matches_on_32b_and_64b_lines() {
     for line in [32, 64] {
         assert_log_matches_run_side(CacheGeometry::direct_mapped(4096, line).unwrap());
     }
-}
-
-#[test]
-fn every_config_class_matches_on_a_two_way_l1() {
-    assert_log_matches_run_side(CacheGeometry::new(4096, 16, 2).unwrap());
 }
 
 #[test]

@@ -41,7 +41,7 @@
 //! rebinding a consumed guard (`inner = cv.wait(inner)…`) ends tracking,
 //! and guards borrowed into called functions are not followed.
 
-use crate::callgraph::Callee;
+use crate::callgraph::{extend_chain, Callee};
 use crate::parser::{Ast, Block, Chain, Expr, FnItem, Item, LetStmt, Root, Step, Stmt};
 
 /// One call made while at least one lock guard was live. The workspace
@@ -49,8 +49,6 @@ use crate::parser::{Ast, Block, Chain, Expr, FnItem, Item, LetStmt, Root, Step, 
 /// callee (transitively) blocks.
 #[derive(Clone, Debug)]
 pub struct GuardedCall {
-    /// Name of the enclosing function.
-    pub in_fn: String,
     /// Line of the enclosing `fn` keyword (node lookup key).
     pub fn_line: u32,
     /// The callee, as the call graph models call sites.
@@ -74,6 +72,12 @@ pub fn is_blocking_method(name: &str, arity: usize) -> bool {
         .any(|&(b, n)| b == name && (n == usize::MAX || arity == n))
 }
 
+/// Whether a method `name` called with `arity` arguments takes a lock:
+/// a 0-argument `lock`, `read` or `write`.
+pub fn is_acquisition(name: &str, arity: usize) -> bool {
+    arity == 0 && matches!(name, "lock" | "read" | "write")
+}
+
 /// Whether a call path ends in a blocking free/associated function.
 pub fn is_blocking_path(path: &[String]) -> bool {
     BLOCKING_PATHS.iter().any(|pat| {
@@ -92,12 +96,12 @@ pub fn guarded_calls(ast: &Ast) -> Vec<GuardedCall> {
         guarded_calls: Vec::new(),
         live: Vec::new(),
         next_serial: 0,
-        current_fn: (String::new(), 0),
+        current_fn: 0,
     };
     for f in ast.functions() {
         if let Some(body) = &f.body {
             scan.live.clear();
-            scan.current_fn = (f.name.clone(), f.line);
+            scan.current_fn = f.line;
             scan.walk_block(body);
         }
     }
@@ -124,8 +128,8 @@ struct GuardScan {
     guarded_calls: Vec<GuardedCall>,
     live: Vec<Guard>,
     next_serial: u64,
-    /// Name and line of the function whose body is being walked.
-    current_fn: (String, u32),
+    /// Line of the `fn` keyword whose body is being walked.
+    current_fn: u32,
 }
 
 /// Chain-tail methods through which an acquisition's result is still the
@@ -189,15 +193,13 @@ impl GuardScan {
                     // A nested fn's body runs when called, not here:
                     // walk it with no inherited guards.
                     if let Item::Fn(FnItem {
-                        name,
                         line,
                         body: Some(body),
                         ..
                     }) = item
                     {
                         let saved = std::mem::take(&mut self.live);
-                        let saved_fn =
-                            std::mem::replace(&mut self.current_fn, (name.clone(), *line));
+                        let saved_fn = std::mem::replace(&mut self.current_fn, *line);
                         self.walk_block(body);
                         self.current_fn = saved_fn;
                         self.live = saved;
@@ -339,14 +341,14 @@ impl GuardScan {
         let mut guard_serial: Option<u64> = None;
         for (step_index, step) in chain.steps.iter().enumerate() {
             match step {
-                Step::Field(name, _) => {
-                    receiver = format!("{receiver}.{name}");
+                Step::Field(..) => guard_serial = None,
+                Step::Index(index, _) => {
+                    self.walk_expr(index);
                     guard_serial = None;
                 }
                 Step::Method { name, args, line } => {
                     self.walk_args(name, args);
-                    let acquires =
-                        args.is_empty() && matches!(name.as_str(), "lock" | "read" | "write");
+                    let acquires = is_acquisition(name, args.len());
                     if !acquires && guard_serial.is_some() && GUARD_TAIL.contains(&name.as_str()) {
                         // The chain's value is still the guard.
                     } else {
@@ -376,7 +378,6 @@ impl GuardScan {
                             guard_serial = Some(serial);
                         }
                     }
-                    receiver = format!("{receiver}.{name}()");
                 }
                 Step::Call { args, line } => {
                     let mut callee = String::new();
@@ -388,15 +389,10 @@ impl GuardScan {
                     }
                     self.walk_args(&callee, args);
                     guard_serial = None;
-                    receiver = format!("{receiver}()");
-                }
-                Step::Index(index, _) => {
-                    self.walk_expr(index);
-                    guard_serial = None;
-                    receiver = format!("{receiver}[]");
                 }
                 Step::Try(_) => {}
             }
+            extend_chain(&mut receiver, step);
         }
         guard_serial
     }
@@ -444,8 +440,7 @@ impl GuardScan {
             .collect::<Vec<_>>()
             .join("`, `");
         self.guarded_calls.push(GuardedCall {
-            in_fn: self.current_fn.0.clone(),
-            fn_line: self.current_fn.1,
+            fn_line: self.current_fn,
             callee,
             arity,
             line,

@@ -14,23 +14,21 @@
 //!    against the snake_case of every impl self-type defining that
 //!    method (`queue` matches `JobQueue`); `self.…` prefers the
 //!    enclosing impl block's type.
-//! 3. Anything still unresolved falls back to a workspace-wide
-//!    name match — **unique** matches become ordinary edges, multiple
-//!    matches become edges to every candidate carrying an explicit
-//!    *ambiguous* marker, and zero matches are external (std or out of
-//!    workspace). Ubiquitous std method names (`len`, `push`, `get`, …)
-//!    never fall back by bare name: a receiver-less `x.push(…)` is far
-//!    more likely `Vec::push` than any workspace `push`.
+//! 3. Anything still unresolved falls back to a workspace-wide name
+//!    match. Ubiquitous std method names (`len`, `push`, `get`, …) never
+//!    fall back by bare name: a receiver-less `x.push(…)` is far more
+//!    likely `Vec::push` than any workspace `push`.
 //!
-//! The reachability engine ([`reaches_backward`]) follows **resolved
-//! edges only**: ambiguous edges are surfaced as counts in the JSON
-//! report but never traversed, so the interprocedural analysis fails
-//! toward false negatives — same stance as the structural analyses.
+//! Only a **unique** resolution becomes an edge. A site with several
+//! candidates, or none in the workspace (std, mostly), adds nothing, so
+//! the interprocedural analysis riding [`reaches_backward`] fails toward
+//! false negatives — the same stance as the guard-liveness scan.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::fmt;
 
-use crate::parser::{Ast, Block, Expr, Root, Step, Stmt};
+use crate::parser::{Ast, Block, Chain, Expr, Root, Step, Stmt};
 use crate::policy::FileContext;
 use crate::symbols::{self, FileSymbols, FnDecl};
 
@@ -50,15 +48,65 @@ pub enum Callee {
     },
 }
 
+impl fmt::Display for Callee {
+    /// `.name()` for a method, `a::b` for a path.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Callee::Method { name, .. } => write!(f, ".{name}()"),
+            Callee::Path(path) => f.write_str(&path.join("::")),
+        }
+    }
+}
+
 /// One call site inside a function body.
 #[derive(Clone, Debug)]
-pub struct CallSite {
+pub struct CallSite<'a> {
     /// What is being called.
     pub callee: Callee,
-    /// Source line of the call.
-    pub line: u32,
     /// Number of arguments at the site (`self` not counted).
     pub arity: usize,
+    /// For a method call, the chain it is a step of and that step's
+    /// index: the steps before it are the receiver.
+    step_of: Option<(&'a Chain, usize)>,
+}
+
+impl CallSite<'_> {
+    /// The textual receiver chain of a method call (`p.b` in
+    /// `p.b.lock()`, `self.inner` in `self.inner.lock()`): a lock's
+    /// identity, as the guard-liveness scan names it. Empty for path
+    /// calls.
+    pub fn receiver_text(&self) -> String {
+        let Some((chain, step)) = self.step_of else {
+            return String::new();
+        };
+        let mut text = match &chain.root {
+            Root::Path(segments) => segments.join("::"),
+            Root::Grouped(_) => "(…)".to_owned(),
+        };
+        for s in &chain.steps[..step] {
+            extend_chain(&mut text, s);
+        }
+        text
+    }
+}
+
+/// Appends one chain step to a textual receiver chain: `.field`,
+/// `.method()`, `()` or `[]`.
+pub fn extend_chain(chain: &mut String, step: &Step) {
+    match step {
+        Step::Field(name, _) => {
+            chain.push('.');
+            chain.push_str(name);
+        }
+        Step::Method { name, .. } => {
+            chain.push('.');
+            chain.push_str(name);
+            chain.push_str("()");
+        }
+        Step::Call { .. } => chain.push_str("()"),
+        Step::Index(..) => chain.push_str("[]"),
+        Step::Try(_) => {}
+    }
 }
 
 /// One file's worth of input to the graph builder.
@@ -82,32 +130,14 @@ pub struct Node<'a> {
     pub body: Option<&'a Block>,
 }
 
-/// One call edge.
-#[derive(Clone, Debug)]
-pub struct Edge {
-    /// Callee node index.
-    pub to: usize,
-    /// Source line of the call site in the caller's file.
-    pub line: u32,
-    /// Whether this edge came from a non-unique name match.
-    pub ambiguous: bool,
-}
-
 /// The workspace call graph.
 pub struct CallGraph<'a> {
     /// All nodes; indices are stable identifiers.
     pub nodes: Vec<Node<'a>>,
-    /// Adjacency: `edges[i]` are the calls out of node `i`.
-    pub edges: Vec<Vec<Edge>>,
+    /// Adjacency: `edges[i]` are the nodes node `i` calls, each once.
+    pub edges: Vec<Vec<usize>>,
     /// Per-file symbol tables, parallel to the builder's input slice.
     pub files: Vec<FileSymbols>,
-    /// Count of uniquely resolved edges.
-    pub resolved_edges: usize,
-    /// Count of ambiguous (multi-candidate name-match) edges.
-    pub ambiguous_edges: usize,
-    /// Call sites that resolved to nothing in the workspace (std or
-    /// external) — reported for scale, never traversed.
-    pub external_calls: usize,
     /// Name-resolution indexes, retained for late single-site lookups.
     index: Indexes,
 }
@@ -122,20 +152,11 @@ impl<'a> CallGraph<'a> {
     }
 
     /// Resolves one late call site (e.g. a call captured under a lock
-    /// guard) from `caller`'s context. Returns the target only on a
-    /// **unique** resolution — ambiguous matches stay unresolved, same
-    /// false-negative stance as edge traversal.
-    pub fn resolve_unique(&self, caller: usize, callee: &Callee, arity: usize) -> Option<usize> {
-        let site = CallSite {
-            callee: callee.clone(),
-            line: 0,
-            arity,
-        };
+    /// guard) from `caller`'s context, as an edge would: only a
+    /// **unique** resolution names a target.
+    pub fn resolve(&self, caller: usize, callee: &Callee) -> Option<usize> {
         let symbols = &self.files[self.nodes[caller].file];
-        match resolve(&site, &self.nodes[caller], symbols, &self.index) {
-            Resolution::Unique(n) => Some(n),
-            Resolution::Ambiguous(_) | Resolution::External => None,
-        }
+        resolve(callee, &self.nodes[caller], symbols, &self.index)
     }
 
     /// A short human label for a node: `crate::Type::name` or
@@ -202,13 +223,13 @@ const EXTERNAL_ROOTS: [&str; 4] = ["std", "core", "alloc", "proc_macro"];
 
 /// Extracts every call site in a block, recursively (closures, nested
 /// blocks, macro arguments included).
-pub fn call_sites(block: &Block) -> Vec<CallSite> {
+pub fn call_sites(block: &Block) -> Vec<CallSite<'_>> {
     let mut out = Vec::new();
     walk_block(block, &mut out);
     out
 }
 
-fn walk_block(block: &Block, out: &mut Vec<CallSite>) {
+fn walk_block<'a>(block: &'a Block, out: &mut Vec<CallSite<'a>>) {
     for stmt in &block.stmts {
         match stmt {
             Stmt::Let(l) => {
@@ -225,10 +246,10 @@ fn walk_block(block: &Block, out: &mut Vec<CallSite>) {
     }
 }
 
-fn walk_expr(expr: &Expr, out: &mut Vec<CallSite>) {
+fn walk_expr<'a>(expr: &'a Expr, out: &mut Vec<CallSite<'a>>) {
     match expr {
         Expr::Chain(chain) => {
-            let root_path: Option<&[String]> = match &chain.root {
+            let root_path = match &chain.root {
                 Root::Path(segments) => Some(segments),
                 Root::Grouped(inner) => {
                     walk_expr(inner, out);
@@ -237,13 +258,13 @@ fn walk_expr(expr: &Expr, out: &mut Vec<CallSite>) {
             };
             for (k, step) in chain.steps.iter().enumerate() {
                 match step {
-                    Step::Call { args, line } => {
+                    Step::Call { args, .. } => {
                         if k == 0 {
                             if let Some(path) = root_path {
                                 out.push(CallSite {
-                                    callee: Callee::Path(path.to_vec()),
-                                    line: *line,
+                                    callee: Callee::Path(path.clone()),
                                     arity: args.len(),
+                                    step_of: None,
                                 });
                             }
                         }
@@ -251,19 +272,19 @@ fn walk_expr(expr: &Expr, out: &mut Vec<CallSite>) {
                             walk_expr(a, out);
                         }
                     }
-                    Step::Method { name, args, line } => {
-                        let receiver = if k == 0 {
+                    Step::Method { name, args, .. } => {
+                        let receiver_name = if k == 0 {
                             root_path.and_then(|p| p.last().cloned())
                         } else {
                             None
                         };
                         out.push(CallSite {
                             callee: Callee::Method {
-                                receiver,
+                                receiver: receiver_name,
                                 name: name.clone(),
                             },
-                            line: *line,
                             arity: args.len(),
+                            step_of: Some((chain, k)),
                         });
                         for a in args {
                             walk_expr(a, out);
@@ -335,27 +356,15 @@ pub fn build<'a>(inputs: &[GraphFile<'a>]) -> CallGraph<'a> {
     }
 
     let index = Indexes::new(&nodes, &files);
-    let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); nodes.len()];
-    let mut resolved_edges = 0usize;
-    let mut ambiguous_edges = 0usize;
-    let mut external_calls = 0usize;
-
-    for i in 0..nodes.len() {
-        let Some(body) = nodes[i].body else { continue };
-        let symbols = &files[nodes[i].file];
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (node, out) in nodes.iter().zip(&mut edges) {
+        let Some(body) = node.body else { continue };
+        let symbols = &files[node.file];
         for site in call_sites(body) {
-            match resolve(&site, &nodes[i], symbols, &index) {
-                Resolution::Unique(to) => {
-                    resolved_edges += 1;
-                    push_edge(&mut edges[i], to, site.line, false);
+            if let Some(to) = resolve(&site.callee, node, symbols, &index) {
+                if !out.contains(&to) {
+                    out.push(to);
                 }
-                Resolution::Ambiguous(candidates) => {
-                    for to in candidates {
-                        ambiguous_edges += 1;
-                        push_edge(&mut edges[i], to, site.line, true);
-                    }
-                }
-                Resolution::External => external_calls += 1,
             }
         }
     }
@@ -364,27 +373,8 @@ pub fn build<'a>(inputs: &[GraphFile<'a>]) -> CallGraph<'a> {
         nodes,
         edges,
         files,
-        resolved_edges,
-        ambiguous_edges,
-        external_calls,
         index,
     }
-}
-
-fn push_edge(edges: &mut Vec<Edge>, to: usize, line: u32, ambiguous: bool) {
-    if !edges.iter().any(|e| e.to == to && e.ambiguous == ambiguous) {
-        edges.push(Edge {
-            to,
-            line,
-            ambiguous,
-        });
-    }
-}
-
-enum Resolution {
-    Unique(usize),
-    Ambiguous(Vec<usize>),
-    External,
 }
 
 /// Secondary indexes over the node list.
@@ -457,12 +447,12 @@ fn crate_of_segment(seg: &str, index: &Indexes) -> Option<String> {
 }
 
 fn resolve(
-    site: &CallSite,
+    callee: &Callee,
     caller: &Node<'_>,
     symbols: &FileSymbols,
     index: &Indexes,
-) -> Resolution {
-    match &site.callee {
+) -> Option<usize> {
+    match callee {
         Callee::Path(path) => resolve_path(path, caller, symbols, index),
         Callee::Method { receiver, name } => {
             resolve_method(receiver.as_deref(), name, caller, symbols, index)
@@ -475,13 +465,10 @@ fn resolve_path(
     caller: &Node<'_>,
     symbols: &FileSymbols,
     index: &Indexes,
-) -> Resolution {
-    if path.is_empty() {
-        return Resolution::External;
-    }
+) -> Option<usize> {
     // Splice a leading import alias: `Json::parse` + `use crate::json::Json`
     // → `crate::json::Json::parse`.
-    let mut full: Vec<String> = match symbols.imports.get(&path[0]) {
+    let mut full: Vec<String> = match symbols.imports.get(path.first()?) {
         Some(target) => target.iter().chain(path.iter().skip(1)).cloned().collect(),
         None => path.to_vec(),
     };
@@ -490,9 +477,7 @@ fn resolve_path(
     let mut krate = symbols.crate_name.clone();
     let mut module_base: Option<Vec<String>> = None;
     loop {
-        let Some(first) = full.first().cloned() else {
-            return Resolution::External;
-        };
+        let first = full.first().cloned()?;
         match first.as_str() {
             "crate" => {
                 full.remove(0);
@@ -509,7 +494,7 @@ fn resolve_path(
                 module_base = Some(m);
                 continue; // repeated `super::super::…`
             }
-            s if EXTERNAL_ROOTS.contains(&s) => return Resolution::External,
+            s if EXTERNAL_ROOTS.contains(&s) => return None,
             s => {
                 if let Some(c) = crate_of_segment(s, index) {
                     full.remove(0);
@@ -520,9 +505,7 @@ fn resolve_path(
         }
         break;
     }
-    let Some(name) = full.last().cloned() else {
-        return Resolution::External;
-    };
+    let name = full.last().cloned()?;
     let prefix: Vec<String> = match &module_base {
         Some(base) => base
             .iter()
@@ -537,7 +520,7 @@ fn resolve_path(
         .by_module
         .get(&(krate.clone(), prefix.clone(), name.clone()))
     {
-        return unique_or_ambiguous(nodes);
+        return unique(nodes);
     }
     // Bare single-segment call: a sibling in the caller's own module.
     if full.len() == 1 && module_base.is_none() {
@@ -546,7 +529,7 @@ fn resolve_path(
                 .by_module
                 .get(&(krate.clone(), caller.decl.module.clone(), name.clone()))
         {
-            return unique_or_ambiguous(nodes);
+            return unique(nodes);
         }
         // …or at the crate root (`use`-free sibling module call can't
         // reach here, but crate-root helpers are common).
@@ -554,7 +537,7 @@ fn resolve_path(
             .by_module
             .get(&(krate.clone(), Vec::new(), name.clone()))
         {
-            return unique_or_ambiguous(nodes);
+            return unique(nodes);
         }
     }
     // (b) `Type::method`: the second-to-last segment as an impl type.
@@ -564,10 +547,10 @@ fn resolve_path(
                 .by_crate_impl
                 .get(&(krate.clone(), ty.clone(), name.clone()))
             {
-                return unique_or_ambiguous(nodes);
+                return unique(nodes);
             }
             if let Some(nodes) = index.by_impl.get(&(ty, name.clone())) {
-                return unique_or_ambiguous(nodes);
+                return unique(nodes);
             }
         }
     }
@@ -575,10 +558,10 @@ fn resolve_path(
     // a dotted external path (`io::stdout()`) must not name-match.
     if path.len() == 1 {
         if let Some(nodes) = index.by_name.get(&name) {
-            return unique_or_ambiguous(nodes);
+            return unique(nodes);
         }
     }
-    Resolution::External
+    None
 }
 
 fn resolve_method(
@@ -587,7 +570,7 @@ fn resolve_method(
     caller: &Node<'_>,
     symbols: &FileSymbols,
     index: &Indexes,
-) -> Resolution {
+) -> Option<usize> {
     // `self.method()` prefers the enclosing impl block's type.
     if receiver == Some("self") {
         if let Some(ty) = &caller.decl.impl_type {
@@ -596,10 +579,10 @@ fn resolve_method(
                     .by_crate_impl
                     .get(&(symbols.crate_name.clone(), ty.clone(), name.to_owned()))
             {
-                return unique_or_ambiguous(nodes);
+                return unique(nodes);
             }
             if let Some(nodes) = index.by_impl.get(&(ty.clone(), name.to_owned())) {
-                return unique_or_ambiguous(nodes);
+                return unique(nodes);
             }
         }
     } else if let Some(recv) = receiver {
@@ -627,16 +610,16 @@ fn resolve_method(
             } else {
                 candidates
             };
-            return unique_or_ambiguous(&pick);
+            return unique(&pick);
         }
     }
     // Bare-name fallback, unless the name is a ubiquitous std method.
     if COMMON_METHODS.contains(&name) {
-        return Resolution::External;
+        return None;
     }
     match index.by_name.get(name) {
-        Some(nodes) => unique_or_ambiguous(nodes),
-        None => Resolution::External,
+        Some(nodes) => unique(nodes),
+        None => None,
     }
 }
 
@@ -648,41 +631,40 @@ fn receiver_matches(recv: &str, ty: &str) -> bool {
     recv == snake || snake.ends_with(&format!("_{recv}")) || recv.ends_with(&format!("_{snake}"))
 }
 
-fn unique_or_ambiguous(nodes: &[usize]) -> Resolution {
+/// The one candidate, when there is exactly one: a name with several
+/// candidates stays unresolved.
+fn unique(nodes: &[usize]) -> Option<usize> {
     match nodes {
-        [] => Resolution::External,
-        [one] => Resolution::Unique(*one),
-        many => Resolution::Ambiguous(many.to_vec()),
+        [one] => Some(*one),
+        _ => None,
     }
 }
 
-/// The set of nodes from which any `seed` node is reachable over
-/// resolved edges (seeds included) — reverse reachability, used for
-/// "does this callee transitively block?".
-pub fn reaches_backward(graph: &CallGraph<'_>, seeds: &[bool]) -> Vec<bool> {
+/// Reverse reachability over the edges, for "does this callee
+/// transitively block?". `is_seed[i]` marks node `i` as a seed; the
+/// result holds, for every node from which a seed is reachable, the
+/// nearest such seed (a seed is its own), and `None` for every other
+/// node.
+pub fn reaches_backward(graph: &CallGraph<'_>, is_seed: &[bool]) -> Vec<Option<usize>> {
     let mut reverse: Vec<Vec<usize>> = vec![Vec::new(); graph.nodes.len()];
     for (from, edges) in graph.edges.iter().enumerate() {
-        for e in edges {
-            if !e.ambiguous {
-                reverse[e.to].push(from);
-            }
+        for &to in edges {
+            reverse[to].push(from);
         }
     }
-    let mut reaches = seeds.to_vec();
-    let mut queue: VecDeque<usize> = seeds
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &s)| s.then_some(i))
+    let mut nearest: Vec<Option<usize>> = (0..is_seed.len())
+        .map(|i| is_seed[i].then_some(i))
         .collect();
+    let mut queue: VecDeque<usize> = (0..is_seed.len()).filter(|&i| is_seed[i]).collect();
     while let Some(n) = queue.pop_front() {
         for &p in &reverse[n] {
-            if !reaches[p] {
-                reaches[p] = true;
+            if nearest[p].is_none() {
+                nearest[p] = nearest[n];
                 queue.push_back(p);
             }
         }
     }
-    reaches
+    nearest
 }
 
 #[cfg(test)]
@@ -726,12 +708,8 @@ mod tests {
             .unwrap_or_else(|| panic!("node {name}"))
     }
 
-    fn has_edge(g: &CallGraph<'_>, from: &str, to: &str, ambiguous: bool) -> bool {
-        let f = node_named(g, from);
-        let t = node_named(g, to);
-        g.edges[f]
-            .iter()
-            .any(|e| e.to == t && e.ambiguous == ambiguous)
+    fn has_edge(g: &CallGraph<'_>, from: &str, to: &str) -> bool {
+        g.edges[node_named(g, from)].contains(&node_named(g, to))
     }
 
     #[test]
@@ -744,9 +722,8 @@ mod tests {
             ("crates/serve/src/sim.rs", "pub fn simulate() {}\n"),
         ]);
         let g = graph_of(&asts);
-        assert!(has_edge(&g, "route", "helper", false));
-        assert!(has_edge(&g, "route", "simulate", false));
-        assert_eq!(g.ambiguous_edges, 0);
+        assert!(has_edge(&g, "route", "helper"));
+        assert!(has_edge(&g, "route", "simulate"));
     }
 
     #[test]
@@ -765,8 +742,8 @@ mod tests {
             ),
         ]);
         let g = graph_of(&asts);
-        assert!(has_edge(&g, "simulate", "replay", false));
-        assert!(has_edge(&g, "simulate", "new", false));
+        assert!(has_edge(&g, "simulate", "replay"));
+        assert!(has_edge(&g, "simulate", "new"));
     }
 
     #[test]
@@ -781,8 +758,8 @@ mod tests {
              fn drive(queue: &JobQueue) { queue.admit(); }\n",
         )]);
         let g = graph_of(&asts);
-        assert!(has_edge(&g, "admit", "evict", false)); // self.method()
-        assert!(has_edge(&g, "drive", "admit", false)); // receiver heuristic
+        assert!(has_edge(&g, "admit", "evict")); // self.method()
+        assert!(has_edge(&g, "drive", "admit")); // receiver heuristic
     }
 
     #[test]
@@ -803,9 +780,10 @@ mod tests {
         ]);
         let g = graph_of(&asts);
         let caller = node_named(&g, "caller");
-        let amb: Vec<&Edge> = g.edges[caller].iter().filter(|e| e.ambiguous).collect();
-        assert_eq!(amb.len(), 2, "both refresh candidates, marked ambiguous");
-        assert_eq!(g.ambiguous_edges, 2);
+        assert!(
+            g.edges[caller].is_empty(),
+            "two refresh candidates: the site stays unresolved"
+        );
     }
 
     #[test]
@@ -826,13 +804,12 @@ mod tests {
             g.edges[caller].is_empty(),
             "`v.push` must not edge to Stack::push by bare name"
         );
-        assert_eq!(g.external_calls, 1);
     }
 
     #[test]
     fn reachability_follows_resolved_edges_only() {
-        // `caller`'s `x.refresh()` has two candidates, so its edges are
-        // ambiguous and not traversed.
+        // `caller`'s `x.refresh()` has two candidates, so it resolves to
+        // no edge and `caller` reaches nothing.
         let asts = parsed(&[
             (
                 "crates/serve/src/a.rs",
@@ -855,11 +832,10 @@ mod tests {
         let mut seeds = vec![false; g.nodes.len()];
         seeds[node_named(&g, "leaf")] = true;
         let reaches = reaches_backward(&g, &seeds);
-        assert!(reaches[node_named(&g, "entry")]);
-        assert!(reaches[node_named(&g, "step")]);
-        assert!(!reaches[node_named(&g, "island")]);
-        assert_eq!(g.ambiguous_edges, 2);
-        assert!(!reaches[node_named(&g, "caller")]);
+        assert!(reaches[node_named(&g, "entry")].is_some());
+        assert!(reaches[node_named(&g, "step")].is_some());
+        assert!(reaches[node_named(&g, "island")].is_none());
+        assert!(reaches[node_named(&g, "caller")].is_none());
     }
 
     #[test]
@@ -869,11 +845,14 @@ mod tests {
             "fn top() { mid(); }\nfn mid() { blocker(); }\nfn blocker() {}\nfn other() {}\n",
         )]);
         let g = graph_of(&asts);
+        let blocker = node_named(&g, "blocker");
         let mut seeds = vec![false; g.nodes.len()];
-        seeds[node_named(&g, "blocker")] = true;
+        seeds[blocker] = true;
         let reaches = reaches_backward(&g, &seeds);
-        assert!(reaches[node_named(&g, "top")]);
-        assert!(reaches[node_named(&g, "mid")]);
-        assert!(!reaches[node_named(&g, "other")]);
+        // Every caller names the seed it reaches.
+        assert_eq!(reaches[node_named(&g, "top")], Some(blocker));
+        assert_eq!(reaches[node_named(&g, "mid")], Some(blocker));
+        assert_eq!(reaches[blocker], Some(blocker));
+        assert_eq!(reaches[node_named(&g, "other")], None);
     }
 }

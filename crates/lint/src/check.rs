@@ -1,19 +1,13 @@
-//! The checker: runs the per-file lints over one lexed source file.
+//! The checker: the per-file half of the workspace scan.
 //!
 //! Pipeline per file: lex → locate `#[cfg(test)]`/`#[test]` regions →
 //! parse suppression directives from comments → scan tokens for
-//! `relaxed-ordering` → parse the AST and run the guard-liveness scan →
-//! apply suppressions → report unused directives.
-//!
-//! # Single-file vs. workspace facts
-//!
-//! `relaxed-ordering` resolves within one file. `lock-held-across-call`
-//! needs the workspace call graph (a call made under a guard is a
-//! finding when its callee, perhaps in another crate, blocks or takes a
-//! lock). So [`check_source_facts`] returns the resolved findings *plus*
-//! the file's guarded calls and its pending workspace-lint suppressions,
-//! for [`crate::workspace`] to finish the job; [`check_source`] runs
-//! that whole pipeline over a single in-memory file.
+//! `relaxed-ordering` → parse the AST and run the guard-liveness scan.
+//! [`check_source_facts`] returns those findings with the facts the
+//! call graph needs. Once [`crate::workspace`] has added the
+//! `lock-held-across-call` findings, [`FileFacts::settle`] applies the
+//! file's directives to all of them at once and reports the unused
+//! ones. [`check_source`] runs the whole scan over one in-memory file.
 //!
 //! # Suppression directives
 //!
@@ -38,16 +32,12 @@ use crate::parser::{parse, Ast};
 use crate::policy::FileContext;
 use crate::workspace::scan_sources;
 
-/// Lints that only resolve once the whole workspace is assembled: the
-/// call-graph analysis. Their suppression directives stay pending
-/// through phase one.
-pub const WORKSPACE_LINTS: [LintId; 1] = [LintId::LockHeldAcrossCall];
-
-/// Everything the workspace scan needs from one file: its resolved
-/// findings plus the facts that only resolve workspace-wide.
-#[derive(Clone, Debug, Default)]
+/// One file's half of the scan: its token-scan findings, its
+/// suppression directives, and the facts the call graph needs.
+#[derive(Debug)]
 pub struct FileFacts {
-    /// Findings from every single-file lint, suppressed and sorted.
+    /// `bad-suppression` and `relaxed-ordering` findings, not yet
+    /// suppressed.
     pub findings: Vec<Finding>,
     /// Calls captured under a live guard (outside test regions), for the
     /// workspace lock-held-across-call pass.
@@ -57,50 +47,52 @@ pub struct FileFacts {
     pub ast: Ast,
     /// `#[cfg(test)]`/`#[test]` line ranges (graph nodes exclude them).
     pub test_ranges: Vec<(u32, u32)>,
-    /// Suppression directives naming a workspace lint, held open until
-    /// the workspace phases resolve.
-    pub pending: Vec<PendingSuppression>,
     /// Wall-clock cost per stage, for the `--timings` report.
     pub timings: Vec<(&'static str, Duration)>,
+    /// The well-formed suppression directives, in source order.
+    directives: Vec<Directive>,
 }
 
-/// A workspace-lint suppression awaiting cross-file resolution.
-#[derive(Clone, Debug)]
-pub struct PendingSuppression {
-    /// Line of the directive comment.
-    pub line: u32,
-    /// The workspace lints the directive names.
-    pub lints: Vec<LintId>,
-    /// Whether the directive is `allow-file`.
-    pub file_scope: bool,
-    /// For line directives: the line a finding must be on to match.
-    pub target_line: Option<u32>,
-    /// Whether the directive already suppressed something (its other
-    /// named lints may have matched in phase one).
-    pub used: bool,
-}
-
-impl PendingSuppression {
-    /// Whether this directive covers a `lint` finding on `line`.
-    pub fn covers(&self, lint: LintId, line: u32) -> bool {
-        self.lints.contains(&lint) && (self.file_scope || self.target_line == Some(line))
-    }
-}
-
-/// The unused-suppression finding for a pending directive that never
-/// matched.
-pub fn unused_pending(p: &PendingSuppression) -> Finding {
-    Finding {
-        line: p.line,
-        lint: LintId::UnusedSuppression,
-        message: format!(
-            "suppression for `{}` matches no finding — delete it",
-            p.lints
-                .iter()
-                .map(|l| l.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
+impl FileFacts {
+    /// Applies the file's directives to its findings plus `more` (the
+    /// call-graph findings in this file): a finding is dropped when a
+    /// directive covers it, and the first covering directive counts as
+    /// used. Each unused directive becomes an `unused-suppression`
+    /// finding. Returns the findings sorted by line.
+    pub fn settle(self, more: impl IntoIterator<Item = Finding>) -> Vec<Finding> {
+        let mut directives = self.directives;
+        let mut findings = self.findings;
+        findings.extend(more);
+        // Directives name only suppressible lints (see `parse_one`), so
+        // no hygiene finding is ever covered.
+        findings.retain(|f| {
+            let covering = directives.iter_mut().find(|d| {
+                d.lints.contains(&f.lint) && (d.file_scope || d.target_line == Some(f.line))
+            });
+            match covering {
+                Some(d) => {
+                    d.used = true;
+                    false
+                }
+                None => true,
+            }
+        });
+        for d in directives.iter().filter(|d| !d.used) {
+            findings.push(Finding {
+                line: d.line,
+                lint: LintId::UnusedSuppression,
+                message: format!(
+                    "suppression for `{}` matches no finding — delete it",
+                    d.lints
+                        .iter()
+                        .map(|l| l.name())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ),
+            });
+        }
+        findings.sort_by_key(|f| (f.line, f.lint.name()));
+        findings
     }
 }
 
@@ -116,19 +108,7 @@ pub fn check_source(ctx: &FileContext, src: &str) -> Vec<Finding> {
         .unwrap_or_default()
 }
 
-/// Marks the first pending suppression covering a `lint` finding on
-/// `line` used; returns whether one matched.
-pub fn suppress_pending(pending: &mut [PendingSuppression], lint: LintId, line: u32) -> bool {
-    for p in pending.iter_mut() {
-        if p.covers(lint, line) {
-            p.used = true;
-            return true;
-        }
-    }
-    false
-}
-
-/// Checks one source file, returning findings plus cross-file facts.
+/// Runs the per-file half of the scan over one source file.
 pub fn check_source_facts(src: &str) -> FileFacts {
     let mut timings = Vec::new();
     let t0 = Instant::now();
@@ -136,7 +116,7 @@ pub fn check_source_facts(src: &str) -> FileFacts {
     let test_ranges = test_regions(&lexed.tokens);
     let in_test = |line: u32| test_ranges.iter().any(|&(a, b)| line >= a && line <= b);
 
-    let (mut directives, mut findings) = parse_directives(&lexed, &in_test);
+    let (directives, mut findings) = parse_directives(&lexed, &in_test);
     relaxed_ordering(&lexed.tokens, &in_test, &mut findings);
     timings.push(("lex+tokens", t0.elapsed()));
 
@@ -150,68 +130,18 @@ pub fn check_source_facts(src: &str) -> FileFacts {
         .collect();
     timings.push(("guard-scan", t0.elapsed()));
 
-    // Apply suppressions to suppressible findings.
-    findings.retain(|f| {
-        if !f.lint.suppressible() {
-            return true;
-        }
-        for d in directives.iter_mut() {
-            let name_matches = d.lints.contains(&f.lint);
-            let scope_matches = d.file_scope || d.target_line == Some(f.line);
-            if name_matches && scope_matches {
-                d.used = true;
-                return false;
-            }
-        }
-        true
-    });
-
-    // Directives naming a workspace lint stay pending — their findings
-    // only materialize once the workspace phases run.
-    let mut pending = Vec::new();
-    for d in &directives {
-        let workspace_named: Vec<LintId> = d
-            .lints
-            .iter()
-            .copied()
-            .filter(|l| WORKSPACE_LINTS.contains(l))
-            .collect();
-        if !workspace_named.is_empty() {
-            pending.push(PendingSuppression {
-                line: d.line,
-                lints: workspace_named,
-                file_scope: d.file_scope,
-                target_line: d.target_line,
-                used: d.used,
-            });
-        } else if !d.used {
-            findings.push(Finding {
-                line: d.line,
-                lint: LintId::UnusedSuppression,
-                message: format!(
-                    "suppression for `{}` matches no finding — delete it",
-                    d.lints
-                        .iter()
-                        .map(|l| l.name())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            });
-        }
-    }
-
-    findings.sort_by_key(|f| (f.line, f.lint.name()));
     FileFacts {
         findings,
         guarded_calls,
         ast,
         test_ranges,
-        pending,
         timings,
+        directives,
     }
 }
 
 /// A parsed, well-formed suppression directive.
+#[derive(Debug)]
 struct Directive {
     line: u32,
     lints: Vec<LintId>,
@@ -525,7 +455,7 @@ mod tests {
         let f = run("// jouppi-lint: allow(relaxed-ordering) — just in case\nfn f() {}\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::UnusedSuppression);
-        // Workspace-lint directives settle in the same one-file scan.
+        // Call-graph lint directives settle in the same pass.
         let f = run("// jouppi-lint: allow(lock-held-across-call) — just in case\nfn f() {}\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].lint, LintId::UnusedSuppression);

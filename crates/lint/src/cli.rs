@@ -1,5 +1,4 @@
-//! The command-line driver shared by the `jouppi-lint` binary and the
-//! `jouppi lint` subcommand.
+//! The command-line driver behind the `jouppi-lint` binary.
 //!
 //! The driver returns rendered output instead of printing so library
 //! code stays print-free (clippy's `print_stdout`/`print_stderr` apply
@@ -8,21 +7,19 @@
 use std::path::PathBuf;
 
 use crate::report;
-use crate::workspace::{find_root, scan_files, scan_workspace};
+use crate::workspace::{find_root, scan_workspace};
 
 /// Usage text for `--help`.
 pub const USAGE: &str = "\
-usage: jouppi-lint [OPTIONS] [FILES...]
-  --workspace        lint the whole workspace (default when no FILES given)
+usage: jouppi-lint [OPTIONS]
   --root DIR         workspace root (default: nearest [workspace] Cargo.toml)
-  --json             machine-readable report on stdout
   --timings          per-analysis wall-clock cost on stderr
   --budget-ms N      fail (exit 1) when the scan's total analysis time
                      exceeds N milliseconds — CI's cost ratchet
   --list             print the lint catalog and exit
   --help             show this message
 
-FILES are workspace-relative .rs paths; exit status is 0 when clean,
+Scans every src/ tree of the workspace; exit status is 0 when clean,
 1 when findings exist (or the budget is exceeded), 2 on usage or I/O
 errors.";
 
@@ -45,24 +42,20 @@ fn error(msg: impl Into<String>) -> CliResult {
     }
 }
 
-/// Parses arguments and runs the requested scan.
+/// Parses arguments and runs the workspace scan.
 pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
-    let mut json = false;
     let mut root_override: Option<PathBuf> = None;
-    let mut files: Vec<String> = Vec::new();
-    let mut workspace = false;
     let mut want_timings = false;
     let mut budget_ms: Option<u64> = None;
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workspace" => workspace = true,
-            "--json" => json = true,
             "--timings" => want_timings = true,
             "--budget-ms" => match args.next().map(|n| n.parse::<u64>()) {
                 Some(Ok(ms)) => budget_ms = Some(ms),
-                Some(Err(_)) => return error("--budget-ms needs a whole number of milliseconds"),
-                None => return error("--budget-ms needs a whole number of milliseconds"),
+                Some(Err(_)) | None => {
+                    return error("--budget-ms needs a whole number of milliseconds")
+                }
             },
             "--list" => {
                 return CliResult {
@@ -82,14 +75,8 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
                     code: 0,
                 }
             }
-            other if other.starts_with('-') => {
-                return error(format!("unknown option '{other}'\n{USAGE}"))
-            }
-            file => files.push(file.to_owned()),
+            other => return error(format!("unknown argument '{other}'\n{USAGE}")),
         }
-    }
-    if workspace && !files.is_empty() {
-        return error("--workspace and explicit FILES are mutually exclusive");
     }
     let root = match root_override {
         Some(dir) => dir,
@@ -104,12 +91,7 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
             }
         }
     };
-    let result = if files.is_empty() {
-        scan_workspace(&root)
-    } else {
-        scan_files(&root, &files)
-    };
-    let result = match result {
+    let result = match scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => return error(format!("scan failed under {}: {e}", root.display())),
     };
@@ -128,14 +110,8 @@ pub fn run<I: IntoIterator<Item = String>>(args: I) -> CliResult {
             ));
         }
     }
-
-    let stdout = if json {
-        report::to_json(&result).encode() + "\n"
-    } else {
-        report::human(&result)
-    };
     CliResult {
-        stdout,
+        stdout: report::human(&result),
         stderr,
         code: u8::from(!result.is_clean() || over_budget),
     }
@@ -149,12 +125,21 @@ mod tests {
         list.iter().map(|s| (*s).to_string()).collect()
     }
 
-    fn repo_root() -> String {
-        let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-        find_root(here)
-            .expect("workspace root")
-            .to_string_lossy()
-            .into_owned()
+    /// A throwaway workspace holding one clean source file.
+    fn one_file_workspace(tag: &str) -> PathBuf {
+        let root =
+            std::env::temp_dir().join(format!("jouppi-lint-cli-{}-{tag}", std::process::id()));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).expect("mkdir");
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+        std::fs::write(src.join("lib.rs"), "pub fn f() -> u64 { 1 }\n").expect("write source");
+        root
+    }
+
+    fn run_in(root: &std::path::Path, extra: &[&str]) -> CliResult {
+        let mut list = vec!["--root".to_owned(), root.to_string_lossy().into_owned()];
+        list.extend(args(extra));
+        run(list)
     }
 
     #[test]
@@ -171,47 +156,38 @@ mod tests {
     fn bad_flags_exit_two() {
         assert_eq!(run(args(&["--frobnicate"])).code, 2);
         assert_eq!(run(args(&["--root"])).code, 2);
-        assert_eq!(run(args(&["--workspace", "src/lib.rs"])).code, 2);
         assert_eq!(run(args(&["--budget-ms"])).code, 2);
         assert_eq!(run(args(&["--budget-ms", "soon"])).code, 2);
+        // The scan is always the whole workspace: no JSON document, no
+        // workspace flag, no file list.
+        for removed in [&["--json"][..], &["--workspace"], &["src/lib.rs"]] {
+            let r = run(args(removed));
+            assert_eq!(r.code, 2, "{removed:?}");
+            assert!(r.stdout.is_empty(), "{removed:?}: {}", r.stdout);
+            assert!(r.stderr.contains("usage:"), "{removed:?}: {}", r.stderr);
+        }
     }
 
     #[test]
     fn budget_gate_fails_only_when_exceeded() {
-        let root = repo_root();
-        let file = "crates/lint/src/lexer.rs";
+        let root = one_file_workspace("budget");
         // Any real scan takes more than 0ms.
-        let r = run(args(&["--root", &root, "--budget-ms", "0", file]));
+        let r = run_in(&root, &["--budget-ms", "0"]);
         assert_eq!(r.code, 1, "stderr: {}", r.stderr);
         assert!(r.stderr.contains("budget"), "stderr: {}", r.stderr);
         // A minute covers a one-file scan on any machine.
-        let r = run(args(&["--root", &root, "--budget-ms", "60000", file]));
+        let r = run_in(&root, &["--budget-ms", "60000"]);
         assert_eq!(r.code, 0, "stderr: {}", r.stderr);
         assert!(r.stderr.is_empty(), "stderr: {}", r.stderr);
+        std::fs::remove_dir_all(&root).expect("remove temp workspace");
     }
 
     #[test]
     fn single_file_scan_with_explicit_root() {
-        let root = repo_root();
-        let r = run(args(&["--root", &root, "crates/lint/src/lexer.rs"]));
+        let root = one_file_workspace("single");
+        let r = run_in(&root, &[]);
         assert_eq!(r.code, 0, "stderr: {}", r.stderr);
-        assert!(r.stdout.contains("clean"));
-    }
-
-    #[test]
-    fn json_flag_emits_json() {
-        let root = repo_root();
-        let r = run(args(&[
-            "--root",
-            &root,
-            "--json",
-            "crates/lint/src/lexer.rs",
-        ]));
-        assert_eq!(r.code, 0, "stderr: {}", r.stderr);
-        let doc = jouppi_serve::json::Json::parse(r.stdout.trim()).expect("valid JSON");
-        assert_eq!(
-            doc.get("clean"),
-            Some(&jouppi_serve::json::Json::Bool(true))
-        );
+        assert_eq!(r.stdout, "jouppi-lint: clean — 1 files, 0 findings\n");
+        std::fs::remove_dir_all(&root).expect("remove temp workspace");
     }
 }

@@ -7,21 +7,23 @@
 //! deadlock against any other acquisition order.
 //!
 //! It follows the repo's conservatism stance — **fail toward false
-//! negatives**: only resolved (non-ambiguous) call edges are traversed.
+//! negatives**: only uniquely resolved calls are call-graph edges. A
+//! transitive finding names its witness: the blocking call or the lock
+//! the callee reaches, and the function that makes it.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use crate::analyses::{is_blocking_method, is_blocking_path, GuardedCall};
-use crate::callgraph::{call_sites, reaches_backward, CallGraph, Callee};
+use crate::analyses::{is_acquisition, is_blocking_method, is_blocking_path, GuardedCall};
+use crate::callgraph::{call_sites, reaches_backward, CallGraph, CallSite, Callee};
 use crate::lint::{Finding, LintId};
 
-/// What the interprocedural pass produces: findings routed to graph
-/// file indexes, plus its timing.
-#[derive(Debug, Default)]
+/// What the interprocedural pass produces: findings per graph file,
+/// plus its timing.
+#[derive(Debug)]
 pub struct InterprocOutput {
-    /// `(graph file index, finding)` pairs.
-    pub findings: Vec<(usize, Finding)>,
+    /// Each graph file's findings, parallel to the graph's file list.
+    pub findings: Vec<Vec<Finding>>,
     /// Wall-clock cost per analysis.
     pub timings: Vec<(&'static str, Duration)>,
 }
@@ -29,22 +31,26 @@ pub struct InterprocOutput {
 /// Runs lock-held-across-call. `guarded_calls` is parallel to the
 /// graph's file list: the calls captured under live guards per file.
 pub fn run(graph: &CallGraph<'_>, guarded_calls: &[Vec<GuardedCall>]) -> InterprocOutput {
-    let mut out = InterprocOutput::default();
+    let mut out = InterprocOutput {
+        findings: vec![Vec::new(); guarded_calls.len()],
+        timings: Vec::new(),
+    };
     // A guarded call that blocks itself is the depth-0 case; otherwise
     // the uniquely resolved callee must not reach a blocking construct.
+    // A seed is a function that makes a blocking call; its first one is
+    // the witness a transitive finding names.
     let t0 = Instant::now();
-    let seeds: Vec<bool> = graph
+    let seeds: Vec<Option<CallSite<'_>>> = graph
         .nodes
         .iter()
         .map(|node| {
-            node.body.is_some_and(|body| {
-                call_sites(body)
-                    .iter()
-                    .any(|site| is_blocking(&site.callee, site.arity))
-            })
+            call_sites(node.body?)
+                .into_iter()
+                .find(|site| is_blocking(&site.callee, site.arity))
         })
         .collect();
-    let blocking = reaches_backward(graph, &seeds);
+    let is_seed: Vec<bool> = seeds.iter().map(Option::is_some).collect();
+    let nearest = reaches_backward(graph, &is_seed);
     for (file, calls) in guarded_calls.iter().enumerate() {
         let mut seen: BTreeSet<(u32, String)> = BTreeSet::new();
         for gc in calls {
@@ -56,43 +62,46 @@ pub fn run(graph: &CallGraph<'_>, guarded_calls: &[Vec<GuardedCall>]) -> Interpr
                     gc.held
                 )
             } else if is_blocking(&gc.callee, gc.arity) {
-                let what = match &gc.callee {
-                    Callee::Method { name, .. } => format!(".{name}()"),
-                    Callee::Path(path) => path.join("::"),
-                };
                 format!(
-                    "call to `{what}` while guard of `{}` is live — the callee blocks; \
+                    "call to `{}` while guard of `{}` is live — the callee blocks; \
                      drop the guard before the call",
-                    gc.held
+                    gc.callee, gc.held
                 )
             } else {
                 let Some(caller) = graph.node_at(file, gc.fn_line) else {
                     continue;
                 };
-                let Some(target) = graph.resolve_unique(caller, &gc.callee, gc.arity) else {
+                let Some(target) = graph.resolve(caller, &gc.callee) else {
                     continue;
                 };
-                if !blocking[target] {
+                let Some(seed) = nearest[target] else {
                     continue;
-                }
+                };
+                let Some(site) = &seeds[seed] else {
+                    continue;
+                };
+                let reached = match &site.callee {
+                    Callee::Method { name, .. } if is_acquisition(name, site.arity) => {
+                        format!("takes the lock `{}`", site.receiver_text())
+                    }
+                    callee => format!("blocks on `{callee}`"),
+                };
                 format!(
                     "call to `{}` while guard of `{}` is live — the callee (transitively) \
-                     blocks or takes a lock; drop the guard before the call",
+                     {reached} in `{}`; drop the guard before the call",
                     graph.label(target),
-                    gc.held
+                    gc.held,
+                    graph.label(seed)
                 )
             };
             if !seen.insert((gc.line, message.clone())) {
                 continue;
             }
-            out.findings.push((
-                file,
-                Finding {
-                    line: gc.line,
-                    lint: LintId::LockHeldAcrossCall,
-                    message,
-                },
-            ));
+            out.findings[file].push(Finding {
+                line: gc.line,
+                lint: LintId::LockHeldAcrossCall,
+                message,
+            });
         }
     }
     out.timings.push(("lock-held-across-call", t0.elapsed()));
@@ -143,7 +152,6 @@ mod tests {
         // What GuardScan would capture: drain_jobs() called in tick with
         // the q guard live.
         let guarded = vec![vec![GuardedCall {
-            in_fn: "tick".to_owned(),
             fn_line: 1,
             callee: Callee::Path(vec!["drain_jobs".to_owned()]),
             arity: 0,
@@ -152,13 +160,13 @@ mod tests {
             acquires: None,
         }]];
         let out = run(&graph, &guarded);
-        let hits: Vec<&Finding> = out
-            .findings
-            .iter()
-            .filter(|(_, f)| f.lint == LintId::LockHeldAcrossCall)
-            .map(|(_, f)| f)
-            .collect();
+        let hits: Vec<&Finding> = out.findings.iter().flatten().collect();
         assert_eq!(hits.len(), 1);
-        assert!(hits[0].message.contains("drain_jobs"));
+        // The finding names the callee, the blocking call it reaches and
+        // the function that makes that call.
+        assert!(hits[0].message.contains("`serve::drain_jobs`"));
+        assert!(hits[0]
+            .message
+            .contains("blocks on `.recv()` in `serve::wait_for_result`"));
     }
 }

@@ -31,16 +31,15 @@
 //!   under a live lock guard;
 //! * [`symbols`] — per-file symbol tables (function declarations with
 //!   impl/module context, flattened `use` imports);
-//! * [`callgraph`] — the conservative workspace call graph and its
-//!   reachability engine (resolved vs. explicitly ambiguous edges);
+//! * [`callgraph`] — the conservative workspace call graph (uniquely
+//!   resolved calls only) and its reachability engine;
 //! * [`interproc`] — the interprocedural analysis riding the graph
 //!   (lock-held-across-call);
-//! * [`workspace`] — deterministic workspace walking, including the
-//!   workspace call-graph phase;
-//! * [`report`] — human `file:line` output, the `--json` document, and
-//!   the `--timings` breakdown;
-//! * [`cli`] — the driver shared by the `jouppi-lint` binary and the
-//!   `jouppi lint` subcommand.
+//! * [`workspace`] — the one-pass workspace scan: walk, per-file
+//!   checks, call graph, then each file's directives applied once;
+//! * [`report`] — human `file:line` output, the `--timings` breakdown
+//!   and the `--list` catalog;
+//! * [`cli`] — the driver behind the `jouppi-lint` binary.
 //!
 //! # Example
 //!

@@ -107,8 +107,6 @@ pub struct UseItem {
     /// The name the import binds locally: the last path segment, or the
     /// `as` alias. Empty for glob imports.
     pub alias: String,
-    /// Whether this is a `::*` glob import.
-    pub glob: bool,
     /// Line of the `use` keyword.
     pub line: u32,
 }
@@ -120,8 +118,6 @@ pub struct FnItem {
     pub name: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Whether the parameter list starts with a `self` receiver.
-    pub has_self: bool,
     /// The body; `None` for bodyless trait-method declarations.
     pub body: Option<Block>,
 }
@@ -678,7 +674,6 @@ impl<'a> P<'a> {
                     out.push(UseItem {
                         path,
                         alias: String::new(),
-                        glob: true,
                         line,
                     });
                     return;
@@ -709,12 +704,7 @@ impl<'a> P<'a> {
                 TokKind::Ident(word) if word == "as" => {
                     self.bump();
                     let alias = self.bump().and_then(Token::ident).unwrap_or("_").to_owned();
-                    out.push(UseItem {
-                        path,
-                        alias,
-                        glob: false,
-                        line,
-                    });
+                    out.push(UseItem { path, alias, line });
                     return;
                 }
                 TokKind::Ident(word) => {
@@ -738,12 +728,7 @@ impl<'a> P<'a> {
             }
             if let Some(last) = path.last() {
                 let alias = last.clone();
-                out.push(UseItem {
-                    path,
-                    alias,
-                    glob: false,
-                    line,
-                });
+                out.push(UseItem { path, alias, line });
             }
         }
     }
@@ -755,7 +740,9 @@ impl<'a> P<'a> {
         if self.at_punct('<') {
             self.skip_generics();
         }
-        let has_self = self.at_punct('(') && self.fn_params();
+        if self.at_punct('(') {
+            self.skip_balanced('(', ')');
+        }
         self.skip_to_body_open();
         let body = if self.at_punct('{') {
             Some(self.block())
@@ -763,80 +750,7 @@ impl<'a> P<'a> {
             self.eat_punct(';');
             None
         };
-        FnItem {
-            name,
-            line,
-            has_self,
-            body,
-        }
-    }
-
-    /// Skips a parameter list (the `(` is next); returns whether it
-    /// starts with a `self` receiver.
-    fn fn_params(&mut self) -> bool {
-        self.eat_punct('(');
-        let mut has_self = false;
-        let mut first = true;
-        loop {
-            if self.at_punct(')') || self.peek().is_none() {
-                self.eat_punct(')');
-                break;
-            }
-            let before = self.i;
-            let name = self.param_pattern_name();
-            if self.eat_punct(':') {
-                self.skip_type_until(&[',', ')']);
-            }
-            self.eat_punct(',');
-            has_self |= first && name.as_deref() == Some("self");
-            first = false;
-            if self.i == before {
-                self.bump();
-            }
-        }
-        has_self
-    }
-
-    /// Scans one parameter's pattern up to its `:` / `,` / `)` at depth
-    /// 0 (stop unconsumed) and returns the first identifier it binds
-    /// (`mut`/`ref` and `_` excluded).
-    fn param_pattern_name(&mut self) -> Option<String> {
-        let mut round = 0i32;
-        let mut square = 0i32;
-        let mut curly = 0i32;
-        let mut name = None;
-        while let Some(tok) = self.peek() {
-            if round == 0 && square == 0 && curly == 0 {
-                if let TokKind::Punct(c) = tok.kind {
-                    if matches!(c, ':' | ',' | ')') {
-                        break;
-                    }
-                }
-            }
-            match &tok.kind {
-                TokKind::Punct('(') => round += 1,
-                TokKind::Punct(')') => round -= 1,
-                TokKind::Punct('[') => square += 1,
-                TokKind::Punct(']') => square -= 1,
-                TokKind::Punct('{') => curly += 1,
-                TokKind::Punct('}') => curly -= 1,
-                TokKind::Ident(word) => {
-                    let lower = word
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_lowercase() || c == '_');
-                    if name.is_none()
-                        && lower
-                        && !matches!(word.as_str(), "mut" | "ref" | "box" | "_" | "dyn")
-                    {
-                        name = Some(word.clone());
-                    }
-                }
-                _ => {}
-            }
-            self.bump();
-        }
-        name
+        FnItem { name, line, body }
     }
 
     /// Skips a `<…>` generics list, arrow-aware.

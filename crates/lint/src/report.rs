@@ -1,7 +1,5 @@
-//! Rendering scan results: human `file:line` lines and the `--json`
-//! machine document (built on the workspace's ordered-JSON model).
-
-use jouppi_serve::json::Json;
+//! Rendering scan results: human `file:line` lines, the `--timings`
+//! breakdown and the `--list` catalog.
 
 use crate::lint::ALL_LINTS;
 use crate::workspace::ScanResult;
@@ -32,45 +30,6 @@ pub fn human(result: &ScanResult) -> String {
         ));
     }
     out
-}
-
-/// Machine-readable report document (version 3: adds the `callgraph`
-/// section sizing the workspace call graph behind the interprocedural
-/// analysis).
-pub fn to_json(result: &ScanResult) -> Json {
-    let findings: Vec<Json> = result
-        .findings()
-        .map(|(path, f)| {
-            Json::obj([
-                ("file", Json::str(path)),
-                ("line", Json::Int(i64::from(f.line))),
-                ("lint", Json::str(f.lint.name())),
-                ("message", Json::str(f.message.clone())),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("tool".to_owned(), Json::str("jouppi-lint")),
-        ("version".to_owned(), Json::Int(3)),
-        (
-            "files_scanned".to_owned(),
-            Json::Int(result.files_scanned() as i64),
-        ),
-        ("findings".to_owned(), Json::Arr(findings)),
-        ("clean".to_owned(), Json::Bool(result.is_clean())),
-    ];
-    if let Some(g) = result.callgraph {
-        fields.push((
-            "callgraph".to_owned(),
-            Json::obj([
-                ("nodes", Json::Int(g.nodes as i64)),
-                ("resolved_edges", Json::Int(g.resolved_edges as i64)),
-                ("ambiguous_edges", Json::Int(g.ambiguous_edges as i64)),
-                ("external_calls", Json::Int(g.external_calls as i64)),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
 }
 
 /// The `--timings` text: aggregate per-stage wall-clock cost.
@@ -109,7 +68,7 @@ pub fn catalog() -> String {
 mod tests {
     use super::*;
     use crate::lint::{Finding, LintId};
-    use crate::workspace::{CallGraphStats, FileReport};
+    use crate::workspace::FileReport;
 
     fn sample() -> ScanResult {
         ScanResult {
@@ -128,12 +87,6 @@ mod tests {
                 },
             ],
             timings: Vec::new(),
-            callgraph: Some(CallGraphStats {
-                nodes: 12,
-                resolved_edges: 30,
-                ambiguous_edges: 2,
-                external_calls: 9,
-            }),
         }
     }
 
@@ -148,34 +101,8 @@ mod tests {
                 findings: Vec::new(),
             }],
             timings: Vec::new(),
-            callgraph: None,
         };
         assert!(human(&clean).contains("clean — 1 files, 0 findings"));
-    }
-
-    #[test]
-    fn json_report_round_trips() {
-        let doc = to_json(&sample());
-        let parsed = Json::parse(&doc.encode()).expect("valid JSON");
-        assert_eq!(parsed.get("clean"), Some(&Json::Bool(false)));
-        assert_eq!(parsed.get("version"), Some(&Json::Int(3)));
-        assert_eq!(parsed.get("files_scanned"), Some(&Json::Int(2)));
-        assert!(parsed.get("baseline").is_none());
-        let findings = parsed
-            .get("findings")
-            .and_then(Json::as_arr)
-            .expect("findings array");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].get("line"), Some(&Json::Int(7)));
-        assert_eq!(
-            findings[0].get("lint"),
-            Some(&Json::str("relaxed-ordering"))
-        );
-        let g = parsed.get("callgraph").expect("callgraph section");
-        assert_eq!(g.get("nodes"), Some(&Json::Int(12)));
-        assert_eq!(g.get("resolved_edges"), Some(&Json::Int(30)));
-        assert_eq!(g.get("ambiguous_edges"), Some(&Json::Int(2)));
-        assert_eq!(g.get("external_calls"), Some(&Json::Int(9)));
     }
 
     #[test]

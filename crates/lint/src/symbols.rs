@@ -27,8 +27,6 @@ pub struct FnDecl {
     pub module: Vec<String>,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Whether the function takes a `self` receiver.
-    pub has_self: bool,
 }
 
 /// The symbols one file contributes to the workspace.
@@ -42,8 +40,6 @@ pub struct FileSymbols {
     pub module: Vec<String>,
     /// Flattened non-glob `use` imports: local alias → full path.
     pub imports: BTreeMap<String, Vec<String>>,
-    /// Glob import prefixes (`use foo::*;` → `[foo]`).
-    pub globs: Vec<Vec<String>>,
     /// Function declarations, in source order. Parallel to the bodies
     /// returned by [`collect`].
     pub fns: Vec<FnDecl>,
@@ -127,7 +123,6 @@ fn walk_items<'a>(
                     impl_type: impl_type.map(str::to_owned),
                     module: module.to_vec(),
                     line: f.line,
-                    has_self: f.has_self,
                 });
                 bodies.push(f);
             }
@@ -135,9 +130,8 @@ fn walk_items<'a>(
                 if in_ranges(u.line, test_ranges) {
                     continue;
                 }
-                if u.glob {
-                    symbols.globs.push(u.path.clone());
-                } else if !u.alias.is_empty() {
+                // A glob import binds no name.
+                if !u.alias.is_empty() {
                     symbols.imports.insert(u.alias.clone(), u.path.clone());
                 }
             }
@@ -239,11 +233,7 @@ mod inner {
                 ("nested".to_owned(), None),
             ]
         );
-        let push = &s.fns[1];
-        assert!(push.has_self);
-        let nested = &s.fns[3];
-        assert_eq!(nested.module, ["queue", "inner"]);
-        assert!(!nested.has_self);
+        assert_eq!(s.fns[3].module, ["queue", "inner"]);
     }
 
     #[test]
@@ -274,8 +264,8 @@ use std::collections::btree_map::*;
                     .as_slice()
             )
         );
-        assert_eq!(s.globs.len(), 1);
-        assert_eq!(s.globs[0], ["std", "collections", "btree_map"]);
+        // A glob import binds no name.
+        assert_eq!(s.imports.len(), 3);
     }
 
     #[test]

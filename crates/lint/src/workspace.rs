@@ -1,15 +1,14 @@
 //! Workspace discovery and the full-tree scan.
 //!
-//! Only `src/` trees are linted (see [`crate::policy::classify`]). The
-//! scan runs in two phases. Phase one checks each file independently
-//! ([`crate::check::check_source_facts`]), collecting findings plus each
-//! file's cross-file facts: calls captured under live guards, the parsed
-//! AST, and pending workspace-lint suppressions. Phase two builds the
-//! **workspace call graph** over the retained ASTs ([`crate::callgraph`])
-//! and runs the interprocedural `lock-held-across-call` analysis
-//! ([`crate::interproc`]); its findings are routed back to the declaring
-//! files, checked against the pending suppressions, and the leftover
-//! directives become `unused-suppression` findings.
+//! Only `src/` trees are linted (see [`crate::policy::classify`]). Each
+//! file is checked once ([`crate::check::check_source_facts`]): its
+//! token-scan findings, its suppression directives, its parsed AST and
+//! the calls it makes under live guards. The **workspace call graph** is
+//! then built over the ASTs ([`crate::callgraph`]) and the
+//! interprocedural `lock-held-across-call` analysis
+//! ([`crate::interproc`]) routes its findings to the declaring files.
+//! Last, each file's directives are applied once, to all of its
+//! findings ([`crate::check::FileFacts::settle`]).
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -17,8 +16,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use crate::analyses::GuardedCall;
 use crate::callgraph::{self, GraphFile};
-use crate::check::{check_source_facts, suppress_pending, unused_pending};
+use crate::check::{check_source_facts, FileFacts};
 use crate::interproc;
 use crate::lint::Finding;
 use crate::policy::{classify, FileContext};
@@ -26,20 +26,6 @@ use crate::policy::{classify, FileContext};
 /// Directories never descended into: build output, VCS state, and the
 /// test and example trees no jouppi-lint invariant covers.
 const PRUNED_DIRS: [&str; 5] = ["target", ".git", "node_modules", "tests", "examples"];
-
-/// Size counters of the workspace call graph, surfaced in the JSON
-/// report's `callgraph` section.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CallGraphStats {
-    /// Workspace functions (non-test, non-example).
-    pub nodes: usize,
-    /// Uniquely resolved call edges.
-    pub resolved_edges: usize,
-    /// Multi-candidate name-match edges (surfaced, never traversed).
-    pub ambiguous_edges: usize,
-    /// Call sites resolving outside the workspace (std, mostly).
-    pub external_calls: usize,
-}
 
 /// One scanned file's findings.
 #[derive(Clone, Debug)]
@@ -51,7 +37,7 @@ pub struct FileReport {
 }
 
 /// The result of scanning a workspace.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ScanResult {
     /// Per-file reports, sorted by path; clean files are included with
     /// empty findings so `files_scanned` is auditable.
@@ -59,8 +45,6 @@ pub struct ScanResult {
     /// Aggregate wall-clock cost per analysis stage across all files,
     /// sorted by stage name (for `--timings`).
     pub timings: Vec<(&'static str, Duration)>,
-    /// Call-graph size counters (`None` when no file was scanned).
-    pub callgraph: Option<CallGraphStats>,
 }
 
 impl ScanResult {
@@ -103,117 +87,79 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Scans the whole workspace under `root`.
+/// Scans the whole workspace under `root`: every `.rs` file the policy
+/// covers, in path order, with the pruned directories left out.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures reading directories or files.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
-    scan_files(root, &source_files(root)?)
+    Ok(scan_sources(&read_sources(root)?))
 }
 
-/// The workspace-relative `.rs` paths under `root`, sorted, with the
-/// pruned directories left out: what [`scan_workspace`] reads.
-///
-/// # Errors
-///
-/// Propagates I/O failures reading directories.
-pub fn source_files(root: &Path) -> io::Result<Vec<String>> {
+/// Reads every `.rs` file under `root` that the policy covers, in path
+/// order, with the pruned directories left out.
+fn read_sources(root: &Path) -> io::Result<Vec<(FileContext, String)>> {
     let mut rel_paths = Vec::new();
     collect_rs_files(root, root, &mut rel_paths)?;
     rel_paths.sort();
-    Ok(rel_paths)
-}
-
-/// Scans an explicit list of workspace-relative files; paths the policy
-/// does not cover are skipped.
-///
-/// # Errors
-///
-/// Propagates I/O failures reading the files.
-pub fn scan_files(root: &Path, rel_paths: &[String]) -> io::Result<ScanResult> {
     let mut sources = Vec::new();
-    for rel in rel_paths {
+    for rel in &rel_paths {
         if let Some(ctx) = classify(rel) {
             let src = fs::read_to_string(root.join(rel))?;
             sources.push((ctx, src));
         }
     }
-    Ok(scan_sources(&sources))
+    Ok(sources)
 }
 
 /// Scans in-memory sources as one workspace.
 pub fn scan_sources<S: AsRef<str>>(sources: &[(FileContext, S)]) -> ScanResult {
-    let mut result = ScanResult::default();
     let mut timings: BTreeMap<&'static str, Duration> = BTreeMap::new();
-    // Phase one: per-file checks; park each file's cross-file facts.
-    // `pendings`, `asts`, `test_ranges`, and `guarded` are parallel to
-    // `sources` and `result.files`.
-    let mut pendings = Vec::new();
-    let mut asts = Vec::new();
-    let mut test_ranges = Vec::new();
-    let mut guarded = Vec::new();
-    for (ctx, src) in sources {
-        let facts = check_source_facts(src.as_ref());
-        for (stage, d) in facts.timings {
-            *timings.entry(stage).or_default() += d;
-        }
-        pendings.push(facts.pending);
-        asts.push(facts.ast);
-        test_ranges.push(facts.test_ranges);
-        guarded.push(facts.guarded_calls);
-        result.files.push(FileReport {
-            rel_path: ctx.rel_path.clone(),
-            findings: facts.findings,
-        });
+    // Per file: token scans, directives, AST and guarded calls.
+    let mut facts: Vec<FileFacts> = sources
+        .iter()
+        .map(|(_, src)| check_source_facts(src.as_ref()))
+        .collect();
+    for (stage, d) in facts.iter().flat_map(|f| &f.timings) {
+        *timings.entry(stage).or_default() += *d;
     }
-    // Phase two: the workspace call graph and the interprocedural
-    // analysis, over the ASTs retained in phase one (graph-file indexes
-    // are `result.files` indexes).
+    let guarded: Vec<Vec<GuardedCall>> = facts
+        .iter_mut()
+        .map(|f| std::mem::take(&mut f.guarded_calls))
+        .collect();
+    // The workspace call graph and the interprocedural analysis over the
+    // retained ASTs; graph-file indexes are `sources` indexes.
     let t0 = Instant::now();
-    if !asts.is_empty() {
-        let inputs: Vec<GraphFile<'_>> = sources
-            .iter()
-            .zip(&asts)
-            .zip(&test_ranges)
-            .map(|(((ctx, _), ast), ranges)| GraphFile {
-                ctx,
-                ast,
-                test_ranges: ranges,
-            })
-            .collect();
-        let graph = callgraph::build(&inputs);
-        result.callgraph = Some(CallGraphStats {
-            nodes: graph.nodes.len(),
-            resolved_edges: graph.resolved_edges,
-            ambiguous_edges: graph.ambiguous_edges,
-            external_calls: graph.external_calls,
-        });
-        *timings.entry("callgraph-build").or_default() += t0.elapsed();
-        let interproc_out = interproc::run(&graph, &guarded);
-        for (stage, d) in interproc_out.timings {
-            *timings.entry(stage).or_default() += d;
-        }
-        for (file_index, finding) in interproc_out.findings {
-            if !suppress_pending(&mut pendings[file_index], finding.lint, finding.line) {
-                result.files[file_index].findings.push(finding);
-            }
-        }
+    let inputs: Vec<GraphFile<'_>> = sources
+        .iter()
+        .zip(&facts)
+        .map(|((ctx, _), f)| GraphFile {
+            ctx,
+            ast: &f.ast,
+            test_ranges: &f.test_ranges,
+        })
+        .collect();
+    let graph = callgraph::build(&inputs);
+    *timings.entry("callgraph-build").or_default() += t0.elapsed();
+    let interproc_out = interproc::run(&graph, &guarded);
+    for (stage, d) in interproc_out.timings {
+        *timings.entry(stage).or_default() += d;
     }
-    // Settle the pending suppressions: anything still unused is itself a
-    // finding.
-    for (file_index, pending) in pendings.iter().enumerate() {
-        for p in pending {
-            if !p.used {
-                result.files[file_index].findings.push(unused_pending(p));
-            }
-        }
-        result.files[file_index]
-            .findings
-            .sort_by_key(|f| (f.line, f.lint.name()));
+    // Each file's directives apply once, to every finding in it.
+    let files = sources
+        .iter()
+        .zip(facts)
+        .zip(interproc_out.findings)
+        .map(|(((ctx, _), facts), more)| FileReport {
+            rel_path: ctx.rel_path.clone(),
+            findings: facts.settle(more),
+        })
+        .collect();
+    ScanResult {
+        files,
+        timings: timings.into_iter().collect(),
     }
-    result.timings = timings.into_iter().collect();
-    result
 }
 
 /// Recursively collects `.rs` files, pruning build output; entries are
@@ -281,13 +227,43 @@ mod tests {
             "{:?}",
             paths(&a)
         );
-        // The call graph covers every workspace crate.
-        let stats = a.callgraph.expect("call graph built");
-        assert!(stats.nodes > 100, "nodes: {}", stats.nodes);
-        assert!(
-            stats.resolved_edges > 100,
-            "edges: {}",
-            stats.resolved_edges
+        // The call graph is built and timed alongside the per-file stages.
+        let stages: Vec<&str> = a.timings.iter().map(|(stage, _)| *stage).collect();
+        assert_eq!(
+            stages,
+            [
+                "callgraph-build",
+                "guard-scan",
+                "lex+tokens",
+                "lock-held-across-call",
+                "parse"
+            ]
         );
+    }
+
+    /// The lint errs toward missing findings, so a resolver that stopped
+    /// resolving would leave the tree clean: the call graph over the
+    /// real workspace must have functions and resolved calls.
+    #[test]
+    fn call_graph_covers_the_workspace() {
+        let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+        let sources = read_sources(&root).expect("read the workspace");
+        let facts: Vec<FileFacts> = sources
+            .iter()
+            .map(|(_, src)| check_source_facts(src))
+            .collect();
+        let inputs: Vec<GraphFile<'_>> = sources
+            .iter()
+            .zip(&facts)
+            .map(|((ctx, _), f)| GraphFile {
+                ctx,
+                ast: &f.ast,
+                test_ranges: &f.test_ranges,
+            })
+            .collect();
+        let graph = callgraph::build(&inputs);
+        let edges: usize = graph.edges.iter().map(Vec::len).sum();
+        assert!(graph.nodes.len() > 100, "nodes: {}", graph.nodes.len());
+        assert!(edges > 100, "resolved edges: {edges}");
     }
 }

@@ -104,16 +104,8 @@ fn temp_workspace(tag: &str, rel_file: &str, contents: &str) -> PathBuf {
     root
 }
 
-fn lint_workspace(root: &Path, json: bool) -> jouppi_lint::cli::CliResult {
-    let mut args = vec![
-        "--root".to_owned(),
-        root.to_string_lossy().into_owned(),
-        "--workspace".to_owned(),
-    ];
-    if json {
-        args.push("--json".to_owned());
-    }
-    jouppi_lint::cli::run(args)
+fn lint_workspace(root: &Path) -> jouppi_lint::cli::CliResult {
+    jouppi_lint::cli::run(["--root".to_owned(), root.to_string_lossy().into_owned()])
 }
 
 #[test]
@@ -141,7 +133,7 @@ fn bad_fixtures_fail_with_the_expected_lint() {
         for bad in bad_fixtures(dir) {
             let tag = format!("{dir}-{}", bad.trim_end_matches(".rs"));
             let root = temp_workspace(&tag, rel_file, &fixture(dir, &bad));
-            let r = lint_workspace(&root, false);
+            let r = lint_workspace(&root);
             assert_eq!(
                 r.code, 1,
                 "{dir}/{bad}: expected findings\n{}{}",
@@ -161,7 +153,7 @@ fn bad_fixtures_fail_with_the_expected_lint() {
 fn ok_fixtures_pass_clean() {
     for (lint, dir, rel_file) in CASES {
         let root = temp_workspace(&format!("ok-{dir}"), rel_file, &fixture(dir, "ok.rs"));
-        let r = lint_workspace(&root, false);
+        let r = lint_workspace(&root);
         assert_eq!(
             r.code, 0,
             "{lint}: expected clean\n{}{}",
@@ -172,28 +164,37 @@ fn ok_fixtures_pass_clean() {
     }
 }
 
+/// A transitive finding names what the callee reaches: the lock it
+/// takes or the call it blocks in, and the function that makes it.
 #[test]
-fn json_report_carries_machine_readable_findings() {
-    let (lint, dir, rel_file) = CASES[0];
-    let root = temp_workspace("json", rel_file, &fixture(dir, "bad.rs"));
-    let r = lint_workspace(&root, true);
-    assert_eq!(r.code, 1);
-    let doc = jouppi_serve::json::Json::parse(r.stdout.trim()).expect("valid JSON");
-    assert_eq!(
-        doc.get("clean"),
-        Some(&jouppi_serve::json::Json::Bool(false))
-    );
-    let findings = doc
-        .get("findings")
-        .and_then(|f| f.as_arr())
-        .expect("findings array");
-    assert!(!findings.is_empty());
-    let first = &findings[0];
-    assert_eq!(
-        first.get("lint").and_then(|l| l.as_str()),
-        Some(lint),
-        "first finding should be the {lint} fixture's"
-    );
-    assert_eq!(first.get("file").and_then(|f| f.as_str()), Some(rel_file));
-    fs::remove_dir_all(&root).expect("remove temp workspace");
+fn transitive_findings_name_the_witness() {
+    let cases = [
+        (
+            "nested-acquisition",
+            "bad-through-helpers.rs",
+            "crates/core/src/fixture.rs:13: [lock-held-across-call] call to `core::read_b` \
+             while guard of `p.a` is live — the callee (transitively) takes the lock `p.b` \
+             in `core::read_b`; drop the guard before the call\n\
+             crates/core/src/fixture.rs:18: [lock-held-across-call] call to `core::read_a` \
+             while guard of `p.b` is live — the callee (transitively) takes the lock `p.a` \
+             in `core::read_a`; drop the guard before the call\n\
+             jouppi-lint: 2 findings in 1 files\n",
+        ),
+        (
+            "lock-held-across-call",
+            "bad.rs",
+            "crates/core/src/fixture.rs:6: [lock-held-across-call] call to `core::pump` \
+             while guard of `jobs` is live — the callee (transitively) blocks on `.recv()` \
+             in `core::wait_one`; drop the guard before the call\n\
+             jouppi-lint: 1 finding in 1 files\n",
+        ),
+    ];
+    for (dir, bad, report) in cases {
+        let tag = format!("witness-{dir}");
+        let root = temp_workspace(&tag, "crates/core/src/fixture.rs", &fixture(dir, bad));
+        let r = lint_workspace(&root);
+        assert_eq!(r.code, 1, "{dir}/{bad}: {}{}", r.stdout, r.stderr);
+        assert_eq!(r.stdout, report, "{dir}/{bad}");
+        fs::remove_dir_all(&root).expect("remove temp workspace");
+    }
 }

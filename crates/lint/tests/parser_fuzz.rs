@@ -13,7 +13,7 @@
 //!    (the test finishing is the proof; the parser's forced-progress
 //!    invariant is what's under attack here).
 //! 3. **Deterministic** — two runs over the same input produce
-//!    identical findings and identical graph counters.
+//!    identical findings and identical call graphs.
 //!
 //! Randomness comes from the workspace's own seeded xoshiro PRNG
 //! (`jouppi_trace::SmallRng`), so every failure reproduces from the
@@ -22,8 +22,6 @@
 use jouppi_lint::callgraph::{self, GraphFile};
 use jouppi_lint::check::check_source_facts;
 use jouppi_lint::interproc;
-use jouppi_lint::lexer::lex;
-use jouppi_lint::parser::parse;
 use jouppi_lint::policy::classify;
 use jouppi_trace::SmallRng;
 
@@ -93,37 +91,28 @@ fn mutated(rng: &mut SmallRng) -> String {
     chars.into_iter().collect()
 }
 
-/// One full pipeline run: per-file check, call-graph build, and the
-/// interprocedural analyses. Returns everything observable so the
-/// determinism property can compare runs.
-fn exercise(src: &str) -> (Vec<String>, usize, usize, usize, usize, usize) {
+/// One full pipeline run: per-file check, call-graph build, the
+/// interprocedural analysis and the suppression directives. Returns
+/// everything observable so the determinism property can compare runs.
+fn exercise(src: &str) -> (Vec<String>, usize, Vec<Vec<usize>>) {
     let ctx = classify("crates/serve/src/fuzzed.rs").expect("serve path classifies");
-    let facts = check_source_facts(src);
+    let mut facts = check_source_facts(src);
+    let guarded = vec![std::mem::take(&mut facts.guarded_calls)];
+    let inputs = [GraphFile {
+        ctx: &ctx,
+        ast: &facts.ast,
+        test_ranges: &facts.test_ranges,
+    }];
+    let graph = callgraph::build(&inputs);
+    let nodes = graph.nodes.len();
+    let edges = graph.edges.clone();
+    let more = interproc::run(&graph, &guarded).findings.concat();
     let findings: Vec<String> = facts
-        .findings
+        .settle(more)
         .iter()
         .map(|f| format!("{}:{}:{}", f.line, f.lint, f.message))
         .collect();
-
-    let lexed = lex(src);
-    let ast = parse(&lexed);
-    let inputs = [GraphFile {
-        ctx: &ctx,
-        ast: &ast,
-        test_ranges: &[],
-    }];
-    let graph = callgraph::build(&inputs);
-    let guarded = vec![facts.guarded_calls];
-    let interproc_out = interproc::run(&graph, &guarded);
-
-    (
-        findings,
-        graph.nodes.len(),
-        graph.resolved_edges,
-        graph.ambiguous_edges,
-        graph.external_calls,
-        interproc_out.findings.len(),
-    )
+    (findings, nodes, edges)
 }
 
 #[test]
