@@ -33,6 +33,9 @@ cargo test -q
 echo "==> cargo test --release: trace, cache, core, experiments and serve with debug assertions compiled out, as the benchmark and the daemon build them"
 cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core -p jouppi-experiments -p jouppi-serve
 
+echo "==> jouppi-bench tests: compare's verdicts, the BENCHMARK.json checks and the traced quick mode"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> jouppi-bench --quick: build the committed benchmark, run all four workloads, check every result"
 CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml --bin jouppi-bench -- --quick
 

@@ -95,7 +95,10 @@ impl MissClassifier {
 
     /// Observes one reference by its line id, with no hashing: `id` is
     /// the line's id from one [`LineInterner`] fed the classifier's whole
-    /// stream in order, as [`jouppi_trace::SideView::ids`] are.
+    /// stream in order, as the ids of [`jouppi_trace::SideView::runs`]
+    /// are. An immediate repeat of the line just observed is a shadow hit
+    /// that changes no state, so a caller may observe each run of repeats
+    /// once.
     ///
     /// # Panics
     ///

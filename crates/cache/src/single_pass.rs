@@ -31,8 +31,11 @@
 //! Both engines keep per-line state in `Vec`s indexed by dense line ids
 //! ([`jouppi_trace::LineInterner`]), and read a line's address only to
 //! pick its set. `observe_id` takes ids memoized with the trace
-//! ([`jouppi_trace::SideView::ids`]); `observe` interns each line as it
-//! arrives, one map probe per reference.
+//! ([`jouppi_trace::SideView::runs`]); `observe` interns each line as
+//! it arrives, one map probe per reference. An immediate repeat of the
+//! line just observed hits in every cell and changes no state, so a
+//! caller may observe each run of repeats once; `total_refs` then counts
+//! runs.
 //!
 //! Both engines are exact — equal to the [`crate::Cache`] oracle miss
 //! for miss, which the unit tests here and the cross-crate equivalence
@@ -251,8 +254,8 @@ impl LruSweep {
 
     /// Observes one reference by its line id, with no hashing: `id` is
     /// the line's id from one [`LineInterner`] fed this sweep's whole
-    /// stream in order, as [`jouppi_trace::SideView::ids`] are, and
-    /// `line` its address, which picks the set at each level.
+    /// stream in order, as the ids of [`jouppi_trace::SideView::runs`]
+    /// are, and `line` its address, which picks the set at each level.
     ///
     /// # Panics
     ///
@@ -532,9 +535,9 @@ impl FifoSweep {
 
     /// Observes one reference by its line id, with no hashing, and
     /// returns the bitmask of cells that missed. `id` is the line's id
-    /// from one [`LineInterner`] fed this sweep's stream, as
-    /// [`jouppi_trace::SideView::ids`] are, and `line` its address,
-    /// which picks the set in each cell.
+    /// from one [`LineInterner`] fed this sweep's stream, as the ids of
+    /// [`jouppi_trace::SideView::runs`] are, and `line` its address, which
+    /// picks the set in each cell.
     pub fn observe_id(&mut self, id: u32, line: LineAddr) -> u128 {
         self.total += 1;
         let idx = id as usize;

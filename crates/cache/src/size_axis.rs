@@ -277,7 +277,10 @@ impl BandedShadow {
 
     /// Observes one reference by its line id, with no hashing: `id` is
     /// the line's id from one [`LineInterner`] fed the shadow's whole
-    /// stream in order, as [`jouppi_trace::SideView::ids`] are.
+    /// stream in order, as the ids of [`jouppi_trace::SideView::runs`]
+    /// are. An immediate repeat of the line just observed, which no real
+    /// cache misses, changes only [`Self::accesses`], so a caller may
+    /// observe each run of repeats once.
     ///
     /// # Panics
     ///
@@ -348,7 +351,8 @@ impl BandedShadow {
         self.count(size + 1..bands + 2, 0..bands + 1)
     }
 
-    /// References observed.
+    /// References observed: one per `observe` or `observe_id` call, so a
+    /// caller that observes each run of repeats once counts runs.
     pub fn accesses(&self) -> u64 {
         self.counts.iter().sum()
     }

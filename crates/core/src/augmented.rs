@@ -373,6 +373,7 @@ impl MissPath {
 
     /// Services one L1 miss, whose refill has already displaced
     /// `miss.victim`, and counts where it was satisfied.
+    #[inline]
     pub(crate) fn handle(&mut self, miss: L1Miss, stats: &mut AugmentedStats) -> AccessOutcome {
         let (tick, line, victim) = (miss.tick, miss.line, miss.victim());
         let aid_holds = match &self.aid {

@@ -86,53 +86,66 @@ pub struct MissLog {
 
 impl MissLog {
     /// Runs `lines` through a bare direct-mapped L1 of geometry `geom`
-    /// and records its misses: [`MissLog::record_sizes`] at one size.
+    /// and records its misses: [`MissLog::record_sizes`] at one size,
+    /// each reference a run of one.
     ///
     /// # Panics
     ///
     /// Panics if `geom` is not direct-mapped.
     pub fn record(geom: CacheGeometry, lines: impl IntoIterator<Item = LineAddr>) -> Self {
-        let mut logs = MissLog::record_sizes(&[geom], lines, |_, _| {});
+        let runs = lines.into_iter().map(|line| (line, 1, ()));
+        let mut logs = MissLog::record_sizes(&[geom], runs, |(), _| {});
         logs.pop().expect("one log per geometry")
     }
 
-    /// Runs `lines` once through direct-mapped L1s of every geometry in
-    /// `geoms` and records one log per geometry, in order. Each log equals
-    /// [`MissLog::record`] at its geometry.
+    /// Runs a reference stream once through direct-mapped L1s of every
+    /// geometry in `geoms` and records one log per geometry, in order.
+    /// Each log equals [`MissLog::record`] at its geometry.
+    ///
+    /// The stream arrives as `(line, length, tag)` runs: `length`
+    /// consecutive references to `line`, and a tag of the caller's. Every
+    /// reference after a run's first is an immediate repeat, which hits
+    /// at every size and changes nothing, so the pass reads one entry per
+    /// run and advances the tick by its length; a miss keeps the tick of
+    /// its run's first reference, and [`MissLog::accesses`] counts
+    /// references. Consecutive runs may share a line.
     ///
     /// The sizes share one line size and ascend, so a hit at one size is
     /// a hit at every larger one (see the module docs): a
-    /// [`DirectMappedSweep`] walks each reference through the sizes
+    /// [`DirectMappedSweep`] walks each run through the sizes
     /// smallest-first over one flat tag array and stops at its first hit.
-    /// The pass calls `observe(line, missed)` on every reference, where
-    /// the `missed` smallest sizes missed it, so a classifier of every
-    /// size can ride it.
+    /// The pass calls `observe(tag, missed)` on every run, in order,
+    /// where the `missed` smallest sizes missed its first reference, so a
+    /// classifier of every size can ride it, reading the run's line or
+    /// line id from its tag.
     ///
     /// # Panics
     ///
     /// Panics if a geometry is not direct-mapped, if the line sizes
-    /// differ, or if the sizes do not strictly ascend.
-    pub fn record_sizes(
+    /// differ, if the sizes do not strictly ascend, or if a run is empty.
+    pub fn record_sizes<T>(
         geoms: &[CacheGeometry],
-        lines: impl IntoIterator<Item = LineAddr>,
-        mut observe: impl FnMut(LineAddr, usize),
+        runs: impl IntoIterator<Item = (LineAddr, u64, T)>,
+        mut observe: impl FnMut(T, usize),
     ) -> Vec<MissLog> {
         let mut l1s = DirectMappedSweep::new(geoms);
         let mut misses: Vec<Vec<L1Miss>> = vec![Vec::new(); geoms.len()];
-        let mut tick = 0;
-        for line in lines {
-            tick += 1;
+        let mut ticks = 0;
+        for (line, len, tag) in runs {
+            assert!(len > 0, "a run holds at least one reference");
+            let tick = ticks + 1;
             let missed = l1s.access_line(line, |size, victim| {
                 misses[size].push(L1Miss::new(tick, line, victim));
             });
-            observe(line, missed);
+            ticks += len;
+            observe(tag, missed);
         }
         geoms
             .iter()
             .zip(misses)
             .map(|(&geom, misses)| MissLog {
                 geom,
-                accesses: tick,
+                accesses: ticks,
                 misses,
             })
             .collect()
@@ -399,7 +412,8 @@ mod tests {
             let lines: Vec<LineAddr> = (0..300 + rng.below(300))
                 .map(|_| LineAddr::new(u64::MAX - ((rng.below(6) as u64) << rng.below(8))))
                 .collect();
-            let logs = MissLog::record_sizes(&geoms, lines.iter().copied(), |_, _| {});
+            let runs = lines.iter().map(|&line| (line, 1, ()));
+            let logs = MissLog::record_sizes(&geoms, runs, |(), _| {});
             for (geom, log) in geoms.iter().zip(&logs) {
                 let oracle = cache_log(*geom, &lines);
                 assert_eq!(*log, oracle, "seed {SEED:#x} round {round}: {geom}");

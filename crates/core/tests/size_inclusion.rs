@@ -76,7 +76,8 @@ fn every_size_logs_what_its_own_pass_logs() {
         let lines = stream(&mut rng, round, geoms.last().expect("a size"));
         let mut caches: Vec<Cache> = geoms.iter().map(|&g| Cache::new(g)).collect();
         let mut refs = 0;
-        let logs = MissLog::record_sizes(&geoms, lines.iter().copied(), |line, missed| {
+        let runs = lines.iter().map(|&line| (line, 1, line));
+        let logs = MissLog::record_sizes(&geoms, runs, |line, missed| {
             let own: Vec<bool> = caches
                 .iter_mut()
                 .map(|c| c.access_line(line).is_miss())
@@ -125,7 +126,8 @@ fn banded_shadow_classifies_every_size_like_its_own_classifier() {
         let mut classifiers: Vec<MissClassifier> =
             geoms.iter().map(|&g| MissClassifier::new(g)).collect();
         let mut profile = StackDistanceProfile::new();
-        MissLog::record_sizes(&geoms, lines.iter().copied(), |line, missed| {
+        let runs = lines.iter().map(|&line| (line, 1, line));
+        MissLog::record_sizes(&geoms, runs, |line, missed| {
             shadow.observe(line, missed);
             for (cache, classifier) in caches.iter_mut().zip(&mut classifiers) {
                 classifier.observe(line, cache.access_line(line).is_miss());

@@ -5,7 +5,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use jouppi_cache::{BandedShadow, CacheGeometry, MissBreakdown, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, MissLog};
-use jouppi_trace::{AccessKind, LineAddr, MemRef, RecordedTrace, SideView, BASE_LINE_SIZE};
+use jouppi_trace::{
+    AccessKind, LineAddr, LineInterner, MemRef, RecordedTrace, SideView, BASE_LINE_SIZE,
+};
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::sweep;
@@ -216,43 +218,25 @@ pub fn run_side(trace: &RecordedTrace, side: Side, cfg: AugmentedConfig) -> Augm
 ///
 /// Panics if `geom` is not direct-mapped.
 pub fn log_side(trace: &RecordedTrace, side: Side, geom: CacheGeometry) -> MissLog {
-    record_side(trace, side, geom, |_, _| {})
+    let mut logs = log_runs(side.view(trace), &[geom]);
+    logs.pop().expect("one log per geometry")
 }
 
 /// Like [`log_side`], with a three-C classifier riding the same L1 pass.
-/// The breakdown equals [`classify_side`]'s. At the base line size the
-/// classifier reads the side's memoized line ids instead of hashing
-/// lines.
+/// The breakdown equals [`classify_side`]'s.
 pub(crate) fn log_and_classify_side(
     trace: &RecordedTrace,
     side: Side,
     geom: CacheGeometry,
 ) -> (MissLog, MissBreakdown) {
     let mut classifier = MissClassifier::new(geom);
-    let log = if geom.line_size() == BASE_LINE_SIZE {
-        // The pass visits the side's references in order, once each.
-        let mut ids = side.view(trace).ids().iter();
-        record_side(trace, side, geom, |_, missed| {
-            classifier.observe_id(*ids.next().expect("one id per reference"), missed);
-        })
-    } else {
-        record_side(trace, side, geom, |line, missed| {
-            classifier.observe(line, missed);
-        })
-    };
-    (log, classifier.breakdown())
-}
-
-fn record_side(
-    trace: &RecordedTrace,
-    side: Side,
-    geom: CacheGeometry,
-    mut observe: impl FnMut(LineAddr, bool),
-) -> MissLog {
-    let mut logs = record_side_sizes(trace, side, &[geom], |line, missed| {
-        observe(line, missed > 0);
+    let mut logs = classify_runs(side.view(trace), &[geom], |id, missed| {
+        classifier.observe_id(id, missed > 0);
     });
-    logs.pop().expect("one log per geometry")
+    (
+        logs.pop().expect("one log per geometry"),
+        classifier.breakdown(),
+    )
 }
 
 /// One side's miss logs at every direct-mapped geometry in `geoms`,
@@ -263,43 +247,143 @@ pub(crate) fn log_sizes(
     side: Side,
     geoms: &[CacheGeometry],
 ) -> Vec<MissLog> {
-    record_side_sizes(trace, side, geoms, |_, _| {})
+    log_runs(side.view(trace), geoms)
 }
 
 /// Like [`log_sizes`], with a banded shadow riding the same pass: size
 /// `i`'s [`BandedShadow::breakdown`] equals [`classify_side`]'s at
 /// `geoms[i]`, and its [`BandedShadow::fa_misses`] are a
-/// fully-associative LRU cache's of the same capacity. At the base line
-/// size the shadow reads the side's memoized line ids.
+/// fully-associative LRU cache's of the same capacity.
 pub(crate) fn log_and_classify_sizes(
     trace: &RecordedTrace,
     side: Side,
     geoms: &[CacheGeometry],
 ) -> (Vec<MissLog>, BandedShadow) {
     let mut shadow = BandedShadow::new(geoms);
-    let logs = if geoms.first().map(CacheGeometry::line_size) == Some(BASE_LINE_SIZE) {
-        let mut ids = side.view(trace).ids().iter();
-        record_side_sizes(trace, side, geoms, |_, missed| {
-            shadow.observe_id(*ids.next().expect("one id per reference"), missed);
-        })
-    } else {
-        record_side_sizes(trace, side, geoms, |line, missed| {
-            shadow.observe(line, missed);
-        })
-    };
+    let logs = classify_runs(side.view(trace), geoms, |id, missed| {
+        shadow.observe_id(id, missed);
+    });
     (logs, shadow)
 }
 
-fn record_side_sizes(
-    trace: &RecordedTrace,
-    side: Side,
-    geoms: &[CacheGeometry],
-    observe: impl FnMut(LineAddr, usize),
-) -> Vec<MissLog> {
-    let Some(&geom) = geoms.first() else {
+/// One side's pass through [`MissLog::record_sizes`] at `geoms`' line
+/// size. At the base line size and above it reads one entry per run: a
+/// repeat of a base line is a repeat of every coarser line holding it,
+/// so each run, shifted to its coarse line, is a run at that size too.
+/// Below the base size a run holds several lines, so the pass reads
+/// every reference.
+fn log_runs(view: &SideView, geoms: &[CacheGeometry]) -> Vec<MissLog> {
+    let Some(line_size) = geoms.first().map(CacheGeometry::line_size) else {
         return Vec::new();
     };
-    MissLog::record_sizes(geoms, side.view(trace).lines(geom.line_size()), observe)
+    if line_size >= BASE_LINE_SIZE {
+        let shift = (line_size / BASE_LINE_SIZE).trailing_zeros();
+        let runs = view
+            .runs()
+            .map(|run| (coarse(run.line, shift), u64::from(run.len), ()));
+        MissLog::record_sizes(geoms, runs, |(), _| {})
+    } else {
+        let refs = view.lines(line_size).map(|line| (line, 1, ()));
+        MissLog::record_sizes(geoms, refs, |(), _| {})
+    }
+}
+
+/// [`log_runs`]' pass with a classifier riding it: calls `observe(id,
+/// missed)` on every entry the pass reads, with the line's id at `geoms`'
+/// line size. At the base size that is the run's memoized id; at any
+/// other size [`LineIds`] derives it. No pass hashes a line per
+/// reference.
+fn classify_runs(
+    view: &SideView,
+    geoms: &[CacheGeometry],
+    mut observe: impl FnMut(u32, usize),
+) -> Vec<MissLog> {
+    let Some(line_size) = geoms.first().map(CacheGeometry::line_size) else {
+        return Vec::new();
+    };
+    if line_size == BASE_LINE_SIZE {
+        let runs = view
+            .runs()
+            .map(|run| (run.line, u64::from(run.len), run.id));
+        return MissLog::record_sizes(geoms, runs, observe);
+    }
+    if line_size > BASE_LINE_SIZE {
+        let mut ids = LineIds::new(view.lines_by_id().len());
+        let shift = (line_size / BASE_LINE_SIZE).trailing_zeros();
+        let runs = view.runs().map(|run| {
+            let line = coarse(run.line, shift);
+            (line, u64::from(run.len), (run.id as usize, line))
+        });
+        MissLog::record_sizes(geoms, runs, |(key, line), missed| {
+            observe(ids.id(key, line), missed);
+        })
+    } else {
+        let bits = (BASE_LINE_SIZE / line_size).trailing_zeros();
+        let mut ids = LineIds::new(view.lines_by_id().len() << bits);
+        // Each reference's base id: its run's, repeated `len` times.
+        let mut runs = view.runs();
+        let (mut base_id, mut left) = (0, 0);
+        let base_ids = std::iter::from_fn(move || {
+            if left == 0 {
+                let run = runs.next()?;
+                (base_id, left) = (run.id as usize, run.len);
+            }
+            left -= 1;
+            Some(base_id)
+        });
+        let refs = view.lines(line_size).zip(base_ids).map(|(line, base_id)| {
+            let low = usize::try_from(line.get() & ((1 << bits) - 1)).expect("below 16");
+            (line, 1, (base_id << bits | low, line))
+        });
+        MissLog::record_sizes(geoms, refs, |(key, line), missed| {
+            observe(ids.id(key, line), missed);
+        })
+    }
+}
+
+/// Base line `line` at the coarser line size `2^shift` times the base.
+fn coarse(line: LineAddr, shift: u32) -> LineAddr {
+    LineAddr::new(line.get() >> shift)
+}
+
+/// Dense line ids at a line size other than the base, derived from a
+/// side's base-size run ids, in first-touch order as a
+/// [`LineInterner`] fed every line would number them.
+///
+/// The line is a function of a *key*: a coarser line is a function of
+/// the base line, keyed by its id, and a finer line of the base line and
+/// the offset's top bits, keyed by the id and those bits. So a table
+/// indexed by key and filled on the key's first touch hashes once per
+/// key, not once per reference.
+struct LineIds {
+    /// Per key: its line's id, or [`LineIds::UNSET`] before the key's
+    /// first touch.
+    table: Vec<u32>,
+    interner: LineInterner,
+}
+
+impl LineIds {
+    /// No id equals `u32::MAX` (see [`LineInterner`]).
+    const UNSET: u32 = u32::MAX;
+
+    /// Ids for keys below `keys`: one key per base line at a coarser
+    /// size, and one per base line and offset bit pattern at a finer one.
+    fn new(keys: usize) -> Self {
+        LineIds {
+            table: vec![LineIds::UNSET; keys],
+            interner: LineInterner::new(),
+        }
+    }
+
+    /// The id of `line`, whose key is `key`.
+    #[inline]
+    fn id(&mut self, key: usize, line: LineAddr) -> u32 {
+        let id = &mut self.table[key];
+        if *id == LineIds::UNSET {
+            *id = self.interner.intern(line);
+        }
+        *id
+    }
 }
 
 /// Answers every configuration in `cfgs` from one side's miss log (see

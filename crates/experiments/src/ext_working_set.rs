@@ -38,28 +38,27 @@ pub struct ExtWorkingSet {
     pub rows: Vec<WorkingSetRow>,
 }
 
-/// Runs the analysis: one pass per benchmark over its data side, in which
-/// a [`BandedShadow`] indexed by the side's memoized line ids classifies
-/// the misses of every direct-mapped size and counts every size's
-/// fully-associative LRU misses.
+/// Runs the analysis: one pass per benchmark over its data side's runs,
+/// in which a [`BandedShadow`] indexed by the side's memoized line ids
+/// classifies the misses of every direct-mapped size and counts every
+/// size's fully-associative LRU misses.
 pub fn run(cfg: &ExperimentConfig) -> ExtWorkingSet {
     let geoms = SIZES.map(|size| CacheGeometry::direct_mapped(size, 16).expect("valid size"));
     let rows = per_benchmark(cfg, |b, trace| {
         let view = Side::Data.view(trace);
-        let lines = view
-            .lines_for(16)
-            .expect("16B lines are pre-derived for the baseline line size");
         let mut l1s = DirectMappedSweep::new(&geoms);
         let mut shadow = BandedShadow::new(&geoms);
-        for (&id, &line) in view.ids().iter().zip(lines) {
-            shadow.observe_id(id, l1s.access_line(line, |_, _| {}));
+        // A run's repeats hit at every size and change no count the
+        // curves read: one entry per run.
+        for run in view.runs() {
+            shadow.observe_id(run.id, l1s.access_line(run.line, |_, _| {}));
         }
-        sweep::note_single_pass_refs(lines.len() as u64);
+        sweep::note_single_pass_refs(view.len() as u64);
         let rate = |misses: u64| {
-            if lines.is_empty() {
+            if view.is_empty() {
                 0.0
             } else {
-                misses as f64 / lines.len() as f64
+                misses as f64 / view.len() as f64
             }
         };
         let curve = SIZES

@@ -2,7 +2,7 @@
 
 use jouppi_cache::{CacheGeometry, DirectMappedSweep, MissBreakdown, MissClassifier};
 use jouppi_report::{percent, Table};
-use jouppi_trace::SideView;
+use jouppi_trace::{SideView, BASE_LINE_SIZE};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{
@@ -43,17 +43,20 @@ pub fn run(cfg: &ExperimentConfig) -> Fig31 {
 /// One side's three-C breakdown at a direct-mapped geometry of the base
 /// line size: the L1 runs on the tag array ([`DirectMappedSweep`] with
 /// one size), and the classifier indexes its shadow by the side's
-/// memoized line ids, so no reference is hashed.
+/// memoized line ids, so no reference is hashed. Both read one entry per
+/// run of repeats, which hit and change nothing.
 fn classify_by_id(view: &SideView, geom: CacheGeometry) -> MissBreakdown {
-    let lines = view
-        .lines_for(geom.line_size())
-        .expect("line ids are memoized at the base line size");
+    assert_eq!(
+        geom.line_size(),
+        BASE_LINE_SIZE,
+        "line ids are memoized at the base line size"
+    );
     let mut l1 = DirectMappedSweep::new(&[geom]);
     let mut classifier = MissClassifier::new(geom);
-    for (&id, &line) in view.ids().iter().zip(lines) {
-        classifier.observe_id(id, l1.access_line(line, |_, _| {}) > 0);
+    for run in view.runs() {
+        classifier.observe_id(run.id, l1.access_line(run.line, |_, _| {}) > 0);
     }
-    note_refs_simulated(lines.len() as u64);
+    note_refs_simulated(view.len() as u64);
     classifier.breakdown()
 }
 

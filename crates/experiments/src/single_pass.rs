@@ -8,7 +8,8 @@
 //! (whose cost is independent of the number of cells) and one
 //! [`jouppi_cache::FifoSweep`] (whose cost scales with misses, not
 //! cells). Both index their per-line state by the side's memoized line
-//! ids. [`run_per_cell`] is the demoted per-cell simulator, kept as
+//! ids, and read one entry per run of repeats ([`SideView::runs`]).
+//! [`run_per_cell`] is the demoted per-cell simulator, kept as
 //! the cross-check oracle: one [`jouppi_cache::Cache`] replay per
 //! (cell × policy), exactly equal by the
 //! `single_pass_equivalence` test suite.
@@ -104,9 +105,11 @@ fn side_cells_single_pass(view: &SideView) -> Vec<GeometryCell> {
     // way-count sharing that set count.
     let mut lru = LruSweep::bounded(&keys).expect("grid cells are valid");
     let mut fifo = FifoSweep::new(&keys).expect("grid cells are valid");
-    for (&id, &line) in view.ids().iter().zip(base_lines(view)) {
-        lru.observe_id(id, line);
-        fifo.observe_id(id, line);
+    // A run's repeats hit in every cell and change nothing: read one
+    // entry per run.
+    for run in view.runs() {
+        lru.observe_id(run.id, run.line);
+        fifo.observe_id(run.id, run.line);
     }
     sweep::note_single_pass_refs(2 * view.len() as u64);
     cells

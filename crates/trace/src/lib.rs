@@ -8,8 +8,9 @@
 //! * [`Addr`] and [`LineAddr`] — byte and cache-line addresses,
 //! * [`AccessKind`] and [`MemRef`] — a single reference,
 //! * [`TraceSource`] — anything that can produce a reference stream,
-//! * [`SideView`] and [`LineInterner`] — one cache side's lines, with
-//!   dense line ids memoized once per recorded trace,
+//! * [`SideView`] and [`LineInterner`] — one cache side's lines, and
+//!   its runs of repeats with dense line ids, memoized once per recorded
+//!   trace,
 //! * [`TraceStats`] — the per-trace counters reported in Table 2-1 of the
 //!   paper (dynamic instructions, data references, total references).
 //!
@@ -54,5 +55,5 @@ pub use addr::{Addr, LineAddr};
 pub use footprint::Footprint;
 pub use line_hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, LineInterner};
 pub use rng::{SampleRange, SmallRng};
-pub use source::{RecordedTrace, SideView, TraceSource, BASE_LINE_SIZE};
+pub use source::{LineRun, RecordedTrace, SideView, TraceSource, BASE_LINE_SIZE};
 pub use stats::TraceStats;

@@ -94,9 +94,9 @@ pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 /// a reference is a first touch exactly when its id equals the number of
 /// lines interned before it. Engines that index `Vec`s by id instead of
 /// hashing every reference take ids from here, either memoized with a
-/// trace ([`SideView::ids`](crate::SideView::ids)) or interned as lines
-/// arrive. No id equals `u32::MAX`, so engines can use it as a free-slot
-/// marker.
+/// trace ([`SideView::runs`](crate::SideView::runs)) or interned as
+/// lines arrive. No id equals `u32::MAX`, so engines can use it as a
+/// free-slot marker.
 ///
 /// # Examples
 ///

@@ -46,38 +46,42 @@ pub trait TraceSource {
 ///
 /// Holds the line address of every reference on one cache side
 /// (instruction or data) at [`BASE_LINE_SIZE`]-byte lines, in trace
-/// order, together with a dense id per reference: the side's distinct
-/// lines numbered in first-touch order ([`SideView::ids`],
-/// [`SideView::lines_by_id`]). Simulation hot loops iterate these flat
-/// vectors instead of re-filtering the mixed I/D trace and re-deriving
-/// lines per configuration, and engines index `Vec`s by id instead of
-/// hashing each line. The view stores no byte addresses: each reference
-/// keeps its byte offset within its base line, one byte, from which
-/// [`SideView::lines`] derives any other line size.
+/// order, and the same stream as *runs*: maximal stretches of consecutive
+/// references to one line ([`SideView::runs`]). Each run keeps its
+/// length and a dense id for its line: the side's distinct lines
+/// numbered in first-touch order, as a [`LineInterner`] fed the runs'
+/// lines would number them ([`SideView::lines_by_id`]). Every reference after a run's first is an
+/// immediate repeat, a hit that changes no state in a demand-fetch cache
+/// model, so sweep passes read one entry per run, and engines index
+/// `Vec`s by id instead of hashing each line. The view stores no byte
+/// addresses: each reference keeps its byte offset within its base line,
+/// one byte, from which [`SideView::lines`] derives any other line size.
 ///
 /// # Examples
 ///
 /// ```
-/// use jouppi_trace::{Addr, LineAddr, MemRef, RecordedTrace};
+/// use jouppi_trace::{Addr, LineAddr, LineRun, MemRef, RecordedTrace};
 ///
 /// let trace = RecordedTrace::from_iter(vec![
 ///     MemRef::instr(Addr::new(0x1000)),
 ///     MemRef::load(Addr::new(0x8000)),
-///     MemRef::store(Addr::new(0x8010)),
-///     MemRef::load(Addr::new(0x8004)),
+///     MemRef::store(Addr::new(0x8004)),
+///     MemRef::load(Addr::new(0x8010)),
+///     MemRef::load(Addr::new(0x8008)),
 /// ]);
 /// let data = trace.data_side();
 /// assert_eq!(trace.instr_side().len(), 1);
 /// // Line addresses for the baseline 16-byte line are precomputed...
-/// let lines = [LineAddr::new(0x800), LineAddr::new(0x801), LineAddr::new(0x800)];
+/// let lines = [0x800, 0x800, 0x801, 0x800].map(LineAddr::new);
 /// assert_eq!(data.lines_for(16), Some(&lines[..]));
-/// // ...with an id per reference, numbering lines in first-touch order.
-/// assert_eq!(data.ids(), &[0, 1, 0]);
-/// assert_eq!(data.lines_by_id(), &lines[..2]);
+/// // ...and read as runs, numbering lines in first-touch order.
+/// let run = |id, len| LineRun { line: lines[2 * id as usize], id, len };
+/// assert!(data.runs().eq([run(0, 2), run(1, 1), run(0, 1)]));
+/// assert_eq!(data.lines_by_id(), &lines[1..3]);
 /// // Other line sizes are derived on demand.
 /// assert!(data.lines_for(32).is_none());
-/// assert!(data.lines(32).eq([LineAddr::new(0x400); 3]));
-/// assert!(data.lines(8).eq([0x1000, 0x1002, 0x1000].map(LineAddr::new)));
+/// assert!(data.lines(32).eq([LineAddr::new(0x400); 4]));
+/// assert!(data.lines(8).eq([0x1000, 0x1000, 0x1002, 0x1001].map(LineAddr::new)));
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SideView {
@@ -85,11 +89,31 @@ pub struct SideView {
     /// Each reference's byte offset within its base line: with the base
     /// line, its whole address.
     offsets: Vec<u8>,
-    ids: Vec<u32>,
+    /// Per run: its line's id.
+    run_ids: Vec<u32>,
+    /// Per run: its length, 1 to [`SideView::MAX_RUN_LEN`].
+    run_lens: Vec<u8>,
     lines_by_id: Vec<LineAddr>,
 }
 
+/// One run of a [`SideView`]: `len` consecutive references to `line`,
+/// whose id is `id`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineRun {
+    /// The run's base line.
+    pub line: LineAddr,
+    /// The line's id: `lines_by_id()[id] == line`.
+    pub id: u32,
+    /// References in the run, 1 to [`SideView::MAX_RUN_LEN`].
+    pub len: u8,
+}
+
 impl SideView {
+    /// The longest run one entry holds. A longer stretch of one line
+    /// splits: the next run repeats the line, and its first reference is
+    /// an immediate repeat like the rest.
+    pub const MAX_RUN_LEN: u8 = u8::MAX;
+
     /// Line addresses pre-derived for [`BASE_LINE_SIZE`]-byte lines, in
     /// trace order.
     pub fn base_lines(&self) -> &[LineAddr] {
@@ -124,16 +148,23 @@ impl SideView {
             })
     }
 
-    /// Each reference's line id, parallel to [`SideView::base_lines`]:
-    /// the side's distinct base-size lines numbered 0, 1, 2, … in
-    /// first-touch order, as a [`LineInterner`] fed this side would
-    /// number them.
-    pub fn ids(&self) -> &[u32] {
-        &self.ids
+    /// The side's runs, in trace order. Their lengths sum to
+    /// [`SideView::len`], and expanding each run to `len` copies of its
+    /// line gives [`SideView::base_lines`]. Consecutive runs have
+    /// different lines, except after a run of [`SideView::MAX_RUN_LEN`].
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = LineRun> + '_ {
+        self.run_ids
+            .iter()
+            .zip(&self.run_lens)
+            .map(|(&id, &len)| LineRun {
+                line: self.lines_by_id[id as usize],
+                id,
+                len,
+            })
     }
 
-    /// The id → line table: `lines_by_id()[ids()[i]] == base_lines()[i]`.
-    /// Its length is the side's distinct-line count.
+    /// The id → line table. Its length is the side's distinct-line
+    /// count.
     pub fn lines_by_id(&self) -> &[LineAddr] {
         &self.lines_by_id
     }
@@ -149,40 +180,55 @@ impl SideView {
     }
 }
 
-/// One side's view under construction: lines, offsets and ids appended
-/// as the partition pass meets the side's references.
+/// One side's view under construction: lines and offsets appended as the
+/// partition pass meets the side's references.
 struct SideBuilder {
-    view: SideView,
-    interner: LineInterner,
+    base_lines: Vec<LineAddr>,
+    offsets: Vec<u8>,
 }
 
 impl SideBuilder {
     fn with_capacity(refs: usize) -> Self {
         SideBuilder {
-            view: SideView {
-                base_lines: Vec::with_capacity(refs),
-                offsets: Vec::with_capacity(refs),
-                ids: Vec::with_capacity(refs),
-                lines_by_id: Vec::new(),
-            },
-            interner: LineInterner::new(),
+            base_lines: Vec::with_capacity(refs),
+            offsets: Vec::with_capacity(refs),
         }
     }
 
     #[inline]
     fn push(&mut self, addr: Addr) {
-        let line = addr.line(BASE_LINE_SIZE);
-        self.view.base_lines.push(line);
-        self.view
-            .offsets
-            .push(addr.line_offset(BASE_LINE_SIZE) as u8);
-        self.view.ids.push(self.interner.intern(line));
+        self.base_lines.push(addr.line(BASE_LINE_SIZE));
+        self.offsets.push(addr.line_offset(BASE_LINE_SIZE) as u8);
     }
 
+    /// Splits the side's lines into runs in a second pass over them,
+    /// interning each stretch of one line once. (Opening runs inside the
+    /// partition pass, where the two sides interleave, measured slower
+    /// than this pass on its own.)
     fn finish(self) -> SideView {
+        let mut interner = LineInterner::new();
+        // At most one run per reference: reserving that many, untouched
+        // past the last run, saves regrowing two columns.
+        let refs = self.base_lines.len();
+        let (mut run_ids, mut run_lens) = (Vec::with_capacity(refs), Vec::with_capacity(refs));
+        for stretch in self.base_lines.chunk_by(|a, b| a == b) {
+            let id = interner.intern(stretch[0]);
+            for run in stretch.chunks(usize::from(SideView::MAX_RUN_LEN)) {
+                run_ids.push(id);
+                run_lens.push(run.len() as u8);
+            }
+        }
+        run_ids.shrink_to_fit();
+        run_lens.shrink_to_fit();
+        let (mut base_lines, mut offsets) = (self.base_lines, self.offsets);
+        base_lines.shrink_to_fit();
+        offsets.shrink_to_fit();
         SideView {
-            lines_by_id: self.interner.into_lines(),
-            ..self.view
+            base_lines,
+            offsets,
+            run_ids,
+            run_lens,
+            lines_by_id: interner.into_lines(),
         }
     }
 }
@@ -253,21 +299,22 @@ impl RecordedTrace {
         TraceStats::from_refs(self.refs.iter().copied())
     }
 
-    /// Partitions the trace in one pass: each reference's base line goes
-    /// to its side, which interns it on arrival.
+    /// Partitions the trace in one pass, each reference's base line going
+    /// to its side, then splits each side into runs.
     fn sides(&self) -> &SidePartitions {
         self.sides.get_or_init(|| {
-            let instr_refs = self.refs.iter().filter(|r| r.kind.is_instr()).count();
-            let mut instr = SideBuilder::with_capacity(instr_refs);
-            let mut data = SideBuilder::with_capacity(self.refs.len() - instr_refs);
+            // Each side reserves room for every reference rather than
+            // counting its own first; shrinking frees the untouched rest.
+            let mut sides = [
+                SideBuilder::with_capacity(self.refs.len()),
+                SideBuilder::with_capacity(self.refs.len()),
+            ];
             for r in &self.refs {
-                let side = if r.kind.is_instr() {
-                    &mut instr
-                } else {
-                    &mut data
-                };
-                side.push(r.addr);
+                // Indexed, not branched on: the kind follows no pattern a
+                // branch predictor can learn.
+                sides[usize::from(r.kind.is_data())].push(r.addr);
             }
+            let [instr, data] = sides;
             SidePartitions {
                 instr: instr.finish(),
                 data: data.finish(),
@@ -467,17 +514,28 @@ mod tests {
             let t = random_trace(seed);
             for (instr, view) in [(true, t.instr_side()), (false, t.data_side())] {
                 let lines = view.base_lines();
-                let (ids, table) = (view.ids(), view.lines_by_id());
-                assert_eq!(ids.len(), lines.len(), "seed {seed}");
-                let mut next = 0u32;
-                for (i, (&id, &line)) in ids.iter().zip(lines).enumerate() {
-                    assert_eq!(table[id as usize], line, "seed {seed} ref {i}");
+                let table = view.lines_by_id();
+                let (mut next, mut at) = (0u32, 0usize);
+                let mut previous: Option<LineRun> = None;
+                for (i, run) in view.runs().enumerate() {
+                    let (id, len) = (run.id, usize::from(run.len));
+                    assert_eq!(table[id as usize], run.line, "seed {seed} run {i}");
+                    assert!(len > 0, "seed {seed} run {i} is empty");
+                    assert!(
+                        lines[at..at + len].iter().all(|&l| l == run.line),
+                        "seed {seed} run {i}"
+                    );
+                    if let Some(p) = previous {
+                        assert!(p.line != run.line || p.len == SideView::MAX_RUN_LEN);
+                    }
                     // A new id is always the next one: first-touch order.
-                    assert!(id <= next, "seed {seed} ref {i}: id {id} before {next}");
+                    assert!(id <= next, "seed {seed} run {i}: id {id} before {next}");
                     if id == next {
                         next += 1;
                     }
+                    (at, previous) = (at + len, Some(run));
                 }
+                assert_eq!(at, lines.len(), "seed {seed} instr {instr}");
                 let distinct: std::collections::BTreeSet<_> = lines.iter().collect();
                 assert_eq!(table.len(), distinct.len(), "seed {seed} instr {instr}");
                 assert_eq!(next as usize, table.len(), "seed {seed} instr {instr}");
@@ -488,16 +546,36 @@ mod tests {
     #[test]
     fn extend_invalidates_line_ids() {
         let mut t = RecordedTrace::from_refs("t", sample());
-        assert_eq!(t.data_side().ids(), &[0, 0]);
+        let runs = |t: &RecordedTrace| -> Vec<(u32, u8)> {
+            t.data_side().runs().map(|run| (run.id, run.len)).collect()
+        };
+        assert_eq!(runs(&t), [(0, 2)]);
         t.extend([
             MemRef::load(Addr::new(0x2000)),
             MemRef::load(Addr::new(1024)),
         ]);
-        assert_eq!(t.data_side().ids(), &[0, 0, 1, 0]);
+        assert_eq!(runs(&t), [(0, 2), (1, 1), (0, 1)]);
         assert_eq!(
             t.data_side().lines_by_id(),
             &[LineAddr::new(64), LineAddr::new(0x200)]
         );
+    }
+
+    #[test]
+    fn a_run_longer_than_its_field_splits_even_at_the_top_line() {
+        let max = usize::from(SideView::MAX_RUN_LEN);
+        let top = Addr::new(u64::MAX);
+        let refs = std::iter::repeat_n(MemRef::load(top), 2 * max + 3)
+            .chain([MemRef::load(Addr::new(0)), MemRef::store(top)])
+            .collect();
+        let t = RecordedTrace::from_refs("t", refs);
+        let data = t.data_side();
+        let full = SideView::MAX_RUN_LEN;
+        let runs: Vec<(u32, u8)> = data.runs().map(|run| (run.id, run.len)).collect();
+        assert_eq!(runs, [(0, full), (0, full), (0, 3), (1, 1), (0, 1)]);
+        assert_eq!(data.lines_by_id(), &[top.line(16), LineAddr::new(0)]);
+        assert_eq!(data.len(), 2 * max + 5);
+        assert!(t.instr_side().runs().eq([]));
     }
 
     #[test]
