@@ -24,6 +24,13 @@ cargo build --release -p jouppi-lint
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
+echo "==> repro all: the same stdout with one worker and with two"
+# At the default scale the sweeps' jobs are large enough to run on the
+# thread pool, so the second run takes the parallel path.
+JOUPPI_THREADS=1 ./target/release/repro all > target/repro-all-1.txt
+JOUPPI_THREADS=2 ./target/release/repro all > target/repro-all-2.txt
+cmp target/repro-all-1.txt target/repro-all-2.txt
+
 echo "==> build examples"
 cargo build --release --examples
 

@@ -2,12 +2,13 @@
 //!
 //! This crate provides the conventional caching machinery the paper builds
 //! on: tag-only set-associative cache models (direct-mapped through
-//! fully-associative), replacement policies, exact LRU structures (a
-//! scanned [`LruSet`] for the small buffers, an O(1) [`LruMap`]), and the
-//! three-C miss classifier (compulsory / capacity / conflict, after
-//! Hill) that Sections 3 and 4 of the paper rely on to separate the misses
-//! each mechanism targets. [`DirectMappedSweep`] and [`BandedShadow`]
-//! simulate and classify every size of a cache-size sweep in one pass.
+//! fully-associative), replacement policies, and the three-C miss
+//! classifier (compulsory / capacity / conflict, after Hill) that
+//! Sections 3 and 4 of the paper rely on to separate the misses each
+//! mechanism targets. [`DirectMappedSweep`] and [`BandedShadow`]
+//! simulate and classify every size of a cache-size sweep in one pass;
+//! [`LruSweep`], [`FifoSweep`] and [`StackDistanceProfile`] answer every
+//! geometry of a sweep from one traversal.
 //!
 //! Caches here are *functional* simulators: they track which line addresses
 //! are resident, not data bytes, because every metric in the paper is a miss
@@ -48,8 +49,6 @@
 
 mod classify;
 mod geometry;
-mod lru;
-mod lru_map;
 mod replacement;
 mod set_assoc;
 mod single_pass;
@@ -59,9 +58,6 @@ mod stats;
 
 pub use classify::{ClassifiedCache, MissClass, MissClassifier};
 pub use geometry::{CacheGeometry, GeometryError};
-pub use jouppi_trace::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use lru::{LruSet, TouchOutcome};
-pub use lru_map::{Displaced, LruMap};
 pub use replacement::ReplacementPolicy;
 pub use set_assoc::{AccessResult, Cache};
 pub use single_pass::{FifoSweep, LruSweep, SinglePassError};

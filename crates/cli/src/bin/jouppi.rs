@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! jouppi serve [OPTIONS]   run the simulation-as-a-service daemon
-//! jouppi sim [OPTIONS]     one-shot simulation (same flags as jouppi-sim)
 //! ```
+//!
+//! One-shot simulation is the `jouppi-sim` binary.
 
 #![warn(clippy::cast_possible_truncation)]
 
@@ -15,8 +16,7 @@ const USAGE: &str = "\
 usage: jouppi <command> [OPTIONS]
 
 commands:
-  serve   run the HTTP simulation service (see 'jouppi serve --help')
-  sim     simulate one cache organization (see 'jouppi sim --help')";
+  serve   run the HTTP simulation service (see 'jouppi serve --help')";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -25,11 +25,6 @@ fn main() -> ExitCode {
             serve_cmd::parse_serve_args(args),
             serve_cmd::SERVE_USAGE,
             serve_cmd::run_serve,
-        ),
-        Some("sim") => jouppi_cli::finish(
-            jouppi_cli::parse_args(args),
-            jouppi_cli::USAGE,
-            jouppi_cli::run,
         ),
         Some("--help" | "-h") => {
             println!("{USAGE}");

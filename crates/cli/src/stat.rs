@@ -3,7 +3,7 @@
 
 use jouppi_cache::{BandedShadow, CacheGeometry, DirectMappedSweep};
 use jouppi_report::Table;
-use jouppi_trace::{Footprint, RecordedTrace, TraceSource};
+use jouppi_trace::{FxHashSet, LineAddr, RecordedTrace, SideView, TraceSource};
 use jouppi_workloads::Benchmark;
 
 use crate::UsageError;
@@ -102,10 +102,6 @@ pub fn run_stat(opts: &StatOptions) -> Result<String, Box<dyn std::error::Error>
     let trace = crate::load_trace(&opts.input, opts.scale, opts.seed)?;
 
     let stats = trace.stats();
-    let mut fp = Footprint::new(opts.line_size);
-    for r in trace.refs() {
-        fp.observe(r);
-    }
 
     let mut out = String::new();
     out.push_str(&format!("trace: {} ({})\n\n", trace.name(), stats));
@@ -122,17 +118,26 @@ pub fn run_stat(opts: &StatOptions) -> Result<String, Box<dyn std::error::Error>
     ]);
     t.row([
         "code footprint".to_owned(),
-        format!("{} KB", fp.instr_bytes() / 1024),
+        format!(
+            "{} KB",
+            footprint(trace.instr_side(), opts.line_size) / 1024
+        ),
     ]);
     t.row([
         "data footprint".to_owned(),
-        format!("{} KB", fp.data_bytes() / 1024),
+        format!("{} KB", footprint(trace.data_side(), opts.line_size) / 1024),
     ]);
     out.push_str(&t.render());
 
     out.push_str("\ndata-side miss rates by cache size:\n");
     out.push_str(&data_curve(&trace, opts.line_size)?.render());
     Ok(out)
+}
+
+/// The bytes of the distinct `line_size` lines one side touches.
+fn footprint(side: &SideView, line_size: u64) -> u64 {
+    let lines: FxHashSet<LineAddr> = side.lines(line_size).collect();
+    lines.len() as u64 * line_size
 }
 
 /// The data-side miss-rate curve: at every size from 1KB to 128KB that
@@ -273,6 +278,24 @@ mod tests {
                 data_curve_per_size(&trace, line).render(),
                 "{bench} at {line}B lines"
             );
+        }
+    }
+
+    #[test]
+    fn footprints_count_each_sides_distinct_lines() {
+        let trace = RecordedTrace::record(&Benchmark::Ccom.source(Scale::new(20_000), 3));
+        for line in [16, 64] {
+            let naive = |data: bool| {
+                let lines: std::collections::BTreeSet<u64> = trace
+                    .as_slice()
+                    .iter()
+                    .filter(|r| r.kind.is_data() == data)
+                    .map(|r| r.addr.line(line).get())
+                    .collect();
+                lines.len() as u64 * line
+            };
+            assert_eq!(footprint(trace.instr_side(), line), naive(false), "{line}B");
+            assert_eq!(footprint(trace.data_side(), line), naive(true), "{line}B");
         }
     }
 

@@ -27,7 +27,6 @@ fn help_prints_usage_to_stdout_and_succeeds() {
         (SIM, &["-h"][..], "usage: jouppi-sim"),
         (STAT, &["--help"][..], "usage: jouppi-stat"),
         (JOUPPI, &["serve", "--help"][..], "usage: jouppi serve"),
-        (JOUPPI, &["sim", "--help"][..], "usage: jouppi-sim"),
         (JOUPPI, &["--help"][..], "usage: jouppi <command>"),
     ] {
         let out = run(bin, args);
@@ -51,7 +50,7 @@ fn usage_errors_go_to_stderr_and_fail() {
         (SIM, &["--scale", "0"][..], "--scale must be positive"),
         (STAT, &["--bogus"][..], "unknown argument '--bogus'"),
         (JOUPPI, &["serve", "--port", "huge"][..], "--port"),
-        (JOUPPI, &["sim", "--frobnicate"][..], "unknown argument"),
+        (JOUPPI, &["sim", "--help"][..], "unknown command 'sim'"),
         (JOUPPI, &[][..], "usage: jouppi <command>"),
         (JOUPPI, &["frob"][..], "unknown command 'frob'"),
     ] {

@@ -1,6 +1,5 @@
 //! The miss cache of §3.1.
 
-use jouppi_cache::LruSet;
 use jouppi_trace::LineAddr;
 
 /// A small fully-associative cache between a direct-mapped cache and its
@@ -13,6 +12,11 @@ use jouppi_trace::LineAddr;
 ///
 /// The miss cache is probed in parallel with the upper cache; a probe that
 /// hits turns a many-cycle off-chip miss into a one-cycle reload.
+///
+/// Replacement is exact LRU. The lines sit in one `Vec` in MRU-first
+/// order and are scanned linearly, as the hardware's parallel comparators
+/// are searched: at the paper's 1-15 entries a scan costs one or two
+/// cache lines of data and no hashing.
 ///
 /// # Examples
 ///
@@ -31,7 +35,9 @@ use jouppi_trace::LineAddr;
 /// ```
 #[derive(Clone, Debug)]
 pub struct MissCache {
-    lines: LruSet,
+    /// Resident lines, most-recently used first.
+    lines: Vec<LineAddr>,
+    capacity: usize,
 }
 
 impl MissCache {
@@ -42,14 +48,16 @@ impl MissCache {
     ///
     /// Panics if `entries` is zero.
     pub fn new(entries: usize) -> Self {
+        assert!(entries > 0, "miss cache capacity must be nonzero");
         MissCache {
-            lines: LruSet::new(entries),
+            lines: Vec::with_capacity(entries),
+            capacity: entries,
         }
     }
 
     /// Number of entries the miss cache can hold.
     pub fn capacity(&self) -> usize {
-        self.lines.capacity()
+        self.capacity
     }
 
     /// Number of currently valid entries.
@@ -65,25 +73,41 @@ impl MissCache {
     /// Probes for `line` on an upper-cache miss. On a hit the entry becomes
     /// most-recently used (the upper cache is reloaded from here in one
     /// cycle) and `true` is returned.
+    #[inline]
     pub fn probe_and_touch(&mut self, line: LineAddr) -> bool {
-        self.lines.touch(line)
+        match self.lines.iter().position(|&l| l == line) {
+            Some(pos) => {
+                self.lines[..=pos].rotate_right(1);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Checks residency without updating recency (for overlap statistics).
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.lines.contains(line)
+        self.lines.contains(&line)
     }
 
-    /// Loads the requested `line` after a full miss, replacing the
-    /// least-recently-used entry. Returns the entry that was displaced,
-    /// if any.
+    /// Loads the requested `line` after a full miss as the
+    /// most-recently-used entry, replacing the least-recently-used one
+    /// when full. Returns the entry that was displaced, if any. A line
+    /// already resident is only touched, and `None` is returned.
     pub fn insert(&mut self, line: LineAddr) -> Option<LineAddr> {
-        self.lines.insert(line)
+        if self.probe_and_touch(line) {
+            return None;
+        }
+        let evicted = (self.lines.len() == self.capacity)
+            .then(|| self.lines.pop())
+            .flatten();
+        self.lines.insert(0, line);
+        evicted
     }
 
     /// Iterates over the resident lines, most-recently used first.
     pub fn iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.lines.iter()
+        self.lines.iter().copied()
     }
 }
 
@@ -155,5 +179,11 @@ mod tests {
         mc.probe_and_touch(l(1));
         let order: Vec<_> = mc.iter().collect();
         assert_eq!(order, vec![l(1), l(3), l(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be nonzero")]
+    fn zero_capacity_panics() {
+        let _ = MissCache::new(0);
     }
 }

@@ -29,8 +29,10 @@
 //!   was evicted from its set once, so that set was full, and L1 sets
 //!   never empty again.
 //! * **Miss caches.** Without stream buffers a miss cache is plain LRU
-//!   over the miss sequence, so a [`StackDistanceProfile`] of the logged
-//!   lines gives every size's hits.
+//!   over the miss sequence: a hit touches its line and a full miss
+//!   inserts it. So one pass over an LRU stack of the missed lines,
+//!   bounded at the largest size asked for, that records each hit's
+//!   depth answers every size.
 //! * **Stream-run lengths of one sequential buffer.** Only a stream
 //!   buffer's head has a comparator (§4.1), so after any miss `x` — a
 //!   head hit or a restart — a lone buffer expects `x + 1` next. With no
@@ -70,7 +72,7 @@
 //! # }
 //! ```
 
-use jouppi_cache::{CacheGeometry, DirectMappedSweep, ReplacementPolicy, StackDistanceProfile};
+use jouppi_cache::{CacheGeometry, DirectMappedSweep, ReplacementPolicy};
 use jouppi_trace::LineAddr;
 
 use crate::augmented::{L1Miss, MissPath};
@@ -225,38 +227,54 @@ impl MissLog {
                 stack.truncate(max_entries);
             }
         }
+        self.stack_stats(&hits_at_depth, |stats| &mut stats.victim_hits)
+    }
+
+    /// Statistics of miss caches of `1..=max_entries` entries, with no
+    /// stream buffer, from one pass over an LRU stack of the missed lines.
+    pub fn miss_cache_sweep(&self, max_entries: usize) -> Vec<AugmentedStats> {
+        if max_entries == 0 {
+            return Vec::new();
+        }
+        // stack[0] is the most recently missed line; as in the victim
+        // sweep, the stack keeps only `max_entries`.
+        let mut stack: Vec<LineAddr> = Vec::with_capacity(max_entries + 1);
+        let mut hits_at_depth = vec![0u64; max_entries];
+        for miss in &self.misses {
+            match stack.iter().position(|&l| l == miss.line) {
+                Some(depth) => {
+                    hits_at_depth[depth] += 1;
+                    stack[..=depth].rotate_right(1);
+                }
+                None => {
+                    stack.insert(0, miss.line);
+                    stack.truncate(max_entries);
+                }
+            }
+        }
+        self.stack_stats(&hits_at_depth, |stats| &mut stats.miss_cache_hits)
+    }
+
+    /// Statistics at each size `1..=hits_at_depth.len()` of an LRU stack
+    /// whose hits fell at each depth: a size-`N` buffer takes the hits at
+    /// depths below `N`, counted in the field `aid_hits` picks, and every
+    /// other miss goes off chip.
+    fn stack_stats(
+        &self,
+        hits_at_depth: &[u64],
+        aid_hits: fn(&mut AugmentedStats) -> &mut u64,
+    ) -> Vec<AugmentedStats> {
         let mut hits = 0;
         hits_at_depth
             .iter()
             .map(|&h| {
                 hits += h;
-                AugmentedStats {
-                    victim_hits: hits,
+                let mut stats = AugmentedStats {
                     full_misses: self.l1_misses() - hits,
                     ..self.bare_stats()
-                }
-            })
-            .collect()
-    }
-
-    /// Statistics of miss caches of `1..=max_entries` entries, with no
-    /// stream buffer, from one stack-distance profile of the missed lines.
-    pub fn miss_cache_sweep(&self, max_entries: usize) -> Vec<AugmentedStats> {
-        if max_entries == 0 {
-            return Vec::new();
-        }
-        let mut profile = StackDistanceProfile::with_capacity(self.misses.len());
-        for miss in &self.misses {
-            profile.observe(miss.line);
-        }
-        (1..=max_entries)
-            .map(|entries| {
-                let full_misses = profile.misses_for_capacity(entries);
-                AugmentedStats {
-                    miss_cache_hits: self.l1_misses() - full_misses,
-                    full_misses,
-                    ..self.bare_stats()
-                }
+                };
+                *aid_hits(&mut stats) = hits;
+                stats
             })
             .collect()
     }
@@ -345,7 +363,7 @@ impl MissLog {
 enum Plan {
     /// From the LRU victim stack, at this many entries.
     VictimStack(usize),
-    /// From the miss-line stack-distance profile, at this many entries.
+    /// From the miss-line stack, at this many entries.
     MissStack(usize),
     /// From the chain scan, at this run budget.
     StreamRuns(Option<usize>),

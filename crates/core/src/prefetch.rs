@@ -19,8 +19,8 @@
 
 use std::fmt;
 
-use jouppi_cache::{Cache, CacheGeometry, FxHashMap};
-use jouppi_trace::{Addr, LineAddr};
+use jouppi_cache::{Cache, CacheGeometry};
+use jouppi_trace::{Addr, FxHashMap, LineAddr};
 
 /// Which classical prefetch policy to simulate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

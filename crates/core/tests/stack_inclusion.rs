@@ -6,9 +6,9 @@
 //!   So the hits counted by depth in one 16-entry stack pass must equal,
 //!   for every `V` in `1..=16`, what a `VictimCache(V)` takes.
 //! * **Miss caches.** Without stream buffers a miss cache is LRU over
-//!   the miss sequence, so the hits a `StackDistanceProfile` of the
-//!   missed lines predicts (`MissLog::miss_cache_sweep`) must equal each
-//!   `MissCache(N)`.
+//!   the miss sequence, so the hits counted by depth in one 16-entry
+//!   stack of the missed lines (`MissLog::miss_cache_sweep`) must equal
+//!   each `MissCache(N)`.
 //!
 //! Inputs are conflict-heavy random line streams over 64B–1KB
 //! direct-mapped L1s: a few lines per set, sequential runs, and

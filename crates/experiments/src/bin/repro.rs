@@ -195,8 +195,10 @@ fn main() -> ExitCode {
         match run_one(name, &cfg) {
             Ok(text) => {
                 println!("## {name}\n");
-                println!("{text}");
-                println!("({name} took {:.1}s)\n", started.elapsed().as_secs_f64());
+                println!("{text}\n");
+                // The timing goes to stderr, so stdout is a function of
+                // the scale and seed alone.
+                eprintln!("({name} took {:.1}s)", started.elapsed().as_secs_f64());
             }
             Err(e) => {
                 eprintln!("error: {e}");

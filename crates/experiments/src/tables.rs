@@ -1,6 +1,7 @@
 //! Tables 1-1, 2-1, and 2-2 of the paper.
 
 use jouppi_report::{rate, Table};
+use jouppi_trace::{SideView, BASE_LINE_SIZE};
 use jouppi_workloads::Benchmark;
 
 use crate::common::{baseline_l1, classify_side, per_benchmark, ExperimentConfig, Side};
@@ -116,15 +117,15 @@ pub struct Table21 {
 pub fn table_2_1(cfg: &ExperimentConfig) -> Table21 {
     let rows = per_benchmark(cfg, |b, trace| {
         let s = trace.stats();
-        let mut fp = jouppi_trace::Footprint::new(16);
-        fp.observe_all(trace.as_slice().iter().copied());
+        // A side's distinct 16B lines are its line ids.
+        let bytes = |side: &SideView| side.lines_by_id().len() as u64 * BASE_LINE_SIZE;
         Table21Row {
             benchmark: b,
             dynamic_instr: s.instruction_refs,
             data_refs: s.data_refs(),
             total_refs: s.total_refs(),
-            instr_footprint: fp.instr_bytes(),
-            data_footprint: fp.data_bytes(),
+            instr_footprint: bytes(trace.instr_side()),
+            data_footprint: bytes(trace.data_side()),
         }
     })
     .into_iter()
@@ -258,6 +259,26 @@ mod tests {
             assert!(r.data_footprint > 0, "{}: no data footprint", r.benchmark);
         }
         assert!(t.render().contains("linpack"));
+    }
+
+    #[test]
+    fn table_2_1_footprints_count_each_sides_distinct_16b_lines() {
+        let cfg = ExperimentConfig::with_scale(5_000);
+        let naive = per_benchmark(&cfg, |_, trace| {
+            let bytes = |data: bool| {
+                let lines: std::collections::BTreeSet<u64> = trace
+                    .as_slice()
+                    .iter()
+                    .filter(|r| r.kind.is_data() == data)
+                    .map(|r| r.addr.line(16).get())
+                    .collect();
+                lines.len() as u64 * 16
+            };
+            (bytes(false), bytes(true))
+        });
+        for (row, (b, want)) in table_2_1(&cfg).rows.iter().zip(naive) {
+            assert_eq!((row.instr_footprint, row.data_footprint), want, "{b}");
+        }
     }
 
     #[test]

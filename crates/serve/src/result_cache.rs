@@ -18,8 +18,11 @@
 //!   two independently-seeded [`FxHasher`] lanes, domain-separated per
 //!   endpoint.
 //! * **Memoization** — completed result documents live in a bounded
-//!   [`LruMap`] (a hash map over an intrusive recency list, O(1) at any
-//!   capacity), shared behind one mutex. Each entry
+//!   exact-LRU memo behind one mutex: a hash map from key to entry,
+//!   where each entry carries the stamp of its last use, and a
+//!   `BTreeMap` from stamp to key whose first key is the least recently
+//!   used. A hit restamps its entry and a full memo evicts the first
+//!   stamp, both logarithmic in the capacity. Each entry
 //!   keeps the document as an `Arc<Json>` and its served encoding — the
 //!   body [`Response::json`] would produce — as an `Arc<[u8]>`, encoded
 //!   once at insert. A synchronous hit probes with
@@ -39,10 +42,11 @@
 //! never held at the same time — `begin`/`finish` drop the cache lock
 //! before touching a flight, so there is no order to get wrong.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use jouppi_cache::{Displaced, FxHashMap, FxHasher, LruMap};
+use jouppi_trace::{FxHashMap, FxHasher};
 
 use crate::http::Response;
 use crate::json::Json;
@@ -108,7 +112,14 @@ pub fn content_key(endpoint: &str, body: &Json) -> Key {
         let mut h = FxHasher::default();
         h.write_u64(tag);
         h.write(endpoint.as_bytes());
-        h.write(canon.as_bytes());
+        // One byte per multiply. A multiply carries a difference only
+        // upward, so with eight bytes per multiply a difference in one
+        // word's top byte can be cancelled by one in the next word's low
+        // byte, in both lanes at once (`{"k":1394}` and `{"k":1319}` would
+        // share a key). A byte enters at the bottom and spreads upward.
+        for &byte in canon.as_bytes() {
+            h.write_u8(byte);
+        }
         h.finish()
     };
     Key((u128::from(lane(LANE_LO)) << 64) | u128::from(lane(LANE_HI)))
@@ -173,12 +184,53 @@ struct Entry {
     doc: Arc<Json>,
     /// `Response::json(200, &doc)`'s body, encoded once at insert.
     body: Arc<[u8]>,
+    /// The stamp of the entry's last use: its key in `Inner::by_stamp`.
+    stamp: u64,
 }
 
 struct Inner {
-    lru: LruMap<Key, Entry>,
+    memo: FxHashMap<Key, Entry>,
+    /// Every entry's key by its stamp; the first is the least recently
+    /// used.
+    by_stamp: BTreeMap<u64, Key>,
+    /// The last stamp handed out; each use takes the next one.
+    clock: u64,
     inflight: FxHashMap<Key, Arc<Flight>>,
     bytes_resident: u64,
+}
+
+impl Inner {
+    /// The entry for `key`, restamped as the most recently used.
+    fn touch(&mut self, key: Key) -> Option<&Entry> {
+        let entry = self.memo.get_mut(&key)?;
+        self.by_stamp.remove(&entry.stamp);
+        self.clock += 1;
+        entry.stamp = self.clock;
+        self.by_stamp.insert(self.clock, key);
+        Some(entry)
+    }
+
+    /// Stores `entry` under `key` as the most recently used, evicting
+    /// the least recently used entry if the memo then holds more than
+    /// `capacity`. Returns whether it evicted.
+    fn store(&mut self, key: Key, mut entry: Entry, capacity: usize) -> bool {
+        self.clock += 1;
+        entry.stamp = self.clock;
+        self.bytes_resident += entry.body.len() as u64;
+        if let Some(old) = self.memo.insert(key, entry) {
+            self.by_stamp.remove(&old.stamp);
+            self.bytes_resident -= old.body.len() as u64;
+        }
+        self.by_stamp.insert(self.clock, key);
+        let evicted = (self.memo.len() > capacity)
+            .then(|| self.by_stamp.pop_first())
+            .flatten()
+            .and_then(|(_, lru)| self.memo.remove(&lru));
+        if let Some(old) = &evicted {
+            self.bytes_resident -= old.body.len() as u64;
+        }
+        evicted.is_some()
+    }
 }
 
 /// Point-in-time counters for `/metrics`.
@@ -239,6 +291,8 @@ pub enum TryLookup {
 /// `Arc` so leader guards can ride into queued jobs.
 pub struct ResultCache {
     mode: CacheMode,
+    /// Most memoized documents; at least 1.
+    capacity: usize,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -251,8 +305,11 @@ impl ResultCache {
     pub fn new(config: CacheConfig) -> Arc<ResultCache> {
         Arc::new(ResultCache {
             mode: config.mode,
+            capacity: config.capacity.max(1),
             inner: Mutex::new(Inner {
-                lru: LruMap::new(config.capacity.max(1)),
+                memo: FxHashMap::default(),
+                by_stamp: BTreeMap::new(),
+                clock: 0,
                 inflight: FxHashMap::default(),
                 bytes_resident: 0,
             }),
@@ -303,8 +360,7 @@ impl ResultCache {
         }
         let body = self
             .lock()
-            .lru
-            .get(&key)
+            .touch(key)
             .map(|entry| Arc::clone(&entry.body))?;
         self.hits.fetch_add(1, Ordering::SeqCst);
         Some(body)
@@ -332,7 +388,7 @@ impl ResultCache {
     /// Memo hit, new leadership, or the flight to wait on.
     fn lookup_or_lead(self: &Arc<Self>, key: Key) -> Result<Elected, Arc<Flight>> {
         let mut inner = self.lock();
-        if let Some(entry) = inner.lru.get(&key) {
+        if let Some(entry) = inner.touch(key) {
             let doc = Arc::clone(&entry.doc);
             drop(inner);
             self.hits.fetch_add(1, Ordering::SeqCst);
@@ -363,7 +419,7 @@ impl ResultCache {
     pub fn counters(&self) -> CacheCounters {
         let (bytes_resident, entries) = {
             let inner = self.lock();
-            (inner.bytes_resident, inner.lru.len() as u64)
+            (inner.bytes_resident, inner.memo.len() as u64)
         };
         CacheCounters {
             hits: self.hits.load(Ordering::SeqCst),
@@ -385,20 +441,13 @@ impl ResultCache {
         let entry = outcome.as_ref().map(|doc| Entry {
             doc: Arc::clone(doc),
             body: Response::json(200, doc).body.into(),
+            stamp: 0,
         });
         let flight = {
             let mut inner = self.lock();
             if let Some(entry) = entry {
-                inner.bytes_resident += entry.body.len() as u64;
-                match inner.lru.insert(key, entry) {
-                    Displaced::None => {}
-                    Displaced::Replaced(old) => {
-                        inner.bytes_resident -= old.body.len() as u64;
-                    }
-                    Displaced::Evicted(_, old) => {
-                        inner.bytes_resident -= old.body.len() as u64;
-                        self.evictions.fetch_add(1, Ordering::SeqCst);
-                    }
+                if inner.store(key, entry, self.capacity) {
+                    self.evictions.fetch_add(1, Ordering::SeqCst);
                 }
             }
             inner.inflight.remove(&key)
@@ -509,6 +558,23 @@ mod tests {
         let c = Json::parse(r#"{"workload":"ccom","scale":5001,"victim":4}"#).unwrap();
         assert_ne!(content_key("simulate", &a), content_key("simulate", &c));
         assert_ne!(content_key("simulate", &a), content_key("sweep", &a));
+    }
+
+    /// Bodies that differ across an eight-byte boundary of their
+    /// canonical text get distinct keys.
+    #[test]
+    fn content_keys_of_nearby_bodies_are_distinct() {
+        let mut keys: Vec<Key> = (0..20_000).map(key).collect();
+        for scale in 1_000..3_000 {
+            for seed in 0..5 {
+                let body = Json::obj([("scale", Json::Int(scale)), ("seed", Json::Int(seed))]);
+                keys.push(content_key("simulate", &body));
+            }
+        }
+        let total = keys.len();
+        keys.sort_unstable_by_key(|k| k.0);
+        keys.dedup();
+        assert_eq!(keys.len(), total, "content keys collide");
     }
 
     #[test]
@@ -684,6 +750,70 @@ mod tests {
         };
         leader.complete(&doc(4));
         assert!(c.lock().inflight.is_empty(), "a resolved flight stayed");
+    }
+
+    /// The memo and a naive MRU-first list agree on every hit, miss,
+    /// eviction, entry count, resident byte and the recency order, under
+    /// seeded random probes, lookups, stores and abandons over twice as
+    /// many keys as the capacity, at capacities from 1 to 1,024.
+    #[test]
+    fn memo_matches_a_naive_lru_model() {
+        const SEED: u64 = 0x1234_5678;
+        let mut rng = jouppi_trace::SmallRng::seed_from_u64(SEED);
+        for capacity in [1usize, 2, 8, 64, 65, 1024] {
+            let c = cache(capacity);
+            let keys: Vec<Key> = (0..2 * capacity as u64).map(key).collect();
+            // (key index, stored value, body bytes), most recent first.
+            let mut model: Vec<(usize, i64, u64)> = Vec::new();
+            let (mut hits, mut misses, mut evictions) = (0, 0, 0);
+            for step in 0..10_000i64 {
+                let k = rng.below(keys.len());
+                let at = format!("seed {SEED:#x}: capacity {capacity}, step {step}, key {k}");
+                let hit = model.iter().position(|&(m, ..)| m == k).map(|p| {
+                    let e = model.remove(p);
+                    model.insert(0, e);
+                    e.1
+                });
+                hits += u64::from(hit.is_some());
+                match rng.below(4) {
+                    0 => {
+                        let body = c.cached_body(keys[k], false);
+                        let want = hit.map(|v| Response::json(200, &doc(v)).body);
+                        assert_eq!(body.as_deref(), want.as_deref(), "cached_body: {at}");
+                    }
+                    draw => match (c.begin(keys[k], false), hit) {
+                        (Lookup::Hit(d), Some(v)) => assert_eq!(*d, *doc(v), "hit: {at}"),
+                        (Lookup::Miss(leader), None) => {
+                            misses += 1;
+                            if draw == 1 {
+                                leader.abandon();
+                            } else {
+                                leader.complete(&doc(step));
+                                let bytes = Response::json(200, &doc(step)).body.len();
+                                model.insert(0, (k, step, bytes as u64));
+                                if model.len() > capacity {
+                                    model.pop();
+                                    evictions += 1;
+                                }
+                            }
+                        }
+                        _ => panic!("begin disagrees with the model: {at}"),
+                    },
+                }
+                let bytes: u64 = model.iter().map(|&(.., b)| b).sum();
+                let counters = c.counters();
+                assert_eq!(
+                    (counters.hits, counters.misses, counters.evictions),
+                    (hits, misses, evictions),
+                    "{at}"
+                );
+                assert_eq!(counters.entries, model.len() as u64, "{at}");
+                assert_eq!(counters.bytes_resident, bytes, "{at}");
+                let order: Vec<Key> = c.lock().by_stamp.values().rev().copied().collect();
+                let want: Vec<Key> = model.iter().map(|&(m, ..)| keys[m]).collect();
+                assert_eq!(order, want, "recency order: {at}");
+            }
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@
 
 mod access;
 mod addr;
-mod footprint;
 pub mod io;
 mod line_hash;
 mod rng;
@@ -52,7 +51,6 @@ mod stats;
 
 pub use access::{AccessKind, MemRef};
 pub use addr::{Addr, LineAddr};
-pub use footprint::Footprint;
 pub use line_hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, LineInterner};
 pub use rng::{SampleRange, SmallRng};
 pub use source::{LineRun, RecordedTrace, SideView, TraceSource, BASE_LINE_SIZE};

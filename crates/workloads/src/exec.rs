@@ -138,10 +138,9 @@ impl Default for ExecConfig {
 pub struct Executor {
     layout: CodeLayout,
     cfg: ExecConfig,
-    /// Cumulative callee-selection weights over rank.
+    /// Cumulative callee-selection weights over rank; rank r is
+    /// procedure r.
     cum_weights: Vec<f64>,
-    /// Procedure ranks: rank r maps to procedure `rank_to_proc[r]`.
-    rank_to_proc: Vec<usize>,
     stack: Vec<Frame>,
     cur: Frame,
 }
@@ -157,9 +156,9 @@ impl Executor {
     /// Creates an executor starting at the first procedure.
     pub fn new(layout: CodeLayout, cfg: ExecConfig) -> Self {
         let n = layout.procs.len();
-        // Rank r has weight 1/(r+1)^skew; identity rank→proc mapping keeps
-        // hot procedures at the front of the layout, which is how linkers
-        // tend to lay out call-graph-ordered code.
+        // Rank r has weight 1/(r+1)^skew. Rank r is procedure r, which
+        // keeps hot procedures at the front of the layout, as linkers tend
+        // to lay out call-graph-ordered code.
         let mut cum = Vec::with_capacity(n);
         let mut acc = 0.0;
         for r in 0..n {
@@ -175,7 +174,6 @@ impl Executor {
             layout,
             cfg,
             cum_weights: cum,
-            rank_to_proc: (0..n).collect(),
             stack: Vec::new(),
             cur: start,
         }
@@ -246,11 +244,9 @@ impl Executor {
     fn pick_callee(&self, rng: &mut SmallRng) -> usize {
         let total = *self.cum_weights.last().expect("nonempty layout");
         let x: f64 = rng.gen_range(0.0..total);
-        let rank = self
-            .cum_weights
+        self.cum_weights
             .partition_point(|&c| c < x)
-            .min(self.cum_weights.len() - 1);
-        self.rank_to_proc[rank]
+            .min(self.cum_weights.len() - 1)
     }
 }
 

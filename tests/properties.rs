@@ -9,10 +9,10 @@
 use std::collections::BTreeSet;
 
 use jouppi::cache::{
-    Cache, CacheGeometry, FifoSweep, LruSet, LruSweep, MissClass, MissClassifier,
-    ReplacementPolicy, StackDistanceProfile, TouchOutcome,
+    Cache, CacheGeometry, FifoSweep, LruSweep, MissClass, MissClassifier, ReplacementPolicy,
+    StackDistanceProfile,
 };
-use jouppi::core::{AugmentedCache, AugmentedConfig, StreamBufferConfig, VictimCache};
+use jouppi::core::{AugmentedCache, AugmentedConfig, MissCache, StreamBufferConfig, VictimCache};
 use jouppi::trace::{LineAddr, LineInterner, SmallRng};
 
 const SEED: u64 = 0x5052_4f50_4552_5459; // "PROPERTY"
@@ -44,32 +44,30 @@ fn cell_misses(stream: &[u64], sets: u64, assoc: u64, policy: ReplacementPolicy)
 /// line's low bits: set-associative LRU at any way count, which a
 /// [`Cache`] (power-of-two ways only) cannot model.
 fn per_set_lru_misses(stream: &[u64], sets: u64, assoc: u64) -> u64 {
-    let mut set_lrus: Vec<LruSet> = (0..sets).map(|_| LruSet::new(assoc as usize)).collect();
+    let mut set_lrus: Vec<MissCache> = (0..sets).map(|_| MissCache::new(assoc as usize)).collect();
     let mut misses = 0;
     for &n in stream {
         let set = &mut set_lrus[(n & (sets - 1)) as usize];
-        if !matches!(set.touch_or_insert(l(n)), TouchOutcome::Hit) {
+        if !set.probe_and_touch(l(n)) {
+            set.insert(l(n));
             misses += 1;
         }
     }
     misses
 }
 
-/// An LruSet never exceeds capacity and evicts exactly the LRU.
+/// A miss cache never exceeds capacity and evicts exactly the LRU line.
 #[test]
 fn lru_set_respects_capacity() {
     let mut rng = SmallRng::seed_from_u64(SEED);
     for round in 0..ROUNDS {
         let stream = line_stream(&mut rng, 64, 200);
         let cap = 1 + rng.below(9);
-        let mut lru = LruSet::new(cap);
+        let mut lru = MissCache::new(cap);
         let mut reference: Vec<u64> = Vec::new(); // MRU at front
         for (t, &n) in stream.iter().enumerate() {
             let at = format!("seed {SEED:#x} round {round}: cap {cap}, ref {t} (line {n})");
-            let evicted = match lru.touch_or_insert(l(n)) {
-                TouchOutcome::Evicted(v) => Some(v.get()),
-                _ => None,
-            };
+            let evicted = lru.insert(l(n)).map(|v| v.get());
             if let Some(pos) = reference.iter().position(|&x| x == n) {
                 reference.remove(pos);
                 assert_eq!(evicted, None, "{at}");
@@ -89,8 +87,8 @@ fn lru_set_respects_capacity() {
     }
 }
 
-/// A fully-associative Cache with LRU equals an LruSet on the same stream
-/// (same hits, same evictions).
+/// A fully-associative Cache with LRU equals an 8-entry miss cache on the
+/// same stream (same hits, same evictions).
 #[test]
 fn fully_associative_cache_equals_lru_set() {
     let mut rng = SmallRng::seed_from_u64(SEED ^ 1);
@@ -98,11 +96,11 @@ fn fully_associative_cache_equals_lru_set() {
         let stream = line_stream(&mut rng, 128, 300);
         let geom = CacheGeometry::fully_associative(8 * 16, 16).expect("8 lines");
         let mut cache = Cache::new(geom);
-        let mut lru = LruSet::new(8);
+        let mut lru = MissCache::new(8);
         for (t, &n) in stream.iter().enumerate() {
             let at = format!("seed {SEED:#x} round {round}: ref {t} (line {n})");
             let lru_hit = lru.contains(l(n));
-            lru.touch_or_insert(l(n));
+            lru.insert(l(n));
             assert_eq!(cache.access_line(l(n)).is_hit(), lru_hit, "{at}");
             assert_eq!(cache.probe(l(n)), lru.contains(l(n)), "{at}");
             assert!(cache.resident_count() <= 8, "{at}");
