@@ -37,8 +37,8 @@ cargo build --release --examples
 echo "==> tier-1: cargo test -q (every workspace member)"
 cargo test -q
 
-echo "==> cargo test --release: trace, cache, core, experiments and serve with debug assertions compiled out, as the benchmark and the daemon build them"
-cargo test --release -q -p jouppi-trace -p jouppi-cache -p jouppi-core -p jouppi-experiments -p jouppi-serve
+echo "==> cargo test --release: trace, workloads, cache, core, experiments and serve with debug assertions compiled out, as the benchmark and the daemon build them"
+cargo test --release -q -p jouppi-trace -p jouppi-workloads -p jouppi-cache -p jouppi-core -p jouppi-experiments -p jouppi-serve
 
 echo "==> jouppi-bench tests: compare's verdicts, the BENCHMARK.json checks and the traced quick mode"
 CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

@@ -15,7 +15,7 @@
 use jouppi_core::{AugmentedConfig, StreamBufferConfig};
 use jouppi_report::Table;
 use jouppi_trace::{MemRef, RecordedTrace, SmallRng};
-use jouppi_workloads::data::{DataPattern, GatherScatter, InterleavedSweep, StridedSweep};
+use jouppi_workloads::data::{GatherScatter, InterleavedSweep, StridedSweep};
 
 use crate::common::{baseline_l1, pct_of_misses_removed, run_side, ExperimentConfig, Side};
 

@@ -23,7 +23,7 @@
 use jouppi_cache::{CacheGeometry, MissBreakdown, MissClassifier};
 use jouppi_core::{AugmentedCache, AugmentedConfig, AugmentedStats, StreamBufferConfig};
 use jouppi_experiments::common::note_refs_simulated;
-use jouppi_trace::{AccessKind, MemRef, TraceSource};
+use jouppi_trace::{AccessKind, MemRef};
 use jouppi_workloads::{Benchmark, Scale};
 
 use crate::json::Json;
@@ -152,7 +152,8 @@ pub fn build_config(
 /// Replays the references `side` sees through an augmented cache built
 /// from `cfg`, with the three-C classifier riding along when `classify`
 /// is set. Both front ends replay with it: this endpoint streams a
-/// generator, `jouppi-sim` a recorded or loaded trace.
+/// generator, `jouppi-sim` a recorded or loaded trace. It drives `refs`
+/// with `for_each`, so a concrete generator runs its own loop.
 pub fn replay(
     refs: impl IntoIterator<Item = MemRef>,
     side: SideFilter,
@@ -162,15 +163,15 @@ pub fn replay(
     let geometry = *cfg.geometry();
     let mut cache = AugmentedCache::new(cfg);
     let mut classifier = classify.then(|| MissClassifier::new(geometry));
-    for r in refs {
+    refs.into_iter().for_each(|r| {
         if !side.sees(r.kind) {
-            continue;
+            return;
         }
         let outcome = cache.access(r.addr);
         if let Some(cls) = classifier.as_mut() {
             cls.observe(geometry.line_of(r.addr), !outcome.is_l1_hit());
         }
-    }
+    });
     (*cache.stats(), classifier.map(|cls| cls.breakdown()))
 }
 
@@ -266,8 +267,8 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
         Some(v) => v.as_bool().ok_or("'classify' must be a boolean")?,
     };
 
-    let source = bench.source(Scale::new(scale), seed);
-    let (s, breakdown) = replay(source.refs(), side, cfg, classify);
+    let generator = bench.source(Scale::new(scale), seed).generator();
+    let (s, breakdown) = replay(generator, side, cfg, classify);
     note_refs_simulated(s.accesses);
 
     let mut out = vec![
@@ -312,7 +313,7 @@ pub fn simulate(body: &Json) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jouppi_trace::RecordedTrace;
+    use jouppi_trace::{RecordedTrace, TraceSource};
 
     fn req(text: &str) -> Result<Json, String> {
         simulate(&Json::parse(text).expect("test request is valid JSON"))

@@ -16,7 +16,11 @@ pub const BASE_LINE_SIZE: u64 = 16;
 /// trace can be replayed against many cache configurations — exactly how the
 /// paper sweeps cache parameters over fixed traces.
 ///
-/// The trait is object-safe; experiment drivers hold `Box<dyn TraceSource>`.
+/// The trait is object-safe: the command line holds a loaded or recorded
+/// trace as `Box<dyn TraceSource>`. Replaying through [`TraceSource::refs`]
+/// makes one dynamic call per reference; a source that generates its
+/// references also overrides [`TraceSource::record_refs`], so recording it
+/// makes one dynamic call per trace.
 ///
 /// # Examples
 ///
@@ -39,6 +43,12 @@ pub trait TraceSource {
     /// A short human-readable name for reports (e.g. `"ccom"`).
     fn name(&self) -> &str {
         "trace"
+    }
+
+    /// Every reference of the trace, in order, as [`TraceSource::refs`]
+    /// yields them. [`RecordedTrace::record`] records through this.
+    fn record_refs(&self) -> Vec<MemRef> {
+        self.refs().collect()
     }
 }
 
@@ -270,11 +280,12 @@ impl RecordedTrace {
         }
     }
 
-    /// Records everything a source produces.
+    /// Records everything a source produces, through
+    /// [`TraceSource::record_refs`].
     pub fn record(source: &dyn TraceSource) -> Self {
         RecordedTrace {
             name: source.name().to_owned(),
-            refs: source.refs().collect(),
+            refs: source.record_refs(),
             sides: OnceLock::new(),
         }
     }

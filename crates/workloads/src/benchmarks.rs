@@ -199,6 +199,13 @@ pub struct WorkloadSource {
 }
 
 impl WorkloadSource {
+    /// A fresh generator of the trace, from the beginning: the concrete
+    /// iterator behind [`TraceSource::refs`]. Driven through `for_each` or
+    /// `fold`, it generates with no dynamic call per reference.
+    pub fn generator(&self) -> TraceGen {
+        self.benchmark.build(self.scale, self.seed)
+    }
+
     /// The benchmark this source generates.
     pub fn benchmark(&self) -> Benchmark {
         self.benchmark
@@ -217,11 +224,22 @@ impl WorkloadSource {
 
 impl TraceSource for WorkloadSource {
     fn refs(&self) -> Box<dyn Iterator<Item = MemRef> + '_> {
-        Box::new(self.benchmark.build(self.scale, self.seed))
+        Box::new(self.generator())
     }
 
     fn name(&self) -> &str {
         self.benchmark.name()
+    }
+
+    /// Fills the vector through the generator's own loop. It reserves room
+    /// for two references per instruction, the most a trace can hold, so
+    /// it never regrows; shrinking then frees the untouched rest.
+    fn record_refs(&self) -> Vec<MemRef> {
+        let bound = self.scale.instructions.saturating_mul(2);
+        let mut refs = Vec::with_capacity(usize::try_from(bound).unwrap_or(usize::MAX));
+        self.generator().for_each(|r| refs.push(r));
+        refs.shrink_to_fit();
+        refs
     }
 }
 
@@ -260,7 +278,7 @@ fn build_ccom(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(3.0, 16, StridedSweep::new(REGION[4] + 1280, 8, 768)); // work buffers
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Ccom.data_per_instr(),
@@ -294,7 +312,7 @@ fn build_grr(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(1.2, 16, StridedSweep::new(REGION[3] + 1280, 8, 768)); // reused net list
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Grr.data_per_instr(),
@@ -329,7 +347,7 @@ fn build_yacc(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(3.25, 8, StridedSweep::new(REGION[4] + 1280, 8, 768)); // value stack
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Yacc.data_per_instr(),
@@ -368,7 +386,7 @@ fn build_met(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(2.0, 16, StridedSweep::new(REGION[4] + 1280, 8, 768)); // wavefront
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Met.data_per_instr(),
@@ -396,7 +414,7 @@ fn build_linpack(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(2.9, 16, StridedSweep::new(REGION[1] + 2048, 8, 768)); // pivot bookkeeping
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Linpack.data_per_instr(),
@@ -445,7 +463,7 @@ fn build_liver(scale: Scale, rng: &mut SmallRng) -> TraceGen {
         .with_burst(4.5, 8, StridedSweep::new(REGION[2] + 1280, 8, 640)); // reused scalars
     TraceGen::new(
         exec,
-        Box::new(data),
+        data,
         rng.clone(),
         scale,
         Benchmark::Liver.data_per_instr(),

@@ -22,18 +22,17 @@
 //!   tables, symbol tables).
 //! * [`StackFrames`] — procedure frames pushed and popped near the top of
 //!   stack (high locality, few misses).
-//! * [`Mixture`] — a weighted blend of any of the above.
+//! * [`Transpose`] — a row walk of a column-major matrix (a constant
+//!   non-unit stride).
+//! * [`GatherScatter`] — index loads driving random target loads.
+//! * [`Pattern`] — any one of the above.
+//! * [`Mixture`] — a weighted blend of patterns.
+//!
+//! Every pattern's `next_addr` is deterministic given the `SmallRng`
+//! handed in (the workload owns one seeded RNG shared by all its
+//! patterns).
 
 use jouppi_trace::{Addr, SmallRng};
-
-/// A generator of data-reference addresses.
-///
-/// Implementations are deterministic given the `SmallRng` handed in (the
-/// workload owns one seeded RNG shared by all its patterns).
-pub trait DataPattern {
-    /// Produces the next data address.
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr;
-}
 
 /// One stream sweeping a region with a fixed stride, wrapping at the end.
 ///
@@ -41,7 +40,7 @@ pub trait DataPattern {
 ///
 /// ```
 /// use jouppi_trace::SmallRng;
-/// use jouppi_workloads::data::{DataPattern, StridedSweep};
+/// use jouppi_workloads::data::StridedSweep;
 ///
 /// let mut rng = SmallRng::seed_from_u64(0);
 /// let mut s = StridedSweep::new(0x1000, 8, 32);
@@ -51,8 +50,10 @@ pub trait DataPattern {
 #[derive(Clone, Debug)]
 pub struct StridedSweep {
     base: u64,
+    /// The stride reduced modulo `region`, so one subtraction wraps.
     stride: u64,
     region: u64,
+    /// Always below `region`.
     pos: u64,
 }
 
@@ -70,18 +71,30 @@ impl StridedSweep {
         );
         StridedSweep {
             base,
-            stride,
+            stride: stride % region,
             region,
             pos: 0,
         }
     }
+
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
+        let addr = Addr::new(self.base + self.pos);
+        self.pos = wrap_add(self.pos, self.stride, self.region);
+        addr
+    }
 }
 
-impl DataPattern for StridedSweep {
-    fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
-        let addr = Addr::new(self.base + self.pos);
-        self.pos = (self.pos + self.stride) % self.region;
-        addr
+/// `(pos + stride) % region` for `pos` and `stride` below `region`,
+/// without a division: their sum is below `2 * region`.
+#[inline]
+fn wrap_add(pos: u64, stride: u64, region: u64) -> u64 {
+    let next = pos + stride;
+    if next >= region {
+        next - region
+    } else {
+        next
     }
 }
 
@@ -90,6 +103,7 @@ impl DataPattern for StridedSweep {
 #[derive(Clone, Debug)]
 pub struct InterleavedSweep {
     bases: Vec<u64>,
+    /// The stride reduced modulo `region`, as in [`StridedSweep`].
     stride: u64,
     region: u64,
     pos: u64,
@@ -111,7 +125,7 @@ impl InterleavedSweep {
         );
         InterleavedSweep {
             bases,
-            stride,
+            stride: stride % region,
             region,
             pos: 0,
             way: 0,
@@ -122,15 +136,15 @@ impl InterleavedSweep {
     pub fn ways(&self) -> usize {
         self.bases.len()
     }
-}
 
-impl DataPattern for InterleavedSweep {
-    fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
         let addr = Addr::new(self.bases[self.way] + self.pos);
         self.way += 1;
         if self.way == self.bases.len() {
             self.way = 0;
-            self.pos = (self.pos + self.stride) % self.region;
+            self.pos = wrap_add(self.pos, self.stride, self.region);
         }
         addr
     }
@@ -183,10 +197,10 @@ impl Daxpy {
     fn col_addr(&self, col: u64, row: u64) -> u64 {
         self.base + col * self.lda * F64_BYTES + row * F64_BYTES
     }
-}
 
-impl DataPattern for Daxpy {
-    fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
         let addr = match self.phase {
             0 => self.col_addr(self.k, self.i), // load x[i]
             _ => self.col_addr(self.j, self.i), // load then store y[i]
@@ -302,10 +316,10 @@ impl StringCompare {
         self.remaining = len;
         self.second = false;
     }
-}
 
-impl DataPattern for StringCompare {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
         if self.remaining == 0 {
             self.new_episode(rng);
         }
@@ -357,10 +371,10 @@ impl HotConflictSet {
     pub fn ways(&self) -> usize {
         self.lines.len()
     }
-}
 
-impl DataPattern for HotConflictSet {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
         let addr = self.lines[self.idx] + (rng.gen_range(0..4u64)) * 4;
         self.used += 1;
         if self.used == self.dwell {
@@ -417,10 +431,10 @@ impl PointerChase {
     pub fn footprint(&self) -> u64 {
         self.node_bytes * self.next.len() as u64
     }
-}
 
-impl DataPattern for PointerChase {
-    fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
         let addr = self.base + u64::from(self.cur) * self.node_bytes;
         self.cur = self.next[self.cur as usize];
         Addr::new(addr)
@@ -442,30 +456,49 @@ impl TableLookup {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` or `entry_bytes` is zero.
+    /// Panics if `entries` or `entry_bytes` is zero, or if the rank
+    /// weights' total is not finite and positive (a NaN `skew`, or one so
+    /// negative that a weight overflows).
     pub fn new(base: u64, entries: usize, entry_bytes: u64, skew: f64) -> Self {
         assert!(entries > 0 && entry_bytes > 0, "empty table");
-        let mut cum = Vec::with_capacity(entries);
-        let mut acc = 0.0;
-        for r in 0..entries {
-            acc += 1.0 / ((r + 1) as f64).powf(skew);
-            cum.push(acc);
-        }
+        let cum = zipf_cumulative(entries, skew);
         TableLookup {
             base,
             entry_bytes,
             cum,
         }
     }
-}
 
-impl DataPattern for TableLookup {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
         let total = *self.cum.last().expect("nonempty table");
         let x: f64 = rng.gen_range(0.0..total);
         let rank = self.cum.partition_point(|&c| c < x).min(self.cum.len() - 1);
         Addr::new(self.base + rank as u64 * self.entry_bytes)
     }
+}
+
+/// Cumulative Zipf-like weights over `n` ranks: rank `r` weighs
+/// 1/(r+1)^`skew`.
+///
+/// # Panics
+///
+/// Panics if the total is not finite and positive: a draw scales a
+/// uniform number by it, so a NaN or infinite total would pick ranks
+/// unrelated to the weights, or none at all.
+pub(crate) fn zipf_cumulative(n: usize, skew: f64) -> Vec<f64> {
+    let mut cum = Vec::with_capacity(n);
+    let mut acc = 0.0;
+    for r in 0..n {
+        acc += 1.0 / ((r + 1) as f64).powf(skew);
+        cum.push(acc);
+    }
+    assert!(
+        acc.is_finite() && acc > 0.0,
+        "rank weights with skew {skew} total {acc}; the total must be finite and positive"
+    );
+    cum
 }
 
 /// Procedure frames pushed and popped near the top of stack — dense
@@ -497,10 +530,10 @@ impl StackFrames {
             sp: 0,
         }
     }
-}
 
-impl DataPattern for StackFrames {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
         // Random walk of the frame pointer, referencing within the frame.
         let r: f64 = rng.next_f64();
         if r < 0.1 && self.sp + self.frame_bytes <= self.max_depth_bytes {
@@ -550,10 +583,10 @@ impl Transpose {
     pub fn stride_bytes(&self) -> u64 {
         self.lda_bytes
     }
-}
 
-impl DataPattern for Transpose {
-    fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, _rng: &mut SmallRng) -> Addr {
         let addr = self.base + self.j * self.lda_bytes + self.i * self.elem;
         self.j += 1;
         if self.j == self.n {
@@ -598,10 +631,10 @@ impl GatherScatter {
             phase: false,
         }
     }
-}
 
-impl DataPattern for GatherScatter {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+    /// Produces the next data address.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
         if self.phase {
             self.phase = false;
             let idx = rng.gen_range(0..self.targets);
@@ -614,6 +647,54 @@ impl DataPattern for GatherScatter {
         }
     }
 }
+
+/// Declares [`Pattern`] over the pattern types: a variant and a `From`
+/// for each, and the `match` that draws from whichever one it holds.
+macro_rules! patterns {
+    ($($kind:ident),* $(,)?) => {
+        /// One data pattern of any kind: what a [`Mixture`] blends and a
+        /// microkernel runs. An enum over the closed set of kinds in this
+        /// module, so drawing an address is a `match`, not a virtual call.
+        #[derive(Clone, Debug)]
+        pub enum Pattern {
+            $(
+                #[doc = concat!("A [`", stringify!($kind), "`].")]
+                $kind($kind),
+            )*
+        }
+
+        impl Pattern {
+            /// Produces the next data address.
+            #[inline]
+            pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+                match self {
+                    $(Pattern::$kind(pattern) => pattern.next_addr(rng),)*
+                }
+            }
+        }
+
+        $(
+            impl From<$kind> for Pattern {
+                fn from(pattern: $kind) -> Self {
+                    Pattern::$kind(pattern)
+                }
+            }
+        )*
+    };
+}
+
+patterns!(
+    StridedSweep,
+    InterleavedSweep,
+    Daxpy,
+    StringCompare,
+    HotConflictSet,
+    PointerChase,
+    TableLookup,
+    StackFrames,
+    Transpose,
+    GatherScatter,
+);
 
 /// A weighted blend of patterns with *burst* scheduling: when a pattern
 /// is selected it runs for a burst of consecutive references before the
@@ -633,7 +714,7 @@ impl DataPattern for GatherScatter {
 ///
 /// ```
 /// use jouppi_trace::SmallRng;
-/// use jouppi_workloads::data::{DataPattern, Mixture, StridedSweep, TableLookup};
+/// use jouppi_workloads::data::{Mixture, StridedSweep, TableLookup};
 ///
 /// let mut rng = SmallRng::seed_from_u64(3);
 /// let mut mix = Mixture::new()
@@ -641,19 +722,21 @@ impl DataPattern for GatherScatter {
 ///     .with(1.0, TableLookup::new(0x90_000, 256, 16, 1.0));
 /// let _addr = mix.next_addr(&mut rng);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Mixture {
     entries: Vec<MixEntry>,
     /// Cumulative selection weights (weight / burst).
     cum: Vec<f64>,
     total: f64,
-    current: Option<usize>,
+    /// The entry whose burst is running, while `remaining > 0`.
+    current: usize,
     remaining: u32,
 }
 
+#[derive(Debug)]
 struct MixEntry {
     burst: u32,
-    pattern: Box<dyn DataPattern>,
+    pattern: Pattern,
 }
 
 impl Mixture {
@@ -669,7 +752,7 @@ impl Mixture {
     ///
     /// Panics if `weight` is not finite and positive.
     #[must_use]
-    pub fn with<P: DataPattern + 'static>(self, weight: f64, pattern: P) -> Self {
+    pub fn with(self, weight: f64, pattern: impl Into<Pattern>) -> Self {
         self.with_burst(weight, 1, pattern)
     }
 
@@ -681,12 +764,7 @@ impl Mixture {
     ///
     /// Panics if `weight` is not finite and positive, or `burst` is zero.
     #[must_use]
-    pub fn with_burst<P: DataPattern + 'static>(
-        mut self,
-        weight: f64,
-        burst: u32,
-        pattern: P,
-    ) -> Self {
+    pub fn with_burst(mut self, weight: f64, burst: u32, pattern: impl Into<Pattern>) -> Self {
         assert!(
             weight.is_finite() && weight > 0.0,
             "weights must be positive"
@@ -696,7 +774,7 @@ impl Mixture {
         self.cum.push(self.total);
         self.entries.push(MixEntry {
             burst,
-            pattern: Box::new(pattern),
+            pattern: pattern.into(),
         });
         self
     }
@@ -710,35 +788,25 @@ impl Mixture {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
 
-impl DataPattern for Mixture {
-    fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
-        assert!(!self.entries.is_empty(), "mixture has no patterns");
-        let idx = match self.current {
-            Some(idx) if self.remaining > 0 => idx,
-            _ => {
-                let x: f64 = rng.gen_range(0.0..self.total);
-                let idx = self
-                    .cum
-                    .partition_point(|c| *c < x)
-                    .min(self.entries.len() - 1);
-                self.current = Some(idx);
-                self.remaining = self.entries[idx].burst;
-                idx
-            }
-        };
+    /// Produces the next data address, drawing a new pattern when the
+    /// running burst is spent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mixture is empty.
+    #[inline]
+    pub fn next_addr(&mut self, rng: &mut SmallRng) -> Addr {
+        if self.remaining == 0 {
+            let x: f64 = rng.gen_range(0.0..self.total);
+            self.current = self
+                .cum
+                .partition_point(|c| *c < x)
+                .min(self.entries.len() - 1);
+            self.remaining = self.entries[self.current].burst;
+        }
         self.remaining -= 1;
-        self.entries[idx].pattern.next_addr(rng)
-    }
-}
-
-impl std::fmt::Debug for Mixture {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mixture")
-            .field("patterns", &self.entries.len())
-            .field("total_selection_weight", &self.total)
-            .finish()
+        self.entries[self.current].pattern.next_addr(rng)
     }
 }
 
@@ -756,6 +824,23 @@ mod tests {
         let mut s = StridedSweep::new(100, 16, 48);
         let seq: Vec<u64> = (0..6).map(|_| s.next_addr(&mut r).get()).collect();
         assert_eq!(seq, vec![100, 116, 132, 100, 116, 132]);
+    }
+
+    #[test]
+    fn sweeps_wrap_as_the_remainder_does() {
+        let mut r = rng();
+        for (stride, region) in [(8, 768), (16, 48), (40, 32), (32, 32), (7, 5)] {
+            let mut s = StridedSweep::new(100, stride, region);
+            let mut t = InterleavedSweep::new(vec![100, 1 << 20], stride, region);
+            let mut pos = 0;
+            for _ in 0..50 {
+                let at = format!("stride {stride}, region {region}, pos {pos}");
+                assert_eq!(s.next_addr(&mut r).get(), 100 + pos, "{at}");
+                assert_eq!(t.next_addr(&mut r).get(), 100 + pos, "{at}");
+                assert_eq!(t.next_addr(&mut r).get(), (1 << 20) + pos, "{at}");
+                pos = (pos + stride) % region;
+            }
+        }
     }
 
     #[test]
@@ -893,6 +978,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn table_lookup_with_a_nan_skew_panics_at_construction() {
+        let _ = TableLookup::new(0, 16, 8, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn table_lookup_with_an_overflowing_weight_panics_at_construction() {
+        let _ = TableLookup::new(0, 16, 8, -2000.0);
+    }
+
+    #[test]
     fn stack_frames_stay_in_bounds() {
         let mut r = rng();
         let top = 0x7000_0000u64;
@@ -963,14 +1060,6 @@ mod tests {
         assert!((frac - 0.75).abs() < 0.03, "expected ~0.75, got {frac}");
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "no patterns")]
-    fn empty_mixture_panics_on_use() {
-        let mut r = rng();
-        let mut m = Mixture::new();
-        let _ = m.next_addr(&mut r);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 
 use jouppi_trace::{Addr, SmallRng};
 
+use crate::data::zipf_cumulative;
+
 /// Bytes per instruction (the paper's machines are 32-bit RISCs).
 pub const INSTR_BYTES: u64 = 4;
 
@@ -154,17 +156,22 @@ struct Frame {
 
 impl Executor {
     /// Creates an executor starting at the first procedure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.call_prob` is outside `[0, 1]` (NaN included), or if
+    /// the callee weights' total is not finite and positive (a NaN
+    /// `cfg.callee_skew`, or one so negative that a weight overflows).
     pub fn new(layout: CodeLayout, cfg: ExecConfig) -> Self {
-        let n = layout.procs.len();
+        assert!(
+            (0.0..=1.0).contains(&cfg.call_prob),
+            "call_prob {} must be a probability",
+            cfg.call_prob
+        );
         // Rank r has weight 1/(r+1)^skew. Rank r is procedure r, which
         // keeps hot procedures at the front of the layout, as linkers tend
         // to lay out call-graph-ordered code.
-        let mut cum = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for r in 0..n {
-            acc += 1.0 / ((r + 1) as f64).powf(cfg.callee_skew);
-            cum.push(acc);
-        }
+        let cum = zipf_cumulative(layout.procs.len(), cfg.callee_skew);
         let start = Frame {
             proc: 0,
             offset: 0,
@@ -190,6 +197,7 @@ impl Executor {
     }
 
     /// Produces the next instruction-fetch address and advances control.
+    #[inline]
     pub fn next_fetch(&mut self, rng: &mut SmallRng) -> Addr {
         let proc = self.layout.procs[self.cur.proc];
         let addr = proc.base + u64::from(self.cur.offset) * INSTR_BYTES;
@@ -204,10 +212,11 @@ impl Executor {
             self.return_or_restart(rng);
         } else {
             self.cur.offset += 1;
-            // A call site?
+            // A call site? `new` checked the probability, so the draw is
+            // `gen_bool`'s comparison without its check.
             if self.stack.len() < self.cfg.max_depth
                 && self.cfg.call_prob > 0.0
-                && rng.gen_bool(self.cfg.call_prob)
+                && rng.next_f64() < self.cfg.call_prob
             {
                 let callee = self.pick_callee(rng);
                 self.stack.push(self.cur);
@@ -374,6 +383,36 @@ mod tests {
         for _ in 0..10_000 {
             assert_eq!(a.next_fetch(&mut ra), b.next_fetch(&mut rb));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "call_prob")]
+    fn call_prob_above_one_panics_at_construction() {
+        let cfg = ExecConfig {
+            call_prob: 1.5,
+            ..ExecConfig::default()
+        };
+        let _ = Executor::new(CodeLayout::contiguous(0, &[8]), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "call_prob")]
+    fn nan_call_prob_panics_at_construction() {
+        let cfg = ExecConfig {
+            call_prob: f64::NAN,
+            ..ExecConfig::default()
+        };
+        let _ = Executor::new(CodeLayout::contiguous(0, &[8]), cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn nan_callee_skew_panics_at_construction() {
+        let cfg = ExecConfig {
+            callee_skew: f64::NAN,
+            ..ExecConfig::default()
+        };
+        let _ = Executor::new(CodeLayout::contiguous(0, &[8, 8]), cfg);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Combining an instruction engine and data patterns into a trace.
 
-use jouppi_trace::{MemRef, SmallRng};
+use jouppi_trace::{AccessKind, MemRef, SmallRng};
 
-use crate::data::DataPattern;
+use crate::data::Mixture;
 use crate::exec::Executor;
 
 /// How long a trace to generate, in dynamic instructions.
@@ -31,15 +31,22 @@ impl Default for Scale {
 }
 
 /// An iterator producing a full benchmark trace: instruction fetches from
-/// an [`Executor`] interleaved with data references from a
-/// [`DataPattern`], at a fixed average data-reference-per-instruction
-/// ratio.
+/// an [`Executor`] interleaved with data references from a [`Mixture`],
+/// at a fixed average data-reference-per-instruction ratio.
 ///
-/// Created by [`Benchmark::source`](crate::Benchmark::source); exposed for
-/// building custom workloads.
+/// It generates one instruction at a time: the fetch, then that
+/// instruction's data reference if it makes one. [`Iterator::next`] holds
+/// the data reference back for its following call; [`Iterator::fold`], and
+/// so `for_each`, loops over whole instructions with no such check per
+/// reference. Both draw through one step, so they yield the same stream.
+/// Driven through `fold` on the concrete type, generation makes no dynamic
+/// call per reference.
+///
+/// Created by [`WorkloadSource::generator`](crate::WorkloadSource::generator);
+/// exposed for building custom workloads.
 pub struct TraceGen {
     exec: Executor,
-    data: Box<dyn DataPattern>,
+    data: Mixture,
     rng: SmallRng,
     data_per_instr: f64,
     store_frac: f64,
@@ -56,11 +63,12 @@ impl TraceGen {
     ///
     /// # Panics
     ///
-    /// Panics if `data_per_instr` is negative or greater than 1, or if
-    /// `store_frac` is outside `[0, 1]`.
+    /// Panics if `data_per_instr` is negative or greater than 1, if
+    /// `store_frac` is outside `[0, 1]` (NaN included), or if `data` is
+    /// empty.
     pub fn new(
         exec: Executor,
-        data: Box<dyn DataPattern>,
+        data: Mixture,
         rng: SmallRng,
         scale: Scale,
         data_per_instr: f64,
@@ -74,6 +82,7 @@ impl TraceGen {
             (0.0..=1.0).contains(&store_frac),
             "store_frac must be a probability"
         );
+        assert!(!data.is_empty(), "the data mixture has no patterns");
         TraceGen {
             exec,
             data,
@@ -82,6 +91,26 @@ impl TraceGen {
             store_frac,
             remaining: scale.instructions,
             pending_data: None,
+        }
+    }
+
+    /// Generates one instruction: its fetch, then its data reference if it
+    /// makes one. Every per-instruction draw happens here, in this order.
+    #[inline]
+    fn step(&mut self) -> (MemRef, Option<MemRef>) {
+        let fetch = MemRef::instr(self.exec.next_fetch(&mut self.rng));
+        // `next_f64() < p` is what `gen_bool(p)` computes after checking
+        // `p`, which `new` has checked once.
+        if self.data_per_instr > 0.0 && self.rng.next_f64() < self.data_per_instr {
+            let addr = self.data.next_addr(&mut self.rng);
+            let kind = if self.rng.next_f64() < self.store_frac {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            (fetch, Some(MemRef::new(addr, kind)))
+        } else {
+            (fetch, None)
         }
     }
 }
@@ -97,17 +126,27 @@ impl Iterator for TraceGen {
             return None;
         }
         self.remaining -= 1;
-        let fetch = MemRef::instr(self.exec.next_fetch(&mut self.rng));
-        if self.data_per_instr > 0.0 && self.rng.gen_bool(self.data_per_instr) {
-            let addr = self.data.next_addr(&mut self.rng);
-            let data_ref = if self.rng.gen_bool(self.store_frac) {
-                MemRef::store(addr)
-            } else {
-                MemRef::load(addr)
-            };
-            self.pending_data = Some(data_ref);
-        }
+        let (fetch, data_ref) = self.step();
+        self.pending_data = data_ref;
         Some(fetch)
+    }
+
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, MemRef) -> B,
+    {
+        let mut acc = init;
+        if let Some(data_ref) = self.pending_data.take() {
+            acc = f(acc, data_ref);
+        }
+        for _ in 0..self.remaining {
+            let (fetch, data_ref) = self.step();
+            acc = f(acc, fetch);
+            if let Some(data_ref) = data_ref {
+                acc = f(acc, data_ref);
+            }
+        }
+        acc
     }
 }
 
@@ -125,13 +164,16 @@ mod tests {
     use super::*;
     use crate::data::StridedSweep;
     use crate::exec::{CodeLayout, ExecConfig};
-    use jouppi_trace::{AccessKind, TraceStats};
+    use jouppi_trace::TraceStats;
+
+    fn executor() -> Executor {
+        Executor::new(CodeLayout::contiguous(0, &[64]), ExecConfig::default())
+    }
 
     fn gen(scale: u64, dpi: f64, store: f64) -> TraceGen {
-        let exec = Executor::new(CodeLayout::contiguous(0, &[64]), ExecConfig::default());
         TraceGen::new(
-            exec,
-            Box::new(StridedSweep::new(1 << 20, 8, 1 << 16)),
+            executor(),
+            Mixture::new().with(1.0, StridedSweep::new(1 << 20, 8, 1 << 16)),
             SmallRng::seed_from_u64(5),
             Scale::new(scale),
             dpi,
@@ -181,8 +223,35 @@ mod tests {
     }
 
     #[test]
+    fn fold_yields_what_next_yields_from_any_point() {
+        let all: Vec<MemRef> = gen(2_000, 0.4, 0.3).collect();
+        // Stop `next` just after a fetch that made a data reference, so
+        // `fold` starts with the held-back reference.
+        let split = (1..all.len())
+            .find(|&i| all[i - 1].kind.is_instr() && all[i].kind.is_data())
+            .expect("the trace has data references");
+        let mut stepped = gen(2_000, 0.4, 0.3);
+        let mut refs: Vec<MemRef> = stepped.by_ref().take(split).collect();
+        stepped.for_each(|r| refs.push(r));
+        assert_eq!(refs, all);
+    }
+
+    #[test]
     #[should_panic(expected = "data_per_instr")]
     fn ratio_above_one_panics() {
         let _ = gen(10, 1.5, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no patterns")]
+    fn empty_mixture_panics_at_construction() {
+        let _ = TraceGen::new(
+            executor(),
+            Mixture::new(),
+            SmallRng::seed_from_u64(5),
+            Scale::new(10),
+            0.5,
+            0.0,
+        );
     }
 }

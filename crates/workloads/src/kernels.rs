@@ -22,7 +22,7 @@ use jouppi_trace::SmallRng;
 use jouppi_trace::{MemRef, TraceSource};
 
 use crate::data::{
-    DataPattern, GatherScatter, HotConflictSet, InterleavedSweep, PointerChase, StridedSweep,
+    GatherScatter, HotConflictSet, InterleavedSweep, Pattern, PointerChase, StridedSweep,
     StringCompare, Transpose,
 };
 
@@ -81,21 +81,15 @@ impl Microkernel {
         }
     }
 
-    fn build(self, seed: u64) -> (Box<dyn DataPattern>, SmallRng) {
+    fn build(self, seed: u64) -> (Pattern, SmallRng) {
         let mut rng = SmallRng::seed_from_u64(seed ^ (self as u64).wrapping_mul(0x1234_5677));
-        let pattern: Box<dyn DataPattern> = match self {
-            Microkernel::StringCompareConflict => Box::new(StringCompare::new(
-                0x1000_0000,
-                0x2000_0000,
-                64 << 10,
-                4096,
-                1.0,
-                64,
-                256,
-            )),
-            Microkernel::ThreeWayConflict => Box::new(HotConflictSet::new(0x1000_0100, 4096, 3, 2)),
-            Microkernel::SequentialStream => Box::new(StridedSweep::new(0x1000_0000, 8, 8 << 20)),
-            Microkernel::InterleavedStreams => Box::new(InterleavedSweep::new(
+        let pattern = match self {
+            Microkernel::StringCompareConflict => {
+                StringCompare::new(0x1000_0000, 0x2000_0000, 64 << 10, 4096, 1.0, 64, 256).into()
+            }
+            Microkernel::ThreeWayConflict => HotConflictSet::new(0x1000_0100, 4096, 3, 2).into(),
+            Microkernel::SequentialStream => StridedSweep::new(0x1000_0000, 8, 8 << 20).into(),
+            Microkernel::InterleavedStreams => InterleavedSweep::new(
                 vec![
                     0x1000_0000,
                     0x2000_0000 + 1040,
@@ -104,17 +98,13 @@ impl Microkernel {
                 ],
                 8,
                 4 << 20,
-            )),
-            Microkernel::ColumnWalk => Box::new(Transpose::new(0x1000_0000, 128, 130)),
-            Microkernel::PointerChase => {
-                Box::new(PointerChase::new(0x1000_0000, 64, 8192, &mut rng))
+            )
+            .into(),
+            Microkernel::ColumnWalk => Transpose::new(0x1000_0000, 128, 130).into(),
+            Microkernel::PointerChase => PointerChase::new(0x1000_0000, 64, 8192, &mut rng).into(),
+            Microkernel::Gather => {
+                GatherScatter::new(0x1000_0000, 0x4000_0000, (4 << 20) / 8, 8).into()
             }
-            Microkernel::Gather => Box::new(GatherScatter::new(
-                0x1000_0000,
-                0x4000_0000,
-                (4 << 20) / 8,
-                8,
-            )),
         };
         (pattern, rng)
     }
