@@ -24,9 +24,13 @@
 //!   DEW observation (Wires et al., arXiv:1506.03181) still collapses
 //!   the sweep into one pass: FIFO state changes **only on misses**, so
 //!   each cell can be kept as a tiny ring of per-set cursors, advanced
-//!   lazily, with a per-line presence bitmask selecting in O(1) which
+//!   lazily, with a per-line 64-bit presence mask selecting in O(1) which
 //!   cells miss. Work per reference is O(1 + #cells-that-miss) instead
-//!   of O(#cells).
+//!   of O(#cells), and one sweep tracks at most
+//!   [`FifoSweep::MAX_CELLS`] (64) cells. At one way FIFO and LRU are
+//!   the same policy (a one-way set has no replacement choice), so a
+//!   caller that also runs an [`LruSweep`] may leave its direct-mapped
+//!   cells out of the FIFO sweep and read them from LRU.
 //!
 //! Both engines keep per-line state in `Vec`s indexed by dense line ids
 //! ([`jouppi_trace::LineInterner`]), and read a line's address only to
@@ -452,9 +456,9 @@ pub struct FifoSweep {
     keys: Vec<(u64, u64)>,
     cells: Vec<FifoCell>,
     /// `present[id]`: bitmask of the cells line `id` is resident in.
-    present: Vec<u128>,
+    present: Vec<u64>,
     /// Mask with one bit per cell.
-    all: u128,
+    all: u64,
     total: u64,
     /// Ids for lines fed through [`Self::observe`].
     interner: LineInterner,
@@ -463,7 +467,7 @@ pub struct FifoSweep {
 impl FifoSweep {
     /// Most cells one sweep can track (the width of the per-line
     /// presence bitmask).
-    pub const MAX_CELLS: usize = 128;
+    pub const MAX_CELLS: usize = 64;
 
     /// Creates a sweep over `(num_sets, associativity)` cells
     /// (duplicates removed, order preserved).
@@ -508,11 +512,9 @@ impl FifoSweep {
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let all = if keys.len() == FifoSweep::MAX_CELLS {
-            u128::MAX
-        } else {
-            (1u128 << keys.len()) - 1
-        };
+        // 1..=64 cells: the shift is 0..=63, where `(1 << len) - 1` would
+        // overflow at 64.
+        let all = u64::MAX >> (FifoSweep::MAX_CELLS - keys.len());
         Ok(FifoSweep {
             keys,
             cells,
@@ -528,7 +530,7 @@ impl FifoSweep {
     ///
     /// Feed a sweep either lines, here, or ids, in [`Self::observe_id`]:
     /// not both.
-    pub fn observe(&mut self, line: LineAddr) -> u128 {
+    pub fn observe(&mut self, line: LineAddr) -> u64 {
         let id = self.interner.intern(line);
         self.observe_id(id, line)
     }
@@ -538,7 +540,7 @@ impl FifoSweep {
     /// from one [`LineInterner`] fed this sweep's stream, as the ids of
     /// [`jouppi_trace::SideView::runs`] are, and `line` its address, which
     /// picks the set in each cell.
-    pub fn observe_id(&mut self, id: u32, line: LineAddr) -> u128 {
+    pub fn observe_id(&mut self, id: u32, line: LineAddr) -> u64 {
         self.total += 1;
         let idx = id as usize;
         if idx >= self.present.len() {
@@ -562,7 +564,7 @@ impl FifoSweep {
             if evicted != FREE {
                 // The victim is resident in this cell; it cannot be
                 // `id` (we are missing here).
-                self.present[evicted as usize] &= !(1u128 << c);
+                self.present[evicted as usize] &= !(1u64 << c);
             }
             cell.cursors[set] = if cursor + 1 == cell.assoc {
                 0
@@ -830,10 +832,10 @@ mod tests {
             FifoSweep::new(&[(4, 0)]).unwrap_err(),
             SinglePassError::BadAssociativity(0)
         );
-        let too_many: Vec<(u64, u64)> = (0..129).map(|i| (1u64, i + 1)).collect();
+        let too_many: Vec<(u64, u64)> = (0..65).map(|i| (1u64, i + 1)).collect();
         assert!(matches!(
             FifoSweep::new(&too_many).unwrap_err(),
-            SinglePassError::TooManyCells { requested: 129, .. }
+            SinglePassError::TooManyCells { requested: 65, .. }
         ));
         // Errors render.
         assert!(SinglePassError::BadSetCount(6)
@@ -844,11 +846,11 @@ mod tests {
             .to_string()
             .contains("nonzero"));
         assert!(SinglePassError::TooManyCells {
-            requested: 129,
-            max: 128
+            requested: 65,
+            max: 64
         }
         .to_string()
-        .contains("128"));
+        .contains("64"));
     }
 
     #[test]
@@ -1027,6 +1029,43 @@ mod tests {
         let mut sweep = LruSweep::bounded(&[(1, 2)]).unwrap();
         sweep.observe_id(0, l(5));
         sweep.observe_id(2, l(6));
+    }
+
+    #[test]
+    fn fifo_sweep_uses_every_bit_of_its_mask() {
+        // 64 distinct cells fill the mask; there `(1 << len) - 1` would
+        // wrap to an empty mask in a release build. The cells run from
+        // 128 sets × 128 ways down to one line, so cell 63, the top bit,
+        // evicts on every new reference.
+        let cells: Vec<(u64, u64)> = (0..8u32)
+            .rev()
+            .flat_map(|s| (0..8u32).rev().map(move |a| (1u64 << s, 1u64 << a)))
+            .collect();
+        assert_eq!(cells.len(), FifoSweep::MAX_CELLS);
+        assert_eq!(cells[63], (1, 1));
+        let stream = mixed_stream();
+        let mut sweep = FifoSweep::new(&cells).unwrap();
+        // A first touch misses in every cell, the top one included.
+        assert_eq!(sweep.observe(l(stream[0])), u64::MAX);
+        for &n in &stream[1..] {
+            sweep.observe(l(n));
+        }
+        for (c, &(sets, assoc)) in cells.iter().enumerate() {
+            assert_eq!(
+                sweep.misses(sets, assoc),
+                Some(oracle(&stream, sets, assoc, ReplacementPolicy::Fifo)),
+                "cell {c}: {sets} sets × {assoc} ways"
+            );
+        }
+        let mut too_many = cells;
+        too_many.push((256, 1));
+        assert_eq!(
+            FifoSweep::new(&too_many).unwrap_err(),
+            SinglePassError::TooManyCells {
+                requested: 65,
+                max: 64
+            }
+        );
     }
 
     #[test]

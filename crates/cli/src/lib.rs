@@ -26,7 +26,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use jouppi_cache::{CacheGeometry, FifoSweep, LruSweep};
+use jouppi_cache::CacheGeometry;
 use jouppi_experiments::single_pass;
 use jouppi_report::Table;
 use jouppi_serve::sim;
@@ -124,6 +124,23 @@ fn err(msg: impl Into<String>) -> UsageError {
     UsageError(msg.into())
 }
 
+/// Parses a `--scale` value: a positive instruction count, at most the
+/// daemon's [`sim::MAX_SIMULATE_SCALE`], since recording sizes its
+/// buffer from it.
+fn parse_scale(text: &str) -> Result<u64, UsageError> {
+    let scale: u64 = text.parse().map_err(|_| err("--scale wants an integer"))?;
+    if scale == 0 {
+        return Err(err("--scale must be positive"));
+    }
+    if scale > sim::MAX_SIMULATE_SCALE {
+        return Err(err(format!(
+            "--scale must be at most {}",
+            sim::MAX_SIMULATE_SCALE
+        )));
+    }
+    Ok(scale)
+}
+
 /// The usage text printed for `--help`.
 pub const USAGE: &str = "\
 usage: jouppi-sim [OPTIONS]
@@ -137,7 +154,8 @@ usage: jouppi-sim [OPTIONS]
                          depth each at most 1024
   --stride-detect MAX    stream buffers detect strides up to MAX lines
   --side i|d|all         which references the cache sees (default d)
-  --scale N              workload length in instructions (default 500000)
+  --scale N              workload length in instructions (default 500000),
+                         at most 2000000
   --seed N               workload seed (default 42)
   --classify             also report the 3-C miss breakdown
   --export FILE          write the reference stream as a din file and exit
@@ -252,14 +270,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Options, Us
                 opts.side = SideFilter::from_name(&name)
                     .ok_or_else(|| err(format!("--side wants i|d|all, got '{name}'")))?;
             }
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| err("--scale wants an integer"))?;
-                if opts.scale == 0 {
-                    return Err(err("--scale must be positive"));
-                }
-            }
+            "--scale" => opts.scale = parse_scale(&value("--scale")?)?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()
@@ -407,25 +418,15 @@ pub fn run(opts: &Options) -> Result<String, Box<dyn std::error::Error>> {
 
 /// One pass over the trace, miss rates for every (size, associativity)
 /// cell of [`single_pass::grid`] under both LRU (via set-refined stack
-/// distances) and FIFO.
+/// distances) and FIFO, on the engines the paper's grid sweep uses.
 fn geometry_sweep_report(trace: &RecordedTrace, opts: &Options) -> String {
-    let lines: Vec<_> = trace
-        .refs()
-        .filter(|r| opts.side.sees(r.kind))
-        .map(|r| r.addr.line(single_pass::LINE_SIZE))
-        .collect();
-    let grid = single_pass::grid();
-    let cells: Vec<(u64, u64)> = grid
-        .iter()
-        .map(|g| (g.num_sets(), g.associativity()))
-        .collect();
-    let mut lru = LruSweep::bounded(&cells).expect("grid cells are valid");
-    let mut fifo = FifoSweep::new(&cells).expect("grid is well within the cell limit");
-    for &line in &lines {
+    let (mut lru, mut fifo) = single_pass::grid_engines();
+    for r in trace.refs().filter(|r| opts.side.sees(r.kind)) {
+        let line = r.addr.line(single_pass::LINE_SIZE);
         lru.observe(line);
         fifo.observe(line);
     }
-    let total = lines.len() as u64;
+    let total = lru.total_refs();
     let rate = |misses: u64| {
         if total == 0 {
             "-".to_owned()
@@ -434,12 +435,12 @@ fn geometry_sweep_report(trace: &RecordedTrace, opts: &Options) -> String {
         }
     };
     let mut t = Table::new(["size", "assoc", "LRU miss rate", "FIFO miss rate"]);
-    for g in &grid {
+    for cell in single_pass::grid_cells(&lru, &fifo) {
         t.row([
-            format!("{}K", g.size() >> 10),
-            g.associativity().to_string(),
-            rate(lru.misses_for_geometry(g).expect("cell tracked")),
-            rate(fifo.misses_for_geometry(g).expect("cell tracked")),
+            format!("{}K", cell.size >> 10),
+            cell.associativity.to_string(),
+            rate(cell.lru_misses),
+            rate(cell.fifo_misses),
         ]);
     }
     format!(
@@ -509,6 +510,7 @@ mod tests {
         assert!(parse(&["--stream", "0x4"]).is_err());
         assert!(parse(&["--side", "x"]).is_err());
         assert!(parse(&["--scale", "0"]).is_err());
+        assert!(parse(&["--scale", "2000000"]).is_ok());
         assert!(parse(&["--system", "nope"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--victim", "2", "--miss-cache", "2"]).is_err());

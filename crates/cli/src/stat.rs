@@ -38,7 +38,8 @@ usage: jouppi-stat [OPTIONS]
   --workload NAME    built-in workload: ccom grr yacc met linpack liver
   --trace FILE       Dinero-format trace file instead of a workload
   --line N           line size in bytes for footprints/curves (default 16)
-  --scale N          workload length in instructions (default 500000)
+  --scale N          workload length in instructions (default 500000),
+                     at most 2000000
   --seed N           workload seed (default 42)
   --help             show this message";
 
@@ -73,14 +74,7 @@ pub fn parse_stat_args<I: IntoIterator<Item = String>>(args: I) -> Result<StatOp
                 }
                 opts.line_size = n;
             }
-            "--scale" => {
-                opts.scale = value("--scale")?
-                    .parse()
-                    .map_err(|_| err("--scale wants an integer".into()))?;
-                if opts.scale == 0 {
-                    return Err(err("--scale must be positive".into()));
-                }
-            }
+            "--scale" => opts.scale = crate::parse_scale(&value("--scale")?)?,
             "--seed" => {
                 opts.seed = value("--seed")?
                     .parse()

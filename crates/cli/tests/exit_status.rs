@@ -48,7 +48,27 @@ fn usage_errors_go_to_stderr_and_fail() {
             "unknown argument '--frobnicate'",
         ),
         (SIM, &["--scale", "0"][..], "--scale must be positive"),
+        (
+            SIM,
+            &["--scale", "2000001"][..],
+            "--scale must be at most 2000000",
+        ),
+        (
+            SIM,
+            &["--scale", "100000000000"][..],
+            "--scale must be at most 2000000",
+        ),
         (STAT, &["--bogus"][..], "unknown argument '--bogus'"),
+        (
+            STAT,
+            &["--scale", "2000001"][..],
+            "--scale must be at most 2000000",
+        ),
+        (
+            STAT,
+            &["--scale", "100000000000"][..],
+            "--scale must be at most 2000000",
+        ),
         (JOUPPI, &["serve", "--port", "huge"][..], "--port"),
         (JOUPPI, &["sim", "--help"][..], "unknown command 'sim'"),
         (JOUPPI, &[][..], "usage: jouppi <command>"),

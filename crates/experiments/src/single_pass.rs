@@ -4,15 +4,19 @@
 //!
 //! This is the sweep the single-pass engines exist for. [`run`] answers
 //! all [`grid`] cells under both LRU and FIFO from **two** trace
-//! traversals per (benchmark, side) — one [`jouppi_cache::LruSweep`]
-//! (whose cost is independent of the number of cells) and one
-//! [`jouppi_cache::FifoSweep`] (whose cost scales with misses, not
-//! cells). Both index their per-line state by the side's memoized line
-//! ids, and read one entry per run of repeats ([`SideView::runs`]).
-//! [`run_per_cell`] is the demoted per-cell simulator, kept as
-//! the cross-check oracle: one [`jouppi_cache::Cache`] replay per
-//! (cell × policy), exactly equal by the
-//! `single_pass_equivalence` test suite.
+//! traversals per (benchmark, side) — one [`LruSweep`] over all 40
+//! cells (whose cost is independent of the number of cells) and one
+//! [`FifoSweep`] over the 32 multi-way cells (whose cost scales with
+//! misses, not cells). A one-way set has no replacement choice, so
+//! FIFO and LRU miss alike there, and the eight direct-mapped cells
+//! take their FIFO counts from the LRU sweep. [`grid_engines`] builds
+//! the pair and [`grid_cells`] reads it, for this sweep and for
+//! `jouppi-sim --geometry-sweep` alike. Both engines index their
+//! per-line state by the side's memoized line ids, and read one entry
+//! per run of repeats ([`SideView::runs`]). [`run_per_cell`] is the
+//! demoted per-cell simulator, kept as the cross-check oracle: one
+//! [`Cache`] replay per (cell × policy), FIFO at one way included,
+//! exactly equal by the `single_pass_equivalence` test suite.
 
 use jouppi_cache::{Cache, CacheGeometry, FifoSweep, LruSweep, ReplacementPolicy};
 use jouppi_report::{rate, Table};
@@ -94,17 +98,49 @@ pub fn cells_per_side() -> u64 {
     (SIZES.len() * ASSOCS.len() * 2) as u64
 }
 
-fn side_cells_single_pass(view: &SideView) -> Vec<GeometryCell> {
-    let cells = grid();
-    let keys: Vec<(u64, u64)> = cells
+/// The grid's engines, unfed: an [`LruSweep`] over every [`grid`] cell,
+/// and a [`FifoSweep`] over the multi-way cells only. Feed both the same
+/// stream, then read them with [`grid_cells`].
+pub fn grid_engines() -> (LruSweep, FifoSweep) {
+    let keys: Vec<(u64, u64)> = grid()
         .iter()
         .map(|g| (g.num_sets(), g.associativity()))
         .collect();
+    let multi_way: Vec<(u64, u64)> = keys.iter().copied().filter(|&(_, a)| a > 1).collect();
     // Bounded backend: no grid cell queries deeper than its own
     // associativity, so each level's MRU arrays cap at the largest
     // way-count sharing that set count.
-    let mut lru = LruSweep::bounded(&keys).expect("grid cells are valid");
-    let mut fifo = FifoSweep::new(&keys).expect("grid cells are valid");
+    let lru = LruSweep::bounded(&keys).expect("grid cells are valid");
+    let fifo = FifoSweep::new(&multi_way).expect("grid cells are valid");
+    (lru, fifo)
+}
+
+/// Every [`grid`] cell's counts, in [`grid`] order, from engines that
+/// [`grid_engines`] built and one stream fed. A direct-mapped cell's
+/// FIFO count is its LRU count: a one-way set evicts its only line
+/// under either policy.
+pub fn grid_cells(lru: &LruSweep, fifo: &FifoSweep) -> Vec<GeometryCell> {
+    grid()
+        .iter()
+        .map(|g| {
+            let lru_misses = lru.misses_for_geometry(g).expect("tracked");
+            let fifo_misses = if g.associativity() == 1 {
+                lru_misses
+            } else {
+                fifo.misses_for_geometry(g).expect("tracked")
+            };
+            GeometryCell {
+                size: g.size(),
+                associativity: g.associativity(),
+                lru_misses,
+                fifo_misses,
+            }
+        })
+        .collect()
+}
+
+fn side_cells_single_pass(view: &SideView) -> Vec<GeometryCell> {
+    let (mut lru, mut fifo) = grid_engines();
     // A run's repeats hit in every cell and change nothing: read one
     // entry per run.
     for run in view.runs() {
@@ -112,15 +148,7 @@ fn side_cells_single_pass(view: &SideView) -> Vec<GeometryCell> {
         fifo.observe_id(run.id, run.line);
     }
     sweep::note_single_pass_refs(2 * view.len() as u64);
-    cells
-        .iter()
-        .map(|g| GeometryCell {
-            size: g.size(),
-            associativity: g.associativity(),
-            lru_misses: lru.misses_for_geometry(g).expect("tracked"),
-            fifo_misses: fifo.misses_for_geometry(g).expect("tracked"),
-        })
-        .collect()
+    grid_cells(&lru, &fifo)
 }
 
 fn side_cells_per_cell(view: &SideView) -> Vec<GeometryCell> {

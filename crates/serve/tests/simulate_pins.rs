@@ -13,6 +13,8 @@
 //! The pins hold for x86_64 Linux, as the stream pins do: generation
 //! calls `f64::powf`, which the platform's libm computes.
 
+mod pins;
+
 use jouppi_serve::{sim, Json};
 use jouppi_workloads::Benchmark;
 
@@ -52,25 +54,5 @@ fn simulate_bodies_match_their_pins() {
         let result = sim::simulate(&body).unwrap_or_else(|e| panic!("{request}: {e}"));
         actual.push_str(&format!("{request}\t{}\n", result.encode()));
     }
-    if actual == PINNED {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("simulate_bodies.txt");
-    std::fs::write(&path, &actual).expect("write the computed bodies");
-    let (pinned, computed): (Vec<&str>, Vec<&str>) =
-        (PINNED.lines().collect(), actual.lines().collect());
-    let differs = (0..pinned.len().max(computed.len())).find(|&i| pinned.get(i) != computed.get(i));
-    let report = match differs {
-        Some(i) => format!(
-            "simulate_bodies.txt line {}:\n  pinned: {}\n  actual: {}",
-            i + 1,
-            pinned.get(i).unwrap_or(&"(none)"),
-            computed.get(i).unwrap_or(&"(none)")
-        ),
-        None => "simulate_bodies.txt differs only in line endings".to_owned(),
-    };
-    panic!(
-        "{report}\nthe computed text is in {0}; to accept it, run\n  cp {0} crates/serve/tests/simulate_bodies.txt",
-        path.display()
-    );
+    pins::check("simulate_bodies.txt", PINNED, &actual);
 }
